@@ -290,20 +290,22 @@ def cmd_scan(config: RunConfig) -> ScanResult:
 
     # appendix_e: lossy server-to-Alice link; two-user steering with the
     # general-loss optimum plus the secret-sharing direction for reference
+    # (the qss_scenario G_BD_to_A column with eta_sa following the grid)
     columns = ("eta", "f_b", "PPT_A", "G_A_to_B", "G_B_to_A",
                "G_BD_to_A_qss", "key_rate_qss")
-    qss_rows = qss_scenario(config.etas(), eta_sa_follows=True).rows
-    for eta, qrow in zip(config.etas(), qss_rows):
+    for eta in config.etas():
         params = _params_for("appendix_e", float(eta), ov)
         state = build_network_state(params, "final_two_user")
+        qss = build_network_state(protocol.qss_params(eta, eta_sa=eta), "final_three_user")
+        g_bd_to_a = steerability(qss, Partition((1, 2), (0,)))
         rows.append({
             "eta": float(eta),
             "f_b": params.f_b,
             "PPT_A": ppt_min(state, ["A"]),
             "G_A_to_B": steerability(state, Partition((0,), (1,))),
             "G_B_to_A": steerability(state, Partition((1,), (0,))),
-            "G_BD_to_A_qss": qrow["G_BD_to_A"],
-            "key_rate_qss": optimize.key_rate(qrow["G_BD_to_A"]),
+            "G_BD_to_A_qss": g_bd_to_a,
+            "key_rate_qss": optimize.key_rate(g_bd_to_a),
         })
     return ScanResult(columns, tuple(rows))
 
@@ -415,7 +417,8 @@ def cmd_certify(
 
     Without explicit splits, every one-mode-versus-rest bipartition is
     certified.  Raises ``NumericalError`` if the matrix is not positive
-    definite (certification is undefined then).
+    definite (certification is undefined then) or if certification itself
+    fails numerically, e.g. on an ill-conditioned steering block.
     """
     labels, cov = read_cov_matrix_file(path)
     if np.linalg.eigvalsh(cov).min() <= 0:
@@ -426,7 +429,10 @@ def cmd_certify(
     else:
         parsed = [((l,), tuple(m for m in labels if m != l)) for l in labels]
     partitions = [Partition.from_labels(state, n, m) for n, m in parsed]
-    return full_report(state, partitions, separability_tol)
+    try:
+        return full_report(state, partitions, separability_tol)
+    except (ValueError, ArithmeticError) as exc:
+        raise NumericalError(f"{path}: {exc}") from None
 
 
 def format_report_json(report: SteeringReport) -> str:
@@ -579,6 +585,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,6 +14,7 @@ All operations are pure: they return new states and never mutate inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,11 +42,19 @@ SYMMETRY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
 
 
+@cache
+def _omega(n_modes: int) -> np.ndarray:
+    """``symplectic_form(n_modes)``, built once per mode count and read-only."""
+    omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega.flags.writeable = False
+    return omega
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form: n copies of ``[[0, 1], [-1, 0]]``."""
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return _omega(n_modes).copy()
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -174,15 +183,32 @@ def _beam_splitter_matrix(n: int, i: int, j: int, t: float) -> np.ndarray:
     return s
 
 
-def beam_splitter(state: GaussianState, i: int | str, j: int | str, t: float) -> GaussianState:
-    """Mix modes ``i`` and ``j`` on a beam splitter of power transmittance ``t``."""
-    ii, jj = state.mode_index(i), state.mode_index(j)
-    if ii == jj:
+def _bs_cov(cov: np.ndarray, i: int, j: int, t: float) -> np.ndarray:
+    """Covariance after mixing mode indices ``i`` and ``j`` on transmittance ``t``."""
+    if i == j:
         raise ValueError("beam splitter needs two distinct modes")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {t}")
-    s = _beam_splitter_matrix(state.n_modes, ii, jj, t)
-    return GaussianState(state.labels, s @ state.cov @ s.T)
+    s = _beam_splitter_matrix(cov.shape[0] // 2, i, j, t)
+    return s @ cov @ s.T
+
+
+def beam_splitter(state: GaussianState, i: int | str, j: int | str, t: float) -> GaussianState:
+    """Mix modes ``i`` and ``j`` on a beam splitter of power transmittance ``t``."""
+    return GaussianState(state.labels, _bs_cov(state.cov, state.mode_index(i),
+                                               state.mode_index(j), t))
+
+
+def _loss_cov(cov: np.ndarray, i: int, eta: float) -> np.ndarray:
+    """Covariance after a pure-loss channel of efficiency ``eta`` on mode index ``i``."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
+    scale = np.ones(cov.shape[0])
+    scale[2 * i : 2 * i + 2] = np.sqrt(eta)
+    out = cov * np.outer(scale, scale)
+    out[2 * i, 2 * i] += 1.0 - eta
+    out[2 * i + 1, 2 * i + 1] += 1.0 - eta
+    return out
 
 
 def loss_channel(state: GaussianState, i: int | str, eta: float) -> GaussianState:
@@ -191,15 +217,7 @@ def loss_channel(state: GaussianState, i: int | str, eta: float) -> GaussianStat
     The mode couples to a fresh vacuum: its own block maps to
     ``eta * V + (1 - eta) * I`` and cross blocks scale by ``sqrt(eta)``.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    ii = state.mode_index(i)
-    scale = np.ones(2 * state.n_modes)
-    scale[2 * ii : 2 * ii + 2] = np.sqrt(eta)
-    cov = state.cov * np.outer(scale, scale)
-    cov[2 * ii, 2 * ii] += 1.0 - eta
-    cov[2 * ii + 1, 2 * ii + 1] += 1.0 - eta
-    return GaussianState(state.labels, cov)
+    return GaussianState(state.labels, _loss_cov(state.cov, state.mode_index(i), eta))
 
 
 @dataclass(frozen=True)
@@ -228,6 +246,16 @@ class NoisePattern:
         return len(self.x_coeffs)
 
 
+def _noise_cov(cov: np.ndarray, x_coeffs: Sequence[float], p_coeffs: Sequence[float],
+               v_dis: float) -> np.ndarray:
+    """Covariance plus the rank-two noise term of ``add_correlated_noise``."""
+    u = np.zeros(cov.shape[0])
+    w = np.zeros(cov.shape[0])
+    u[0::2] = x_coeffs
+    w[1::2] = p_coeffs
+    return cov + v_dis * (np.outer(u, u) + np.outer(w, w))
+
+
 def add_correlated_noise(state: GaussianState, pattern: NoisePattern) -> GaussianState:
     """Add the shared classical displacement noise described by ``pattern``.
 
@@ -237,12 +265,8 @@ def add_correlated_noise(state: GaussianState, pattern: NoisePattern) -> Gaussia
     """
     if pattern.n_modes != state.n_modes:
         raise ValueError(f"pattern covers {pattern.n_modes} modes, state has {state.n_modes}")
-    u = np.zeros(2 * state.n_modes)
-    w = np.zeros(2 * state.n_modes)
-    u[0::2] = pattern.x_coeffs
-    w[1::2] = pattern.p_coeffs
-    cov = state.cov + pattern.v_dis * (np.outer(u, u) + np.outer(w, w))
-    return GaussianState(state.labels, cov)
+    return GaussianState(state.labels, _noise_cov(state.cov, pattern.x_coeffs,
+                                                  pattern.p_coeffs, pattern.v_dis))
 
 
 def select_modes(state: GaussianState, keep: Iterable[int | str]) -> GaussianState:
@@ -263,25 +287,39 @@ def relabel(state: GaussianState, labels: Sequence[str]) -> GaussianState:
     return GaussianState(tuple(labels), state.cov)
 
 
-def _symplectic_eigenvalues(cov: np.ndarray, pairing_tol: float = 1e-9) -> np.ndarray:
-    """Positive symplectic spectrum of a symmetric matrix, ascending.
+class _NotPositiveDefinite(ArithmeticError):
+    """The Cholesky factorization behind the symplectic spectrum failed."""
 
-    The spectrum of ``Omega @ cov`` comes in pairs ``+/- i nu``; the pairing
-    is asserted to ``pairing_tol`` (scaled by the largest eigenvalue) and the
-    ``n`` positive representatives are returned.
+
+def _symplectic_eigenvalues(cov: np.ndarray, pairing_tol: float = 1e-9) -> np.ndarray:
+    """Positive symplectic spectrum of a symmetric positive-definite matrix, ascending.
+
+    Williamson route (Serafini, *Quantum Continuous Variables*, ch. 3): with
+    ``cov = L L^T``, the matrix ``Omega @ cov`` is similar to the real
+    antisymmetric ``L^T Omega L``, so ``1j * L^T Omega L`` is Hermitian with
+    spectrum ``+/- nu``.  The ``+/-`` pairing is asserted to ``pairing_tol``
+    (scaled by the largest eigenvalue) and the ``n`` positive values are
+    returned.  Raises ``ArithmeticError`` when ``cov`` is not positive
+    definite (the Cholesky factorization fails).
     """
     n = cov.shape[0] // 2
-    ev = np.linalg.eigvals(symplectic_form(n) @ cov)
-    nus = np.sort(np.abs(ev.imag))
-    scale = max(1.0, float(nus[-1]))
-    if np.abs(ev.real).max() > pairing_tol * scale:
-        raise ArithmeticError("symplectic spectrum has non-imaginary eigenvalues")
-    lo, hi = nus[0::2], nus[1::2]
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise _NotPositiveDefinite("matrix is not positive definite") from None
+    ev = np.linalg.eigvalsh(1j * (chol.T @ _omega(n) @ chol))
+    hi, lo = ev[n:], -ev[n - 1 :: -1]
+    scale = max(1.0, float(hi[-1]))
     if np.abs(hi - lo).max() > pairing_tol * scale:
         raise ArithmeticError("symplectic eigenvalues failed +/- pairing check")
     return (lo + hi) / 2.0
 
 
 def is_physical(state: GaussianState, tol: float = PHYSICALITY_TOL) -> bool:
-    """Whether every symplectic eigenvalue is ``>= 1 - tol`` (uncertainty bound)."""
-    return bool(_symplectic_eigenvalues(state.cov).min() >= 1.0 - tol)
+    """Whether the covariance is positive definite with every symplectic
+    eigenvalue ``>= 1 - tol`` (uncertainty bound)."""
+    try:
+        nus = _symplectic_eigenvalues(state.cov)
+    except _NotPositiveDefinite:
+        return False
+    return bool(nus.min() >= 1.0 - tol)

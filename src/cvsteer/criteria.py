@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import GaussianState, _symplectic_eigenvalues
+from .core import GaussianState, _NotPositiveDefinite, _symplectic_eigenvalues
 
 __all__ = [
     "Partition",
@@ -95,17 +95,20 @@ class SteeringReport:
 def symplectic_eigenvalues(cov: np.ndarray, pairing_tol: float = 1e-9) -> np.ndarray:
     """The n positive symplectic eigenvalues of ``cov``, ascending.
 
-    ``cov`` must be symmetric and positive definite; the +/- pairing of the
-    spectrum of ``Omega @ cov`` is asserted to ``pairing_tol``.
+    ``cov`` must be symmetric and positive definite.  The spectrum is the
+    positive half of the eigenvalues of the Hermitian ``1j * L^T Omega L``
+    with ``cov = L L^T`` (Cholesky); its +/- pairing is asserted to
+    ``pairing_tol``.  A failed Cholesky factorization raises ``ValueError``.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise ValueError(f"expected a 2n x 2n matrix, got {cov.shape}")
     if np.abs(cov - cov.T).max() > 1e-8 * max(1.0, np.abs(cov).max()):
         raise ValueError("matrix is not symmetric")
-    if np.linalg.eigvalsh(cov).min() <= 0:
-        raise ValueError("matrix is not positive definite")
-    return _symplectic_eigenvalues((cov + cov.T) / 2.0, pairing_tol)
+    try:
+        return _symplectic_eigenvalues((cov + cov.T) / 2.0, pairing_tol)
+    except _NotPositiveDefinite:
+        raise ValueError("matrix is not positive definite") from None
 
 
 def partial_transpose(cov: np.ndarray, party: Sequence[int]) -> np.ndarray:
@@ -140,8 +143,10 @@ def ppt_two_mode(cov: np.ndarray) -> float:
 
     Writing the matrix in 2x2 blocks ``[[N, g], [g^T, M]]`` and
     ``c = det N + det M - 2 det g``, the value is
-    ``sqrt((c - sqrt(c^2 - 4 det cov)) / 2)``.  Agrees with the general
-    eigensolver route to near machine precision.
+    ``sqrt((c - sqrt(c^2 - 4 det cov)) / 2)``, evaluated in the rationalized
+    form ``sqrt(2 det cov / (c + sqrt(c^2 - 4 det cov)))`` so that strong
+    squeezing (``c^2 >> det cov``) does not cancel it to zero.  Agrees with
+    the general eigensolver route to near machine precision.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.shape != (4, 4):
@@ -150,8 +155,9 @@ def ppt_two_mode(cov: np.ndarray) -> float:
     m_det = np.linalg.det(cov[2:, 2:])
     g_det = np.linalg.det(cov[:2, 2:])
     c = n_det + m_det - 2.0 * g_det
-    disc = c * c - 4.0 * np.linalg.det(cov)
-    return float(np.sqrt((c - np.sqrt(max(disc, 0.0))) / 2.0))
+    det = np.linalg.det(cov)
+    disc = c * c - 4.0 * det
+    return float(np.sqrt(2.0 * det / (c + np.sqrt(max(disc, 0.0)))))
 
 
 def _partition_blocks(
@@ -163,8 +169,8 @@ def _partition_blocks(
     for m in partition.steering + partition.steered:
         if m >= state.n_modes:
             raise IndexError(f"mode {m} out of range for {state.n_modes} modes")
-    cov = state.cov
-    return cov[np.ix_(idx_n, idx_n)], cov[np.ix_(idx_m, idx_m)], cov[np.ix_(idx_n, idx_m)]
+    rows_n, rows_m = state.cov[idx_n], state.cov[idx_m]
+    return rows_n[:, idx_n], rows_m[:, idx_m], rows_n[:, idx_m]
 
 
 def steerability(state: GaussianState, partition: Partition) -> float:
@@ -174,11 +180,21 @@ def steerability(state: GaussianState, partition: Partition) -> float:
     steering party's block and returns ``max(0, -sum(ln nu))`` over its
     symplectic eigenvalues ``nu < 1``.  The opposite direction is obtained
     by swapping the parties (``partition.swapped()``).
+
+    One ``eigh`` of the steering block ``N = U diag(lam) U^T`` serves both
+    the conditioning guard (``max|lam| / min|lam|``, the 2-norm condition
+    number of a symmetric matrix, must not exceed ``COND_LIMIT``) and the
+    inverse: ``gamma^T N^{-1} gamma = x^T diag(1/lam) x`` with
+    ``x = U^T gamma``.
     """
     n_blk, m_blk, gamma = _partition_blocks(state, partition)
-    if np.linalg.cond(n_blk) > COND_LIMIT:
+    lam, u = np.linalg.eigh(n_blk)
+    mags = np.abs(lam)
+    lo = mags.min()
+    if lo == 0.0 or mags.max() > COND_LIMIT * lo:
         raise ValueError("steering party block is numerically singular")
-    schur = m_blk - gamma.T @ np.linalg.solve(n_blk, gamma)
+    x = u.T @ gamma
+    schur = m_blk - x.T @ (x / lam[:, None])
     nus = _symplectic_eigenvalues((schur + schur.T) / 2.0)
     below = nus[nus < 1.0 - STEERING_EDGE]
     if below.size == 0:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import core
-from .core import GaussianState, NoisePattern, db_to_variance
+from .core import GaussianState, db_to_variance
 from .criteria import Partition, ppt_min, steerability
 
 __all__ = [
@@ -100,6 +100,14 @@ class ProtocolParams:
         return dataclasses.replace(self, **changes)
 
 
+def _server_cov(params: ProtocolParams) -> np.ndarray:
+    """Covariance of ``server_output_state`` (modes ``A0, B0, C0, D0``)."""
+    v_s, v_a = params.v_s, params.v_a
+    cov = np.diag((v_a, v_s, 1.0, 1.0, v_s, v_a, 1.0, 1.0))
+    return core._noise_cov(cov, (0.0, params.f_b, params.f_c, params.f_d),
+                           (params.f_a, -params.f_b, 0.0, -params.f_d), params.v_dis)
+
+
 def server_output_state(params: ProtocolParams) -> GaussianState:
     """The four displaced modes as they leave the server (fully separable).
 
@@ -107,18 +115,13 @@ def server_output_state(params: ProtocolParams) -> GaussianState:
     coherent mode, an x-squeezed mode for Alice, David's coherent mode, all
     correlated only through the shared classical noise.
     """
-    state = core.tensor(
-        core.squeezed_mode(params.v_s, params.v_a, "p_squeezed", "A0"),
-        core.vacuum(1, ("B0",)),
-    )
-    state = core.tensor(state, core.squeezed_mode(params.v_s, params.v_a, "x_squeezed", "C0"))
-    state = core.tensor(state, core.vacuum(1, ("D0",)))
-    pattern = NoisePattern(
-        x_coeffs=(0.0, params.f_b, params.f_c, params.f_d),
-        p_coeffs=(params.f_a, -params.f_b, 0.0, -params.f_d),
-        v_dis=params.v_dis,
-    )
-    return core.add_correlated_noise(state, pattern)
+    return GaussianState(("A0", "B0", "C0", "D0"), _server_cov(params))
+
+
+def _leading_modes(cov: np.ndarray, labels: tuple[str, ...]) -> GaussianState:
+    """The state of the first ``len(labels)`` modes of ``cov``, under ``labels``."""
+    keep = 2 * len(labels)
+    return GaussianState(labels, cov[:keep, :keep])
 
 
 def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
@@ -134,33 +137,37 @@ def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
     Bob's output takes amplitude ``sqrt(t2)`` from his own mode; David's
     takes ``sqrt(t3)`` from his mode and ``-sqrt(1-t3)`` from the relayed
     ancilla (the sign convention under which the closed forms hold).
+
+    The covariance is propagated as a plain array through the same channel
+    kernels that back ``core.loss_channel`` and ``core.beam_splitter``, and
+    only the returned state is wrapped (and validated) as a ``GaussianState``.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
     if params.users == "two" and stage in ("pre_david", "final_three_user"):
         raise ValueError(f"stage {stage!r} requires users='three'")
 
-    state = server_output_state(params)  # modes A0=0, B0=1, C0=2, D0=3
-    state = core.loss_channel(state, 0, params.eta_sa)
-    state = core.loss_channel(state, 2, params.eta_sa)
-    state = core.loss_channel(state, 1, params.eta_sb)
-    state = core.loss_channel(state, 3, params.eta_sd)
+    cov = _server_cov(params)  # modes A0=0, B0=1, C0=2, D0=3
+    cov = core._loss_cov(cov, 0, params.eta_sa)
+    cov = core._loss_cov(cov, 2, params.eta_sa)
+    cov = core._loss_cov(cov, 1, params.eta_sb)
+    cov = core._loss_cov(cov, 3, params.eta_sd)
 
-    state = core.beam_splitter(state, 0, 2, params.t1)  # -> A at 0, C1 at 2
-    state = core.loss_channel(state, 2, params.eta_ab)
+    cov = core._bs_cov(cov, 0, 2, params.t1)  # -> A at 0, C1 at 2
+    cov = core._loss_cov(cov, 2, params.eta_ab)
     if stage == "pre_bob":
-        return core.relabel(core.select_modes(state, [0, 1, 2]), ("A", "B0", "C1"))
+        return _leading_modes(cov, ("A", "B0", "C1"))
 
-    state = core.beam_splitter(state, 1, 2, params.t2)  # -> B at 1, C2 at 2
+    cov = core._bs_cov(cov, 1, 2, params.t2)  # -> B at 1, C2 at 2
     if stage == "final_two_user":
-        return core.relabel(core.select_modes(state, [0, 1]), ("A", "B"))
+        return _leading_modes(cov, ("A", "B"))
 
-    state = core.loss_channel(state, 2, params.eta_bd)
+    cov = core._loss_cov(cov, 2, params.eta_bd)
     if stage == "pre_david":
-        return core.relabel(core.select_modes(state, [0, 1, 2, 3]), ("A", "B", "C2", "D0"))
+        return _leading_modes(cov, ("A", "B", "C2", "D0"))
 
-    state = core.beam_splitter(state, 3, 2, 1.0 - params.t3)  # -> C3 at 3, D at 2
-    return core.relabel(core.select_modes(state, [0, 1, 2]), ("A", "B", "D"))
+    cov = core._bs_cov(cov, 3, 2, 1.0 - params.t3)  # -> C3 at 3, D at 2
+    return _leading_modes(cov, ("A", "B", "D"))
 
 
 def _require_regime(params: ProtocolParams, *, balanced: Sequence[str], equal_etas: bool) -> None:

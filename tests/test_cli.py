@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvsteer import build_network_state
+from cvsteer import build_network_state, cli, qss_scenario
 from cvsteer.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
@@ -119,6 +119,13 @@ class TestScan:
                                     eta_steps=2))
         assert "G_BD_to_A_qss" in result.columns
         assert result.rows[1]["G_A_to_B"] > result.rows[0]["G_A_to_B"] > 0
+
+    def test_appendix_e_qss_column_matches_qss_scenario(self):
+        config = RunConfig(scenario="appendix_e", eta_start=0.5, eta_stop=1.0, eta_steps=11)
+        result = cmd_scan(config)
+        reference = qss_scenario(config.etas(), eta_sa_follows=True).column("G_BD_to_A")
+        np.testing.assert_array_equal(result.column("G_BD_to_A_qss"), reference)
+        assert reference[-1] > 0
 
     def test_override_pins_coefficient(self):
         result = cmd_scan(RunConfig(scenario="two_user", eta_start=1.0, eta_stop=1.0,
@@ -314,6 +321,23 @@ class TestMainEntry:
         path = tmp_path / "npd.txt"
         path.write_text("1 0 0 0\n0 -1 0 0\n0 0 1 0\n0 0 0 1\n")
         assert main(["certify", str(path)]) == EXIT_NUMERIC
+
+    def test_ill_conditioned_certify_exit_code(self, tmp_path, capsys):
+        # positive definite, but the steering block has condition number 1e14
+        path = tmp_path / "illcond.txt"
+        path.write_text("1e7 0 0 0\n0 1e-7 0 0\n0 0 1 0\n0 0 0 1\n")
+        assert main(["certify", str(path)]) == EXIT_NUMERIC
+        assert "singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [ArithmeticError("pairing"),
+                                     np.linalg.LinAlgError("no convergence")])
+    def test_escaped_numerical_errors_exit_code(self, monkeypatch, capsys, exc):
+        def fail(config):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_scan", fail)
+        assert main(["scan", "--eta-grid", "1:1:1"]) == EXIT_NUMERIC
+        assert "error:" in capsys.readouterr().err
 
     def test_table_a1_stdout(self, capsys):
         assert main(["table-a1"]) == 0

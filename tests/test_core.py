@@ -236,6 +236,11 @@ class TestIsPhysical:
     def test_uncertainty_violation(self):
         assert not is_physical(GaussianState(("a",), np.diag([0.5, 0.5])))
 
+    def test_not_positive_definite_is_unphysical(self):
+        # the +/- spectrum of Omega @ cov is all ones here; only the failed
+        # Cholesky factorization reveals that the matrix is not a covariance
+        assert not is_physical(GaussianState(("a", "b"), np.diag([1.0, 1.0, -1.0, -1.0])))
+
     def test_measured_state_is_physical(self):
         assert is_physical(GaussianState(THREE_MODE_LABELS, THREE_MODE_REFERENCE))
 
@@ -294,3 +299,10 @@ def test_symplectic_form_properties():
         omega = symplectic_form(n)
         np.testing.assert_array_equal(omega, -omega.T)
         np.testing.assert_array_equal(omega @ omega, -np.eye(2 * n))
+
+
+def test_symplectic_form_is_a_fresh_copy():
+    omega = symplectic_form(2)
+    omega[0, 1] = 7.0
+    np.testing.assert_array_equal(symplectic_form(2), np.kron(np.eye(2), [[0, 1], [-1, 0]]))
+    assert is_physical(vacuum(2))

@@ -60,6 +60,8 @@ class TestSymplecticEigenvalues:
     def test_not_positive_definite_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
             symplectic_eigenvalues(np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError, match="positive definite"):
+            symplectic_eigenvalues(np.diag([1.0, 1.0, -1.0, -1.0]))
 
     def test_not_symmetric_rejected(self):
         bad = np.eye(4)
@@ -145,6 +147,21 @@ class TestPptTwoMode:
             worst = max(worst, abs(ppt_two_mode(cov) - symplectic_eigenvalues(
                 partial_transpose(cov, [0])).min()))
         assert worst < 1e-9
+
+    def test_strong_squeezing_does_not_cancel(self):
+        # two-mode squeezed vacuum at r = 5: the PPT value is exp(-2r), which
+        # the unrationalized closed form cancelled to 0.0
+        r = 5.0
+        a, c = np.cosh(2 * r), np.sinh(2 * r)
+        cov = np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, a, 0], [0, -c, 0, a]])
+        value = ppt_two_mode(cov)
+        # The stored entries carry rounding of eps * |cov| ~ 2e-12, which moves
+        # the exact answer for this matrix (a - c, computed exactly) from
+        # exp(-10) by 1.4e-8 relative; no algorithm can undo that.
+        assert abs(value - (a - c)) <= np.finfo(float).eps * np.abs(cov).max()
+        assert value == pytest.approx(np.exp(-2 * r), rel=1e-7)
+        route = symplectic_eigenvalues(partial_transpose(cov, [0])).min()
+        assert abs(value - route) <= np.finfo(float).eps * np.abs(cov).max()
 
     def test_wrong_shape(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,145 @@
+"""Property tests: the fast spectrum, steering and pipeline routes against
+straightforward references, on random physical states and parameters."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cvsteer import (
+    GaussianState,
+    NoisePattern,
+    Partition,
+    ProtocolParams,
+    add_correlated_noise,
+    beam_splitter,
+    build_network_state,
+    loss_channel,
+    relabel,
+    select_modes,
+    squeezed_mode,
+    steerability,
+    symplectic_eigenvalues,
+    symplectic_form,
+    tensor,
+    vacuum,
+)
+from cvsteer.protocol import STAGES
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def _passive(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-random passive (orthogonal symplectic) transform in xpxp order."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    o = np.empty((2 * n, 2 * n))
+    o[0::2, 0::2], o[0::2, 1::2] = u.real, -u.imag
+    o[1::2, 0::2], o[1::2, 1::2] = u.imag, u.real
+    return o
+
+
+@st.composite
+def physical_states(draw, min_modes=1):
+    """(cov, nus): a Williamson decomposition ``O1 Z O2 diag(nus) O2^T Z O1^T``
+    with thermal factors in [1, 3] and up to 15 dB of squeezing per mode."""
+    n = draw(st.integers(min_modes, 4))
+    nus = draw(st.lists(st.floats(1.0, 3.0), min_size=n, max_size=n))
+    dbs = draw(st.lists(st.floats(0.0, 15.0), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = np.diag([10.0 ** (s * db / 20.0) for db in dbs for s in (-1, 1)])
+    s = _passive(rng, n) @ z @ _passive(rng, n)
+    cov = s @ np.diag(np.repeat(nus, 2)) @ s.T
+    return (cov + cov.T) / 2.0, np.sort(nus)
+
+
+def reference_spectrum(cov: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues from the general eigensolver on ``Omega @ cov``."""
+    n = cov.shape[0] // 2
+    imag = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ cov).imag))
+    return (imag[0::2] + imag[1::2]) / 2.0
+
+
+def reference_steerability(cov: np.ndarray, steering, steered) -> float:
+    idx_n = [k for m in steering for k in (2 * m, 2 * m + 1)]
+    idx_m = [k for m in steered for k in (2 * m, 2 * m + 1)]
+    n_blk, m_blk = cov[np.ix_(idx_n, idx_n)], cov[np.ix_(idx_m, idx_m)]
+    gamma = cov[np.ix_(idx_n, idx_m)]
+    schur = m_blk - gamma.T @ np.linalg.solve(n_blk, gamma)
+    nus = reference_spectrum((schur + schur.T) / 2.0)
+    below = nus[nus < 1.0 - 1e-12]
+    return float(max(0.0, -np.sum(np.log(below))))
+
+
+@SETTINGS
+@given(physical_states())
+def test_spectrum_matches_general_eigensolver(state):
+    cov, nus = state
+    got = symplectic_eigenvalues(cov)
+    np.testing.assert_allclose(got, reference_spectrum(cov), rtol=1e-10, atol=0)
+    np.testing.assert_allclose(got, nus, rtol=1e-10, atol=0)
+
+
+@SETTINGS
+@given(physical_states(min_modes=2), st.data())
+def test_steerability_matches_solve_reference(state, data):
+    cov, _ = state
+    n = cov.shape[0] // 2
+    order = data.draw(st.permutations(range(n)))
+    n_steering = data.draw(st.integers(1, n - 1))
+    n_steered = data.draw(st.integers(1, n - n_steering))
+    steering = tuple(order[:n_steering])
+    steered = tuple(order[n_steering : n_steering + n_steered])
+    got = steerability(GaussianState(tuple(f"m{i}" for i in range(n)), cov),
+                       Partition(steering, steered))
+    assert abs(got - reference_steerability(cov, steering, steered)) <= 1e-10
+
+
+def composed_network_state(params: ProtocolParams, stage: str) -> GaussianState:
+    """The network state built step by step from the public ``core`` operations."""
+    state = tensor(squeezed_mode(params.v_s, params.v_a, "p_squeezed", "A0"),
+                   vacuum(1, ("B0",)))
+    state = tensor(state, squeezed_mode(params.v_s, params.v_a, "x_squeezed", "C0"))
+    state = tensor(state, vacuum(1, ("D0",)))
+    state = add_correlated_noise(state, NoisePattern(
+        x_coeffs=(0.0, params.f_b, params.f_c, params.f_d),
+        p_coeffs=(params.f_a, -params.f_b, 0.0, -params.f_d),
+        v_dis=params.v_dis,
+    ))
+    state = loss_channel(state, 0, params.eta_sa)
+    state = loss_channel(state, 2, params.eta_sa)
+    state = loss_channel(state, 1, params.eta_sb)
+    state = loss_channel(state, 3, params.eta_sd)
+    state = beam_splitter(state, 0, 2, params.t1)
+    state = loss_channel(state, 2, params.eta_ab)
+    if stage == "pre_bob":
+        return relabel(select_modes(state, [0, 1, 2]), ("A", "B0", "C1"))
+    state = beam_splitter(state, 1, 2, params.t2)
+    if stage == "final_two_user":
+        return relabel(select_modes(state, [0, 1]), ("A", "B"))
+    state = loss_channel(state, 2, params.eta_bd)
+    if stage == "pre_david":
+        return relabel(select_modes(state, [0, 1, 2, 3]), ("A", "B", "C2", "D0"))
+    state = beam_splitter(state, 3, 2, 1.0 - params.t3)
+    return relabel(select_modes(state, [0, 1, 2]), ("A", "B", "D"))
+
+
+unit = st.floats(0.0, 1.0)
+coeff = st.floats(-3.0, 3.0)
+protocol_params = st.builds(
+    ProtocolParams,
+    v_s=st.floats(0.03, 1.0), v_a=st.floats(1.0, 32.0), v_dis=st.floats(0.0, 5.0),
+    t1=unit, t2=unit, t3=unit,
+    eta_sa=unit, eta_sb=unit, eta_sd=unit, eta_ab=unit, eta_bd=unit,
+    f_a=coeff, f_b=coeff, f_c=coeff, f_d=coeff,
+    users=st.just("three"),
+)
+
+
+@SETTINGS
+@given(protocol_params, st.sampled_from(STAGES))
+def test_pipeline_matches_composed_core_ops(params, stage):
+    got = build_network_state(params, stage)
+    want = composed_network_state(params, stage)
+    assert got.labels == want.labels
+    np.testing.assert_allclose(got.cov, want.cov, rtol=1e-13, atol=1e-13)
