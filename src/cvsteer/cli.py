@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -34,7 +35,7 @@ from .criteria import (
     ppt_min,
     steerability,
 )
-from .protocol import ProtocolParams, ScanResult, build_network_state, qss_scenario
+from .protocol import STAGES, ProtocolParams, ScanResult, build_network_state
 
 __all__ = [
     "CliError",
@@ -58,8 +59,6 @@ EXIT_NUMERIC = 4
 #: Published matrices carry three decimals, so rounding alone can make them
 #: asymmetric by up to 1e-3; accept that and symmetrize on ingestion.
 INPUT_SYMMETRY_TOL = 2e-3
-
-SCENARIOS = ("two_user", "three_user", "qss", "appendix_e")
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(ProtocolParams)} - {"users"}
 
@@ -203,110 +202,80 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# scenario parameterization
+# scenario table
 # ---------------------------------------------------------------------------
 
 
-def _params_for(scenario: str, eta: float, ov: dict[str, float]) -> ProtocolParams:
+#: A scan scenario, as data.  At grid efficiency ``eta`` the parameters are ``base`` with
+#: ``eta`` on each of ``eta_fields``, then the ``--set`` overrides, then every ``auto`` field
+#: not overridden set to ``optimize.<fn>(*args)``, each arg a field name or ``eta``.  A row
+#: is ``columns`` (``protocol._scan_row`` specs) on those parameters, ``reference`` specs on
+#: ``qss_params(eta, eta_sa=eta)``, and ``key_rates`` of the named steering columns.
+Scenario = namedtuple("Scenario", "base eta_fields auto columns reference key_rates",
+                      defaults=({}, {}))
+
+_FB = ("optimal_fb", "t2", "eta_sb", "eta_ab", "v_a", "v_s")
+_TWO_USER_COLUMNS = {
+    "eta": None, "f_b": None,
+    "PPT_A": ("final_two_user", ("A",)),
+    "G_A_to_B": ("final_two_user", Partition((0,), (1,))),
+    "G_B_to_A": ("final_two_user", Partition((1,), (0,))),
+}
+_LINKS = ("eta_sb", "eta_sd", "eta_ab", "eta_bd")
+
+SCENARIO_TABLE = {
+    "two_user": Scenario(ProtocolParams(users="two"), ("eta_sb", "eta_ab"), {"f_b": _FB},
+                         _TWO_USER_COLUMNS),
+    "three_user": Scenario(
+        ProtocolParams(users="three"), _LINKS,
+        {"f_b": _FB, "f_d": ("optimal_fd", "eta", "v_a", "v_s")},
+        {"eta": None, "f_b": None, "f_d": None,
+         "PPT_A": ("final_three_user", ("A",)),
+         "PPT_B": ("final_three_user", ("B",)),
+         "PPT_D": ("final_three_user", ("D",)),
+         "G_A_to_BD": ("final_three_user", Partition((0,), (1, 2))),
+         "G_A_to_B": ("final_three_user", Partition((0,), (1,))),
+         "G_A_to_D": ("final_three_user", Partition((0,), (2,))),
+         "G_B_to_D": ("final_three_user", Partition((1,), (2,)))}),
+    "qss": Scenario(protocol.qss_params(), _LINKS, {}, protocol.QSS_COLUMNS,
+                    key_rates={"key_rate": "G_BD_to_A"}),
+    # lossy server-to-Alice link: two-user steering with the general-loss optimum,
+    # plus the secret-sharing direction for reference.  --set reaches only the
+    # two-user columns; the reference is the same fixed state in every run.
+    "appendix_e": Scenario(
+        ProtocolParams(users="two"), ("eta_sa", "eta_sb", "eta_ab"),
+        {"f_b": ("optimal_fb_general_loss", "eta_sa", "eta_sb", "eta_ab", "v_a", "v_s")},
+        _TWO_USER_COLUMNS,
+        reference={"G_BD_to_A_qss": protocol.QSS_COLUMNS["G_BD_to_A"]},
+        key_rates={"key_rate_qss": "G_BD_to_A_qss"}),
+}
+
+SCENARIOS = tuple(SCENARIO_TABLE)
+
+
+def _scenario_params(scenario: Scenario, eta: float, ov: dict[str, float]) -> ProtocolParams:
     """Grid-point parameters with auto-optimal coefficients unless overridden."""
-    if scenario == "two_user":
-        params = ProtocolParams(users="two", eta_sb=eta, eta_ab=eta)
-    elif scenario == "three_user":
-        params = ProtocolParams(users="three", eta_sb=eta, eta_sd=eta, eta_ab=eta, eta_bd=eta)
-    elif scenario == "qss":
-        params = protocol.qss_params(eta)
-    elif scenario == "appendix_e":
-        params = ProtocolParams(users="two", eta_sa=eta, eta_sb=eta, eta_ab=eta)
-    else:
-        raise UsageError(f"unknown scenario {scenario!r}")
-    if ov:
-        try:
-            params = params.replace(**ov)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if scenario in ("two_user", "three_user") and "f_b" not in ov:
-        params = params.replace(
-            f_b=optimize.optimal_fb(params.t2, params.eta_sb, params.eta_ab,
-                                    params.v_a, params.v_s))
-    if scenario == "three_user" and "f_d" not in ov:
-        params = params.replace(f_d=optimize.optimal_fd(eta, params.v_a, params.v_s))
-    if scenario == "appendix_e" and "f_b" not in ov:
-        params = params.replace(
-            f_b=optimize.optimal_fb_general_loss(params.eta_sa, params.eta_sb,
-                                                 params.eta_ab, params.v_a, params.v_s))
-    return params
-
-
-def _mc_stage(scenario: str) -> str:
-    return "final_three_user" if scenario in ("three_user", "qss") else "final_two_user"
+    fields = {**vars(scenario.base), **dict.fromkeys(scenario.eta_fields, eta), **ov}
+    params = ProtocolParams(**fields)  # validates the overrides before they feed ``auto``
+    auto = {name: getattr(optimize, fn)(*(eta if a == "eta" else fields[a] for a in args))
+            for name, (fn, *args) in scenario.auto.items() if name not in ov}
+    return ProtocolParams(**{**fields, **auto}) if auto else params
 
 
 def cmd_scan(config: RunConfig) -> ScanResult:
     """One table row per grid efficiency for the configured scenario."""
-    ov = config.overrides
-    rows: list[dict[str, float]] = []
-    if config.scenario == "qss":
-        base = qss_scenario(config.etas(), overrides=ov)
-        columns = base.columns + ("key_rate",)
-        for row in base.rows:
-            row = dict(row)
-            row["key_rate"] = optimize.key_rate(row["G_BD_to_A"])
-            rows.append(row)
-        return ScanResult(columns, tuple(rows))
-
-    if config.scenario == "two_user":
-        columns = ("eta", "f_b", "PPT_A", "G_A_to_B", "G_B_to_A")
-        for eta in config.etas():
-            params = _params_for("two_user", float(eta), ov)
-            state = build_network_state(params, "final_two_user")
-            rows.append({
-                "eta": float(eta),
-                "f_b": params.f_b,
-                "PPT_A": ppt_min(state, ["A"]),
-                "G_A_to_B": steerability(state, Partition((0,), (1,))),
-                "G_B_to_A": steerability(state, Partition((1,), (0,))),
-            })
-        return ScanResult(columns, tuple(rows))
-
-    if config.scenario == "three_user":
-        columns = ("eta", "f_b", "f_d", "PPT_A", "PPT_B", "PPT_D",
-                   "G_A_to_BD", "G_A_to_B", "G_A_to_D", "G_B_to_D")
-        for eta in config.etas():
-            params = _params_for("three_user", float(eta), ov)
-            state = build_network_state(params, "final_three_user")
-            rows.append({
-                "eta": float(eta),
-                "f_b": params.f_b,
-                "f_d": params.f_d,
-                "PPT_A": ppt_min(state, ["A"]),
-                "PPT_B": ppt_min(state, ["B"]),
-                "PPT_D": ppt_min(state, ["D"]),
-                "G_A_to_BD": steerability(state, Partition((0,), (1, 2))),
-                "G_A_to_B": steerability(state, Partition((0,), (1,))),
-                "G_A_to_D": steerability(state, Partition((0,), (2,))),
-                "G_B_to_D": steerability(state, Partition((1,), (2,))),
-            })
-        return ScanResult(columns, tuple(rows))
-
-    # appendix_e: lossy server-to-Alice link; two-user steering with the
-    # general-loss optimum plus the secret-sharing direction for reference
-    # (the qss_scenario G_BD_to_A column with eta_sa following the grid)
-    columns = ("eta", "f_b", "PPT_A", "G_A_to_B", "G_B_to_A",
-               "G_BD_to_A_qss", "key_rate_qss")
-    for eta in config.etas():
-        params = _params_for("appendix_e", float(eta), ov)
-        state = build_network_state(params, "final_two_user")
-        qss = build_network_state(protocol.qss_params(eta, eta_sa=eta), "final_three_user")
-        g_bd_to_a = steerability(qss, Partition((1, 2), (0,)))
-        rows.append({
-            "eta": float(eta),
-            "f_b": params.f_b,
-            "PPT_A": ppt_min(state, ["A"]),
-            "G_A_to_B": steerability(state, Partition((0,), (1,))),
-            "G_B_to_A": steerability(state, Partition((1,), (0,))),
-            "G_BD_to_A_qss": g_bd_to_a,
-            "key_rate_qss": optimize.key_rate(g_bd_to_a),
-        })
+    scenario = SCENARIO_TABLE[config.scenario]
+    rows = []
+    for eta in map(float, config.etas()):
+        params = _scenario_params(scenario, eta, config.overrides)
+        row = protocol._scan_row(params, eta, scenario.columns)
+        if scenario.reference:
+            row.update(protocol._scan_row(protocol.qss_params(eta, eta_sa=eta), eta,
+                                          scenario.reference))
+        for name, source in scenario.key_rates.items():
+            row[name] = optimize.key_rate(row[source])
+        rows.append(row)
+    columns = (*scenario.columns, *scenario.reference, *scenario.key_rates)
     return ScanResult(columns, tuple(rows))
 
 
@@ -334,7 +303,7 @@ def read_cov_matrix_file(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Parse a whitespace-separated square matrix with optional label header.
 
     The header line looks like ``# labels: A B0 C1``.  The matrix must be
-    square with even dimension and symmetric within ``INPUT_SYMMETRY_TOL``
+    finite, square with even dimension and symmetric within ``INPUT_SYMMETRY_TOL``
     (published matrices are rounded, so mild asymmetry is tolerated and
     symmetrized away).
     """
@@ -367,6 +336,8 @@ def read_cov_matrix_file(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     if width % 2:
         raise InputDataError(f"{path}: dimension {width} is odd; need 2 per mode")
     cov = np.array(rows)
+    if not np.isfinite(cov).all():
+        raise InputDataError(f"{path}: non-finite matrix entry")
     asym = float(np.abs(cov - cov.T).max())
     if asym > INPUT_SYMMETRY_TOL:
         raise InputDataError(
@@ -453,21 +424,23 @@ TABLE_ETAS = (1.0, 0.8, 0.6, 0.4, 0.2)
 
 
 def cmd_table_a1() -> str:
-    """Optimal displacement coefficients versus channel efficiency."""
-    params = ProtocolParams()
+    """Optimal displacement coefficients versus channel efficiency (``three_user``)."""
     lines = ["eta    F_B      F_D"]
     for eta in TABLE_ETAS:
-        f_b = optimize.optimal_fb(params.t2, eta, eta, params.v_a, params.v_s)
-        f_d = optimize.optimal_fd(eta, params.v_a, params.v_s)
-        lines.append(f"{eta:<6.1f} {f_b:<8.3f} {f_d:<8.3f}".rstrip())
+        params = _scenario_params(SCENARIO_TABLE["three_user"], eta, {})
+        lines.append(f"{eta:<6.1f} {params.f_b:<8.3f} {params.f_d:<8.3f}".rstrip())
     return "\n".join(lines) + "\n"
 
 
 def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
-    """Run the shot sampler at the grid-start efficiency and report agreement."""
+    """Run the shot sampler at the one-step grid's efficiency and report agreement."""
+    if config.eta_steps > 1:
+        raise UsageError(f"montecarlo takes a one-step eta grid, got {config.eta_steps} steps")
     eta = float(config.eta_start)
-    params = _params_for(config.scenario, eta, config.overrides)
-    stage = _mc_stage(config.scenario)
+    scenario = SCENARIO_TABLE[config.scenario]
+    params = _scenario_params(scenario, eta, config.overrides)
+    # the furthest-propagated state the scenario's own columns read
+    stage = max((spec[0] for spec in scenario.columns.values() if spec), key=STAGES.index)
     batch = sampler.simulate_shots(params, stage, config.shots, config.seed)
     if dump_shots:
         header = ",".join(f"{q}_{l}" for l in batch.labels for q in ("x", "p"))

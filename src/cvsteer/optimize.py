@@ -40,6 +40,9 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 #: zero-flat outside a finite coefficient interval.
 _SCAN_STEP = 0.05
 
+#: Relay ancillas with a PPT value below this count as entangled.
+_SEPARABLE = 1.0 - 1e-9
+
 
 def optimal_fb(t2: float, eta_sb: float, eta_ab: float, v_a: float, v_s: float) -> float:
     """Displacement weight on Bob's mode maximizing the A -> B steerability."""
@@ -149,15 +152,13 @@ _OBJECTIVE_STAGE = {
 }
 
 
-def _ancilla_separable(params: ProtocolParams, stage: str) -> bool:
-    """Whether every relay ancilla in flight stays separable from the rest."""
-    if ppt_min(build_network_state(params, "pre_bob"), ["C1"]) < 1.0 - 1e-9:
-        return False
-    if stage == "final_three_user":
-        pre_d = build_network_state(params, "pre_david")
-        if ppt_min(pre_d, ["C2"]) < 1.0 - 1e-9:
-            return False
-    return True
+def _ancilla_ppt(params: ProtocolParams, stage: str, floor: float = -math.inf) -> float:
+    """Smallest PPT value of the relay ancillas in flight before ``stage`` (``C1``,
+    and ``C2`` for three users); ``C2`` is skipped once ``C1`` is below ``floor``."""
+    value = ppt_min(build_network_state(params, "pre_bob"), ["C1"])
+    if stage == "final_three_user" and value >= floor:
+        value = min(value, ppt_min(build_network_state(params, "pre_david"), ["C2"]))
+    return value
 
 
 def numeric_optimize_coefficient(
@@ -194,7 +195,7 @@ def numeric_optimize_coefficient(
 
     def evaluate(x: float) -> float:
         trial = params.replace(**{which: x})
-        if enforce_separability and not _ancilla_separable(trial, stage):
+        if enforce_separability and _ancilla_ppt(trial, stage, _SEPARABLE) < _SEPARABLE:
             return -math.inf
         return steerability(build_network_state(trial, stage), partition)
 
@@ -215,12 +216,7 @@ def numeric_optimize_coefficient(
         if not math.isfinite(g_star):  # landed on an infeasible edge point
             x_star, g_star = xs[best], ys[best]
 
-    trial = params.replace(**{which: x_star})
-    pre_b = build_network_state(trial, "pre_bob")
-    margin = ppt_min(pre_b, ["C1"]) - 1.0
-    if stage == "final_three_user":
-        pre_d = build_network_state(trial, "pre_david")
-        margin = min(margin, ppt_min(pre_d, ["C2"]) - 1.0)
+    margin = _ancilla_ppt(params.replace(**{which: x_star}), stage) - 1.0
     return OptimizationResult(
         f_star=float(x_star),
         g_star=float(g_star),

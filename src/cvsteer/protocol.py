@@ -10,16 +10,19 @@ channels.  Users then only apply local beam splitters:
   users, relays his spare port onwards;
 * David mixes that second ancilla with his mode on ``T3``.
 
-``build_network_state`` composes the elementary channel operations in this
-order; the ``analytic_cov_*`` functions assemble the same covariances from
-closed-form matrix elements and must agree with the pipeline to float
-precision wherever their parameter regimes apply.
+``NETLIST`` writes this chain down once, as loss and beam-splitter steps on
+mode slots with named stage cuts.  ``build_network_state`` interprets it on
+covariance matrices and ``sampler`` on shot arrays.  The ``analytic_cov_*``
+functions assemble the same covariances from closed-form matrix elements
+and must agree with the pipeline to float precision wherever their
+parameter regimes apply.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,8 +53,6 @@ V_A_DEFAULT = db_to_variance(5.5, "antisqueezed")
 
 #: Displacement-noise variance used throughout the reference scenarios.
 V_DIS_DEFAULT = 1.50
-
-STAGES = ("pre_bob", "final_two_user", "pre_david", "final_three_user")
 
 _REGIME_TOL = 1e-12
 
@@ -85,6 +86,9 @@ class ProtocolParams:
     users: str = "two"
 
     def __post_init__(self) -> None:
+        for name in ("v_s", "v_a", "v_dis", "f_a", "f_b", "f_c", "f_d"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.v_s <= 0 or self.v_a <= 0:
             raise ValueError("squeezing variances must be positive")
         if self.v_dis < 0:
@@ -100,12 +104,17 @@ class ProtocolParams:
         return dataclasses.replace(self, **changes)
 
 
+def _server_source(p: ProtocolParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Variances and shared-noise weights of the server quadratures, ``(x1, p1, ..., x4, p4)``
+    of ``A0, B0, C0, D0``; x weights multiply ``x_dis`` and p weights ``p_dis``."""
+    variances = (p.v_a, p.v_s, 1.0, 1.0, p.v_s, p.v_a, 1.0, 1.0)
+    return variances, (0.0, p.f_a, p.f_b, -p.f_b, p.f_c, 0.0, p.f_d, -p.f_d)
+
+
 def _server_cov(params: ProtocolParams) -> np.ndarray:
     """Covariance of ``server_output_state`` (modes ``A0, B0, C0, D0``)."""
-    v_s, v_a = params.v_s, params.v_a
-    cov = np.diag((v_a, v_s, 1.0, 1.0, v_s, v_a, 1.0, 1.0))
-    return core._noise_cov(cov, (0.0, params.f_b, params.f_c, params.f_d),
-                           (params.f_a, -params.f_b, 0.0, -params.f_d), params.v_dis)
+    variances, weights = _server_source(params)
+    return core._noise_cov(np.diag(variances), weights[0::2], weights[1::2], params.v_dis)
 
 
 def server_output_state(params: ProtocolParams) -> GaussianState:
@@ -118,21 +127,48 @@ def server_output_state(params: ProtocolParams) -> GaussianState:
     return GaussianState(("A0", "B0", "C0", "D0"), _server_cov(params))
 
 
-def _leading_modes(cov: np.ndarray, labels: tuple[str, ...]) -> GaussianState:
-    """The state of the first ``len(labels)`` modes of ``cov``, under ``labels``."""
-    keep = 2 * len(labels)
-    return GaussianState(labels, cov[:keep, :keep])
+Loss = namedtuple("Loss", "slot eta")
+Splitter = namedtuple("Splitter", "i j t complement", defaults=(False,))
+Cut = namedtuple("Cut", "stage labels users", defaults=("two",))
+
+#: The network, written once.  Server modes start in slots A0=0, B0=1, C0=2, D0=3; steps name
+#: the ``ProtocolParams`` field they read.  Splitters have the port map of ``core.beam_splitter``
+#: and with ``complement`` run at ``1 - t``; each interpreter still forms ``sqrt(t)`` from ``t``,
+#: since ``sqrt(1 - (1 - t))`` differs in the last bits.  A cut keeps its ``len(labels)`` slots.
+NETLIST = (
+    Loss(0, "eta_sa"), Loss(2, "eta_sa"), Loss(1, "eta_sb"), Loss(3, "eta_sd"),
+    Splitter(0, 2, "t1"),                    # -> A at 0, C1 at 2
+    Loss(2, "eta_ab"),
+    Cut("pre_bob", ("A", "B0", "C1")),
+    Splitter(1, 2, "t2"),                    # -> B at 1, C2 at 2
+    Cut("final_two_user", ("A", "B")),
+    Loss(2, "eta_bd"),
+    Cut("pre_david", ("A", "B", "C2", "D0"), users="three"),
+    Splitter(3, 2, "t3", complement=True),   # -> C3 at 3, D at 2
+    Cut("final_three_user", ("A", "B", "D"), users="three"),
+)
+
+_STAGE_STEPS = {step.stage: (tuple(s for s in NETLIST[:k] if not isinstance(s, Cut)), step)
+                for k, step in enumerate(NETLIST) if isinstance(step, Cut)}
+STAGES = tuple(_STAGE_STEPS)
+
+
+def _stage_steps(params: ProtocolParams, stage: str) -> tuple[tuple, Cut]:
+    """The loss and splitter steps before the cut of ``stage``, and that cut."""
+    if stage not in _STAGE_STEPS:
+        raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
+    steps, cut = _STAGE_STEPS[stage]
+    if cut.users == "three" and params.users != "three":
+        raise ValueError(f"stage {stage!r} requires users='three'")
+    return steps, cut
 
 
 def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
-    """Propagate the server outputs through channels and user beam splitters.
+    """Propagate the server outputs through ``NETLIST`` up to the cut of ``stage``.
 
-    ``stage`` selects how far the pipeline runs and which modes survive:
-
-    * ``pre_bob``:          (A, B0, C1)   after Alice's beam splitter
-    * ``final_two_user``:   (A, B)        after Bob's beam splitter
-    * ``pre_david``:        (A, B, C2, D0) with the second ancilla in flight
-    * ``final_three_user``: (A, B, D)     after David's beam splitter
+    The stages, in order: ``pre_bob`` after Alice's beam splitter,
+    ``final_two_user`` after Bob's, ``pre_david`` with the second ancilla in
+    flight, ``final_three_user`` after David's; each cut names its modes.
 
     Bob's output takes amplitude ``sqrt(t2)`` from his own mode; David's
     takes ``sqrt(t3)`` from his mode and ``-sqrt(1-t3)`` from the relayed
@@ -142,32 +178,16 @@ def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
     kernels that back ``core.loss_channel`` and ``core.beam_splitter``, and
     only the returned state is wrapped (and validated) as a ``GaussianState``.
     """
-    if stage not in STAGES:
-        raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    if params.users == "two" and stage in ("pre_david", "final_three_user"):
-        raise ValueError(f"stage {stage!r} requires users='three'")
-
-    cov = _server_cov(params)  # modes A0=0, B0=1, C0=2, D0=3
-    cov = core._loss_cov(cov, 0, params.eta_sa)
-    cov = core._loss_cov(cov, 2, params.eta_sa)
-    cov = core._loss_cov(cov, 1, params.eta_sb)
-    cov = core._loss_cov(cov, 3, params.eta_sd)
-
-    cov = core._bs_cov(cov, 0, 2, params.t1)  # -> A at 0, C1 at 2
-    cov = core._loss_cov(cov, 2, params.eta_ab)
-    if stage == "pre_bob":
-        return _leading_modes(cov, ("A", "B0", "C1"))
-
-    cov = core._bs_cov(cov, 1, 2, params.t2)  # -> B at 1, C2 at 2
-    if stage == "final_two_user":
-        return _leading_modes(cov, ("A", "B"))
-
-    cov = core._loss_cov(cov, 2, params.eta_bd)
-    if stage == "pre_david":
-        return _leading_modes(cov, ("A", "B", "C2", "D0"))
-
-    cov = core._bs_cov(cov, 3, 2, 1.0 - params.t3)  # -> C3 at 3, D at 2
-    return _leading_modes(cov, ("A", "B", "D"))
+    steps, cut = _stage_steps(params, stage)
+    cov = _server_cov(params)
+    for step in steps:
+        if isinstance(step, Loss):
+            cov = core._loss_cov(cov, step.slot, getattr(params, step.eta))
+        else:
+            t = getattr(params, step.t)
+            cov = core._bs_cov(cov, step.i, step.j, 1.0 - t if step.complement else t)
+    keep = 2 * len(cut.labels)
+    return GaussianState(cut.labels, cov[:keep, :keep])
 
 
 def _require_regime(params: ProtocolParams, *, balanced: Sequence[str], equal_etas: bool) -> None:
@@ -341,6 +361,38 @@ def qss_params(eta: float = 1.0, eta_sa: float = 1.0) -> ProtocolParams:
     )
 
 
+#: Columns of ``qss_scenario``, as ``_scan_row`` specs.
+QSS_COLUMNS = {
+    "eta": None, "f_b": None, "f_d": None,
+    "G_BD_to_A": ("final_three_user", Partition((1, 2), (0,))),
+    "G_B_to_A": ("final_three_user", Partition((1,), (0,))),
+    "G_D_to_A": ("final_three_user", Partition((2,), (0,))),
+    "ppt_C1_vs_AB0": ("pre_bob", ("C1",)),
+    "ppt_C2_vs_ABD0": ("pre_david", ("C2",)),
+}
+
+
+def _scan_row(params: ProtocolParams, eta: float, columns: dict) -> dict[str, float]:
+    """One table row at grid efficiency ``eta``, building each needed stage once.
+
+    ``columns`` maps a name to ``None`` (``eta`` or that field), to ``(stage, party)``
+    for the PPT value of the ``party`` labels against the rest of the ``stage`` modes,
+    or to ``(stage, partition)`` for the steerability across a ``Partition``."""
+    states: dict[str, GaussianState] = {}
+    row = {}
+    for name, spec in columns.items():
+        if spec is None:
+            row[name] = float(eta) if name == "eta" else getattr(params, name)
+            continue
+        stage, what = spec
+        if stage not in states:
+            states[stage] = build_network_state(params, stage)
+        state = states[stage]
+        row[name] = (steerability(state, what) if isinstance(what, Partition)
+                     else ppt_min(state, what))
+    return row
+
+
 def qss_scenario(
     etas: Sequence[float],
     eta_sa_follows: bool = False,
@@ -354,24 +406,10 @@ def qss_scenario(
     channel to the grid efficiency; ``overrides`` pins any parameter field
     across the whole grid.
     """
-    columns = ("eta", "f_b", "f_d", "G_BD_to_A", "G_B_to_A", "G_D_to_A",
-               "ppt_C1_vs_AB0", "ppt_C2_vs_ABD0")
     rows = []
     for eta in etas:
         params = qss_params(eta, eta_sa=eta if eta_sa_follows else 1.0)
         if overrides:
             params = params.replace(**overrides)
-        final = build_network_state(params, "final_three_user")
-        pre_b = build_network_state(params, "pre_bob")
-        pre_d = build_network_state(params, "pre_david")
-        rows.append({
-            "eta": float(eta),
-            "f_b": params.f_b,
-            "f_d": params.f_d,
-            "G_BD_to_A": steerability(final, Partition((1, 2), (0,))),
-            "G_B_to_A": steerability(final, Partition((1,), (0,))),
-            "G_D_to_A": steerability(final, Partition((2,), (0,))),
-            "ppt_C1_vs_AB0": ppt_min(pre_b, ["C1"]),
-            "ppt_C2_vs_ABD0": ppt_min(pre_d, ["C2"]),
-        })
-    return ScanResult(columns, tuple(rows))
+        rows.append(_scan_row(params, eta, QSS_COLUMNS))
+    return ScanResult(tuple(QSS_COLUMNS), tuple(rows))

@@ -3,9 +3,12 @@
 Every quantity in the protocol is Gaussian and every operation linear, so
 ideal homodyne records can be emulated by drawing one Gaussian per input
 quadrature, per shared classical noise variable and per loss-injected
-vacuum, then propagating the samples through the same linear maps the
-covariance pipeline uses.  The sample covariance of the retained modes
-must converge to the analytic covariance at the usual 1/sqrt(n) rate;
+vacuum, then propagating the samples through the steps of
+``protocol.NETLIST``, the same network description the covariance pipeline
+interprets.  The channel arithmetic here is written on shot arrays and does
+not call ``core``, so the twin still checks the covariance algebra
+independently.  The sample covariance of the retained modes must converge
+to the analytic covariance at the usual 1/sqrt(n) rate;
 ``compare_covariance`` quantifies the agreement element by element.
 """
 
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import ProtocolParams, STAGES
+from . import protocol
+from .protocol import Loss, ProtocolParams
 
 __all__ = [
     "ShotBatch",
@@ -29,14 +33,6 @@ __all__ = [
 #: substream, so the batch is reproducible independently of how the blocks
 #: would be scheduled.  Not a tuning knob: changing it changes the streams.
 _BLOCK = 1 << 16
-
-_STAGE_LABELS = {
-    "pre_bob": ("A", "B0", "C1"),
-    "final_two_user": ("A", "B"),
-    "pre_david": ("A", "B", "C2", "D0"),
-    "final_three_user": ("A", "B", "D"),
-}
-
 
 @dataclass(frozen=True)
 class ShotBatch:
@@ -55,71 +51,38 @@ class ShotBatch:
         return self.quads.shape[0]
 
 
-def _propagate_block(params: ProtocolParams, stage: str, rng: np.random.Generator,
-                     m: int) -> np.ndarray:
-    """Draw and propagate ``m`` shots; draw order is part of the format."""
-    p = params
+def _propagate_block(params: ProtocolParams, steps: tuple, n_modes: int,
+                     rng: np.random.Generator, m: int) -> np.ndarray:
+    """Draw ``m`` shots, run them through the netlist ``steps`` and keep ``n_modes``; the draw
+    order (sources, ``x_dis``, ``p_dis``, a vacuum pair per loss site even at eta = 1) is fixed."""
     rt = np.sqrt
 
     def draw(var: float) -> np.ndarray:
         return rng.standard_normal(m) * rt(var)
 
-    x_a, p_a = draw(p.v_a), draw(p.v_s)      # momentum-squeezed input
-    x_b, p_b = draw(1.0), draw(1.0)
-    x_c, p_c = draw(p.v_s), draw(p.v_a)      # position-squeezed input
-    x_d, p_d = draw(1.0), draw(1.0)
-    x_dis, p_dis = draw(p.v_dis), draw(p.v_dis)
+    variances, weights = protocol._server_source(params)
+    q = [draw(v) for v in variances]  # x1, p1, ..., x4, p4 by mode slot
+    dis = (draw(params.v_dis), draw(params.v_dis))
+    q = [qk + w * dis[k % 2] if w else qk for k, (qk, w) in enumerate(zip(q, weights))]
 
-    p_a = p_a + p.f_a * p_dis
-    x_b = x_b + p.f_b * x_dis
-    p_b = p_b - p.f_b * p_dis
-    x_c = x_c + p.f_c * x_dis
-    x_d = x_d + p.f_d * x_dis
-    p_d = p_d - p.f_d * p_dis
-
-    def lossy(x: np.ndarray, pq: np.ndarray, eta: float) -> tuple[np.ndarray, np.ndarray]:
-        # fresh vacuum at every loss site, drawn even at eta = 1 so that the
-        # stream layout does not depend on the parameter values
-        vx, vp = draw(1.0), draw(1.0)
-        return rt(eta) * x + rt(1.0 - eta) * vx, rt(eta) * pq + rt(1.0 - eta) * vp
-
-    x_a, p_a = lossy(x_a, p_a, p.eta_sa)
-    x_c, p_c = lossy(x_c, p_c, p.eta_sa)
-    x_b, p_b = lossy(x_b, p_b, p.eta_sb)
-    x_d, p_d = lossy(x_d, p_d, p.eta_sd)
-
-    t, r = rt(p.t1), rt(1.0 - p.t1)
-    x_a, x_c = t * x_a + r * x_c, r * x_a - t * x_c   # c slots now hold C1
-    p_a, p_c = t * p_a + r * p_c, r * p_a - t * p_c
-    x_c, p_c = lossy(x_c, p_c, p.eta_ab)
-    if stage == "pre_bob":
-        return np.column_stack([x_a, p_a, x_b, p_b, x_c, p_c])
-
-    t, r = rt(p.t2), rt(1.0 - p.t2)
-    x_b, x_c = t * x_b + r * x_c, r * x_b - t * x_c   # c slots now hold C2
-    p_b, p_c = t * p_b + r * p_c, r * p_b - t * p_c
-    if stage == "final_two_user":
-        return np.column_stack([x_a, p_a, x_b, p_b])
-
-    x_c, p_c = lossy(x_c, p_c, p.eta_bd)
-    if stage == "pre_david":
-        return np.column_stack([x_a, p_a, x_b, p_b, x_c, p_c, x_d, p_d])
-
-    t, r = rt(p.t3), rt(1.0 - p.t3)
-    x_d, x_c = r * x_d + t * x_c, t * x_d - r * x_c   # c slots now hold D
-    p_d, p_c = r * p_d + t * p_c, t * p_d - r * p_c
-    return np.column_stack([x_a, p_a, x_b, p_b, x_c, p_c])
+    for step in steps:
+        if isinstance(step, Loss):
+            eta = getattr(params, step.eta)
+            for k in (2 * step.slot, 2 * step.slot + 1):
+                q[k] = rt(eta) * q[k] + rt(1.0 - eta) * draw(1.0)
+        else:
+            t = getattr(params, step.t)
+            c, r = (rt(1.0 - t), rt(t)) if step.complement else (rt(t), rt(1.0 - t))
+            for a, b in ((2 * step.i, 2 * step.j), (2 * step.i + 1, 2 * step.j + 1)):
+                q[a], q[b] = c * q[a] + r * q[b], r * q[a] - c * q[b]
+    return np.column_stack(q[: 2 * n_modes])
 
 
 def simulate_shots(params: ProtocolParams, stage: str, n_shots: int, seed: int) -> ShotBatch:
     """Sample ``n_shots`` joint quadrature outcomes of the ``stage`` modes."""
-    if stage not in STAGES:
-        raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    if params.users == "two" and stage in ("pre_david", "final_three_user"):
-        raise ValueError(f"stage {stage!r} requires users='three'")
+    steps, cut = protocol._stage_steps(params, stage)
     if n_shots < 2:
         raise ValueError("need at least 2 shots")
-    labels = _STAGE_LABELS[stage]
     blocks = []
     base = np.random.Philox(key=seed)
     for start in range(0, n_shots, _BLOCK):
@@ -127,10 +90,10 @@ def simulate_shots(params: ProtocolParams, stage: str, n_shots: int, seed: int) 
         rng = np.random.Generator(base.jumped(start // _BLOCK))
         # always propagate a full block and truncate, so each block's stream
         # layout is fixed and prefixes agree across different shot counts
-        blocks.append(_propagate_block(params, stage, rng, _BLOCK)[:m])
+        blocks.append(_propagate_block(params, steps, len(cut.labels), rng, _BLOCK)[:m])
     quads = np.concatenate(blocks, axis=0)
     quads.flags.writeable = False
-    return ShotBatch(labels=labels, quads=quads, seed=int(seed))
+    return ShotBatch(labels=cut.labels, quads=quads, seed=int(seed))
 
 
 def estimate_covariance(batch: ShotBatch) -> np.ndarray:

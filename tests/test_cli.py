@@ -127,6 +127,18 @@ class TestScan:
         np.testing.assert_array_equal(result.column("G_BD_to_A_qss"), reference)
         assert reference[-1] > 0
 
+    def test_appendix_e_overrides_skip_the_reference_columns(self):
+        # --set reaches the two-user columns, not the fixed secret-sharing reference
+        def row(**overrides):
+            return cmd_scan(RunConfig(scenario="appendix_e", eta_start=0.9, eta_stop=0.9,
+                                      eta_steps=1, overrides=overrides)).rows[0]
+
+        plain, moved = row(), row(v_dis=2.5)
+        assert plain["PPT_A"] == pytest.approx(0.738564, abs=1e-6)
+        assert moved["PPT_A"] == pytest.approx(0.747917, abs=1e-6)
+        for column in ("G_BD_to_A_qss", "key_rate_qss"):
+            assert moved[column] == plain[column]
+
     def test_override_pins_coefficient(self):
         result = cmd_scan(RunConfig(scenario="two_user", eta_start=1.0, eta_stop=1.0,
                                     eta_steps=1, overrides={"f_b": 0.5}))
@@ -137,6 +149,18 @@ class TestScan:
                                     eta_steps=5))
         expected = (GOLDEN / "scan_two_user.csv").read_text()
         assert format_scan_csv(result) == expected
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("scan_three_user.csv", ["--scenario", "three_user", "--eta-grid", "0.2:1.0:5"]),
+        ("scan_qss.csv", ["--scenario", "qss", "--eta-grid", "0.2:1.0:5"]),
+        ("scan_appendix_e.csv", ["--scenario", "appendix_e", "--eta-grid", "0.2:1.0:5"]),
+        ("scan_two_user_overrides.csv", ["--scenario", "two_user", "--eta-grid", "0.2:1.0:5",
+                                         "--set", "v_dis=2.2", "--set", "t2=0.4"]),
+    ])
+    def test_cli_golden_files(self, tmp_path, golden, argv):
+        out = tmp_path / golden
+        assert main(["scan", *argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
     def test_json_shape(self):
         result = cmd_scan(RunConfig(scenario="two_user", eta_start=1.0, eta_stop=1.0,
@@ -174,6 +198,8 @@ class TestCovMatrixFile:
             "odd.txt": ("1 0 0\n0 1 0\n0 0 1\n", "odd"),
             "asym.txt": ("1 0.5\n0 1\n", "asymmetric"),
             "empty.txt": ("# labels: A\n", "no matrix data"),
+            "nan.txt": ("1 0\n0 nan\n", "non-finite"),
+            "inf.txt": ("inf 0\n0 1\n", "non-finite"),
         }
         for name, (content, message) in cases.items():
             path = tmp_path / name
@@ -309,9 +335,24 @@ class TestMainEntry:
         assert main(["scan", "--eta-grid", "bogus"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--eta-grid", "0.5:1:2", "--set", "v_s=nan"], "v_s must be finite"),
+        # one efficiency per run: a longer grid is refused, not silently cut to its start
+        (["montecarlo", "--eta-grid", "0.2:1:5", "--shots", "100"], "5 steps"),
+    ])
+    def test_rejected_run_settings_exit_code(self, capsys, argv, message):
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "odd.txt"
         path.write_text("1 0 0\n0 1 0\n0 0 1\n")
+        assert main(["certify", str(path)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_matrix_entry_exit_code(self, tmp_path, capsys, entry):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"1 0 0 0\n0 {entry} 0 0\n0 0 1 0\n0 0 0 1\n")
         assert main(["certify", str(path)]) == EXIT_INPUT
 
     def test_unknown_label_exit_code(self, three_mode_file, capsys):

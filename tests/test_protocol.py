@@ -43,6 +43,12 @@ class TestParams:
         with pytest.raises(ValueError):
             ProtocolParams(users="four")
 
+    @pytest.mark.parametrize("name", ["v_s", "v_a", "v_dis", "f_a", "f_b", "f_c", "f_d"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ProtocolParams(**{name: value})
+
 
 class TestBuildNetworkState:
     def test_stage_labels(self):

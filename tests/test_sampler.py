@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,13 @@ from cvsteer import (
     estimate_covariance,
     simulate_shots,
 )
+from cvsteer.protocol import STAGES
 from conftest import three_user_params, two_user_params
+
+#: Unbalanced splitters, lossy links everywhere and f_a, f_c != 1, so that
+#: every netlist step and every server weight matters.
+OFF_BALANCE = ProtocolParams(users="three", t1=0.37, t2=0.61, t3=0.1, eta_sa=0.9, eta_sb=0.8,
+                             eta_sd=0.7, eta_ab=0.85, eta_bd=0.75, f_a=0.8, f_c=0.9)
 
 
 class TestSimulateShots:
@@ -54,6 +62,19 @@ class TestSimulateShots:
     def test_too_few_shots(self):
         with pytest.raises(ValueError):
             simulate_shots(two_user_params(1.0), "final_two_user", 1, seed=0)
+
+    @pytest.mark.parametrize("stage, digest", [
+        ("pre_bob", "c605c132d1d216df53fcf75023b6c393a8788d2fbbab46bd959ab57dbc3a1f77"),
+        ("final_two_user", "0dc426308c688cf3f89a0e7a342167219ea1628ff3d1d2ccbc879081cc8d3f4c"),
+        ("pre_david", "70ab7ee0e079900b0b63ec6d00788031b1f4def51728e6b7327be9819c169188"),
+        ("final_three_user", "00b5e0238359e0e2c30cbebba13588802befe68b88f5fa9e5944e671a8604fcf"),
+    ])
+    def test_seeded_stream_is_pinned(self, stage, digest):
+        # the draw order (sources, noise, one vacuum pair per loss site, block
+        # layout) is the reproducibility contract; 70001 is not a block multiple
+        quads = simulate_shots(OFF_BALANCE, stage, 70001, seed=99).quads
+        assert quads.shape[0] == 70001
+        assert hashlib.sha256(np.ascontiguousarray(quads).tobytes()).hexdigest() == digest
 
     def test_stage_validation(self):
         with pytest.raises(ValueError):
@@ -119,6 +140,15 @@ class TestCompareCovariance:
         analytic = build_network_state(params, "final_three_user").cov
         report = compare_covariance(est, analytic, batch.n_shots)
         assert float(np.abs(report.z_scores[0::2, 1::2]).max()) < 5.0
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_interpreters_agree_off_balance(self, stage):
+        # the covariance and shot interpreters of the netlist, on every stage
+        batch = simulate_shots(OFF_BALANCE, stage, 100000, seed=37)
+        analytic = build_network_state(OFF_BALANCE, stage)
+        assert batch.labels == analytic.labels
+        report = compare_covariance(estimate_covariance(batch), analytic.cov, batch.n_shots)
+        assert report.flagged == ()
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
