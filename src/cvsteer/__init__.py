@@ -34,6 +34,7 @@ from .criteria import (
 )
 from .optimize import (
     OptimizationResult,
+    ScanResult,
     fiber_distance,
     golden_section_maximize,
     key_rate,
@@ -42,10 +43,10 @@ from .optimize import (
     optimal_fb_general_loss,
     optimal_fd,
     optimal_fd_general_loss,
+    qss_scenario,
 )
 from .protocol import (
     ProtocolParams,
-    ScanResult,
     analytic_cov_final_two_user,
     analytic_cov_pre_bob,
     analytic_cov_three_user,
@@ -53,7 +54,6 @@ from .protocol import (
     closed_form_steering_three_user,
     closed_form_steering_two_user,
     qss_params,
-    qss_scenario,
     separable_boundary_vsep,
     server_output_state,
 )

@@ -1,5 +1,8 @@
 """Command-line surface: scans, certification, coefficient tables, Monte Carlo.
 
+Scenarios and scans are ``optimize``'s (``SCENARIO_TABLE``, ``scan``); this
+module parses run settings, reads and writes files, and formats the results.
+
 Subcommands
 -----------
 ``scan``        grid of channel efficiencies -> PPT / steering table (CSV or JSON)
@@ -18,24 +21,17 @@ import argparse
 import dataclasses
 import json
 import sys
-from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import optimize, protocol, sampler
+from . import optimize, sampler
 from .core import GaussianState
-from .criteria import (
-    Partition,
-    SEPARABILITY_TOL,
-    SteeringReport,
-    full_report,
-    ppt_min,
-    steerability,
-)
-from .protocol import STAGES, ProtocolParams, ScanResult, build_network_state
+from .criteria import Partition, SteeringReport, full_report, ppt_min, steerability
+from .optimize import SCENARIOS, ScanResult
+from .protocol import STAGES, ProtocolParams, build_network_state
 
 __all__ = [
     "CliError",
@@ -61,6 +57,9 @@ EXIT_NUMERIC = 4
 INPUT_SYMMETRY_TOL = 2e-3
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(ProtocolParams)} - {"users"}
+
+#: Run settings a config file or a flag can give besides the ``_PARAM_FIELDS`` overrides.
+_RUN_KEYS = ("scenario", "eta_grid", "format", "out", "seed", "shots")
 
 
 class CliError(Exception):
@@ -122,19 +121,6 @@ def parse_eta_grid(spec: str) -> tuple[float, float, int]:
     return start, stop, steps
 
 
-def _parse_override(item: str) -> tuple[str, float]:
-    if "=" not in item:
-        raise UsageError(f"override must look like key=value, got {item!r}")
-    key, _, raw = item.partition("=")
-    key = key.strip()
-    if key not in _PARAM_FIELDS:
-        raise UsageError(f"unknown parameter {key!r}; settable: {sorted(_PARAM_FIELDS)}")
-    try:
-        return key, float(raw)
-    except ValueError:
-        raise UsageError(f"value for {key!r} is not a number: {raw!r}") from None
-
-
 def load_config_file(path: str) -> dict[str, str]:
     """Flat ``key=value`` configuration file; '#' starts a comment line."""
     entries: dict[str, str] = {}
@@ -155,44 +141,38 @@ def load_config_file(path: str) -> dict[str, str]:
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge config-file entries with command-line flags (flags win)."""
-    file_entries = load_config_file(args.config) if getattr(args, "config", None) else {}
-    known = {"scenario", "eta_grid", "format", "out", "seed", "shots"}
+    raw = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in _RUN_KEYS:
+        if getattr(args, key, None) not in (None, ""):
+            raw[key] = getattr(args, key)
+    for item in getattr(args, "set", None) or []:
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise UsageError(f"override must look like key=value, got {item!r}")
+        if key not in _PARAM_FIELDS:
+            raise UsageError(f"unknown parameter {key!r}; settable: {sorted(_PARAM_FIELDS)}")
+        raw[key] = value
     overrides: dict[str, float] = {}
-    cfg: dict[str, object] = {}
-    for key, value in file_entries.items():
+    cfg: dict[str, object] = {"overrides": overrides}
+    for key, value in raw.items():
         if key in _PARAM_FIELDS:
-            overrides[key] = _parse_override(f"{key}={value}")[1]
-        elif key == "scenario":
-            cfg["scenario"] = value
+            try:
+                overrides[key] = float(value)
+            except ValueError:
+                raise UsageError(f"value for {key!r} is not a number: {value!r}") from None
         elif key == "eta_grid":
             cfg["eta_start"], cfg["eta_stop"], cfg["eta_steps"] = parse_eta_grid(value)
-        elif key == "format":
-            cfg["fmt"] = value
-        elif key == "out":
-            cfg["out"] = value
         elif key in ("seed", "shots"):
             try:
                 cfg[key] = int(value)
             except ValueError:
                 raise UsageError(f"{key} must be an integer, got {value!r}") from None
+        elif key in _RUN_KEYS:
+            cfg["fmt" if key == "format" else key] = value
         else:
-            raise UsageError(f"unknown config key {key!r}; known: {sorted(known | _PARAM_FIELDS)}")
-    if getattr(args, "scenario", None):
-        cfg["scenario"] = args.scenario
-    if getattr(args, "eta_grid", None):
-        cfg["eta_start"], cfg["eta_stop"], cfg["eta_steps"] = parse_eta_grid(args.eta_grid)
-    for item in getattr(args, "set", None) or []:
-        key, value = _parse_override(item)
-        overrides[key] = value
-    if getattr(args, "out", None):
-        cfg["out"] = args.out
-    if getattr(args, "format", None):
-        cfg["fmt"] = args.format
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "shots", None) is not None:
-        cfg["shots"] = args.shots
-    cfg["overrides"] = overrides
+            raise UsageError(f"unknown config key {key!r}; "
+                             f"known: {sorted({*_RUN_KEYS, *_PARAM_FIELDS})}")
     config = RunConfig(**cfg)  # type: ignore[arg-type]
     if config.scenario not in SCENARIOS:
         raise UsageError(f"unknown scenario {config.scenario!r}; choose from {SCENARIOS}")
@@ -201,82 +181,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-# ---------------------------------------------------------------------------
-# scenario table
-# ---------------------------------------------------------------------------
-
-
-#: A scan scenario, as data.  At grid efficiency ``eta`` the parameters are ``base`` with
-#: ``eta`` on each of ``eta_fields``, then the ``--set`` overrides, then every ``auto`` field
-#: not overridden set to ``optimize.<fn>(*args)``, each arg a field name or ``eta``.  A row
-#: is ``columns`` (``protocol._scan_row`` specs) on those parameters, ``reference`` specs on
-#: ``qss_params(eta, eta_sa=eta)``, and ``key_rates`` of the named steering columns.
-Scenario = namedtuple("Scenario", "base eta_fields auto columns reference key_rates",
-                      defaults=({}, {}))
-
-_FB = ("optimal_fb", "t2", "eta_sb", "eta_ab", "v_a", "v_s")
-_TWO_USER_COLUMNS = {
-    "eta": None, "f_b": None,
-    "PPT_A": ("final_two_user", ("A",)),
-    "G_A_to_B": ("final_two_user", Partition((0,), (1,))),
-    "G_B_to_A": ("final_two_user", Partition((1,), (0,))),
-}
-_LINKS = ("eta_sb", "eta_sd", "eta_ab", "eta_bd")
-
-SCENARIO_TABLE = {
-    "two_user": Scenario(ProtocolParams(users="two"), ("eta_sb", "eta_ab"), {"f_b": _FB},
-                         _TWO_USER_COLUMNS),
-    "three_user": Scenario(
-        ProtocolParams(users="three"), _LINKS,
-        {"f_b": _FB, "f_d": ("optimal_fd", "eta", "v_a", "v_s")},
-        {"eta": None, "f_b": None, "f_d": None,
-         "PPT_A": ("final_three_user", ("A",)),
-         "PPT_B": ("final_three_user", ("B",)),
-         "PPT_D": ("final_three_user", ("D",)),
-         "G_A_to_BD": ("final_three_user", Partition((0,), (1, 2))),
-         "G_A_to_B": ("final_three_user", Partition((0,), (1,))),
-         "G_A_to_D": ("final_three_user", Partition((0,), (2,))),
-         "G_B_to_D": ("final_three_user", Partition((1,), (2,)))}),
-    "qss": Scenario(protocol.qss_params(), _LINKS, {}, protocol.QSS_COLUMNS,
-                    key_rates={"key_rate": "G_BD_to_A"}),
-    # lossy server-to-Alice link: two-user steering with the general-loss optimum,
-    # plus the secret-sharing direction for reference.  --set reaches only the
-    # two-user columns; the reference is the same fixed state in every run.
-    "appendix_e": Scenario(
-        ProtocolParams(users="two"), ("eta_sa", "eta_sb", "eta_ab"),
-        {"f_b": ("optimal_fb_general_loss", "eta_sa", "eta_sb", "eta_ab", "v_a", "v_s")},
-        _TWO_USER_COLUMNS,
-        reference={"G_BD_to_A_qss": protocol.QSS_COLUMNS["G_BD_to_A"]},
-        key_rates={"key_rate_qss": "G_BD_to_A_qss"}),
-}
-
-SCENARIOS = tuple(SCENARIO_TABLE)
-
-
-def _scenario_params(scenario: Scenario, eta: float, ov: dict[str, float]) -> ProtocolParams:
-    """Grid-point parameters with auto-optimal coefficients unless overridden."""
-    fields = {**vars(scenario.base), **dict.fromkeys(scenario.eta_fields, eta), **ov}
-    params = ProtocolParams(**fields)  # validates the overrides before they feed ``auto``
-    auto = {name: getattr(optimize, fn)(*(eta if a == "eta" else fields[a] for a in args))
-            for name, (fn, *args) in scenario.auto.items() if name not in ov}
-    return ProtocolParams(**{**fields, **auto}) if auto else params
-
-
 def cmd_scan(config: RunConfig) -> ScanResult:
     """One table row per grid efficiency for the configured scenario."""
-    scenario = SCENARIO_TABLE[config.scenario]
-    rows = []
-    for eta in map(float, config.etas()):
-        params = _scenario_params(scenario, eta, config.overrides)
-        row = protocol._scan_row(params, eta, scenario.columns)
-        if scenario.reference:
-            row.update(protocol._scan_row(protocol.qss_params(eta, eta_sa=eta), eta,
-                                          scenario.reference))
-        for name, source in scenario.key_rates.items():
-            row[name] = optimize.key_rate(row[source])
-        rows.append(row)
-    columns = (*scenario.columns, *scenario.reference, *scenario.key_rates)
-    return ScanResult(columns, tuple(rows))
+    return optimize.scan(optimize.SCENARIO_TABLE[config.scenario], config.etas(), config.overrides)
 
 
 def format_scan_csv(result: ScanResult) -> str:
@@ -347,6 +254,8 @@ def read_cov_matrix_file(path: str) -> tuple[tuple[str, ...], np.ndarray]:
         labels = tuple(f"M{i + 1}" for i in range(n))
     if len(labels) != n:
         raise InputDataError(f"{path}: {len(labels)} labels for {n} modes")
+    if len(set(labels)) != n:
+        raise InputDataError(f"{path}: duplicate mode labels: {labels}")
     return labels, (cov + cov.T) / 2.0
 
 
@@ -379,19 +288,18 @@ def parse_split_spec(spec: str, labels: Sequence[str]) -> tuple[tuple[str, ...],
     return parties[0], parties[1]
 
 
-def cmd_certify(
-    path: str,
-    splits: Sequence[str] | None = None,
-    separability_tol: float = SEPARABILITY_TOL,
-) -> SteeringReport:
+def cmd_certify(path: str, splits: Sequence[str] | None = None) -> SteeringReport:
     """Certify a covariance-matrix file across the requested splits.
 
     Without explicit splits, every one-mode-versus-rest bipartition is
-    certified.  Raises ``NumericalError`` if the matrix is not positive
+    certified.  Raises ``InputDataError`` for a one-mode file (there is no
+    split to certify) and ``NumericalError`` if the matrix is not positive
     definite (certification is undefined then) or if certification itself
     fails numerically, e.g. on an ill-conditioned steering block.
     """
     labels, cov = read_cov_matrix_file(path)
+    if len(labels) < 2:
+        raise InputDataError(f"{path}: one mode; need at least two modes to certify")
     if np.linalg.eigvalsh(cov).min() <= 0:
         raise NumericalError(f"{path}: covariance is not positive definite")
     state = GaussianState(labels, cov)
@@ -401,7 +309,7 @@ def cmd_certify(
         parsed = [((l,), tuple(m for m in labels if m != l)) for l in labels]
     partitions = [Partition.from_labels(state, n, m) for n, m in parsed]
     try:
-        return full_report(state, partitions, separability_tol)
+        return full_report(state, partitions)
     except (ValueError, ArithmeticError) as exc:
         raise NumericalError(f"{path}: {exc}") from None
 
@@ -427,7 +335,7 @@ def cmd_table_a1() -> str:
     """Optimal displacement coefficients versus channel efficiency (``three_user``)."""
     lines = ["eta    F_B      F_D"]
     for eta in TABLE_ETAS:
-        params = _scenario_params(SCENARIO_TABLE["three_user"], eta, {})
+        params = optimize.scenario_params(optimize.SCENARIO_TABLE["three_user"], eta, {})
         lines.append(f"{eta:<6.1f} {params.f_b:<8.3f} {params.f_d:<8.3f}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -437,8 +345,8 @@ def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
     if config.eta_steps > 1:
         raise UsageError(f"montecarlo takes a one-step eta grid, got {config.eta_steps} steps")
     eta = float(config.eta_start)
-    scenario = SCENARIO_TABLE[config.scenario]
-    params = _scenario_params(scenario, eta, config.overrides)
+    scenario = optimize.SCENARIO_TABLE[config.scenario]
+    params = optimize.scenario_params(scenario, eta, config.overrides)
     # the furthest-propagated state the scenario's own columns read
     stage = max((spec[0] for spec in scenario.columns.values() if spec), key=STAGES.index)
     batch = sampler.simulate_shots(params, stage, config.shots, config.seed)
@@ -460,11 +368,8 @@ def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
         f"max abs deviation: {_fmt(comparison.max_abs_deviation)}",
         f"max z-score: {_fmt(float(comparison.z_scores.max()))}",
     ]
-    if comparison.flagged:
-        pairs = " ".join(f"({i},{j})" for i, j in comparison.flagged)
-        lines.append(f"flagged elements (> {comparison.z_threshold:g} SE): {pairs}")
-    else:
-        lines.append(f"flagged elements (> {comparison.z_threshold:g} SE): none")
+    pairs = " ".join(f"({i},{j})" for i, j in comparison.flagged) or "none"
+    lines.append(f"flagged elements (> {comparison.z_threshold:g} SE): {pairs}")
 
     est_state = GaussianState(batch.labels, estimated)
     lines.append("certification, estimated vs analytic:")

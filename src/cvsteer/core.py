@@ -291,13 +291,13 @@ class _NotPositiveDefinite(ArithmeticError):
     """The Cholesky factorization behind the symplectic spectrum failed."""
 
 
-def _symplectic_eigenvalues(cov: np.ndarray, pairing_tol: float = 1e-9) -> np.ndarray:
+def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Positive symplectic spectrum of a symmetric positive-definite matrix, ascending.
 
     Williamson route (Serafini, *Quantum Continuous Variables*, ch. 3): with
     ``cov = L L^T``, the matrix ``Omega @ cov`` is similar to the real
     antisymmetric ``L^T Omega L``, so ``1j * L^T Omega L`` is Hermitian with
-    spectrum ``+/- nu``.  The ``+/-`` pairing is asserted to ``pairing_tol``
+    spectrum ``+/- nu``.  The ``+/-`` pairing is asserted to ``1e-9``
     (scaled by the largest eigenvalue) and the ``n`` positive values are
     returned.  Raises ``ArithmeticError`` when ``cov`` is not positive
     definite (the Cholesky factorization fails).
@@ -310,7 +310,7 @@ def _symplectic_eigenvalues(cov: np.ndarray, pairing_tol: float = 1e-9) -> np.nd
     ev = np.linalg.eigvalsh(1j * (chol.T @ _omega(n) @ chol))
     hi, lo = ev[n:], -ev[n - 1 :: -1]
     scale = max(1.0, float(hi[-1]))
-    if np.abs(hi - lo).max() > pairing_tol * scale:
+    if np.abs(hi - lo).max() > 1e-9 * scale:
         raise ArithmeticError("symplectic eigenvalues failed +/- pairing check")
     return (lo + hi) / 2.0
 

@@ -92,13 +92,13 @@ class SteeringReport:
     separability_tol: float = SEPARABILITY_TOL
 
 
-def symplectic_eigenvalues(cov: np.ndarray, pairing_tol: float = 1e-9) -> np.ndarray:
+def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """The n positive symplectic eigenvalues of ``cov``, ascending.
 
     ``cov`` must be symmetric and positive definite.  The spectrum is the
     positive half of the eigenvalues of the Hermitian ``1j * L^T Omega L``
     with ``cov = L L^T`` (Cholesky); its +/- pairing is asserted to
-    ``pairing_tol``.  A failed Cholesky factorization raises ``ValueError``.
+    ``1e-9`` relative.  A failed Cholesky factorization raises ``ValueError``.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
@@ -106,7 +106,7 @@ def symplectic_eigenvalues(cov: np.ndarray, pairing_tol: float = 1e-9) -> np.nda
     if np.abs(cov - cov.T).max() > 1e-8 * max(1.0, np.abs(cov).max()):
         raise ValueError("matrix is not symmetric")
     try:
-        return _symplectic_eigenvalues((cov + cov.T) / 2.0, pairing_tol)
+        return _symplectic_eigenvalues((cov + cov.T) / 2.0)
     except _NotPositiveDefinite:
         raise ValueError("matrix is not positive definite") from None
 
@@ -206,11 +206,7 @@ def _party_label(state: GaussianState, modes: Sequence[int]) -> str:
     return ",".join(state.labels[m] for m in modes)
 
 
-def full_report(
-    state: GaussianState,
-    splits: Sequence[Partition],
-    separability_tol: float = SEPARABILITY_TOL,
-) -> SteeringReport:
+def full_report(state: GaussianState, splits: Sequence[Partition]) -> SteeringReport:
     """PPT value, both-direction steerability and verdict for every split.
 
     Modes outside a split's union are traced out before certification.
@@ -230,10 +226,10 @@ def full_report(
         split_key = f"{key_n}|{key_m}"
         value = ppt_min(reduced, local.steering)
         ppt[split_key] = value
-        verdicts[split_key] = "separable" if value >= 1.0 - separability_tol else "inseparable"
+        verdicts[split_key] = "separable" if value >= 1.0 - SEPARABILITY_TOL else "inseparable"
         steer[f"{key_n}->{key_m}"] = steerability(reduced, local)
         steer[f"{key_m}->{key_n}"] = steerability(reduced, local.swapped())
-    return SteeringReport(ppt, steer, verdicts, separability_tol)
+    return SteeringReport(ppt, steer, verdicts, SEPARABILITY_TOL)
 
 
 def _reduced(state: GaussianState, modes: Sequence[int]) -> GaussianState:

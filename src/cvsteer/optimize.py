@@ -1,4 +1,4 @@
-"""Optimal displacement coefficients and deployment figures of merit.
+"""Optimal displacement coefficients, deployment figures of merit, and scans.
 
 The analytic formulas give the displacement weights that maximize the
 distributed steerability for each network layout; ``numeric_optimize_coefficient``
@@ -7,19 +7,31 @@ the ancilla-separability constraint, serving as an independent check.
 
 Deployment math: the guaranteed secret-key rate extractable from collective
 steering and the fiber length corresponding to a channel efficiency.
+
+Scans: ``SCENARIO_TABLE`` holds each scenario of the paper as data (parameters
+at a grid efficiency, with the optimal coefficients above, and the columns it
+reports); ``scan`` runs one over an efficiency grid, and ``qss_scenario`` the
+secret-sharing one.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .criteria import Partition, ppt_min, steerability
-from .protocol import ProtocolParams, build_network_state
+from .protocol import ProtocolParams, build_network_state, qss_params
 
 __all__ = [
     "OptimizationResult",
+    "SCENARIOS",
+    "SCENARIO_TABLE",
+    "ScanResult",
+    "Scenario",
     "fiber_distance",
     "golden_section_maximize",
     "key_rate",
@@ -28,6 +40,9 @@ __all__ = [
     "optimal_fb_general_loss",
     "optimal_fd",
     "optimal_fd_general_loss",
+    "qss_scenario",
+    "scan",
+    "scenario_params",
 ]
 
 #: Key-rate offset: ln(e/2), kept symbolic as 1 - ln 2.
@@ -166,7 +181,6 @@ def numeric_optimize_coefficient(
     params: ProtocolParams,
     which: str,
     bounds: tuple[float, float] = (0.0, 4.0),
-    tol: float = 1e-6,
     enforce_separability: bool = True,
 ) -> OptimizationResult:
     """Maximize a steering objective over one displacement coefficient.
@@ -206,15 +220,12 @@ def numeric_optimize_coefficient(
     if not math.isfinite(ys[best]):
         raise ValueError("no feasible point in bounds: separability violated everywhere")
 
+    x_star, g_star = xs[best], ys[best]
     interior = 0 < best < n_scan - 1
-    if not interior:
-        x_star, g_star = xs[best], ys[best]
-    else:
-        a = xs[best - 1]
-        b = xs[best + 1]
-        x_star, g_star = golden_section_maximize(evaluate, a, b, tol)
-        if not math.isfinite(g_star):  # landed on an infeasible edge point
-            x_star, g_star = xs[best], ys[best]
+    if interior:
+        x, g = golden_section_maximize(evaluate, xs[best - 1], xs[best + 1])
+        if math.isfinite(g):  # otherwise it landed on an infeasible edge point
+            x_star, g_star = x, g
 
     margin = _ancilla_ppt(params.replace(**{which: x_star}), stage) - 1.0
     return OptimizationResult(
@@ -224,3 +235,138 @@ def numeric_optimize_coefficient(
         method="golden_section",
         at_boundary=not interior,
     )
+
+
+@dataclass(frozen=True)
+class ScanResult:
+    """A table of per-grid-point results (one dict per row)."""
+
+    columns: tuple[str, ...]
+    rows: tuple[dict[str, float], ...]
+
+    def column(self, name: str) -> np.ndarray:
+        if name not in self.columns:
+            raise KeyError(f"no column {name!r}; have {self.columns}")
+        return np.array([row[name] for row in self.rows])
+
+
+#: A scan scenario, as data.  At grid efficiency ``eta`` the parameters are ``base`` with
+#: ``eta`` on each of ``eta_fields``, then the overrides, then every ``auto`` field not
+#: overridden set to ``<fn>(*args)`` of this module, each arg a field name or ``eta``.  A row
+#: is ``columns`` (``_scan_row`` specs) on those parameters, then the columns of the
+#: ``reference`` scenario at the same ``eta``, which the overrides never reach, then
+#: ``key_rates`` of the named steering columns.
+Scenario = namedtuple("Scenario", "base eta_fields auto columns reference key_rates",
+                      defaults=(None, {}))
+
+_FB = ("optimal_fb", "t2", "eta_sb", "eta_ab", "v_a", "v_s")
+_TWO_USER_COLUMNS = {
+    "eta": None, "f_b": None,
+    "PPT_A": ("final_two_user", ("A",)),
+    "G_A_to_B": ("final_two_user", Partition((0,), (1,))),
+    "G_B_to_A": ("final_two_user", Partition((1,), (0,))),
+}
+_LINKS = ("eta_sb", "eta_sd", "eta_ab", "eta_bd")
+
+#: The secret-sharing state: fixed coefficients, every user link at the grid efficiency.
+_QSS = Scenario(qss_params(), _LINKS, {}, {
+    "eta": None, "f_b": None, "f_d": None,
+    "G_BD_to_A": ("final_three_user", Partition((1, 2), (0,))),
+    "G_B_to_A": ("final_three_user", Partition((1,), (0,))),
+    "G_D_to_A": ("final_three_user", Partition((2,), (0,))),
+    "ppt_C1_vs_AB0": ("pre_bob", ("C1",)),
+    "ppt_C2_vs_ABD0": ("pre_david", ("C2",)),
+})
+#: The same with Alice's channel at the grid efficiency too.
+_QSS_LOSSY_ALICE = _QSS._replace(eta_fields=(*_LINKS, "eta_sa"))
+
+SCENARIO_TABLE = {
+    "two_user": Scenario(ProtocolParams(users="two"), ("eta_sb", "eta_ab"), {"f_b": _FB},
+                         _TWO_USER_COLUMNS),
+    "three_user": Scenario(
+        ProtocolParams(users="three"), _LINKS,
+        {"f_b": _FB, "f_d": ("optimal_fd", "eta", "v_a", "v_s")},
+        {"eta": None, "f_b": None, "f_d": None,
+         "PPT_A": ("final_three_user", ("A",)),
+         "PPT_B": ("final_three_user", ("B",)),
+         "PPT_D": ("final_three_user", ("D",)),
+         "G_A_to_BD": ("final_three_user", Partition((0,), (1, 2))),
+         "G_A_to_B": ("final_three_user", Partition((0,), (1,))),
+         "G_A_to_D": ("final_three_user", Partition((0,), (2,))),
+         "G_B_to_D": ("final_three_user", Partition((1,), (2,)))}),
+    "qss": _QSS._replace(key_rates={"key_rate": "G_BD_to_A"}),
+    # lossy server-to-Alice link: two-user steering with the general-loss optimum, plus
+    # the secret-sharing direction with Alice's link lossy too, for reference
+    "appendix_e": Scenario(
+        ProtocolParams(users="two"), ("eta_sa", "eta_sb", "eta_ab"),
+        {"f_b": ("optimal_fb_general_loss", "eta_sa", "eta_sb", "eta_ab", "v_a", "v_s")},
+        _TWO_USER_COLUMNS,
+        reference=_QSS_LOSSY_ALICE._replace(
+            columns={"G_BD_to_A_qss": _QSS.columns["G_BD_to_A"]}),
+        key_rates={"key_rate_qss": "G_BD_to_A_qss"}),
+}
+
+SCENARIOS = tuple(SCENARIO_TABLE)
+
+
+def scenario_params(scenario: Scenario, eta: float, overrides: dict[str, float]) -> ProtocolParams:
+    """Grid-point parameters with auto-optimal coefficients unless overridden."""
+    fields = {**vars(scenario.base), **dict.fromkeys(scenario.eta_fields, eta), **overrides}
+    params = ProtocolParams(**fields)  # validates the overrides before they feed ``auto``
+    auto = {name: globals()[fn](*(eta if a == "eta" else fields[a] for a in args))
+            for name, (fn, *args) in scenario.auto.items() if name not in overrides}
+    return ProtocolParams(**{**fields, **auto}) if auto else params
+
+
+def _scan_row(params: ProtocolParams, eta: float, columns: dict) -> dict[str, float]:
+    """One table row at grid efficiency ``eta``, building each needed stage once.
+
+    ``columns`` maps a name to ``None`` (``eta`` or that field), to ``(stage, party)``
+    for the PPT value of the ``party`` labels against the rest of the ``stage`` modes,
+    or to ``(stage, partition)`` for the steerability across a ``Partition``."""
+    states = {}
+    row = {}
+    for name, spec in columns.items():
+        if spec is None:
+            row[name] = float(eta) if name == "eta" else getattr(params, name)
+            continue
+        stage, what = spec
+        if stage not in states:
+            states[stage] = build_network_state(params, stage)
+        state = states[stage]
+        row[name] = (steerability(state, what) if isinstance(what, Partition)
+                     else ppt_min(state, what))
+    return row
+
+
+def scan(scenario: Scenario, etas: Sequence[float],
+         overrides: dict[str, float] | None = None) -> ScanResult:
+    """One row of ``scenario`` per grid efficiency; ``overrides`` pin parameter fields."""
+    reference = scenario.reference
+    rows = []
+    for eta in map(float, etas):
+        row = _scan_row(scenario_params(scenario, eta, overrides or {}), eta, scenario.columns)
+        if reference:
+            row.update(_scan_row(scenario_params(reference, eta, {}), eta, reference.columns))
+        for name, source in scenario.key_rates.items():
+            row[name] = key_rate(row[source])
+        rows.append(row)
+    columns = (*scenario.columns, *(reference.columns if reference else ()),
+               *scenario.key_rates)
+    return ScanResult(columns, tuple(rows))
+
+
+def qss_scenario(
+    etas: Sequence[float],
+    eta_sa_follows: bool = False,
+    overrides: dict[str, float] | None = None,
+) -> ScanResult:
+    """Collective-steering scan of the secret-sharing scenario.
+
+    Per grid efficiency: the steerabilities of the (B,D) group and of each
+    user alone toward Alice, plus the PPT values certifying that both relay
+    ancillas stay separable.  ``eta_sa_follows`` also subjects Alice's
+    channel to the grid efficiency; ``overrides`` pins any parameter field
+    across the whole grid.
+    """
+    return scan(_QSS_LOSSY_ALICE if eta_sa_follows else _QSS, etas, overrides)

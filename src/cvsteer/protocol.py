@@ -15,7 +15,8 @@ mode slots with named stage cuts.  ``build_network_state`` interprets it on
 covariance matrices and ``sampler`` on shot arrays.  The ``analytic_cov_*``
 functions assemble the same covariances from closed-form matrix elements
 and must agree with the pipeline to float precision wherever their
-parameter regimes apply.
+parameter regimes apply.  The scans over these states, with their optimal
+coefficients, are in ``optimize``.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ import numpy as np
 
 from . import core
 from .core import GaussianState, db_to_variance
-from .criteria import Partition, ppt_min, steerability
 
 __all__ = [
     "ProtocolParams",
-    "ScanResult",
     "analytic_cov_final_two_user",
     "analytic_cov_pre_bob",
     "analytic_cov_three_user",
@@ -42,7 +41,6 @@ __all__ = [
     "closed_form_steering_three_user",
     "closed_form_steering_two_user",
     "qss_params",
-    "qss_scenario",
     "separable_boundary_vsep",
     "server_output_state",
 ]
@@ -331,19 +329,6 @@ def closed_form_steering_three_user(params: ProtocolParams) -> tuple[float, floa
     return max(0.0, g_abd), max(0.0, g_ab), max(0.0, g_ad)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """A table of per-grid-point results (one dict per row)."""
-
-    columns: tuple[str, ...]
-    rows: tuple[dict[str, float], ...]
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.columns:
-            raise KeyError(f"no column {name!r}; have {self.columns}")
-        return np.array([row[name] for row in self.rows])
-
-
 #: Displacement coefficients and squeezing for the secret-sharing scenario
 #: (collective steering toward Alice with -10 dB / +11 dB sources).
 QSS_F_B = 0.92
@@ -359,57 +344,3 @@ def qss_params(eta: float = 1.0, eta_sa: float = 1.0) -> ProtocolParams:
         eta_sa=eta_sa, eta_sb=eta, eta_sd=eta, eta_ab=eta, eta_bd=eta,
         users="three",
     )
-
-
-#: Columns of ``qss_scenario``, as ``_scan_row`` specs.
-QSS_COLUMNS = {
-    "eta": None, "f_b": None, "f_d": None,
-    "G_BD_to_A": ("final_three_user", Partition((1, 2), (0,))),
-    "G_B_to_A": ("final_three_user", Partition((1,), (0,))),
-    "G_D_to_A": ("final_three_user", Partition((2,), (0,))),
-    "ppt_C1_vs_AB0": ("pre_bob", ("C1",)),
-    "ppt_C2_vs_ABD0": ("pre_david", ("C2",)),
-}
-
-
-def _scan_row(params: ProtocolParams, eta: float, columns: dict) -> dict[str, float]:
-    """One table row at grid efficiency ``eta``, building each needed stage once.
-
-    ``columns`` maps a name to ``None`` (``eta`` or that field), to ``(stage, party)``
-    for the PPT value of the ``party`` labels against the rest of the ``stage`` modes,
-    or to ``(stage, partition)`` for the steerability across a ``Partition``."""
-    states: dict[str, GaussianState] = {}
-    row = {}
-    for name, spec in columns.items():
-        if spec is None:
-            row[name] = float(eta) if name == "eta" else getattr(params, name)
-            continue
-        stage, what = spec
-        if stage not in states:
-            states[stage] = build_network_state(params, stage)
-        state = states[stage]
-        row[name] = (steerability(state, what) if isinstance(what, Partition)
-                     else ppt_min(state, what))
-    return row
-
-
-def qss_scenario(
-    etas: Sequence[float],
-    eta_sa_follows: bool = False,
-    overrides: dict[str, float] | None = None,
-) -> ScanResult:
-    """Collective-steering scan of the secret-sharing scenario.
-
-    Per grid efficiency: the steerabilities of the (B,D) group and of each
-    user alone toward Alice, plus the PPT values certifying that both relay
-    ancillas stay separable.  ``eta_sa_follows`` also subjects Alice's
-    channel to the grid efficiency; ``overrides`` pins any parameter field
-    across the whole grid.
-    """
-    rows = []
-    for eta in etas:
-        params = qss_params(eta, eta_sa=eta if eta_sa_follows else 1.0)
-        if overrides:
-            params = params.replace(**overrides)
-        rows.append(_scan_row(params, eta, QSS_COLUMNS))
-    return ScanResult(tuple(QSS_COLUMNS), tuple(rows))

@@ -34,6 +34,10 @@ __all__ = [
 #: would be scheduled.  Not a tuning knob: changing it changes the streams.
 _BLOCK = 1 << 16
 
+#: ``compare_covariance`` flags elements deviating by more than this many standard errors.
+Z_THRESHOLD = 5.0
+
+
 @dataclass(frozen=True)
 class ShotBatch:
     """Homodyne-style measurement records for the retained modes.
@@ -121,12 +125,9 @@ class CovarianceComparison:
 
 
 def compare_covariance(
-    estimated: np.ndarray,
-    analytic: np.ndarray,
-    n_shots: int,
-    z_threshold: float = 5.0,
+    estimated: np.ndarray, analytic: np.ndarray, n_shots: int
 ) -> CovarianceComparison:
-    """Flag estimated elements straying beyond ``z_threshold`` standard errors."""
+    """Flag estimated elements straying beyond ``Z_THRESHOLD`` standard errors."""
     estimated = np.asarray(estimated, dtype=float)
     analytic = np.asarray(analytic, dtype=float)
     if estimated.shape != analytic.shape:
@@ -139,12 +140,12 @@ def compare_covariance(
         (int(i), int(j))
         for i in range(z.shape[0])
         for j in range(i, z.shape[1])
-        if z[i, j] > z_threshold
+        if z[i, j] > Z_THRESHOLD
     )
     return CovarianceComparison(
         max_abs_deviation=float(dev.max()),
         z_scores=z,
         flagged=flagged,
         n_shots=int(n_shots),
-        z_threshold=float(z_threshold),
+        z_threshold=Z_THRESHOLD,
     )

@@ -32,6 +32,7 @@ from cvsteer.cli import (
 from conftest import THREE_MODE_PPT, FOUR_MODE_PPT, two_user_params
 
 GOLDEN = Path(__file__).parent / "golden"
+EYE4 = "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
 
 
 class TestGridAndConfig:
@@ -200,6 +201,7 @@ class TestCovMatrixFile:
             "empty.txt": ("# labels: A\n", "no matrix data"),
             "nan.txt": ("1 0\n0 nan\n", "non-finite"),
             "inf.txt": ("inf 0\n0 1\n", "non-finite"),
+            "duplicate.txt": ("# labels: A A\n" + EYE4, "duplicate mode labels"),
         }
         for name, (content, message) in cases.items():
             path = tmp_path / name
@@ -348,6 +350,15 @@ class TestMainEntry:
         path = tmp_path / "odd.txt"
         path.write_text("1 0 0\n0 1 0\n0 0 1\n")
         assert main(["certify", str(path)]) == EXIT_INPUT
+        for name, content, message in (
+            ("duplicate.txt", "# labels: A A\n" + EYE4, "duplicate mode labels"),
+            ("one_mode.txt", "1 0\n0 1\n", "need at least two modes"),
+        ):
+            path = tmp_path / name
+            path.write_text(content)
+            capsys.readouterr()
+            assert main(["certify", str(path)]) == EXIT_INPUT
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_matrix_entry_exit_code(self, tmp_path, capsys, entry):

@@ -1,5 +1,6 @@
 """Property tests: the fast spectrum, steering and pipeline routes against
-straightforward references, on random physical states and parameters."""
+straightforward references, and the physical invariants of the certificates,
+on random physical states and parameters."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from cvsteer import (
     beam_splitter,
     build_network_state,
     loss_channel,
+    ppt_min,
     relabel,
     select_modes,
     squeezed_mode,
@@ -53,6 +55,23 @@ def physical_states(draw, min_modes=1):
     return (cov + cov.T) / 2.0, np.sort(nus)
 
 
+def _local_symplectic(rng: np.random.Generator, n: int, modes, max_db: float = 10.0):
+    """A 2n x 2n symplectic acting only on ``modes``: passive, squeezing, passive."""
+    k = len(modes)
+    z = np.diag([10.0 ** (s * db / 20.0) for db in rng.uniform(0.0, max_db, k) for s in (-1, 1)])
+    idx = [q for m in modes for q in (2 * m, 2 * m + 1)]
+    out = np.eye(2 * n)
+    out[np.ix_(idx, idx)] = _passive(rng, k) @ z @ _passive(rng, k)
+    return out
+
+
+def _random_partition(data, n: int) -> Partition:
+    order = data.draw(st.permutations(range(n)))
+    n_steering = data.draw(st.integers(1, n - 1))
+    n_steered = data.draw(st.integers(1, n - n_steering))
+    return Partition(tuple(order[:n_steering]), tuple(order[n_steering : n_steering + n_steered]))
+
+
 def reference_spectrum(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues from the general eigensolver on ``Omega @ cov``."""
     n = cov.shape[0] // 2
@@ -85,14 +104,48 @@ def test_spectrum_matches_general_eigensolver(state):
 def test_steerability_matches_solve_reference(state, data):
     cov, _ = state
     n = cov.shape[0] // 2
-    order = data.draw(st.permutations(range(n)))
-    n_steering = data.draw(st.integers(1, n - 1))
-    n_steered = data.draw(st.integers(1, n - n_steering))
-    steering = tuple(order[:n_steering])
-    steered = tuple(order[n_steering : n_steering + n_steered])
-    got = steerability(GaussianState(tuple(f"m{i}" for i in range(n)), cov),
-                       Partition(steering, steered))
-    assert abs(got - reference_steerability(cov, steering, steered)) <= 1e-10
+    part = _random_partition(data, n)
+    got = steerability(GaussianState(tuple(f"m{i}" for i in range(n)), cov), part)
+    assert abs(got - reference_steerability(cov, part.steering, part.steered)) <= 1e-10
+
+
+@SETTINGS
+@given(physical_states(min_modes=2), st.data())
+def test_steerability_does_not_grow_under_loss_on_the_steered_party(state, data):
+    # G(N->M) is monotone under local Gaussian channels on M (Kogias et al., PRL 114, 060403)
+    cov, _ = state
+    n = cov.shape[0] // 2
+    part = _random_partition(data, n)
+    before = GaussianState(tuple(f"m{i}" for i in range(n)), cov)
+    after = loss_channel(before, data.draw(st.sampled_from(part.steered)),
+                         data.draw(st.floats(0.0, 1.0)))
+    g_before, g_after = steerability(before, part), steerability(after, part)
+    assert g_after <= g_before * (1.0 + 1e-9) + 1e-12
+
+
+@SETTINGS
+@given(physical_states(min_modes=2), st.data())
+def test_certificates_invariant_under_local_symplectics(state, data):
+    cov, _ = state
+    n = cov.shape[0] // 2
+    part = _random_partition(data, n)
+    # one symplectic within each of N, M and the traced-out modes: local for the N | rest
+    # PPT split and for G(N->M)
+    traced = tuple(m for m in range(n) if m not in part.steering + part.steered)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    s = np.eye(2 * n)
+    for modes in (part.steering, part.steered, traced):
+        if modes:
+            s = s @ _local_symplectic(rng, n, modes)
+    labels = tuple(f"m{i}" for i in range(n))
+    before = GaussianState(labels, cov)
+    moved = s @ cov @ s.T
+    after = GaussianState(labels, (moved + moved.T) / 2.0)
+    for value_before, value_after in (
+        (ppt_min(before, part.steering), ppt_min(after, part.steering)),
+        (steerability(before, part), steerability(after, part)),
+    ):
+        assert abs(value_after - value_before) <= 1e-10 * max(1.0, value_before)
 
 
 def composed_network_state(params: ProtocolParams, stage: str) -> GaussianState:
