@@ -29,7 +29,8 @@ import numpy as np
 
 from . import optimize, sampler
 from .core import GaussianState
-from .criteria import Partition, SteeringReport, full_report, ppt_min, steerability
+from .criteria import (Partition, SteeringReport, full_report, ppt_min, steerability,
+                       symplectic_eigenvalues)
 from .optimize import SCENARIOS, ScanResult
 from .protocol import STAGES, ProtocolParams, build_network_state
 
@@ -55,6 +56,10 @@ EXIT_NUMERIC = 4
 #: Published matrices carry three decimals, so rounding alone can make them
 #: asymmetric by up to 1e-3; accept that and symmetrize on ingestion.
 INPUT_SYMMETRY_TOL = 2e-3
+
+#: ``certify`` refuses a smallest symplectic eigenvalue below this, not below 1: the
+#: published four-mode reconstruction, a measured matrix, reads 0.9735.
+MIN_SYMPLECTIC_EIGENVALUE = 0.95
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(ProtocolParams)} - {"users"}
 
@@ -292,16 +297,14 @@ def cmd_certify(path: str, splits: Sequence[str] | None = None) -> SteeringRepor
     """Certify a covariance-matrix file across the requested splits.
 
     Without explicit splits, every one-mode-versus-rest bipartition is
-    certified.  Raises ``InputDataError`` for a one-mode file (there is no
-    split to certify) and ``NumericalError`` if the matrix is not positive
-    definite (certification is undefined then) or if certification itself
+    certified.  Raises ``InputDataError`` for a one-mode or unphysical file
+    (smallest symplectic eigenvalue below ``MIN_SYMPLECTIC_EIGENVALUE``) and
+    ``NumericalError`` if the matrix is not positive definite or certification
     fails numerically, e.g. on an ill-conditioned steering block.
     """
     labels, cov = read_cov_matrix_file(path)
     if len(labels) < 2:
         raise InputDataError(f"{path}: one mode; need at least two modes to certify")
-    if np.linalg.eigvalsh(cov).min() <= 0:
-        raise NumericalError(f"{path}: covariance is not positive definite")
     state = GaussianState(labels, cov)
     if splits:
         parsed = [parse_split_spec(s, labels) for s in splits]
@@ -309,6 +312,10 @@ def cmd_certify(path: str, splits: Sequence[str] | None = None) -> SteeringRepor
         parsed = [((l,), tuple(m for m in labels if m != l)) for l in labels]
     partitions = [Partition.from_labels(state, n, m) for n, m in parsed]
     try:
+        nu_min = symplectic_eigenvalues(cov)[0]
+        if nu_min < MIN_SYMPLECTIC_EIGENVALUE:
+            raise InputDataError(f"{path}: unphysical covariance: smallest symplectic "
+                                 f"eigenvalue {nu_min:.4g} is below {MIN_SYMPLECTIC_EIGENVALUE:g}")
         return full_report(state, partitions)
     except (ValueError, ArithmeticError) as exc:
         raise NumericalError(f"{path}: {exc}") from None
@@ -349,13 +356,15 @@ def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
     params = optimize.scenario_params(scenario, eta, config.overrides)
     # the furthest-propagated state the scenario's own columns read
     stage = max((spec[0] for spec in scenario.columns.values() if spec), key=STAGES.index)
+    analytic = build_network_state(params, stage)
+    if config.shots <= 2 * analytic.n_modes:  # fewer leave the sample covariance singular
+        raise UsageError(f"--shots must be at least {2 * analytic.n_modes + 1} for {stage}")
     batch = sampler.simulate_shots(params, stage, config.shots, config.seed)
     if dump_shots:
         header = ",".join(f"{q}_{l}" for l in batch.labels for q in ("x", "p"))
         np.savetxt(dump_shots, batch.quads, delimiter=",", header=header,
                    comments="", fmt="%.6g")
     estimated = sampler.estimate_covariance(batch)
-    analytic = build_network_state(params, stage)
     comparison = sampler.compare_covariance(estimated, analytic.cov, batch.n_shots)
 
     lines = [
@@ -401,8 +410,6 @@ def _add_run_flags(sub: argparse.ArgumentParser, *, grid_default: str | None) ->
                      help="override a protocol parameter (repeatable)")
     sub.add_argument("--config", help="key=value configuration file (flags win)")
     sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument("--seed", type=int, default=None, help="random seed")
-    sub.add_argument("--shots", type=int, default=None, help="Monte Carlo shot count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,6 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = subs.add_parser("montecarlo", help="validate covariances by sampling")
     _add_run_flags(mc, grid_default="1:1:1")
+    mc.add_argument("--seed", type=int, default=None, help="random seed")
+    mc.add_argument("--shots", type=int, default=None, help="Monte Carlo shot count")
     mc.add_argument("--dump-shots", metavar="PATH",
                     help="also write the raw shot records as CSV")
     return parser

@@ -9,6 +9,9 @@ Conventions used throughout the package:
   classical Gaussian noise injections and only show up in second moments.
 
 All operations are pure: they return new states and never mutate inputs.
+This module owns covariance validity: ``GaussianState`` checks shape, symmetry and
+unique labels once, and the Cholesky behind the symplectic spectrum is the one
+positive-definiteness test (``ArithmeticError`` on failure).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ __all__ = [
     "vacuum",
 ]
 
-#: Symmetry slack absorbed on construction (float drift from matrix products).
+#: Symmetry slack relative to the largest entry, absorbed on construction (float drift).
 SYMMETRY_TOL = 1e-10
 
 #: Default slack on the ``min symplectic eigenvalue >= 1`` physicality test.
@@ -57,6 +60,17 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return _omega(n_modes).copy()
 
 
+def _checked_cov(cov, tol: float) -> np.ndarray:
+    """``cov`` symmetrized; ValueError unless 2n x 2n and symmetric to tol x max(1, max|cov|)."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
+        raise ValueError(f"covariance must be square 2n x 2n, got {cov.shape}")
+    asym = np.abs(cov - cov.T).max()
+    if asym > tol * max(1.0, np.abs(cov).max()):
+        raise ValueError(f"covariance asymmetric by {asym:.3e} (relative tol {tol:.0e})")
+    return (cov + cov.T) / 2.0  # absorb float drift; eigensolvers assume symmetry
+
+
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"m{i + 1}" for i in range(n))
 
@@ -75,19 +89,13 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        cov = np.asarray(self.cov, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
-            raise ValueError(f"covariance must be square 2n x 2n, got {cov.shape}")
+        cov = _checked_cov(self.cov, SYMMETRY_TOL)
         n = cov.shape[0] // 2
         labels = tuple(str(l) for l in self.labels)
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} modes")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate mode labels: {labels}")
-        asym = np.abs(cov - cov.T).max()
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"covariance asymmetric by {asym:.3e} (tol {SYMMETRY_TOL:.0e})")
-        cov = (cov + cov.T) / 2.0  # absorb float drift; eigensolvers assume symmetry
         cov.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "cov", cov)
@@ -156,9 +164,6 @@ def squeezed_mode(
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Product state of two subsystems: block-diagonal covariance."""
-    shared = set(a.labels) & set(b.labels)
-    if shared:
-        raise ValueError(f"duplicate labels in tensor product: {sorted(shared)}")
     na, nb = 2 * a.n_modes, 2 * b.n_modes
     cov = np.zeros((na + nb, na + nb))
     cov[:na, :na] = a.cov
@@ -274,8 +279,6 @@ def select_modes(state: GaussianState, keep: Iterable[int | str]) -> GaussianSta
     modes = [state.mode_index(m) for m in keep]
     if not modes:
         raise ValueError("must keep at least one mode")
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"duplicate modes in selection: {modes}")
     idx = [k for m in modes for k in (2 * m, 2 * m + 1)]
     return GaussianState(
         tuple(state.labels[m] for m in modes), state.cov[np.ix_(idx, idx)]

@@ -9,6 +9,8 @@ Two certificates are provided for an arbitrary bipartition ``N | M``:
   sub-unity symplectic eigenvalues of the Schur complement of the
   steering party's block, i.e. of the conditional state of ``M`` given
   Gaussian measurements on ``N``.
+
+``core`` validates each ``GaussianState`` once; the certificates take it as given.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import GaussianState, _NotPositiveDefinite, _symplectic_eigenvalues
+from .core import (GaussianState, _checked_cov, _NotPositiveDefinite, _symplectic_eigenvalues,
+                   select_modes)
 
 __all__ = [
     "Partition",
@@ -95,18 +98,12 @@ class SteeringReport:
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """The n positive symplectic eigenvalues of ``cov``, ascending.
 
-    ``cov`` must be symmetric and positive definite.  The spectrum is the
-    positive half of the eigenvalues of the Hermitian ``1j * L^T Omega L``
-    with ``cov = L L^T`` (Cholesky); its +/- pairing is asserted to
-    ``1e-9`` relative.  A failed Cholesky factorization raises ``ValueError``.
+    For arrays from outside a ``GaussianState``: ``ValueError`` unless ``cov`` is
+    ``2n x 2n``, symmetric to ``1e-8`` relative and positive definite.  Computed
+    by ``core``'s Williamson (Cholesky) route.
     """
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
-        raise ValueError(f"expected a 2n x 2n matrix, got {cov.shape}")
-    if np.abs(cov - cov.T).max() > 1e-8 * max(1.0, np.abs(cov).max()):
-        raise ValueError("matrix is not symmetric")
     try:
-        return _symplectic_eigenvalues((cov + cov.T) / 2.0)
+        return _symplectic_eigenvalues(_checked_cov(cov, 1e-8))
     except _NotPositiveDefinite:
         raise ValueError("matrix is not positive definite") from None
 
@@ -135,7 +132,7 @@ def ppt_min(state: GaussianState, party: Sequence[int | str]) -> float:
         raise ValueError("party must be nonempty")
     if len(set(modes)) == state.n_modes:
         raise ValueError("party must be a strict subset of the modes")
-    return float(symplectic_eigenvalues(partial_transpose(state.cov, modes)).min())
+    return float(_symplectic_eigenvalues(partial_transpose(state.cov, modes)).min())
 
 
 def ppt_two_mode(cov: np.ndarray) -> float:
@@ -209,32 +206,20 @@ def _party_label(state: GaussianState, modes: Sequence[int]) -> str:
 def full_report(state: GaussianState, splits: Sequence[Partition]) -> SteeringReport:
     """PPT value, both-direction steerability and verdict for every split.
 
-    Modes outside a split's union are traced out before certification.
+    Modes outside a split's union are traced out before the PPT test.
     """
     ppt: dict[str, float] = {}
     steer: dict[str, float] = {}
     verdicts: dict[str, str] = {}
     for part in splits:
         union = part.steering + part.steered
-        reduced = _reduced(state, union)
-        local = Partition(
-            tuple(range(len(part.steering))),
-            tuple(range(len(part.steering), len(union))),
-        )
+        host = state if len(union) == state.n_modes else select_modes(state, union)
         key_n = _party_label(state, part.steering)
         key_m = _party_label(state, part.steered)
         split_key = f"{key_n}|{key_m}"
-        value = ppt_min(reduced, local.steering)
+        value = ppt_min(host, [state.labels[m] for m in part.steering])
         ppt[split_key] = value
         verdicts[split_key] = "separable" if value >= 1.0 - SEPARABILITY_TOL else "inseparable"
-        steer[f"{key_n}->{key_m}"] = steerability(reduced, local)
-        steer[f"{key_m}->{key_n}"] = steerability(reduced, local.swapped())
+        steer[f"{key_n}->{key_m}"] = steerability(state, part)
+        steer[f"{key_m}->{key_n}"] = steerability(state, part.swapped())
     return SteeringReport(ppt, steer, verdicts, SEPARABILITY_TOL)
-
-
-def _reduced(state: GaussianState, modes: Sequence[int]) -> GaussianState:
-    if len(modes) == state.n_modes and tuple(modes) == tuple(range(state.n_modes)):
-        return state
-    from .core import select_modes
-
-    return select_modes(state, modes)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .criteria import Partition, ppt_min, steerability
+from .criteria import SEPARABILITY_TOL, Partition, ppt_min, steerability
 from .protocol import ProtocolParams, build_network_state, qss_params
 
 __all__ = [
@@ -56,7 +56,7 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _SCAN_STEP = 0.05
 
 #: Relay ancillas with a PPT value below this count as entangled.
-_SEPARABLE = 1.0 - 1e-9
+_SEPARABLE = 1.0 - SEPARABILITY_TOL
 
 
 def optimal_fb(t2: float, eta_sb: float, eta_ab: float, v_a: float, v_s: float) -> float:

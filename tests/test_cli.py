@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,15 @@ from cvsteer.cli import (
 from conftest import THREE_MODE_PPT, FOUR_MODE_PPT, two_user_params
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 EYE4 = "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+
+
+def _src_env() -> dict[str, str]:
+    """The environment with ``src`` first on ``PYTHONPATH``, for child interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    return env
 
 
 class TestGridAndConfig:
@@ -170,6 +179,13 @@ class TestScan:
         assert payload["columns"][0] == "eta"
         assert payload["rows"][0]["eta"] == 1.0
 
+    @pytest.mark.parametrize("scenario", ["three_user", "qss"])
+    def test_large_noise_variance(self, scenario, capsys):
+        # states built at a 1e6 scale carry float drift above 1e-10 absolute
+        assert main(["scan", "--scenario", scenario, "--set", "v_dis=1e6",
+                     "--eta-grid", "0.5:1:3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
     def test_deterministic_repeat(self):
         config = RunConfig(scenario="three_user", eta_start=0.3, eta_stop=0.9, eta_steps=4)
         assert format_scan_csv(cmd_scan(config)) == format_scan_csv(cmd_scan(config))
@@ -304,6 +320,14 @@ class TestMonteCarloCommand:
         assert "max abs deviation" in a
         assert "flagged elements (> 5 SE): none" in a
 
+    @pytest.mark.parametrize("scenario, n_modes", [
+        ("two_user", 2), ("three_user", 3), ("qss", 3), ("appendix_e", 2)])
+    def test_shot_minimum(self, scenario, n_modes, capsys):
+        argv = ["montecarlo", "--scenario", scenario, "--shots"]
+        assert main(argv + [str(2 * n_modes)]) == EXIT_USAGE
+        assert f"--shots must be at least {2 * n_modes + 1}" in capsys.readouterr().err
+        assert main(argv + [str(2 * n_modes + 1)]) == 0
+
     def test_tiny_run_does_not_crash(self):
         config = RunConfig(scenario="three_user", eta_start=0.8, eta_stop=0.8, eta_steps=1,
                            seed=1, shots=10)
@@ -353,6 +377,12 @@ class TestMainEntry:
         for name, content, message in (
             ("duplicate.txt", "# labels: A A\n" + EYE4, "duplicate mode labels"),
             ("one_mode.txt", "1 0\n0 1\n", "need at least two modes"),
+            ("sub_vacuum.txt", "0.5 0 0 0\n0 0.5 0 0\n0 0 1 0\n0 0 0 1\n",
+             "smallest symplectic eigenvalue 0.5 "),
+            # G = 1.652 both ways at the parent; its smallest symplectic eigenvalue is 0.48
+            ("over_correlated.txt",
+             "1.2 0 1.1 0\n0 1.2 0 -1.1\n1.1 0 1.2 0\n0 -1.1 0 1.2\n",
+             "smallest symplectic eigenvalue 0.4796 "),
         ):
             path = tmp_path / name
             path.write_text(content)
@@ -391,6 +421,13 @@ class TestMainEntry:
         assert main(["scan", "--eta-grid", "1:1:1"]) == EXIT_NUMERIC
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--shots", "2"]])
+    def test_scan_rejects_monte_carlo_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--eta-grid", "0.5:1:2", *flag])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_table_a1_stdout(self, capsys):
         assert main(["table-a1"]) == 0
         assert "1.239" in capsys.readouterr().out
@@ -399,7 +436,7 @@ class TestMainEntry:
         proc = subprocess.run(
             [sys.executable, "-m", "cvsteer", "scan", "--scenario", "two_user",
              "--eta-grid", "1:1:1"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_src_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("eta,")
@@ -407,7 +444,7 @@ class TestMainEntry:
     def test_subprocess_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cvsteer", "scan", "--scenario", "marble"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_src_env(),
         )
         assert proc.returncode == EXIT_USAGE
 

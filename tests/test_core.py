@@ -262,10 +262,12 @@ class TestGaussianStateValidation:
             GaussianState(("a",), bad)
 
     def test_small_drift_absorbed(self):
-        drift = np.eye(2)
-        drift[0, 1] = 1e-12
-        state = GaussianState(("a",), drift)
-        assert state.cov[0, 1] == state.cov[1, 0]
+        # the slack is relative to the largest entry: 1e-5 on a 1e6 scale is drift
+        for scale, offset in ((1.0, 1e-12), (1e6, 1e-5)):
+            drift = scale * np.eye(2)
+            drift[0, 1] = offset
+            state = GaussianState(("a",), drift)
+            assert state.cov[0, 1] == state.cov[1, 0]
 
     def test_duplicate_labels(self):
         with pytest.raises(ValueError):

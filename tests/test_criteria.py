@@ -121,6 +121,13 @@ class TestPptMin:
             )
             assert ppt_min(state, ["a"]) >= 1.0 - 1e-9
 
+    def test_not_positive_definite_raises_arithmetic_error(self):
+        state = GaussianState(("a", "b"), np.diag([1.0, -1.0, 1.0, 1.0]))
+        with pytest.raises(ArithmeticError, match="positive definite"):
+            ppt_min(state, ["a"])
+        with pytest.raises(ArithmeticError, match="positive definite"):
+            steerability(state, Partition((1,), (0,)))
+
     def test_party_validation(self):
         state = vacuum(2)
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from cvsteer import (
     add_correlated_noise,
     beam_splitter,
     build_network_state,
+    is_physical,
     loss_channel,
     ppt_min,
     relabel,
@@ -146,6 +147,21 @@ def test_certificates_invariant_under_local_symplectics(state, data):
         (steerability(before, part), steerability(after, part)),
     ):
         assert abs(value_after - value_before) <= 1e-10 * max(1.0, value_before)
+
+
+@SETTINGS
+@given(physical_states(min_modes=2), st.data())
+def test_channels_preserve_physicality(state, data):
+    cov, _ = state
+    n = cov.shape[0] // 2
+    before = GaussianState(tuple(f"m{i}" for i in range(n)), cov)
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    weights = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+    pattern = NoisePattern(data.draw(weights), data.draw(weights), data.draw(st.floats(0.0, 5.0)))
+    for after in (loss_channel(before, i, data.draw(st.floats(0.0, 1.0))),
+                  beam_splitter(before, i, j, data.draw(st.floats(0.0, 1.0))),
+                  add_correlated_noise(before, pattern)):
+        assert is_physical(after)
 
 
 def composed_network_state(params: ProtocolParams, stage: str) -> GaussianState:
