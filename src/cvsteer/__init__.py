@@ -62,6 +62,7 @@ from .sampler import (
     ShotBatch,
     compare_covariance,
     estimate_covariance,
+    shot_blocks,
     simulate_shots,
 )
 

@@ -9,8 +9,8 @@ Conventions used throughout the package:
   classical Gaussian noise injections and only show up in second moments.
 
 All operations are pure: they return new states and never mutate inputs.
-This module owns covariance validity: ``GaussianState`` checks shape, symmetry and
-unique labels once, and the Cholesky behind the symplectic spectrum is the one
+This module owns covariance validity: ``GaussianState`` checks shape, finiteness,
+symmetry and unique labels once, and the Cholesky behind the symplectic spectrum is the one
 positive-definiteness test (``ArithmeticError`` on failure).
 """
 
@@ -61,12 +61,16 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def _checked_cov(cov, tol: float) -> np.ndarray:
-    """``cov`` symmetrized; ValueError unless 2n x 2n and symmetric to tol x max(1, max|cov|)."""
+    """``cov`` symmetrized; ValueError unless 2n x 2n, finite and symmetric to
+    tol x max(1, max|cov|)."""
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise ValueError(f"covariance must be square 2n x 2n, got {cov.shape}")
+    scale = np.abs(cov).max()  # NaN or inf exactly when some entry is
+    if not np.isfinite(scale):
+        raise ValueError("covariance has a non-finite entry")
     asym = np.abs(cov - cov.T).max()
-    if asym > tol * max(1.0, np.abs(cov).max()):
+    if asym > tol * max(1.0, scale):
         raise ValueError(f"covariance asymmetric by {asym:.3e} (relative tol {tol:.0e})")
     return (cov + cov.T) / 2.0  # absorb float drift; eigensolvers assume symmetry
 

@@ -20,8 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (GaussianState, _checked_cov, _NotPositiveDefinite, _symplectic_eigenvalues,
-                   select_modes)
+from .core import GaussianState, _checked_cov, _symplectic_eigenvalues, select_modes
 
 __all__ = [
     "Partition",
@@ -99,13 +98,11 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """The n positive symplectic eigenvalues of ``cov``, ascending.
 
     For arrays from outside a ``GaussianState``: ``ValueError`` unless ``cov`` is
-    ``2n x 2n``, symmetric to ``1e-8`` relative and positive definite.  Computed
-    by ``core``'s Williamson (Cholesky) route.
+    ``2n x 2n``, finite and symmetric to ``1e-8`` relative, and ``ArithmeticError``
+    unless it is positive definite, as from ``ppt_min`` and ``steerability``.
+    Computed by ``core``'s Williamson (Cholesky) route.
     """
-    try:
-        return _symplectic_eigenvalues(_checked_cov(cov, 1e-8))
-    except _NotPositiveDefinite:
-        raise ValueError("matrix is not positive definite") from None
+    return _symplectic_eigenvalues(_checked_cov(cov, 1e-8))
 
 
 def partial_transpose(cov: np.ndarray, party: Sequence[int]) -> np.ndarray:
@@ -170,6 +167,10 @@ def _partition_blocks(
     return rows_n[:, idx_n], rows_m[:, idx_m], rows_n[:, idx_m]
 
 
+class _SingularBlock(ArithmeticError):
+    """The steering party's block fails the ``COND_LIMIT`` guard."""
+
+
 def steerability(state: GaussianState, partition: Partition) -> float:
     """Gaussian steering monotone ``G`` from ``steering`` to ``steered``.
 
@@ -180,16 +181,16 @@ def steerability(state: GaussianState, partition: Partition) -> float:
 
     One ``eigh`` of the steering block ``N = U diag(lam) U^T`` serves both
     the conditioning guard (``max|lam| / min|lam|``, the 2-norm condition
-    number of a symmetric matrix, must not exceed ``COND_LIMIT``) and the
-    inverse: ``gamma^T N^{-1} gamma = x^T diag(1/lam) x`` with
-    ``x = U^T gamma``.
+    number of a symmetric matrix, must not exceed ``COND_LIMIT``, else
+    ``ArithmeticError``) and the inverse:
+    ``gamma^T N^{-1} gamma = x^T diag(1/lam) x`` with ``x = U^T gamma``.
     """
     n_blk, m_blk, gamma = _partition_blocks(state, partition)
     lam, u = np.linalg.eigh(n_blk)
     mags = np.abs(lam)
     lo = mags.min()
     if lo == 0.0 or mags.max() > COND_LIMIT * lo:
-        raise ValueError("steering party block is numerically singular")
+        raise _SingularBlock("steering party block is numerically singular")
     x = u.T @ gamma
     schur = m_blk - x.T @ (x / lam[:, None])
     nus = _symplectic_eigenvalues((schur + schur.T) / 2.0)

@@ -89,6 +89,9 @@ class ProtocolParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.v_s <= 0 or self.v_a <= 0:
             raise ValueError("squeezing variances must be positive")
+        if self.v_s * self.v_a < 1.0 - core.PHYSICALITY_TOL:  # impure sources (> 1) are fine
+            raise ValueError(f"source violates the uncertainty relation: "
+                             f"v_s * v_a = {self.v_s * self.v_a:.6g} < 1")
         if self.v_dis < 0:
             raise ValueError("displacement variance must be nonnegative")
         for name in ("t1", "t2", "t3", "eta_sa", "eta_sb", "eta_sd", "eta_ab", "eta_bd"):

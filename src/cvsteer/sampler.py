@@ -10,11 +10,18 @@ not call ``core``, so the twin still checks the covariance algebra
 independently.  The sample covariance of the retained modes must converge
 to the analytic covariance at the usual 1/sqrt(n) rate;
 ``compare_covariance`` quantifies the agreement element by element.
+
+Shots come in ``_BLOCK``-row blocks, each from its own jumped Philox
+substream.  ``shot_blocks`` yields them one at a time and ``simulate_shots``
+is their concatenation.  ``estimate_covariance`` reduces each block to a
+count, a mean and a centred ``X^T X`` and merges them in order, so a run
+that streams the blocks into it holds one block, whatever the shot count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +33,7 @@ __all__ = [
     "compare_covariance",
     "CovarianceComparison",
     "estimate_covariance",
+    "shot_blocks",
     "simulate_shots",
 ]
 
@@ -82,29 +90,62 @@ def _propagate_block(params: ProtocolParams, steps: tuple, n_modes: int,
     return np.column_stack(q[: 2 * n_modes])
 
 
-def simulate_shots(params: ProtocolParams, stage: str, n_shots: int, seed: int) -> ShotBatch:
-    """Sample ``n_shots`` joint quadrature outcomes of the ``stage`` modes."""
+def shot_blocks(params: ProtocolParams, stage: str, n_shots: int,
+                seed: int) -> tuple[tuple[str, ...], Iterator[np.ndarray]]:
+    """Labels of the ``stage`` modes and an iterator over ``n_shots`` shots in ``_BLOCK`` rows.
+
+    The stage and the shot count are checked on the call; the shots are drawn
+    lazily, one block per ``next``, so a consumer holds one block at a time.
+    """
     steps, cut = protocol._stage_steps(params, stage)
     if n_shots < 2:
         raise ValueError("need at least 2 shots")
-    blocks = []
-    base = np.random.Philox(key=seed)
-    for start in range(0, n_shots, _BLOCK):
-        m = min(_BLOCK, n_shots - start)
-        rng = np.random.Generator(base.jumped(start // _BLOCK))
-        # always propagate a full block and truncate, so each block's stream
-        # layout is fixed and prefixes agree across different shot counts
-        blocks.append(_propagate_block(params, steps, len(cut.labels), rng, _BLOCK)[:m])
-    quads = np.concatenate(blocks, axis=0)
+
+    def blocks() -> Iterator[np.ndarray]:
+        base = np.random.Philox(key=seed)
+        for start in range(0, n_shots, _BLOCK):
+            rng = np.random.Generator(base.jumped(start // _BLOCK))
+            # always propagate a full block and truncate, so each block's stream
+            # layout is fixed and prefixes agree across different shot counts
+            block = _propagate_block(params, steps, len(cut.labels), rng, _BLOCK)
+            yield block[: min(_BLOCK, n_shots - start)]
+
+    return cut.labels, blocks()
+
+
+def simulate_shots(params: ProtocolParams, stage: str, n_shots: int, seed: int) -> ShotBatch:
+    """Sample ``n_shots`` joint quadrature outcomes of the ``stage`` modes."""
+    labels, blocks = shot_blocks(params, stage, n_shots, seed)
+    quads = np.concatenate(list(blocks), axis=0)
     quads.flags.writeable = False
-    return ShotBatch(labels=cut.labels, quads=quads, seed=int(seed))
+    return ShotBatch(labels=labels, quads=quads, seed=int(seed))
 
 
-def estimate_covariance(batch: ShotBatch) -> np.ndarray:
-    """Unbiased sample covariance of the batch (divisor ``n - 1``)."""
-    if batch.n_shots < 2:
+def estimate_covariance(shots: ShotBatch | Iterable[np.ndarray]) -> np.ndarray:
+    """Unbiased sample covariance (divisor ``n - 1``) of a batch or of its blocks in order.
+
+    Each block contributes its count, mean and centred ``X^T X``; blocks are
+    merged by the pairwise update of Chan, Golub and LeVeque (1979), which
+    keeps the digits that raw sums of ``X^T X`` lose when the mean is large
+    against the spread.  A
+    ``ShotBatch`` is read in ``_BLOCK``-row slices, so it and the stream of
+    ``shot_blocks`` give the same result.
+    """
+    if isinstance(shots, ShotBatch):
+        quads = shots.quads
+        shots = (quads[k : k + _BLOCK] for k in range(0, quads.shape[0], _BLOCK))
+    n, mean, m2 = 0, 0.0, 0.0
+    for block in shots:
+        m = block.shape[0]
+        block_mean = block.mean(axis=0)
+        centred = block - block_mean
+        delta = block_mean - mean
+        n += m
+        mean = mean + delta * (m / n)
+        m2 = m2 + centred.T @ centred + np.outer(delta, delta) * ((n - m) * m / n)
+    if n < 2:
         raise ValueError("need at least 2 shots to estimate a covariance")
-    est = np.cov(batch.quads, rowvar=False, ddof=1)
+    est = m2 / (n - 1)
     return (est + est.T) / 2.0
 
 

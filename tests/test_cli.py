@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +345,30 @@ class TestMonteCarloCommand:
         assert lines[0] == "x_A,p_A,x_B,p_B"
         assert len(lines) == 51
 
+    def test_streamed_dump_is_pinned(self, tmp_path):
+        # two blocks, the second partial, written as they arrive; the digest is
+        # that of the file written from the whole batch at once
+        config = RunConfig(scenario="two_user", seed=99, shots=70001,
+                           eta_start=1.0, eta_stop=1.0, eta_steps=1)
+        path = tmp_path / "shots.csv"
+        cmd_montecarlo(config, dump_shots=str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c1c9d3f5cc4591d64edaa78600b436ffc4b13ada801585706b44d4f20747a071")
+
+    def test_peak_memory_does_not_grow_with_shots(self):
+        # one block is held at a time, so four times the shots is not four times the memory
+        peaks = []
+        for shots in (200_000, 800_000):
+            config = RunConfig(scenario="three_user", seed=4, shots=shots,
+                               eta_start=0.9, eta_stop=0.9, eta_steps=1)
+            tracemalloc.start()
+            try:
+                cmd_montecarlo(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
 
 class TestMainEntry:
     def test_scan_to_file(self, tmp_path):
@@ -365,6 +391,9 @@ class TestMainEntry:
         (["scan", "--eta-grid", "0.5:1:2", "--set", "v_s=nan"], "v_s must be finite"),
         # one efficiency per run: a longer grid is refused, not silently cut to its start
         (["montecarlo", "--eta-grid", "0.2:1:5", "--shots", "100"], "5 steps"),
+        # a source below the uncertainty bound is refused where it enters
+        (["scan", "--eta-grid", "0.5:1:2", "--set", "v_s=0.1", "--set", "v_a=2"],
+         "uncertainty relation"),
     ])
     def test_rejected_run_settings_exit_code(self, capsys, argv, message):
         assert main(argv) == EXIT_USAGE
@@ -403,6 +432,12 @@ class TestMainEntry:
         path = tmp_path / "npd.txt"
         path.write_text("1 0 0 0\n0 -1 0 0\n0 0 1 0\n0 0 0 1\n")
         assert main(["certify", str(path)]) == EXIT_NUMERIC
+
+    def test_singular_steering_block_in_scan_exit_code(self, capsys):
+        # a numerical failure, not a usage error
+        assert main(["scan", "--scenario", "qss", "--set", "v_dis=1e15",
+                     "--eta-grid", "0.5:1:3"]) == EXIT_NUMERIC
+        assert "singular" in capsys.readouterr().err
 
     def test_ill_conditioned_certify_exit_code(self, tmp_path, capsys):
         # positive definite, but the steering block has condition number 1e14

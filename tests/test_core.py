@@ -269,6 +269,16 @@ class TestGaussianStateValidation:
             state = GaussianState(("a",), drift)
             assert state.cov[0, 1] == state.cov[1, 0]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        # NaN fails no comparison, so it used to pass the symmetry check and
+        # reach the eigensolvers behind is_physical and ppt_min
+        bad = np.diag([value, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            GaussianState(("a", "b"), bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            symplectic_eigenvalues(bad)
+
     def test_duplicate_labels(self):
         with pytest.raises(ValueError):
             GaussianState(("a", "a"), np.eye(4))

@@ -195,14 +195,23 @@ def composed_network_state(params: ProtocolParams, stage: str) -> GaussianState:
 
 unit = st.floats(0.0, 1.0)
 coeff = st.floats(-3.0, 3.0)
-protocol_params = st.builds(
-    ProtocolParams,
-    v_s=st.floats(0.03, 1.0), v_a=st.floats(1.0, 32.0), v_dis=st.floats(0.0, 5.0),
-    t1=unit, t2=unit, t3=unit,
-    eta_sa=unit, eta_sb=unit, eta_sd=unit, eta_ab=unit, eta_bd=unit,
-    f_a=coeff, f_b=coeff, f_c=coeff, f_d=coeff,
-    users=st.just("three"),
-)
+
+
+@st.composite
+def _protocol_params(draw):
+    """Physical sources only (``v_s * v_a >= 1``), pure or impure."""
+    v_s = draw(st.floats(1.0 / 32.0, 1.0))
+    return draw(st.builds(
+        ProtocolParams,
+        v_s=st.just(v_s), v_a=st.floats(1.0 / v_s, 32.0), v_dis=st.floats(0.0, 5.0),
+        t1=unit, t2=unit, t3=unit,
+        eta_sa=unit, eta_sb=unit, eta_sd=unit, eta_ab=unit, eta_bd=unit,
+        f_a=coeff, f_b=coeff, f_c=coeff, f_d=coeff,
+        users=st.just("three"),
+    ))
+
+
+protocol_params = _protocol_params()
 
 
 @SETTINGS

@@ -12,6 +12,7 @@ from cvsteer import (
     build_network_state,
     closed_form_steering_three_user,
     closed_form_steering_two_user,
+    db_to_variance,
     is_physical,
     optimal_fb,
     ppt_min,
@@ -42,6 +43,15 @@ class TestParams:
             ProtocolParams(v_s=0.0)
         with pytest.raises(ValueError):
             ProtocolParams(users="four")
+
+    def test_source_uncertainty_relation(self):
+        with pytest.raises(ValueError, match="uncertainty relation"):
+            ProtocolParams(v_s=0.1, v_a=2.0)
+        # pure sources sit on the bound up to float rounding; impure ones lie above it
+        for db in (3.0, 10.0, 15.0):
+            ProtocolParams(v_s=db_to_variance(db, "squeezed"),
+                           v_a=db_to_variance(db, "antisqueezed"))
+        ProtocolParams(v_s=0.1, v_a=20.0)
 
     @pytest.mark.parametrize("name", ["v_s", "v_a", "v_dis", "f_a", "f_b", "f_c", "f_d"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

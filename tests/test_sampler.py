@@ -9,9 +9,11 @@ from cvsteer import (
     build_network_state,
     compare_covariance,
     estimate_covariance,
+    shot_blocks,
     simulate_shots,
 )
 from cvsteer.protocol import STAGES
+from cvsteer.sampler import _BLOCK
 from conftest import three_user_params, two_user_params
 
 #: Unbalanced splitters, lossy links everywhere and f_a, f_c != 1, so that
@@ -100,6 +102,29 @@ class TestEstimateCovariance:
         est = estimate_covariance(batch)
         analytic = build_network_state(params, "final_three_user").cov
         assert np.abs(est - analytic).max() < 0.03
+
+    @pytest.mark.parametrize("params, stage, n_shots", [
+        (two_user_params(0.8), "final_two_user", 5),  # 2n + 1
+        (OFF_BALANCE, "final_three_user", _BLOCK + 4321),  # a full block and a partial one
+        (three_user_params(0.9).replace(v_dis=1e6), "pre_david", 3 * _BLOCK),
+    ])
+    def test_merged_blocks_match_np_cov(self, params, stage, n_shots):
+        batch = simulate_shots(params, stage, n_shots, seed=17)
+        est = estimate_covariance(batch)
+        ref = np.cov(batch.quads, rowvar=False, ddof=1)
+        assert np.abs(est - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the stream and the batch are the same estimator on the same blocks
+        labels, blocks = shot_blocks(params, stage, n_shots, seed=17)
+        assert labels == batch.labels
+        np.testing.assert_array_equal(estimate_covariance(blocks), est)
+
+    def test_large_offset_keeps_digits(self):
+        # per-block centring: a mean 1e6 above unit-scale spread costs no digits,
+        # where raw sums of X^T X would keep about four of them
+        quads = simulate_shots(two_user_params(0.9), "final_two_user", 2 * _BLOCK + 7, 3).quads
+        est = estimate_covariance(ShotBatch(("A", "B"), quads + 1e6, seed=3))
+        ref = np.cov(quads, rowvar=False, ddof=1)
+        assert np.abs(est - ref).max() <= 1e-8 * np.abs(ref).max()
 
     def test_degenerate_batch_rejected(self):
         batch = ShotBatch(("A",), np.ones((1, 2)), seed=0)
