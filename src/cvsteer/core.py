@@ -12,10 +12,16 @@ All operations are pure: they return new states and never mutate inputs.
 This module owns covariance validity: ``GaussianState`` checks shape, finiteness,
 symmetry and unique labels once, and the Cholesky behind the symplectic spectrum is the one
 positive-definiteness test (``ArithmeticError`` on failure).
+
+The private kernels behind the states (the validity check, the channels and the
+symplectic spectrum) take a stack ``(..., 2n, 2n)`` of covariances and act on each
+matrix alone, so a grid of states is one call; a single ``2n x 2n`` matrix is the
+stack of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
@@ -61,18 +67,19 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def _checked_cov(cov, tol: float) -> np.ndarray:
-    """``cov`` symmetrized; ValueError unless 2n x 2n, finite and symmetric to
-    tol x max(1, max|cov|)."""
+    """``cov`` symmetrized; ValueError unless each matrix of the stack ``(..., 2n, 2n)`` is
+    finite and symmetric to tol x max(1, its max|entry|)."""
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
         raise ValueError(f"covariance must be square 2n x 2n, got {cov.shape}")
-    scale = np.abs(cov).max()  # NaN or inf exactly when some entry is
-    if not np.isfinite(scale):
+    scale = np.abs(cov).max(axis=(-2, -1))  # NaN or inf exactly where some entry is
+    if not (scale < np.inf).all():
         raise ValueError("covariance has a non-finite entry")
-    asym = np.abs(cov - cov.T).max()
-    if asym > tol * max(1.0, scale):
-        raise ValueError(f"covariance asymmetric by {asym:.3e} (relative tol {tol:.0e})")
-    return (cov + cov.T) / 2.0  # absorb float drift; eigensolvers assume symmetry
+    cov_t = cov.swapaxes(-2, -1)
+    asym = np.abs(cov - cov_t).max(axis=(-2, -1))
+    if ((asym > tol) & (asym > tol * scale)).any():  # asym > tol * max(1, scale), per matrix
+        raise ValueError(f"covariance asymmetric by {asym.max():.3e} (relative tol {tol:.0e})")
+    return (cov + cov_t) / 2.0  # absorb float drift; eigensolvers assume symmetry
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -94,6 +101,8 @@ class GaussianState:
 
     def __post_init__(self) -> None:
         cov = _checked_cov(self.cov, SYMMETRY_TOL)
+        if cov.ndim != 2:
+            raise ValueError(f"covariance must be square 2n x 2n, got {cov.shape}")
         n = cov.shape[0] // 2
         labels = tuple(str(l) for l in self.labels)
         if len(labels) != n:
@@ -182,7 +191,7 @@ def _beam_splitter_matrix(n: int, i: int, j: int, t: float) -> np.ndarray:
     and ``a_j -> sqrt(1-t) a_i - sqrt(t) a_j``.
     """
     s = np.eye(2 * n)
-    c, r = np.sqrt(t), np.sqrt(1.0 - t)
+    c, r = math.sqrt(t), math.sqrt(1.0 - t)  # correctly rounded, as np.sqrt
     for q in (0, 1):
         a, b = 2 * i + q, 2 * j + q
         s[a, a] = c
@@ -193,12 +202,13 @@ def _beam_splitter_matrix(n: int, i: int, j: int, t: float) -> np.ndarray:
 
 
 def _bs_cov(cov: np.ndarray, i: int, j: int, t: float) -> np.ndarray:
-    """Covariance after mixing mode indices ``i`` and ``j`` on transmittance ``t``."""
+    """Covariances ``(..., 2n, 2n)`` after mixing mode indices ``i`` and ``j`` on
+    transmittance ``t``."""
     if i == j:
         raise ValueError("beam splitter needs two distinct modes")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {t}")
-    s = _beam_splitter_matrix(cov.shape[0] // 2, i, j, t)
+    s = _beam_splitter_matrix(cov.shape[-1] // 2, i, j, t)
     return s @ cov @ s.T
 
 
@@ -209,15 +219,16 @@ def beam_splitter(state: GaussianState, i: int | str, j: int | str, t: float) ->
 
 
 def _loss_cov(cov: np.ndarray, i: int, eta: float) -> np.ndarray:
-    """Covariance after a pure-loss channel of efficiency ``eta`` on mode index ``i``."""
+    """Covariances ``(..., 2n, 2n)`` after a pure-loss channel of efficiency ``eta`` on mode
+    index ``i``."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    scale = np.ones(cov.shape[0])
-    scale[2 * i : 2 * i + 2] = np.sqrt(eta)
-    out = cov * np.outer(scale, scale)
-    out[2 * i, 2 * i] += 1.0 - eta
-    out[2 * i + 1, 2 * i + 1] += 1.0 - eta
-    return out
+    m = cov.shape[-1]
+    scale = np.ones(m)
+    scale[2 * i : 2 * i + 2] = math.sqrt(eta)
+    out = (cov * (scale[:, None] * scale)).reshape(*cov.shape[:-2], m * m)
+    out[..., 2 * i * (m + 1) : (2 * i + 2) * (m + 1) : m + 1] += 1.0 - eta  # the mode's variances
+    return out.reshape(cov.shape)
 
 
 def loss_channel(state: GaussianState, i: int | str, eta: float) -> GaussianState:
@@ -255,14 +266,19 @@ class NoisePattern:
         return len(self.x_coeffs)
 
 
-def _noise_cov(cov: np.ndarray, x_coeffs: Sequence[float], p_coeffs: Sequence[float],
+def _noise_cov(cov: np.ndarray, x_coeffs: Sequence, p_coeffs: Sequence,
                v_dis: float) -> np.ndarray:
-    """Covariance plus the rank-two noise term of ``add_correlated_noise``."""
-    u = np.zeros(cov.shape[0])
-    w = np.zeros(cov.shape[0])
-    u[0::2] = x_coeffs
-    w[1::2] = p_coeffs
-    return cov + v_dis * (np.outer(u, u) + np.outer(w, w))
+    """Covariance plus the rank-two noise term of ``add_correlated_noise``.
+
+    A weight may be an array: the weights broadcast to a stack shape ``S`` and the result
+    is ``S + (2n, 2n)``, one covariance per weight vector."""
+    arrays = [c for c in (*x_coeffs, *p_coeffs) if isinstance(c, np.ndarray)]
+    uw = np.zeros((*np.broadcast(0.0, *arrays).shape, 2, cov.shape[-1]))  # scalars add no axis
+    for k, (x, p) in enumerate(zip(x_coeffs, p_coeffs)):
+        uw[..., 0, 2 * k] = x
+        uw[..., 1, 2 * k + 1] = p
+    # u u^T + w w^T; u and w have disjoint supports, so each entry is one exact product
+    return cov + v_dis * (uw.swapaxes(-2, -1) @ uw)
 
 
 def add_correlated_noise(state: GaussianState, pattern: NoisePattern) -> GaussianState:
@@ -299,25 +315,25 @@ class _NotPositiveDefinite(ArithmeticError):
 
 
 def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Positive symplectic spectrum of a symmetric positive-definite matrix, ascending.
+    """Positive symplectic spectra of a stack ``(..., 2n, 2n)`` of symmetric
+    positive-definite matrices, each ascending, as ``(..., n)``.
 
     Williamson route (Serafini, *Quantum Continuous Variables*, ch. 3): with
     ``cov = L L^T``, the matrix ``Omega @ cov`` is similar to the real
     antisymmetric ``L^T Omega L``, so ``1j * L^T Omega L`` is Hermitian with
-    spectrum ``+/- nu``.  The ``+/-`` pairing is asserted to ``1e-9``
-    (scaled by the largest eigenvalue) and the ``n`` positive values are
-    returned.  Raises ``ArithmeticError`` when ``cov`` is not positive
+    spectrum ``+/- nu``.  The ``+/-`` pairing is asserted per matrix to ``1e-9``
+    (scaled by its largest eigenvalue) and the ``n`` positive values are
+    returned.  Raises ``ArithmeticError`` when some matrix is not positive
     definite (the Cholesky factorization fails).
     """
-    n = cov.shape[0] // 2
+    n = cov.shape[-1] // 2
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise _NotPositiveDefinite("matrix is not positive definite") from None
-    ev = np.linalg.eigvalsh(1j * (chol.T @ _omega(n) @ chol))
-    hi, lo = ev[n:], -ev[n - 1 :: -1]
-    scale = max(1.0, float(hi[-1]))
-    if np.abs(hi - lo).max() > 1e-9 * scale:
+    ev = np.linalg.eigvalsh(1j * (chol.swapaxes(-2, -1) @ _omega(n) @ chol))
+    hi, lo = ev[..., n:], -ev[..., n - 1 :: -1]
+    if np.count_nonzero(np.abs(hi - lo) > 1e-9 * np.maximum(1.0, hi[..., -1:])):
         raise ArithmeticError("symplectic eigenvalues failed +/- pairing check")
     return (lo + hi) / 2.0
 

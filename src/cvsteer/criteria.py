@@ -11,6 +11,9 @@ Two certificates are provided for an arbitrary bipartition ``N | M``:
   Gaussian measurements on ``N``.
 
 ``core`` validates each ``GaussianState`` once; the certificates take it as given.
+Their kernels ``_ppt_cov`` and ``_steer_cov`` take a stack ``(..., 2n, 2n)`` of
+covariances and certify each matrix alone; ``ppt_min`` and ``steerability`` are
+their batch of one.
 """
 
 from __future__ import annotations
@@ -100,22 +103,29 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     For arrays from outside a ``GaussianState``: ``ValueError`` unless ``cov`` is
     ``2n x 2n``, finite and symmetric to ``1e-8`` relative, and ``ArithmeticError``
     unless it is positive definite, as from ``ppt_min`` and ``steerability``.
-    Computed by ``core``'s Williamson (Cholesky) route.
+    Computed by ``core``'s Williamson (Cholesky) route, which also takes a stack
+    ``(..., 2n, 2n)`` and returns ``(..., n)``.
     """
     return _symplectic_eigenvalues(_checked_cov(cov, 1e-8))
 
 
 def partial_transpose(cov: np.ndarray, party: Sequence[int]) -> np.ndarray:
-    """Flip the sign of every p row/column belonging to ``party`` modes."""
+    """Flip the sign of every p row/column belonging to ``party`` modes (of each matrix
+    of a stack ``(..., 2n, 2n)``)."""
     cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0] // 2
+    n = cov.shape[-1] // 2
     signs = np.ones(2 * n)
     for m in party:
         m = int(m)
         if not 0 <= m < n:
             raise IndexError(f"mode {m} out of range for {n} modes")
         signs[2 * m + 1] = -1.0
-    return cov * np.outer(signs, signs)
+    return cov * (signs[:, None] * signs)
+
+
+def _ppt_cov(cov: np.ndarray, modes: Sequence[int]) -> np.ndarray:
+    """``ppt_min`` of each covariance of a stack ``(..., 2n, 2n)``, as ``(...)``."""
+    return _symplectic_eigenvalues(partial_transpose(cov, modes)).min(axis=-1)
 
 
 def ppt_min(state: GaussianState, party: Sequence[int | str]) -> float:
@@ -129,7 +139,7 @@ def ppt_min(state: GaussianState, party: Sequence[int | str]) -> float:
         raise ValueError("party must be nonempty")
     if len(set(modes)) == state.n_modes:
         raise ValueError("party must be a strict subset of the modes")
-    return float(_symplectic_eigenvalues(partial_transpose(state.cov, modes)).min())
+    return float(_ppt_cov(state.cov, modes))
 
 
 def ppt_two_mode(cov: np.ndarray) -> float:
@@ -154,21 +164,33 @@ def ppt_two_mode(cov: np.ndarray) -> float:
     return float(np.sqrt(2.0 * det / (c + np.sqrt(max(disc, 0.0)))))
 
 
-def _partition_blocks(
-    state: GaussianState, partition: Partition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, M, gamma) blocks of the reduced state over the partition's union."""
-    idx_n = [k for m in partition.steering for k in (2 * m, 2 * m + 1)]
-    idx_m = [k for m in partition.steered for k in (2 * m, 2 * m + 1)]
-    for m in partition.steering + partition.steered:
-        if m >= state.n_modes:
-            raise IndexError(f"mode {m} out of range for {state.n_modes} modes")
-    rows_n, rows_m = state.cov[idx_n], state.cov[idx_m]
-    return rows_n[:, idx_n], rows_m[:, idx_m], rows_n[:, idx_m]
-
-
 class _SingularBlock(ArithmeticError):
     """The steering party's block fails the ``COND_LIMIT`` guard."""
+
+
+def _steer_cov(cov: np.ndarray, partition: Partition) -> np.ndarray:
+    """``steerability`` across ``partition`` of each covariance of a stack
+    ``(..., 2n, 2n)``, as ``(...)``; ``ArithmeticError`` if any matrix fails the guard."""
+    n_modes = cov.shape[-1] // 2
+    for m in partition.steering + partition.steered:
+        if m >= n_modes:
+            raise IndexError(f"mode {m} out of range for {n_modes} modes")
+    idx_n = [k for m in partition.steering for k in (2 * m, 2 * m + 1)]
+    idx_m = [k for m in partition.steered for k in (2 * m, 2 * m + 1)]
+    rows_n, rows_m = cov.take(idx_n, axis=-2), cov.take(idx_m, axis=-2)
+    n_blk, m_blk = rows_n.take(idx_n, axis=-1), rows_m.take(idx_m, axis=-1)
+    gamma = rows_n.take(idx_m, axis=-1)
+    lam, u = np.linalg.eigh(n_blk)
+    mags = np.abs(lam)
+    lo = mags.min(axis=-1)
+    if ((lo == 0.0) | (mags.max(axis=-1) > COND_LIMIT * lo)).any():
+        raise _SingularBlock("steering party block is numerically singular")
+    x = u.swapaxes(-2, -1) @ gamma
+    schur = m_blk - x.swapaxes(-2, -1) @ (x / lam[..., :, None])
+    nus = _symplectic_eigenvalues((schur + schur.swapaxes(-2, -1)) / 2.0)
+    logs = np.log(np.where(nus < 1.0 - STEERING_EDGE, nus, 1.0))
+    # 0.0 - sum, not -sum: a matrix with no contributing eigenvalue reads +0.0, not -0.0
+    return 0.0 - logs.sum(axis=-1)
 
 
 def steerability(state: GaussianState, partition: Partition) -> float:
@@ -185,19 +207,7 @@ def steerability(state: GaussianState, partition: Partition) -> float:
     ``ArithmeticError``) and the inverse:
     ``gamma^T N^{-1} gamma = x^T diag(1/lam) x`` with ``x = U^T gamma``.
     """
-    n_blk, m_blk, gamma = _partition_blocks(state, partition)
-    lam, u = np.linalg.eigh(n_blk)
-    mags = np.abs(lam)
-    lo = mags.min()
-    if lo == 0.0 or mags.max() > COND_LIMIT * lo:
-        raise _SingularBlock("steering party block is numerically singular")
-    x = u.T @ gamma
-    schur = m_blk - x.T @ (x / lam[:, None])
-    nus = _symplectic_eigenvalues((schur + schur.T) / 2.0)
-    below = nus[nus < 1.0 - STEERING_EDGE]
-    if below.size == 0:
-        return 0.0
-    return float(max(0.0, -np.sum(np.log(below))))
+    return float(_steer_cov(state.cov, partition))
 
 
 def _party_label(state: GaussianState, modes: Sequence[int]) -> str:

@@ -3,7 +3,10 @@
 The analytic formulas give the displacement weights that maximize the
 distributed steerability for each network layout; ``numeric_optimize_coefficient``
 re-derives them by direct golden-section search on the pipeline state under
-the ancilla-separability constraint, serving as an independent check.
+the ancilla-separability constraint, serving as an independent check.  Its
+coarse bracket is evaluated as one stack of states per network stage through
+the batched kernels of ``protocol`` and ``criteria``; the golden-section
+refinement then evaluates one coefficient at a time through the same kernels.
 
 Deployment math: the guaranteed secret-key rate extractable from collective
 steering and the fiber length corresponding to a channel efficiency.
@@ -23,8 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .criteria import SEPARABILITY_TOL, Partition, ppt_min, steerability
-from .protocol import ProtocolParams, build_network_state, qss_params
+from .core import SYMMETRY_TOL, _checked_cov
+from .criteria import SEPARABILITY_TOL, Partition, _ppt_cov, _steer_cov, ppt_min, steerability
+from .protocol import ProtocolParams, _network_cov, build_network_state, qss_params
 
 __all__ = [
     "OptimizationResult",
@@ -57,6 +61,9 @@ _SCAN_STEP = 0.05
 
 #: Relay ancillas with a PPT value below this count as entangled.
 _SEPARABLE = 1.0 - SEPARABILITY_TOL
+
+#: The relay ancilla's mode index at its cut: ``C1`` of ``pre_bob`` and ``C2`` of ``pre_david``.
+_ANCILLA = (2,)
 
 
 def optimal_fb(t2: float, eta_sb: float, eta_ab: float, v_a: float, v_s: float) -> float:
@@ -167,13 +174,21 @@ _OBJECTIVE_STAGE = {
 }
 
 
-def _ancilla_ppt(params: ProtocolParams, stage: str, floor: float = -math.inf) -> float:
-    """Smallest PPT value of the relay ancillas in flight before ``stage`` (``C1``,
-    and ``C2`` for three users); ``C2`` is skipped once ``C1`` is below ``floor``."""
-    value = ppt_min(build_network_state(params, "pre_bob"), ["C1"])
-    if stage == "final_three_user" and value >= floor:
-        value = min(value, ppt_min(build_network_state(params, "pre_david"), ["C2"]))
-    return value
+def _covariances(params: ProtocolParams, stage: str, which: str,
+                 values: np.ndarray) -> np.ndarray:
+    """The validated covariances at ``stage``, one per value of coefficient ``which``."""
+    return _checked_cov(_network_cov(params, stage, **{which: values}), SYMMETRY_TOL)
+
+
+def _ancilla_ppt(params: ProtocolParams, stage: str, which: str, xs: np.ndarray) -> np.ndarray:
+    """Smallest PPT value of the relay ancillas in flight before ``stage`` at each value in
+    ``xs`` of ``which``: ``C1``, and for three users ``C2`` where ``C1`` is separable."""
+    ppt = _ppt_cov(_covariances(params, "pre_bob", which, xs), _ANCILLA)
+    if stage == "final_three_user":
+        ok = ppt >= _SEPARABLE
+        c2 = _ppt_cov(_covariances(params, "pre_david", which, xs[ok]), _ANCILLA)
+        ppt[ok] = np.minimum(ppt[ok], c2)
+    return ppt
 
 
 def numeric_optimize_coefficient(
@@ -201,37 +216,48 @@ def numeric_optimize_coefficient(
     if which not in ("f_b", "f_d"):
         raise ValueError(f"which must be 'f_b' or 'f_d', got {which!r}")
     lo, hi = bounds
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bounds must be finite, got {bounds}")
     if hi <= lo:
         raise ValueError("bounds must satisfy lo < hi")
     stage, partition = _OBJECTIVE_STAGE[objective]
     if stage == "final_three_user" and params.users != "three":
         params = params.replace(users="three")
 
-    def evaluate(x: float) -> float:
-        trial = params.replace(**{which: x})
-        if enforce_separability and _ancilla_ppt(trial, stage, _SEPARABLE) < _SEPARABLE:
-            return -math.inf
-        return steerability(build_network_state(trial, stage), partition)
+    def evaluate(xs) -> np.ndarray:
+        """Objective at each coefficient in ``xs``, ``-inf`` where an ancilla is entangled;
+        each stage is one stack, and no final state is built for an infeasible point."""
+        xs = np.asarray(xs, dtype=float)
+        ok = np.full(xs.shape, True)
+        if enforce_separability:
+            ok = _ancilla_ppt(params, stage, which, xs) >= _SEPARABLE
+        ys = np.full(xs.shape, -math.inf)
+        ys[ok] = _steer_cov(_covariances(params, stage, which, xs[ok]), partition)
+        return ys
 
     n_scan = max(3, int(math.ceil((hi - lo) / _SCAN_STEP)) + 1)
     xs = [lo + (hi - lo) * k / (n_scan - 1) for k in range(n_scan)]
-    ys = [evaluate(x) for x in xs]
-    best = max(range(n_scan), key=lambda k: ys[k])
+    ys = evaluate(xs)
+    best = int(np.argmax(ys))
     if not math.isfinite(ys[best]):
         raise ValueError("no feasible point in bounds: separability violated everywhere")
 
     x_star, g_star = xs[best], ys[best]
     interior = 0 < best < n_scan - 1
     if interior:
-        x, g = golden_section_maximize(evaluate, xs[best - 1], xs[best + 1])
+        x, g = golden_section_maximize(lambda x: float(evaluate([x])[0]),
+                                       xs[best - 1], xs[best + 1])
         if math.isfinite(g):  # otherwise it landed on an infeasible edge point
             x_star, g_star = x, g
 
-    margin = _ancilla_ppt(params.replace(**{which: x_star}), stage) - 1.0
+    active = False
+    if enforce_separability:  # x_star is feasible then, so both relays are checked there
+        margin = _ancilla_ppt(params, stage, which, np.array([x_star]))[0] - 1.0
+        active = margin < 1e-6
     return OptimizationResult(
         f_star=float(x_star),
         g_star=float(g_star),
-        constraint_active=bool(enforce_separability and margin < 1e-6),
+        constraint_active=bool(active),
         method="golden_section",
         at_boundary=not interior,
     )
@@ -313,8 +339,16 @@ def scenario_params(scenario: Scenario, eta: float, overrides: dict[str, float])
     """Grid-point parameters with auto-optimal coefficients unless overridden."""
     fields = {**vars(scenario.base), **dict.fromkeys(scenario.eta_fields, eta), **overrides}
     params = ProtocolParams(**fields)  # validates the overrides before they feed ``auto``
-    auto = {name: globals()[fn](*(eta if a == "eta" else fields[a] for a in args))
-            for name, (fn, *args) in scenario.auto.items() if name not in overrides}
+    auto = {}
+    for name, (fn, *args) in scenario.auto.items():
+        if name in overrides:
+            continue
+        try:
+            auto[name] = globals()[fn](*(eta if a == "eta" else fields[a] for a in args))
+        except ValueError as exc:
+            hint = "start the grid above 0 or " if eta == 0 else ""
+            raise ValueError(f"optimal {name} is undefined at eta = {eta:g}: {exc} "
+                             f"({hint}--set {name})") from None
     return ProtocolParams(**{**fields, **auto}) if auto else params
 
 

@@ -105,17 +105,21 @@ class ProtocolParams:
         return dataclasses.replace(self, **changes)
 
 
-def _server_source(p: ProtocolParams) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _server_source(p: ProtocolParams, **weights) -> tuple[tuple[float, ...], tuple]:
     """Variances and shared-noise weights of the server quadratures, ``(x1, p1, ..., x4, p4)``
-    of ``A0, B0, C0, D0``; x weights multiply ``x_dis`` and p weights ``p_dis``."""
+    of ``A0, B0, C0, D0``; x weights multiply ``x_dis`` and p weights ``p_dis``.  ``weights``
+    replace the ``f_*`` fields of ``p`` and may be arrays."""
+    f_a, f_b = weights.get("f_a", p.f_a), weights.get("f_b", p.f_b)
+    f_c, f_d = weights.get("f_c", p.f_c), weights.get("f_d", p.f_d)
     variances = (p.v_a, p.v_s, 1.0, 1.0, p.v_s, p.v_a, 1.0, 1.0)
-    return variances, (0.0, p.f_a, p.f_b, -p.f_b, p.f_c, 0.0, p.f_d, -p.f_d)
+    return variances, (0.0, f_a, f_b, -f_b, f_c, 0.0, f_d, -f_d)
 
 
-def _server_cov(params: ProtocolParams) -> np.ndarray:
-    """Covariance of ``server_output_state`` (modes ``A0, B0, C0, D0``)."""
-    variances, weights = _server_source(params)
-    return core._noise_cov(np.diag(variances), weights[0::2], weights[1::2], params.v_dis)
+def _server_cov(params: ProtocolParams, **weights) -> np.ndarray:
+    """Covariance of ``server_output_state`` (modes ``A0, B0, C0, D0``); array ``f_*``
+    ``weights`` give one covariance per weight, as a stack ``(..., 8, 8)``."""
+    variances, source = _server_source(params, **weights)
+    return core._noise_cov(np.diag(variances), source[0::2], source[1::2], params.v_dis)
 
 
 def server_output_state(params: ProtocolParams) -> GaussianState:
@@ -164,6 +168,21 @@ def _stage_steps(params: ProtocolParams, stage: str) -> tuple[tuple, Cut]:
     return steps, cut
 
 
+def _network_cov(params: ProtocolParams, stage: str, **weights) -> np.ndarray:
+    """Covariance at the cut of ``stage``, unvalidated; array ``f_*`` ``weights`` give a
+    stack ``(..., 2n, 2n)`` with one covariance per weight (``eta`` and ``t`` stay scalar)."""
+    steps, cut = _stage_steps(params, stage)
+    cov = _server_cov(params, **weights)
+    for step in steps:
+        if isinstance(step, Loss):
+            cov = core._loss_cov(cov, step.slot, getattr(params, step.eta))
+        else:
+            t = getattr(params, step.t)
+            cov = core._bs_cov(cov, step.i, step.j, 1.0 - t if step.complement else t)
+    keep = 2 * len(cut.labels)
+    return cov[..., :keep, :keep]
+
+
 def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
     """Propagate the server outputs through ``NETLIST`` up to the cut of ``stage``.
 
@@ -179,16 +198,8 @@ def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
     kernels that back ``core.loss_channel`` and ``core.beam_splitter``, and
     only the returned state is wrapped (and validated) as a ``GaussianState``.
     """
-    steps, cut = _stage_steps(params, stage)
-    cov = _server_cov(params)
-    for step in steps:
-        if isinstance(step, Loss):
-            cov = core._loss_cov(cov, step.slot, getattr(params, step.eta))
-        else:
-            t = getattr(params, step.t)
-            cov = core._bs_cov(cov, step.i, step.j, 1.0 - t if step.complement else t)
-    keep = 2 * len(cut.labels)
-    return GaussianState(cut.labels, cov[:keep, :keep])
+    cov = _network_cov(params, stage)
+    return GaussianState(_STAGE_STEPS[stage][1].labels, cov)
 
 
 def _require_regime(params: ProtocolParams, *, balanced: Sequence[str], equal_etas: bool) -> None:

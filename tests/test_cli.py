@@ -394,6 +394,13 @@ class TestMainEntry:
         # a source below the uncertainty bound is refused where it enters
         (["scan", "--eta-grid", "0.5:1:2", "--set", "v_s=0.1", "--set", "v_a=2"],
          "uncertainty relation"),
+        # the auto coefficients divide by the grid efficiency: name the coefficient and point
+        (["scan", "--eta-grid", "0:1:3"], "optimal f_b is undefined at eta = 0: t2 and eta_sb "
+         "must be positive (start the grid above 0 or --set f_b)"),
+        *((["scan", "--scenario", scenario, "--eta-grid", "0:1:3"],
+           "optimal f_b is undefined at eta = 0: ") for scenario in ("three_user", "appendix_e")),
+        (["scan", "--eta-grid", "0.5:1:2", "--set", "t2=0"],
+         "optimal f_b is undefined at eta = 0.5: t2 and eta_sb must be positive (--set f_b)"),
     ])
     def test_rejected_run_settings_exit_code(self, capsys, argv, message):
         assert main(argv) == EXIT_USAGE

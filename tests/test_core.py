@@ -16,6 +16,7 @@ from cvsteer import (
     tensor,
     vacuum,
 )
+from cvsteer.core import SYMMETRY_TOL, _checked_cov
 from conftest import THREE_MODE_REFERENCE, THREE_MODE_LABELS, random_physical_cov
 
 
@@ -169,6 +170,14 @@ class TestCorrelatedNoise:
         with pytest.raises(ValueError):
             add_correlated_noise(vacuum(2), NoisePattern((1.0,), (1.0,), 1.0))
 
+    def test_many_modes(self):
+        # more weights than numpy broadcasts in one call: u u^T + w w^T, x and p sectors apart
+        n = 40
+        out = add_correlated_noise(vacuum(n), NoisePattern((0.5,) * n, (0.25,) * n, 2.0))
+        np.testing.assert_array_equal(out.cov[0::2, 0::2], np.eye(n) + 0.5)
+        np.testing.assert_array_equal(out.cov[1::2, 1::2], np.eye(n) + 0.125)
+        np.testing.assert_array_equal(out.cov[0::2, 1::2], 0.0)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             NoisePattern((1.0,), (1.0,), -0.5)
@@ -278,6 +287,16 @@ class TestGaussianStateValidation:
             GaussianState(("a", "b"), bad)
         with pytest.raises(ValueError, match="non-finite"):
             symplectic_eigenvalues(bad)
+
+    def test_stack_checked_per_matrix(self):
+        # each matrix of a stack gets the slack of its own scale, and a stack is not a state
+        big, small = 1e6 * np.eye(2), np.eye(2)
+        big[0, 1] = small[0, 1] = 1e-5
+        _checked_cov(big, SYMMETRY_TOL)
+        with pytest.raises(ValueError, match="asymmetric"):
+            _checked_cov(np.stack([big, small]), SYMMETRY_TOL)
+        with pytest.raises(ValueError, match="square"):
+            GaussianState(("a",), big[None])
 
     def test_duplicate_labels(self):
         with pytest.raises(ValueError):

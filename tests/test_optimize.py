@@ -15,6 +15,7 @@ from cvsteer import (
     optimal_fb_general_loss,
     optimal_fd,
     optimal_fd_general_loss,
+    qss_params,
     steerability,
 )
 from cvsteer.protocol import V_A_DEFAULT, V_S_DEFAULT
@@ -182,11 +183,55 @@ class TestNumericOptimizer:
         assert g_frozen <= constrained.g_star
         assert constrained.g_star - g_frozen < 0.02
 
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (math.nan, 4.0)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="bounds"):
+            numeric_optimize_coefficient("steer_A_to_B", two_user_params(1.0), "f_b", bounds)
+
     def test_unknown_objective(self):
         with pytest.raises(ValueError):
             numeric_optimize_coefficient("steer_Z_to_Q", two_user_params(1.0), "f_b")
         with pytest.raises(ValueError):
             numeric_optimize_coefficient("steer_A_to_B", two_user_params(1.0), "f_q")
+
+
+#: (objective, parameters, eta, coefficient, enforce_separability, f_star, g_star,
+#: constraint_active, at_boundary), as computed by the point-by-point optimizer this
+#: batched one replaced; the batched coarse bracket must reproduce them bit for bit.
+PINNED_OPTIMA = [
+    ("steer_A_to_B", two_user_params, 1.0, "f_b", True,
+     1.239175640332382, 0.06277479913993837, False, False),
+    ("steer_A_to_B", two_user_params, 0.7, "f_b", True,
+     1.239175640332382, 0.04352516159409473, False, False),
+    ("steer_A_to_B", two_user_params, 0.4, "f_b", True,
+     1.239175640332382, 0.024639085187924688, False, False),
+    ("steer_A_to_BD", three_user_params, 1.0, "f_d", True,
+     1.7524584216290418, 0.0957045927508973, False, False),
+    ("steer_A_to_BD", three_user_params, 0.7, "f_d", True,
+     1.4662118414912877, 0.05921784643313091, False, False),
+    ("steer_A_to_BD", three_user_params, 0.4, "f_d", True,
+     1.1083521205602072, 0.02964059910865017, False, False),
+    ("steer_A_to_BD", three_user_params, 0.7, "f_b", True,
+     1.239175640332382, 0.05921784643312902, False, False),
+    ("steer_BD_to_A", qss_params, 1.0, "f_d", True,
+     1.718947403239698, 0.4384660002040186, True, False),
+    ("steer_BD_to_A", qss_params, 0.9, "f_d", True,
+     1.863109711024948, 0.28793436943211254, True, False),
+    ("steer_BD_to_A", qss_params, 0.8, "f_d", True,
+     2.028959069433207, 0.0944990126056686, True, False),
+    ("steer_BD_to_A", qss_params, 1.0, "f_d", False,
+     2.4535511486852237, 0.6827725794043428, False, False),
+]
+
+
+@pytest.mark.parametrize("objective,make,eta,which,enforce,f_star,g_star,active,boundary",
+                         PINNED_OPTIMA)
+def test_optimizer_pinned(objective, make, eta, which, enforce, f_star, g_star, active,
+                          boundary):
+    result = numeric_optimize_coefficient(objective, make(eta), which,
+                                          enforce_separability=enforce)
+    assert (result.f_star, result.g_star) == (f_star, g_star)
+    assert (result.constraint_active, result.at_boundary) == (active, boundary)
 
 
 class TestKeyRate:

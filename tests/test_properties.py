@@ -3,7 +3,7 @@ straightforward references, and the physical invariants of the certificates,
 on random physical states and parameters."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cvsteer import (
@@ -19,6 +19,8 @@ from cvsteer import (
     ppt_min,
     relabel,
     select_modes,
+    separable_boundary_vsep,
+    server_output_state,
     squeezed_mode,
     steerability,
     symplectic_eigenvalues,
@@ -26,7 +28,9 @@ from cvsteer import (
     tensor,
     vacuum,
 )
-from cvsteer.protocol import STAGES
+from cvsteer.core import SYMMETRY_TOL, _checked_cov, _symplectic_eigenvalues
+from cvsteer.criteria import SEPARABILITY_TOL, _ppt_cov, _steer_cov
+from cvsteer.protocol import STAGES, _network_cov
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -43,10 +47,10 @@ def _passive(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 @st.composite
-def physical_states(draw, min_modes=1):
+def physical_states(draw, min_modes=1, max_modes=4):
     """(cov, nus): a Williamson decomposition ``O1 Z O2 diag(nus) O2^T Z O1^T``
     with thermal factors in [1, 3] and up to 15 dB of squeezing per mode."""
-    n = draw(st.integers(min_modes, 4))
+    n = draw(st.integers(min_modes, max_modes))
     nus = draw(st.lists(st.floats(1.0, 3.0), min_size=n, max_size=n))
     dbs = draw(st.lists(st.floats(0.0, 15.0), min_size=n, max_size=n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -108,6 +112,28 @@ def test_steerability_matches_solve_reference(state, data):
     part = _random_partition(data, n)
     got = steerability(GaussianState(tuple(f"m{i}" for i in range(n)), cov), part)
     assert abs(got - reference_steerability(cov, part.steering, part.steered)) <= 1e-10
+
+
+#: Lists of one to four physical states with a common mode count.
+state_stacks = st.integers(2, 4).flatmap(
+    lambda n: st.lists(physical_states(n, n), min_size=1, max_size=4))
+
+
+@SETTINGS
+@given(state_stacks, st.data())
+def test_stacked_kernels_equal_the_batch_of_one(states, data):
+    # each matrix of a stack is certified alone: bit for bit what the public calls return
+    covs = np.stack([cov for cov, _ in states])
+    n = covs.shape[-1] // 2
+    part = _random_partition(data, n)
+    spectra, ppt, steer = (_symplectic_eigenvalues(covs), _ppt_cov(covs, part.steering),
+                           _steer_cov(covs, part))
+    assert not np.signbit(steer).any()  # no steering reads +0.0, never -0.0
+    for k, cov in enumerate(covs):
+        state = GaussianState(tuple(f"m{i}" for i in range(n)), cov)
+        assert spectra[k].tobytes() == _symplectic_eigenvalues(cov).tobytes()
+        assert ppt[k].tobytes() == np.float64(ppt_min(state, part.steering)).tobytes()
+        assert steer[k].tobytes() == np.float64(steerability(state, part)).tobytes()
 
 
 @SETTINGS
@@ -221,3 +247,44 @@ def test_pipeline_matches_composed_core_ops(params, stage):
     want = composed_network_state(params, stage)
     assert got.labels == want.labels
     np.testing.assert_allclose(got.cov, want.cov, rtol=1e-13, atol=1e-13)
+
+
+@SETTINGS
+@given(protocol_params, st.sampled_from(STAGES), st.sampled_from(("f_a", "f_b", "f_c", "f_d")),
+       st.lists(coeff, min_size=1, max_size=4))
+def test_network_stack_equals_each_build(params, stage, which, values):
+    # one stack over a displacement weight is the per-point builds, bit for bit
+    stack = _checked_cov(_network_cov(params, stage, **{which: np.array(values)}), SYMMETRY_TOL)
+    for cov, value in zip(stack, values):
+        state = build_network_state(params.replace(**{which: value}), stage)
+        assert cov.tobytes() == state.cov.tobytes()
+
+
+@st.composite
+def _boundary_params(draw):
+    """Physical sources with Alice's lossless balanced splitter (the defaults), where the
+    closed-form boundary holds.  The relay must carry light (``eta_ab > 0``): without it
+    ``C1`` is vacuum, separable at any ``v_dis``."""
+    v_s = draw(st.floats(1.0 / 32.0, 1.0))
+    return ProtocolParams(v_s=v_s, v_a=draw(st.floats(1.0 / v_s, 32.0)),
+                          f_b=draw(coeff), eta_sb=draw(unit),
+                          eta_ab=draw(st.floats(0.01, 1.0)), v_dis=draw(st.floats(0.0, 5.0)))
+
+
+@SETTINGS
+@given(_boundary_params())
+def test_ancilla_separable_exactly_above_the_boundary(params):
+    vsep = separable_boundary_vsep(params)
+    assume(abs(params.v_dis - vsep) > 1e-6 * max(1.0, vsep))  # float-undecidable at the edge
+    value = ppt_min(build_network_state(params, "pre_bob"), ["C1"])
+    # a pure source leaves C1 at PPT 1 above the boundary, so the verdict takes the slack
+    assert (value >= 1.0 - SEPARABILITY_TOL) == (params.v_dis >= vsep)
+
+
+@SETTINGS
+@given(protocol_params)
+def test_server_output_is_separable_on_every_split(params):
+    # only separable states leave the server (Simon, PRL 84, 2726, 2000, for 1-vs-1)
+    state = server_output_state(params)
+    for party in ([0], [1], [2], [3], [0, 1], [0, 2], [0, 3]):
+        assert ppt_min(state, party) >= 1.0 - 1e-9
