@@ -18,12 +18,14 @@ codes: 0 success, 2 usage or configuration error, 3 input-data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -347,14 +349,21 @@ def cmd_table_a1() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _dumped(blocks: Iterator[np.ndarray], path: str,
+def _open_out(path: str) -> TextIO:
+    """``path`` opened for writing; ``UsageError`` if it cannot be."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _dumped(blocks: Iterator[np.ndarray], fh: TextIO,
             labels: Sequence[str]) -> Iterator[np.ndarray]:
-    """Pass ``blocks`` through, writing each to the CSV at ``path`` as it arrives."""
-    with open(path, "w") as fh:
-        fh.write(",".join(f"{q}_{l}" for l in labels for q in ("x", "p")) + "\n")
-        for block in blocks:
-            np.savetxt(fh, block, delimiter=",", fmt="%.6g")
-            yield block
+    """Pass ``blocks`` through, writing each to the CSV file ``fh`` as it arrives."""
+    fh.write(",".join(f"{q}_{l}" for l in labels for q in ("x", "p")) + "\n")
+    for block in blocks:
+        np.savetxt(fh, block, delimiter=",", fmt="%.6g")
+        yield block
 
 
 def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
@@ -369,10 +378,12 @@ def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
     analytic = build_network_state(params, stage)
     if config.shots <= 2 * analytic.n_modes:  # fewer leave the sample covariance singular
         raise UsageError(f"--shots must be at least {2 * analytic.n_modes + 1} for {stage}")
-    labels, blocks = sampler.shot_blocks(params, stage, config.shots, config.seed)
-    if dump_shots:
-        blocks = _dumped(blocks, dump_shots, labels)
-    estimated = sampler.estimate_covariance(blocks)
+    # the dump file opens before the first block is drawn
+    with _open_out(dump_shots) if dump_shots else contextlib.nullcontext() as fh:
+        labels, blocks = sampler.shot_blocks(params, stage, config.shots, config.seed)
+        if fh is not None:
+            blocks = _dumped(blocks, fh, labels)
+        estimated = sampler.estimate_covariance(blocks)
     comparison = sampler.compare_covariance(estimated, analytic.cov, config.shots)
 
     lines = [
@@ -451,16 +462,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and kept for the process: it reads no input."""
+    return build_parser()
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        with _open_out(out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "scan":
             config = build_run_config(args)

@@ -306,8 +306,12 @@ def separable_boundary_vsep(params: ProtocolParams) -> float:
 
     Below the returned value the ``C1 | A,B0`` split is entangled; above it
     the ancilla is certified separable.  For strong displacement weights the
-    boundary becomes unattainable and ``inf`` is returned.
+    boundary becomes unattainable and ``inf`` is returned.  The closed form holds
+    for ``eta_ab > 0``: with no relay ``C1`` is vacuum, separable at any variance,
+    and the boundary is 0.
     """
+    if params.eta_ab == 0.0:
+        return 0.0
     denom = 2.0 - params.eta_sb * params.f_b**2 * (1.0 - params.v_s)
     if denom <= 0.0:
         return math.inf

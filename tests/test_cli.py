@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvsteer import build_network_state, cli, qss_scenario
+from cvsteer import build_network_state, cli, qss_scenario, sampler
 from cvsteer.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
@@ -289,6 +289,18 @@ class TestCertify:
         with pytest.raises(NumericalError):
             cmd_certify(str(path))
 
+    @pytest.mark.parametrize("golden, fixture, splits", [
+        ("certify_three_mode.json", "three_mode_file", []),
+        ("certify_four_mode.json", "four_mode_file", []),
+        # a partial union, a full one and a repeated steered party, in the order given
+        ("certify_three_mode_splits.json", "three_mode_file", ["B0|A", "A,B0|C1", "C1|A"]),
+    ])
+    def test_certify_golden_files(self, request, tmp_path, golden, fixture, splits):
+        out = tmp_path / golden
+        argv = ["certify", request.getfixturevalue(fixture), "--out", str(out)]
+        assert main(argv + [a for s in splits for a in ("--split", s)]) == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
     def test_roundtrip_matches_in_memory(self, tmp_path):
         from cvsteer import Partition, ppt_min, steerability
 
@@ -354,6 +366,15 @@ class TestMonteCarloCommand:
         cmd_montecarlo(config, dump_shots=str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "c1c9d3f5cc4591d64edaa78600b436ffc4b13ada801585706b44d4f20747a071")
+
+    def test_unwritable_dump_fails_before_sampling(self, tmp_path, monkeypatch, capsys):
+        def drawn(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(sampler, "_propagate_block", drawn)
+        path = tmp_path / "missing" / "d.csv"
+        assert main(["montecarlo", "--shots", "100", "--dump-shots", str(path)]) == EXIT_USAGE
+        assert f"cannot write {path}: No such file or directory" in capsys.readouterr().err
 
     def test_peak_memory_does_not_grow_with_shots(self):
         # one block is held at a time, so four times the shots is not four times the memory
@@ -469,6 +490,36 @@ class TestMainEntry:
             main(["scan", "--eta-grid", "0.5:1:2", *flag])
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["scan", "--eta-grid", "1:1:1"], ["table-a1"],
+                                         ["montecarlo", "--shots", "100"]])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, command):
+        path = tmp_path / "missing" / "x.out"
+        assert main([*command, "--out", str(path)]) == EXIT_USAGE
+        assert f"error: cannot write {path}: No such file or directory" in capsys.readouterr().err
+
+    def test_unwritable_certify_out_exit_code(self, three_mode_file, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["certify", three_mode_file, "--out", str(path)]) == EXIT_USAGE
+        assert f"error: cannot write {path}: No such file or directory" in capsys.readouterr().err
+
+    def test_calls_share_no_state(self, three_mode_file, tmp_path, capsys):
+        # main reuses one parser: no call's flags or errors may reach the next call
+        first, second, scan = tmp_path / "first.json", tmp_path / "second.json", tmp_path / "s.csv"
+        assert main(["certify", three_mode_file, "--split", "A|B0", "--out", str(first)]) == 0
+        assert main(["certify", three_mode_file, "--split", "C1|A,B0",
+                     "--out", str(second)]) == 0
+        assert list(json.loads(first.read_text())["ppt"]) == ["A|B0"]
+        assert list(json.loads(second.read_text())["ppt"]) == ["C1|A,B0"]
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", three_mode_file, "--bogus"])
+        assert exc.value.code == EXIT_USAGE
+        assert main(["certify", three_mode_file]) == 0
+        assert list(json.loads(capsys.readouterr().out)["ppt"]) == [
+            "A|B0,C1", "B0|A,C1", "C1|A,B0"]
+        assert main(["scan", "--eta-grid", "0.2:1.0:5", "--out", str(scan)]) == 0
+        assert scan.read_bytes() == (GOLDEN / "scan_two_user.csv").read_bytes()
+        assert cli.build_parser() is not cli.build_parser()
 
     def test_table_a1_stdout(self, capsys):
         assert main(["table-a1"]) == 0

@@ -277,3 +277,29 @@ class TestFullReport:
         report = full_report(state, [Partition((0,), (1,))])
         assert set(report.ppt_by_split) == {"A|B"}
         assert set(report.steer_by_direction) == {"A->B", "B->A"}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_vs_rest_report_is_one_stack(self, monkeypatch, rng, n):
+        # every one-vs-rest split has party sizes (1, n - 1): one stack, three kernel calls
+        from cvsteer import criteria
+
+        spectra, steer = [], []
+        spectrum, steer_cov = criteria._symplectic_eigenvalues, criteria._steer_cov
+
+        def count_spectrum(cov):
+            spectra.append(cov.shape)
+            return spectrum(cov)
+
+        def count_steer(cov, partition):
+            steer.append((cov.shape, partition))
+            return steer_cov(cov, partition)
+
+        monkeypatch.setattr(criteria, "_symplectic_eigenvalues", count_spectrum)
+        monkeypatch.setattr(criteria, "_steer_cov", count_steer)
+        state = GaussianState(tuple(f"m{i}" for i in range(n)), random_physical_cov(rng, n))
+        full_report(state, [Partition((i,), tuple(m for m in range(n) if m != i))
+                            for i in range(n)])
+        local = Partition((0,), tuple(range(1, n)))
+        assert steer == [((n, 2 * n, 2 * n), local), ((n, 2 * n, 2 * n), local.swapped())]
+        # the PPT stack, then the conditional state of each _steer_cov call
+        assert spectra == [(n, 2 * n, 2 * n), (n, 2 * n - 2, 2 * n - 2), (n, 2, 2)]

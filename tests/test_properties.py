@@ -14,6 +14,7 @@ from cvsteer import (
     add_correlated_noise,
     beam_splitter,
     build_network_state,
+    full_report,
     is_physical,
     loss_channel,
     ppt_min,
@@ -134,6 +135,38 @@ def test_stacked_kernels_equal_the_batch_of_one(states, data):
         assert spectra[k].tobytes() == _symplectic_eigenvalues(cov).tobytes()
         assert ppt[k].tobytes() == np.float64(ppt_min(state, part.steering)).tobytes()
         assert steer[k].tobytes() == np.float64(steerability(state, part)).tobytes()
+
+
+@SETTINGS
+@given(physical_states(min_modes=2, max_modes=5), st.data())
+def test_full_report_equals_each_split(state, data):
+    # mixed party sizes, partial unions, repeats and swaps: every value is the scalar
+    # certificate of its split, bit for bit, under the keys and in the order of the splits
+    cov, _ = state
+    n = cov.shape[0] // 2
+    state = GaussianState(tuple(f"m{i}" for i in range(n)), cov)
+    splits = [_random_partition(data, n) for _ in range(data.draw(st.integers(1, 5)))]
+    splits += data.draw(st.lists(st.sampled_from(splits), max_size=2))
+    splits += [p.swapped() for p in data.draw(st.lists(st.sampled_from(splits), max_size=2))]
+    splits = data.draw(st.permutations(splits))
+    report = full_report(state, splits)
+    ppt, steer, verdicts = {}, {}, {}
+    for part in splits:
+        n_key = ",".join(state.labels[m] for m in part.steering)
+        m_key = ",".join(state.labels[m] for m in part.steered)
+        union = part.steering + part.steered
+        if len(union) == n:
+            value = ppt_min(state, part.steering)
+        else:
+            value = ppt_min(select_modes(state, union), range(len(part.steering)))
+        ppt[f"{n_key}|{m_key}"] = value.hex()
+        verdicts[f"{n_key}|{m_key}"] = ("separable" if value >= 1.0 - SEPARABILITY_TOL
+                                        else "inseparable")
+        steer[f"{n_key}->{m_key}"] = steerability(state, part).hex()
+        steer[f"{m_key}->{n_key}"] = steerability(state, part.swapped()).hex()
+    assert [(k, v.hex()) for k, v in report.ppt_by_split.items()] == list(ppt.items())
+    assert [(k, v.hex()) for k, v in report.steer_by_direction.items()] == list(steer.items())
+    assert list(report.verdicts.items()) == list(verdicts.items())
 
 
 @SETTINGS
@@ -263,12 +296,13 @@ def test_network_stack_equals_each_build(params, stage, which, values):
 @st.composite
 def _boundary_params(draw):
     """Physical sources with Alice's lossless balanced splitter (the defaults), where the
-    closed-form boundary holds.  The relay must carry light (``eta_ab > 0``): without it
-    ``C1`` is vacuum, separable at any ``v_dis``."""
+    closed-form boundary holds.  No relay (``eta_ab = 0``) is drawn too: ``C1`` is then
+    vacuum, separable at any ``v_dis``, and the boundary is 0."""
     v_s = draw(st.floats(1.0 / 32.0, 1.0))
     return ProtocolParams(v_s=v_s, v_a=draw(st.floats(1.0 / v_s, 32.0)),
                           f_b=draw(coeff), eta_sb=draw(unit),
-                          eta_ab=draw(st.floats(0.01, 1.0)), v_dis=draw(st.floats(0.0, 5.0)))
+                          eta_ab=draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0))),
+                          v_dis=draw(st.floats(0.0, 5.0)))
 
 
 @SETTINGS

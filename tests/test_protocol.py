@@ -243,6 +243,12 @@ class TestSeparableBoundary:
             values.append(separable_boundary_vsep(p))
         assert all(np.diff(values) < 0)
 
+    def test_no_relay_no_boundary(self):
+        # with no relay C1 is vacuum: separable at any displacement variance
+        p = ProtocolParams(v_s=0.5, v_a=2.0, v_dis=0.0, eta_ab=0.0)
+        assert separable_boundary_vsep(p) == 0.0
+        assert ppt_min(build_network_state(p, "pre_bob"), ["C1"]) == pytest.approx(1.0, abs=1e-12)
+
     def test_unattainable_boundary(self):
         p = ProtocolParams(users="two", f_b=3.0, v_s=0.5)
         assert separable_boundary_vsep(p) == math.inf
