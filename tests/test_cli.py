@@ -491,16 +491,12 @@ class TestMainEntry:
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["scan", "--eta-grid", "1:1:1"], ["table-a1"],
-                                         ["montecarlo", "--shots", "100"]])
-    def test_unwritable_out_exit_code(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", [["scan", "--eta-grid", "1:1:1"], ["certify", "{file}"],
+                                         ["table-a1"], ["montecarlo", "--shots", "100"]])
+    def test_unwritable_out_exit_code(self, three_mode_file, tmp_path, capsys, command):
         path = tmp_path / "missing" / "x.out"
-        assert main([*command, "--out", str(path)]) == EXIT_USAGE
-        assert f"error: cannot write {path}: No such file or directory" in capsys.readouterr().err
-
-    def test_unwritable_certify_out_exit_code(self, three_mode_file, tmp_path, capsys):
-        path = tmp_path / "missing" / "x.json"
-        assert main(["certify", three_mode_file, "--out", str(path)]) == EXIT_USAGE
+        argv = [a.format(file=three_mode_file) for a in command]
+        assert main([*argv, "--out", str(path)]) == EXIT_USAGE
         assert f"error: cannot write {path}: No such file or directory" in capsys.readouterr().err
 
     def test_calls_share_no_state(self, three_mode_file, tmp_path, capsys):
