@@ -10,7 +10,9 @@ Subcommands
 ``table-a1``    optimal displacement coefficients versus channel efficiency
 ``montecarlo``  shot-level validation of the analytic covariances
 
-All output is deterministic given the inputs (including RNG seeds).  Exit
+All output is deterministic given the inputs (including RNG seeds).  The output
+path (``--out`` or a config file's ``out``) is opened before the command runs, so an
+unwritable one fails before any work.  Exit
 codes: 0 success, 2 usage or configuration error, 3 input-data error,
 4 numerical failure (e.g. a covariance that is not positive definite).
 """
@@ -31,8 +33,7 @@ import numpy as np
 
 from . import optimize, sampler
 from .core import GaussianState
-from .criteria import (Partition, SteeringReport, full_report, ppt_min, steerability,
-                       symplectic_eigenvalues)
+from .criteria import Partition, SteeringReport, full_report, symplectic_eigenvalues
 from .optimize import SCENARIOS, ScanResult
 from .protocol import STAGES, ProtocolParams, build_network_state
 
@@ -308,11 +309,8 @@ def cmd_certify(path: str, splits: Sequence[str] | None = None) -> SteeringRepor
     if len(labels) < 2:
         raise InputDataError(f"{path}: one mode; need at least two modes to certify")
     state = GaussianState(labels, cov)
-    if splits:
-        parsed = [parse_split_spec(s, labels) for s in splits]
-    else:
-        parsed = [((l,), tuple(m for m in labels if m != l)) for l in labels]
-    partitions = [Partition.from_labels(state, n, m) for n, m in parsed]
+    partitions = [Partition.from_labels(state, *parse_split_spec(s, labels))
+                  for s in splits] if splits else None
     try:
         nu_min = symplectic_eigenvalues(cov)[0]
         if nu_min < MIN_SYMPLECTIC_EIGENVALUE:
@@ -399,19 +397,15 @@ def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
     pairs = " ".join(f"({i},{j})" for i, j in comparison.flagged) or "none"
     lines.append(f"flagged elements (> {comparison.z_threshold:g} SE): {pairs}")
 
-    est_state = GaussianState(labels, estimated)
+    # default (one-mode-versus-rest) reports: every split's PPT value, then the first two
+    # steering directions, which are those of the first mode's split; zip stops there
+    est, ana = full_report(GaussianState(labels, estimated)), full_report(analytic)
+    names = [f"PPT {label}|rest" for label in labels] + ["G first->rest", "G rest->first"]
+    values = zip([*est.ppt_by_split.values(), *est.steer_by_direction.values()],
+                 [*ana.ppt_by_split.values(), *ana.steer_by_direction.values()])
     lines.append("certification, estimated vs analytic:")
-    for label in labels:
-        a = ppt_min(analytic, [label])
-        e = ppt_min(est_state, [label])
-        lines.append(f"  PPT {label}|rest: estimated {_fmt(e)} analytic {_fmt(a)} "
-                     f"diff {_fmt(abs(e - a))}")
-    first = Partition((0,), tuple(range(1, len(labels))))
-    for name, part in (("G first->rest", first), ("G rest->first", first.swapped())):
-        a = steerability(analytic, part)
-        e = steerability(est_state, part)
-        lines.append(f"  {name}: estimated {_fmt(e)} analytic {_fmt(a)} "
-                     f"diff {_fmt(abs(e - a))}")
+    for name, (e, a) in zip(names, values):
+        lines.append(f"  {name}: estimated {_fmt(e)} analytic {_fmt(a)} diff {_fmt(abs(e - a))}")
     return "\n".join(lines) + "\n"
 
 
@@ -468,32 +462,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with _open_out(out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "scan":
-            config = build_run_config(args)
-            result = cmd_scan(config)
-            text = format_scan_csv(result) if config.fmt == "csv" else format_scan_json(result)
-            _emit(text, config.out)
-        elif args.command == "certify":
-            report = cmd_certify(args.file, args.split)
-            _emit(format_report_json(report), args.out)
-        elif args.command == "table-a1":
-            _emit(cmd_table_a1(), args.out)
-        elif args.command == "montecarlo":
-            config = build_run_config(args)
-            _emit(cmd_montecarlo(config, dump_shots=args.dump_shots), config.out)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise UsageError(f"unknown command {args.command!r}")
+        config = build_run_config(args) if args.command in ("scan", "montecarlo") else None
+        out = config.out if config else args.out
+        # opened before the run: an unwritable path costs no work, a failed run leaves it empty
+        with _open_out(out) if out else contextlib.nullcontext(sys.stdout) as fh:
+            if args.command == "scan":
+                result = cmd_scan(config)
+                fh.write(format_scan_csv(result) if config.fmt == "csv"
+                         else format_scan_json(result))
+            elif args.command == "certify":
+                fh.write(format_report_json(cmd_certify(args.file, args.split)))
+            elif args.command == "table-a1":
+                fh.write(cmd_table_a1())
+            else:
+                fh.write(cmd_montecarlo(config, dump_shots=args.dump_shots))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -14,7 +14,8 @@ Two certificates are provided for an arbitrary bipartition ``N | M``:
 Their kernels ``_ppt_cov`` and ``_steer_cov`` take a stack ``(..., 2n, 2n)`` of
 covariances and certify each matrix alone; ``ppt_min`` and ``steerability`` are
 their batch of one.  ``full_report`` gathers the splits of one party shape into one
-stack, so a report makes three kernel calls per shape, not per split.
+stack, so a report makes three kernel calls per shape, not per split; without explicit
+splits it certifies every one-mode-versus-rest split, in mode order.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ def _steer_cov(cov: np.ndarray, partition: Partition) -> np.ndarray:
     lam, u = np.linalg.eigh(n_blk)
     mags = np.abs(lam)
     lo = mags.min(axis=-1)
-    if ((lo == 0.0) | (mags.max(axis=-1) > COND_LIMIT * lo)).any():
+    # max / COND_LIMIT, not COND_LIMIT * lo, which overflows for blocks near 1e300
+    if ((lo == 0.0) | (mags.max(axis=-1) / COND_LIMIT > lo)).any():
         raise _SingularBlock("steering party block is numerically singular")
     x = u.swapaxes(-2, -1) @ gamma
     schur = m_blk - x.swapaxes(-2, -1) @ (x / lam[..., :, None])
@@ -215,9 +217,11 @@ def _party_label(state: GaussianState, modes: Sequence[int]) -> str:
     return ",".join(state.labels[m] for m in modes)
 
 
-def full_report(state: GaussianState, splits: Sequence[Partition]) -> SteeringReport:
+def full_report(state: GaussianState,
+                splits: Sequence[Partition] | None = None) -> SteeringReport:
     """PPT value, both-direction steerability and verdict for every split.
 
+    ``splits`` defaults to ``Partition((i,), <the other modes>)`` for each mode ``i`` in order.
     Modes outside a split's union are traced out before the PPT test.  Splits with the
     same party sizes are certified as one stack: each split's modes, steering party
     first, are gathered into one ``(k, 2(a+b), 2(a+b))`` array, so a report costs one
@@ -225,6 +229,9 @@ def full_report(state: GaussianState, splits: Sequence[Partition]) -> SteeringRe
     split.  Each value is bit for bit what ``ppt_min`` (on ``select_modes`` of the
     union when it leaves modes out) and ``steerability`` return for that split.
     """
+    if splits is None:
+        modes = range(state.n_modes)
+        splits = [Partition((i,), tuple(m for m in modes if m != i)) for i in modes]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, part in enumerate(splits):
         groups.setdefault((len(part.steering), len(part.steered)), []).append(i)

@@ -276,16 +276,16 @@ class ScanResult:
         return np.array([row[name] for row in self.rows])
 
 
-#: A scan scenario, as data.  At grid efficiency ``eta`` the parameters are ``base`` with
-#: ``eta`` on each of ``eta_fields``, then the overrides, then every ``auto`` field not
-#: overridden set to ``<fn>(*args)`` of this module, each arg a field name or ``eta``.  A row
+#: A scan scenario, as data.  At grid efficiency ``eta`` the parameters ``p`` are ``base``
+#: with ``eta`` on each of ``eta_fields``, then the overrides, then every ``auto`` field not
+#: overridden set to ``fn(p, eta)``, a callable of the parameters so far.  A row
 #: is ``columns`` (``_scan_row`` specs) on those parameters, then the columns of the
 #: ``reference`` scenario at the same ``eta``, which the overrides never reach, then
 #: ``key_rates`` of the named steering columns.
 Scenario = namedtuple("Scenario", "base eta_fields auto columns reference key_rates",
                       defaults=(None, {}))
 
-_FB = ("optimal_fb", "t2", "eta_sb", "eta_ab", "v_a", "v_s")
+_AUTO_FB = {"f_b": lambda p, eta: optimal_fb(p.t2, p.eta_sb, p.eta_ab, p.v_a, p.v_s)}
 _TWO_USER_COLUMNS = {
     "eta": None, "f_b": None,
     "PPT_A": ("final_two_user", ("A",)),
@@ -307,11 +307,11 @@ _QSS = Scenario(qss_params(), _LINKS, {}, {
 _QSS_LOSSY_ALICE = _QSS._replace(eta_fields=(*_LINKS, "eta_sa"))
 
 SCENARIO_TABLE = {
-    "two_user": Scenario(ProtocolParams(users="two"), ("eta_sb", "eta_ab"), {"f_b": _FB},
+    "two_user": Scenario(ProtocolParams(users="two"), ("eta_sb", "eta_ab"), _AUTO_FB,
                          _TWO_USER_COLUMNS),
     "three_user": Scenario(
         ProtocolParams(users="three"), _LINKS,
-        {"f_b": _FB, "f_d": ("optimal_fd", "eta", "v_a", "v_s")},
+        {**_AUTO_FB, "f_d": lambda p, eta: optimal_fd(eta, p.v_a, p.v_s)},
         {"eta": None, "f_b": None, "f_d": None,
          "PPT_A": ("final_three_user", ("A",)),
          "PPT_B": ("final_three_user", ("B",)),
@@ -325,7 +325,8 @@ SCENARIO_TABLE = {
     # the secret-sharing direction with Alice's link lossy too, for reference
     "appendix_e": Scenario(
         ProtocolParams(users="two"), ("eta_sa", "eta_sb", "eta_ab"),
-        {"f_b": ("optimal_fb_general_loss", "eta_sa", "eta_sb", "eta_ab", "v_a", "v_s")},
+        {"f_b": lambda p, eta: optimal_fb_general_loss(p.eta_sa, p.eta_sb, p.eta_ab, p.v_a,
+                                                       p.v_s)},
         _TWO_USER_COLUMNS,
         reference=_QSS_LOSSY_ALICE._replace(
             columns={"G_BD_to_A_qss": _QSS.columns["G_BD_to_A"]}),
@@ -340,11 +341,11 @@ def scenario_params(scenario: Scenario, eta: float, overrides: dict[str, float])
     fields = {**vars(scenario.base), **dict.fromkeys(scenario.eta_fields, eta), **overrides}
     params = ProtocolParams(**fields)  # validates the overrides before they feed ``auto``
     auto = {}
-    for name, (fn, *args) in scenario.auto.items():
+    for name, fn in scenario.auto.items():
         if name in overrides:
             continue
         try:
-            auto[name] = globals()[fn](*(eta if a == "eta" else fields[a] for a in args))
+            auto[name] = fn(params, eta)
         except ValueError as exc:
             hint = "start the grid above 0 or " if eta == 0 else ""
             raise ValueError(f"optimal {name} is undefined at eta = {eta:g}: {exc} "

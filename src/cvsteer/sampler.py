@@ -94,12 +94,14 @@ def shot_blocks(params: ProtocolParams, stage: str, n_shots: int,
                 seed: int) -> tuple[tuple[str, ...], Iterator[np.ndarray]]:
     """Labels of the ``stage`` modes and an iterator over ``n_shots`` shots in ``_BLOCK`` rows.
 
-    The stage and the shot count are checked on the call; the shots are drawn
-    lazily, one block per ``next``, so a consumer holds one block at a time.
+    The stage, the shot count and the seed (a Philox key) are checked on the call; the
+    shots are drawn lazily, one block per ``next``, so a consumer holds one block at a time.
     """
     steps, cut = protocol._stage_steps(params, stage)
     if n_shots < 2:
         raise ValueError("need at least 2 shots")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
 
     def blocks() -> Iterator[np.ndarray]:
         base = np.random.Philox(key=seed)

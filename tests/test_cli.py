@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvsteer import build_network_state, cli, qss_scenario, sampler
+from cvsteer import build_network_state, cli, optimize, qss_scenario, sampler
 from cvsteer.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
@@ -367,6 +367,13 @@ class TestMonteCarloCommand:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "c1c9d3f5cc4591d64edaa78600b436ffc4b13ada801585706b44d4f20747a071")
 
+    def test_golden_report(self, tmp_path):
+        # the certificate lines come from full_report on the analytic and estimated states
+        out = tmp_path / "mc.txt"
+        assert main(["montecarlo", "--scenario", "three_user", "--eta-grid", "0.8:0.8:1",
+                     "--shots", "20000", "--seed", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "montecarlo_three_user.txt").read_bytes()
+
     def test_unwritable_dump_fails_before_sampling(self, tmp_path, monkeypatch, capsys):
         def drawn(*args):
             raise AssertionError("a block was drawn")
@@ -422,6 +429,9 @@ class TestMainEntry:
            "optimal f_b is undefined at eta = 0: ") for scenario in ("three_user", "appendix_e")),
         (["scan", "--eta-grid", "0.5:1:2", "--set", "t2=0"],
          "optimal f_b is undefined at eta = 0.5: t2 and eta_sb must be positive (--set f_b)"),
+        # a Philox key out of range is named as the seed, not as numpy's key
+        (["montecarlo", "--seed", "-1", "--shots", "100"],
+         "seed must lie in [0, 2**128), got -1"),
     ])
     def test_rejected_run_settings_exit_code(self, capsys, argv, message):
         assert main(argv) == EXIT_USAGE
@@ -493,7 +503,15 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("command", [["scan", "--eta-grid", "1:1:1"], ["certify", "{file}"],
                                          ["table-a1"], ["montecarlo", "--shots", "100"]])
-    def test_unwritable_out_exit_code(self, three_mode_file, tmp_path, capsys, command):
+    def test_unwritable_out_exit_code(self, three_mode_file, tmp_path, monkeypatch, capsys,
+                                      command):
+        # the output opens before the run: no shot is drawn, no row or report computed
+        def worked(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for module, name in ((sampler, "_propagate_block"), (optimize, "_scan_row"),
+                             (cli, "cmd_certify"), (cli, "cmd_table_a1")):
+            monkeypatch.setattr(module, name, worked)
         path = tmp_path / "missing" / "x.out"
         argv = [a.format(file=three_mode_file) for a in command]
         assert main([*argv, "--out", str(path)]) == EXIT_USAGE

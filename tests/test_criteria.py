@@ -213,6 +213,14 @@ class TestSteerability:
         with pytest.raises(ArithmeticError, match="singular"):
             steerability(state, Partition((0,), (1,)))
 
+    def test_huge_steering_block_does_not_overflow_the_guard(self):
+        # COND_LIMIT * 1e300 overflowed to inf with a RuntimeWarning; the blocks are well
+        # conditioned, so both directions certify, and no steering is found
+        state = GaussianState(("A", "B"), np.diag([1e300, 1e300, 1.0, 1.0]))
+        report = full_report(state)
+        assert report.steer_by_direction == {"A->B": 0.0, "B->A": 0.0}
+        assert report.verdicts == {"A|B": "separable", "B|A": "separable"}
+
     def test_local_symplectic_invariance(self, rng):
         state = build_network_state(three_user_params(0.85), "final_three_user")
         part = Partition((0,), (1, 2))
@@ -297,9 +305,12 @@ class TestFullReport:
         monkeypatch.setattr(criteria, "_symplectic_eigenvalues", count_spectrum)
         monkeypatch.setattr(criteria, "_steer_cov", count_steer)
         state = GaussianState(tuple(f"m{i}" for i in range(n)), random_physical_cov(rng, n))
-        full_report(state, [Partition((i,), tuple(m for m in range(n) if m != i))
-                            for i in range(n)])
+        explicit = full_report(state, [Partition((i,), tuple(m for m in range(n) if m != i))
+                                       for i in range(n)])
         local = Partition((0,), tuple(range(1, n)))
         assert steer == [((n, 2 * n, 2 * n), local), ((n, 2 * n, 2 * n), local.swapped())]
         # the PPT stack, then the conditional state of each _steer_cov call
         assert spectra == [(n, 2 * n, 2 * n), (n, 2 * n - 2, 2 * n - 2), (n, 2, 2)]
+        # the default splits are the same one-vs-rest list, in mode order
+        assert full_report(state) == explicit
+        assert list(explicit.ppt_by_split)[0] == "m0|" + ",".join(f"m{i}" for i in range(1, n))

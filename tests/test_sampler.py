@@ -65,6 +65,12 @@ class TestSimulateShots:
         with pytest.raises(ValueError):
             simulate_shots(two_user_params(1.0), "final_two_user", 1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_bad_seed_rejected_on_the_call(self, seed):
+        # the iterator is never advanced: the error comes from the call itself
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*128\), got {seed}"):
+            shot_blocks(two_user_params(1.0), "final_two_user", 100, seed=seed)
+
     @pytest.mark.parametrize("stage, digest", [
         ("pre_bob", "c605c132d1d216df53fcf75023b6c393a8788d2fbbab46bd959ab57dbc3a1f77"),
         ("final_two_user", "0dc426308c688cf3f89a0e7a342167219ea1628ff3d1d2ccbc879081cc8d3f4c"),
