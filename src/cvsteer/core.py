@@ -22,6 +22,7 @@ stack of one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
@@ -118,13 +119,14 @@ class GaussianState:
         return self.cov.shape[0] // 2
 
     def mode_index(self, mode: int | str) -> int:
-        """Resolve a mode given either its index or its label."""
+        """Resolve a mode given either its label or its index (an integer: ``TypeError``
+        for a float)."""
         if isinstance(mode, str):
             try:
                 return self.labels.index(mode)
             except ValueError:
                 raise KeyError(f"unknown mode label {mode!r}; have {self.labels}") from None
-        idx = int(mode)
+        idx = operator.index(mode)
         if not 0 <= idx < self.n_modes:
             raise IndexError(f"mode index {idx} out of range for {self.n_modes} modes")
         return idx

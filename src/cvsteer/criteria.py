@@ -20,6 +20,7 @@ splits it certifies every one-mode-versus-rest split, in mode order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -53,18 +54,20 @@ COND_LIMIT = 1e12
 class Partition:
     """An ordered bipartition: steering party ``N`` and steered party ``M``.
 
-    Parties are mode indices into some host state; their union may be a
-    strict subset of it (remaining modes are traced out).
+    Parties are nonnegative integer mode indices into some host state; their union
+    may be a strict subset of it (remaining modes are traced out).
     """
 
     steering: tuple[int, ...]
     steered: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        steering = tuple(int(m) for m in self.steering)
-        steered = tuple(int(m) for m in self.steered)
+        steering = tuple(map(operator.index, self.steering))
+        steered = tuple(map(operator.index, self.steered))
         if not steering or not steered:
             raise ValueError("both parties must be nonempty")
+        if min(steering + steered) < 0:
+            raise ValueError(f"mode indices must be nonnegative, got {steering}, {steered}")
         if set(steering) & set(steered):
             raise ValueError("parties must be disjoint")
         object.__setattr__(self, "steering", steering)
@@ -117,8 +120,7 @@ def partial_transpose(cov: np.ndarray, party: Sequence[int]) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[-1] // 2
     signs = np.ones(2 * n)
-    for m in party:
-        m = int(m)
+    for m in map(operator.index, party):
         if not 0 <= m < n:
             raise IndexError(f"mode {m} out of range for {n} modes")
         signs[2 * m + 1] = -1.0
@@ -226,8 +228,10 @@ def full_report(state: GaussianState,
     same party sizes are certified as one stack: each split's modes, steering party
     first, are gathered into one ``(k, 2(a+b), 2(a+b))`` array, so a report costs one
     PPT spectrum and two ``_steer_cov`` calls per party shape, not three calls per
-    split.  Each value is bit for bit what ``ppt_min`` (on ``select_modes`` of the
-    union when it leaves modes out) and ``steerability`` return for that split.
+    split.  Each PPT value is bit for bit ``ppt_min`` on ``select_modes`` of the split's
+    modes, steering party first (the PPT spectrum does not depend on mode order, so it
+    equals ``ppt_min(state, steering)`` for a full union up to rounding), and each
+    steering value is bit for bit ``steerability`` for that split.
     """
     if splits is None:
         modes = range(state.n_modes)
@@ -242,14 +246,7 @@ def full_report(state: GaussianState,
                         for p in parts])
         stack = state.cov[idx[:, :, None], idx[:, None, :]]
         local = Partition(tuple(range(a)), tuple(range(a, a + b)))
-        if a + b == state.n_modes:  # transpose the state's own matrix, as ppt_min(state, ...)
-            signs = np.ones((len(parts), 2 * state.n_modes))
-            for row, p in zip(signs, parts):
-                row[[2 * m + 1 for m in p.steering]] = -1.0
-            transposed = state.cov * (signs[:, :, None] * signs[:, None, :])
-        else:  # the steering party leads the gathered union, as select_modes orders it
-            transposed = partial_transpose(stack, local.steering)
-        rows = np.stack([_symplectic_eigenvalues(transposed).min(axis=-1),
+        rows = np.stack([_ppt_cov(stack, local.steering),
                          _steer_cov(stack, local), _steer_cov(stack, local.swapped())], axis=-1)
         values.update(zip(members, rows.tolist()))
     ppt: dict[str, float] = {}

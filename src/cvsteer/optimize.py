@@ -13,8 +13,9 @@ steering and the fiber length corresponding to a channel efficiency.
 
 Scans: ``SCENARIO_TABLE`` holds each scenario of the paper as data (parameters
 at a grid efficiency, with the optimal coefficients above, and the columns it
-reports); ``scan`` runs one over an efficiency grid, and ``qss_scenario`` the
-secret-sharing one.
+reports); ``scan`` runs one over an efficiency grid.  Secret sharing is the ``qss``
+entry, and ``appendix_e``'s ``G_BD_to_A_qss`` column is the same with the dealer's
+link on the grid too.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "optimal_fb_general_loss",
     "optimal_fd",
     "optimal_fd_general_loss",
-    "qss_scenario",
     "scan",
     "scenario_params",
 ]
@@ -112,8 +112,8 @@ def optimal_fd_general_loss(eta: float, v_a: float, v_s: float) -> float:
 
 def key_rate(g_bd_to_a: float) -> float:
     """Guaranteed secret-key rate from collective steering toward the dealer."""
-    if g_bd_to_a < 0:
-        raise ValueError("steerability must be nonnegative")
+    if not g_bd_to_a >= 0:  # NaN too, which max(0.0, NaN) would turn into a zero rate
+        raise ValueError(f"steerability must be nonnegative, got {g_bd_to_a}")
     return max(0.0, g_bd_to_a - KEY_RATE_OFFSET)
 
 
@@ -133,6 +133,8 @@ def golden_section_maximize(
 
     Returns ``(x_star, fn(x_star))`` with ``x_star`` located to within ``tol``.
     """
+    if not all(map(math.isfinite, (lo, hi, tol))):
+        raise ValueError(f"lo, hi and tol must be finite, got {lo}, {hi}, {tol}")
     if hi <= lo:
         raise ValueError("need lo < hi")
     if tol <= 0:
@@ -303,8 +305,6 @@ _QSS = Scenario(qss_params(), _LINKS, {}, {
     "ppt_C1_vs_AB0": ("pre_bob", ("C1",)),
     "ppt_C2_vs_ABD0": ("pre_david", ("C2",)),
 })
-#: The same with Alice's channel at the grid efficiency too.
-_QSS_LOSSY_ALICE = _QSS._replace(eta_fields=(*_LINKS, "eta_sa"))
 
 SCENARIO_TABLE = {
     "two_user": Scenario(ProtocolParams(users="two"), ("eta_sb", "eta_ab"), _AUTO_FB,
@@ -328,8 +328,8 @@ SCENARIO_TABLE = {
         {"f_b": lambda p, eta: optimal_fb_general_loss(p.eta_sa, p.eta_sb, p.eta_ab, p.v_a,
                                                        p.v_s)},
         _TWO_USER_COLUMNS,
-        reference=_QSS_LOSSY_ALICE._replace(
-            columns={"G_BD_to_A_qss": _QSS.columns["G_BD_to_A"]}),
+        reference=_QSS._replace(eta_fields=(*_LINKS, "eta_sa"),
+                                columns={"G_BD_to_A_qss": _QSS.columns["G_BD_to_A"]}),
         key_rates={"key_rate_qss": "G_BD_to_A_qss"}),
 }
 
@@ -390,18 +390,3 @@ def scan(scenario: Scenario, etas: Sequence[float],
                *scenario.key_rates)
     return ScanResult(columns, tuple(rows))
 
-
-def qss_scenario(
-    etas: Sequence[float],
-    eta_sa_follows: bool = False,
-    overrides: dict[str, float] | None = None,
-) -> ScanResult:
-    """Collective-steering scan of the secret-sharing scenario.
-
-    Per grid efficiency: the steerabilities of the (B,D) group and of each
-    user alone toward Alice, plus the PPT values certifying that both relay
-    ancillas stay separable.  ``eta_sa_follows`` also subjects Alice's
-    channel to the grid efficiency; ``overrides`` pins any parameter field
-    across the whole grid.
-    """
-    return scan(_QSS_LOSSY_ALICE if eta_sa_follows else _QSS, etas, overrides)

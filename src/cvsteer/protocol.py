@@ -323,8 +323,10 @@ def closed_form_steering_two_user(params: ProtocolParams) -> float:
 
     Valid when ``f_b`` is set to its optimal value (the formula already has
     the optimum substituted); equals the steering monotone evaluated on the
-    pipeline state in that case.
+    pipeline state in that case.  Requires ``t1 = 1/2``, ``eta_sa = 1`` and
+    ``f_a = f_c = 1`` (``ValueError`` otherwise).
     """
+    _require_regime(params, balanced=("t1",), equal_etas=False)
     v_s, v_a, t2, eta_ab = params.v_s, params.v_a, params.t2, params.eta_ab
     s = v_a + v_s
     denom = (1.0 - eta_ab + eta_ab * t2) * s + 2.0 * eta_ab * (1.0 - t2) * v_s * v_a

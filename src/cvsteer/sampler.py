@@ -20,6 +20,7 @@ that streams the blocks into it holds one block, whatever the shot count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -94,10 +95,12 @@ def shot_blocks(params: ProtocolParams, stage: str, n_shots: int,
                 seed: int) -> tuple[tuple[str, ...], Iterator[np.ndarray]]:
     """Labels of the ``stage`` modes and an iterator over ``n_shots`` shots in ``_BLOCK`` rows.
 
-    The stage, the shot count and the seed (a Philox key) are checked on the call; the
-    shots are drawn lazily, one block per ``next``, so a consumer holds one block at a time.
+    The stage, the shot count and the seed (an integer Philox key) are checked on the call;
+    the shots are drawn lazily, one block per ``next``, so a consumer holds one block at a
+    time.
     """
     steps, cut = protocol._stage_steps(params, stage)
+    n_shots, seed = operator.index(n_shots), operator.index(seed)
     if n_shots < 2:
         raise ValueError("need at least 2 shots")
     if not 0 <= seed < 2**128:

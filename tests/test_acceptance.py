@@ -156,8 +156,8 @@ def test_criterion_5_steering_identities():
 
 
 def test_criterion_6_thresholds_and_fiber_reach():
-    def qss_steering(eta, eta_sa_follows=False):
-        params = qss_params(eta, eta_sa=eta if eta_sa_follows else 1.0)
+    def qss_steering(eta, lossy_dealer=False):
+        params = qss_params(eta, eta_sa=eta if lossy_dealer else 1.0)
         state = build_network_state(params, "final_three_user")
         return steerability(state, Partition((1, 2), (0,)))
 
@@ -177,7 +177,7 @@ def test_criterion_6_thresholds_and_fiber_reach():
     thr_e = _steering_threshold(two_user_general)
     assert abs(thr_e - 0.81) <= 0.01
 
-    thr_qss_e = _steering_threshold(lambda e: qss_steering(e, eta_sa_follows=True))
+    thr_qss_e = _steering_threshold(lambda e: qss_steering(e, lossy_dealer=True))
     assert abs(thr_qss_e - 0.87) <= 0.01
 
     # reach quoted at the published two-decimal threshold efficiencies

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvsteer import build_network_state, cli, optimize, qss_scenario, sampler
+from cvsteer import (Partition, build_network_state, cli, optimize, qss_params, sampler,
+                     steerability)
 from cvsteer.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
@@ -132,10 +133,14 @@ class TestScan:
         assert "G_BD_to_A_qss" in result.columns
         assert result.rows[1]["G_A_to_B"] > result.rows[0]["G_A_to_B"] > 0
 
-    def test_appendix_e_qss_column_matches_qss_scenario(self):
+    def test_appendix_e_qss_column_matches_lossy_dealer_steering(self):
+        # the reference column is collective BD -> A steering with the dealer's link lossy too
         config = RunConfig(scenario="appendix_e", eta_start=0.5, eta_stop=1.0, eta_steps=11)
         result = cmd_scan(config)
-        reference = qss_scenario(config.etas(), eta_sa_follows=True).column("G_BD_to_A")
+        reference = [steerability(build_network_state(qss_params(eta, eta_sa=eta),
+                                                      "final_three_user"),
+                                  Partition((1, 2), (0,)))
+                     for eta in config.etas()]
         np.testing.assert_array_equal(result.column("G_BD_to_A_qss"), reference)
         assert reference[-1] > 0
 

@@ -323,6 +323,9 @@ class TestGaussianStateValidation:
             state.mode_index("C1")
         with pytest.raises(IndexError):
             state.mode_index(7)
+        assert state.mode_index(np.int64(1)) == 1
+        with pytest.raises(TypeError):  # 1.9 used to resolve to mode 1
+            state.mode_index(1.9)
 
 
 def test_symplectic_form_properties():

@@ -97,6 +97,8 @@ class TestPartialTranspose:
     def test_invalid_mode(self):
         with pytest.raises(IndexError):
             partial_transpose(np.eye(4), [3])
+        with pytest.raises(TypeError):
+            partial_transpose(np.eye(4), [0.5])
 
 
 class TestPptMin:
@@ -120,6 +122,12 @@ class TestPptMin:
                 ]),
             )
             assert ppt_min(state, ["a"]) >= 1.0 - 1e-9
+
+    def test_float_party_rejected(self):
+        # 0.5 resolved to mode 0, so the call certified a split nobody named
+        state = GaussianState(THREE_MODE_LABELS, THREE_MODE_REFERENCE)
+        with pytest.raises(TypeError):
+            ppt_min(state, [0.5])
 
     def test_not_positive_definite_raises_arithmetic_error(self):
         state = GaussianState(("a", "b"), np.diag([1.0, -1.0, 1.0, 1.0]))
@@ -206,6 +214,17 @@ class TestSteerability:
             Partition((), (1,))
         with pytest.raises(ValueError):
             Partition((0,), (0,))
+
+    def test_partition_takes_only_nonnegative_integer_indices(self):
+        # a float was truncated, ((0.7,), (1.2, 2.9)) -> ((0,), (1, 2)), and a negative
+        # index certified a mode from the end under the first one's label
+        with pytest.raises(TypeError):
+            Partition((0.7,), (1.2, 2.9))
+        with pytest.raises(ValueError, match="nonnegative"):
+            Partition((-3,), (1, 2))
+        part = Partition((np.int64(0),), np.array([1, 2]))
+        assert part == Partition((0,), (1, 2))
+        assert all(type(m) is int for m in part.steering + part.steered)
 
     def test_singular_steering_block_rejected(self):
         cov = np.diag([1e7, 1e-7, 1.0, 1.0])

@@ -1,4 +1,5 @@
-"""Smoke test: every narrative demo runs to completion against the package in ``src``."""
+"""Every narrative demo runs to completion against the package in ``src`` and prints
+exactly its golden output, ``tests/golden/demo_<stem>.txt``."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -17,5 +19,6 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes()

@@ -108,6 +108,13 @@ class TestGoldenSection:
         with pytest.raises(ValueError):
             golden_section_maximize(lambda f: f, 2.0, 1.0)
 
+    @pytest.mark.parametrize("lo, hi, tol", [
+        (math.nan, 1.0, 1e-6), (0.0, math.nan, 1e-6), (-math.inf, 1.0, 1e-6),
+        (0.0, math.inf, 1e-6), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf)])
+    def test_non_finite_inputs_rejected(self, lo, hi, tol):
+        with pytest.raises(ValueError, match="finite"):
+            golden_section_maximize(lambda f: -(f - 0.5) ** 2, lo, hi, tol)
+
 
 class TestNumericOptimizer:
     def test_two_user_coefficient(self):
@@ -252,6 +259,10 @@ class TestKeyRate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             key_rate(-0.1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            key_rate(math.nan)
 
 
 class TestFiberDistance:

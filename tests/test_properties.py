@@ -141,7 +141,8 @@ def test_stacked_kernels_equal_the_batch_of_one(states, data):
 @given(physical_states(min_modes=2, max_modes=5), st.data())
 def test_full_report_equals_each_split(state, data):
     # mixed party sizes, partial unions, repeats and swaps: every value is the scalar
-    # certificate of its split, bit for bit, under the keys and in the order of the splits
+    # certificate of its gathered split, bit for bit, under the keys and in the order of
+    # the splits; a full union's PPT value also stays tied to the host-order one
     cov, _ = state
     n = cov.shape[0] // 2
     state = GaussianState(tuple(f"m{i}" for i in range(n)), cov)
@@ -155,10 +156,9 @@ def test_full_report_equals_each_split(state, data):
         n_key = ",".join(state.labels[m] for m in part.steering)
         m_key = ",".join(state.labels[m] for m in part.steered)
         union = part.steering + part.steered
+        value = ppt_min(select_modes(state, union), range(len(part.steering)))
         if len(union) == n:
-            value = ppt_min(state, part.steering)
-        else:
-            value = ppt_min(select_modes(state, union), range(len(part.steering)))
+            assert abs(value - ppt_min(state, part.steering)) <= 1e-12 * value
         ppt[f"{n_key}|{m_key}"] = value.hex()
         verdicts[f"{n_key}|{m_key}"] = ("separable" if value >= 1.0 - SEPARABILITY_TOL
                                         else "inseparable")

@@ -5,6 +5,7 @@ import pytest
 
 from cvsteer import (
     Partition,
+    SCENARIO_TABLE,
     ProtocolParams,
     analytic_cov_final_two_user,
     analytic_cov_pre_bob,
@@ -17,7 +18,7 @@ from cvsteer import (
     optimal_fb,
     ppt_min,
     qss_params,
-    qss_scenario,
+    scan,
     separable_boundary_vsep,
     server_output_state,
     steerability,
@@ -297,6 +298,20 @@ class TestClosedFormSteeringTwoUser:
                                   Partition((0,), (1,)))
             assert abs(g_pipe - closed_form_steering_two_user(p)) < 1e-9
 
+    @pytest.mark.parametrize("field, value", [("eta_sa", 0.5), ("t1", 0.3), ("f_a", 0.5)])
+    def test_outside_the_regime_raises(self, field, value):
+        # the formula reads 0.0499 here; the pipeline gives 0.0, 0.0143 and 0.0
+        p = ProtocolParams(users="two", eta_sb=0.8, eta_ab=0.8)
+        p = p.replace(f_b=optimal_fb(p.t2, p.eta_sb, p.eta_ab, p.v_a, p.v_s), **{field: value})
+        with pytest.raises(ValueError, match="closed form requires"):
+            closed_form_steering_two_user(p)
+
+    @pytest.mark.parametrize("eta, value", [
+        (1.0, "0x1.012025d51b4dbp-4"), (0.8, "0x1.98c93171770d5p-5"),
+        (0.5, "0x1.fa2e95fc77542p-6"), (0.1, "0x1.8ff8e11460a59p-8")])
+    def test_in_regime_values_pinned(self, eta, value):
+        assert closed_form_steering_two_user(two_user_params(eta)).hex() == value
+
 
 class TestClosedFormSteeringThreeUser:
     def test_individual_david_value(self):
@@ -344,23 +359,23 @@ class TestQssScenario:
         assert p.v_a == pytest.approx(10 ** 1.1, rel=1e-12)
 
     def test_collective_steering_threshold(self):
-        result = qss_scenario([0.79, 0.81])
+        result = scan(SCENARIO_TABLE["qss"], [0.79, 0.81])
         assert result.rows[0]["G_BD_to_A"] == 0.0
         assert result.rows[1]["G_BD_to_A"] > 0.0
 
     def test_individual_steering_always_zero(self):
-        result = qss_scenario(np.linspace(0.1, 1.0, 10))
+        result = scan(SCENARIO_TABLE["qss"], np.linspace(0.1, 1.0, 10))
         assert np.all(result.column("G_B_to_A") == 0.0)
         assert np.all(result.column("G_D_to_A") == 0.0)
 
     def test_ancilla_ppt_at_unit_efficiency(self):
-        row = qss_scenario([1.0]).rows[0]
+        row = scan(SCENARIO_TABLE["qss"], [1.0]).rows[0]
         assert row["ppt_C1_vs_AB0"] == pytest.approx(1.02, abs=0.02)
         assert row["ppt_C2_vs_ABD0"] == pytest.approx(1.01, abs=0.02)
         assert row["ppt_C1_vs_AB0"] > 1.0 and row["ppt_C2_vs_ABD0"] > 1.0
 
     def test_column_access(self):
-        result = qss_scenario([0.9, 1.0])
+        result = scan(SCENARIO_TABLE["qss"], [0.9, 1.0])
         assert result.column("eta").tolist() == [0.9, 1.0]
         with pytest.raises(KeyError):
             result.column("nope")

@@ -71,6 +71,17 @@ class TestSimulateShots:
         with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*128\), got {seed}"):
             shot_blocks(two_user_params(1.0), "final_two_user", 100, seed=seed)
 
+    def test_seed_and_shot_count_must_be_integers(self):
+        # Philox truncated 1.5 to the key 1 and drew seed 1's stream; a float shot
+        # count passed the call and failed only at the first block
+        with pytest.raises(TypeError):
+            shot_blocks(two_user_params(1.0), "final_two_user", 100, seed=1.5)
+        with pytest.raises(TypeError):
+            shot_blocks(two_user_params(1.0), "final_two_user", 2.5, seed=0)
+        _, blocks = shot_blocks(two_user_params(1.0), "final_two_user", 100, seed=np.uint64(1))
+        _, reference = shot_blocks(two_user_params(1.0), "final_two_user", 100, seed=1)
+        np.testing.assert_array_equal(next(blocks), next(reference))
+
     @pytest.mark.parametrize("stage, digest", [
         ("pre_bob", "c605c132d1d216df53fcf75023b6c393a8788d2fbbab46bd959ab57dbc3a1f77"),
         ("final_two_user", "0dc426308c688cf3f89a0e7a342167219ea1628ff3d1d2ccbc879081cc8d3f4c"),
