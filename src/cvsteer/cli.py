@@ -27,7 +27,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -355,15 +355,6 @@ def _open_out(path: str) -> TextIO:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _dumped(blocks: Iterator[np.ndarray], fh: TextIO,
-            labels: Sequence[str]) -> Iterator[np.ndarray]:
-    """Pass ``blocks`` through, writing each to the CSV file ``fh`` as it arrives."""
-    fh.write(",".join(f"{q}_{l}" for l in labels for q in ("x", "p")) + "\n")
-    for block in blocks:
-        np.savetxt(fh, block, delimiter=",", fmt="%.6g")
-        yield block
-
-
 def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
     """Run the shot sampler at the one-step grid's efficiency and report agreement."""
     if config.eta_steps > 1:
@@ -378,10 +369,8 @@ def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
         raise UsageError(f"--shots must be at least {2 * analytic.n_modes + 1} for {stage}")
     # the dump file opens before the first block is drawn
     with _open_out(dump_shots) if dump_shots else contextlib.nullcontext() as fh:
-        labels, blocks = sampler.shot_blocks(params, stage, config.shots, config.seed)
-        if fh is not None:
-            blocks = _dumped(blocks, fh, labels)
-        estimated = sampler.estimate_covariance(blocks)
+        labels, estimated = sampler._sampled_covariance(params, stage, config.shots,
+                                                        config.seed, fh)
     comparison = sampler.compare_covariance(estimated, analytic.cov, config.shots)
 
     lines = [

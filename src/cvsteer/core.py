@@ -83,6 +83,29 @@ def _checked_cov(cov, tol: float) -> np.ndarray:
     return (cov + cov_t) / 2.0  # absorb float drift; eigensolvers assume symmetry
 
 
+def _require_fractions(**values: float) -> None:
+    """ValueError unless each named efficiency or transmittance lies in [0, 1] (NaN fails)."""
+    for name, value in values.items():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def _require_variances(**values: float) -> None:
+    """ValueError unless each named variance is finite and positive (NaN fails)."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack of covariances, the one positive-definiteness test;
+    ``ArithmeticError`` if some matrix is not positive definite."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise _NotPositiveDefinite("matrix is not positive definite") from None
+
+
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"m{i + 1}" for i in range(n))
 
@@ -329,10 +352,7 @@ def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     definite (the Cholesky factorization fails).
     """
     n = cov.shape[-1] // 2
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise _NotPositiveDefinite("matrix is not positive definite") from None
+    chol = _cholesky(cov)
     ev = np.linalg.eigvalsh(1j * (chol.swapaxes(-2, -1) @ _omega(n) @ chol))
     hi, lo = ev[..., n:], -ev[..., n - 1 :: -1]
     if np.count_nonzero(np.abs(hi - lo) > 1e-9 * np.maximum(1.0, hi[..., -1:])):

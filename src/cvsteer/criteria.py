@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import GaussianState, _checked_cov, _symplectic_eigenvalues
+from .core import GaussianState, _checked_cov, _cholesky, _symplectic_eigenvalues
 
 __all__ = [
     "Partition",
@@ -154,11 +154,14 @@ def ppt_two_mode(cov: np.ndarray) -> float:
     ``sqrt((c - sqrt(c^2 - 4 det cov)) / 2)``, evaluated in the rationalized
     form ``sqrt(2 det cov / (c + sqrt(c^2 - 4 det cov)))`` so that strong
     squeezing (``c^2 >> det cov``) does not cancel it to zero.  Agrees with
-    the general eigensolver route to near machine precision.
+    the general eigensolver route to near machine precision.  The input is checked as by
+    ``symplectic_eigenvalues``: ``ValueError`` unless finite and symmetric,
+    ``ArithmeticError`` unless positive definite.
     """
-    cov = np.asarray(cov, dtype=float)
+    cov = _checked_cov(cov, 1e-8)
     if cov.shape != (4, 4):
         raise ValueError(f"expected a 4 x 4 two-mode covariance, got {cov.shape}")
+    _cholesky(cov)
     n_det = np.linalg.det(cov[:2, :2])
     m_det = np.linalg.det(cov[2:, 2:])
     g_det = np.linalg.det(cov[:2, 2:])
@@ -168,6 +171,13 @@ def ppt_two_mode(cov: np.ndarray) -> float:
     return float(np.sqrt(2.0 * det / (c + np.sqrt(max(disc, 0.0)))))
 
 
+def _check_modes(partition: Partition, n_modes: int) -> None:
+    """IndexError naming the first mode of ``partition`` outside ``n_modes`` modes."""
+    for m in partition.steering + partition.steered:
+        if m >= n_modes:
+            raise IndexError(f"mode {m} out of range for {n_modes} modes")
+
+
 class _SingularBlock(ArithmeticError):
     """The steering party's block fails the ``COND_LIMIT`` guard."""
 
@@ -175,10 +185,7 @@ class _SingularBlock(ArithmeticError):
 def _steer_cov(cov: np.ndarray, partition: Partition) -> np.ndarray:
     """``steerability`` across ``partition`` of each covariance of a stack
     ``(..., 2n, 2n)``, as ``(...)``; ``ArithmeticError`` if any matrix fails the guard."""
-    n_modes = cov.shape[-1] // 2
-    for m in partition.steering + partition.steered:
-        if m >= n_modes:
-            raise IndexError(f"mode {m} out of range for {n_modes} modes")
+    _check_modes(partition, cov.shape[-1] // 2)
     idx_n = [k for m in partition.steering for k in (2 * m, 2 * m + 1)]
     idx_m = [k for m in partition.steered for k in (2 * m, 2 * m + 1)]
     rows_n, rows_m = cov.take(idx_n, axis=-2), cov.take(idx_m, axis=-2)
@@ -238,6 +245,7 @@ def full_report(state: GaussianState,
         splits = [Partition((i,), tuple(m for m in modes if m != i)) for i in modes]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, part in enumerate(splits):
+        _check_modes(part, state.n_modes)
         groups.setdefault((len(part.steering), len(part.steered)), []).append(i)
     values: dict[int, list[float]] = {}  # split index -> [PPT, G(N->M), G(M->N)]
     for (a, b), members in groups.items():

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SYMMETRY_TOL, _checked_cov
+from .core import SYMMETRY_TOL, _checked_cov, _require_fractions, _require_variances
 from .criteria import SEPARABILITY_TOL, Partition, _ppt_cov, _steer_cov, ppt_min, steerability
 from .protocol import ProtocolParams, _network_cov, build_network_state, qss_params
 
@@ -59,6 +59,9 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 #: zero-flat outside a finite coefficient interval.
 _SCAN_STEP = 0.05
 
+#: Coarse points evaluated per stack; the default bounds' 81 points are one chunk.
+_CHUNK = 256
+
 #: Relay ancillas with a PPT value below this count as entangled.
 _SEPARABLE = 1.0 - SEPARABILITY_TOL
 
@@ -68,7 +71,9 @@ _ANCILLA = (2,)
 
 def optimal_fb(t2: float, eta_sb: float, eta_ab: float, v_a: float, v_s: float) -> float:
     """Displacement weight on Bob's mode maximizing the A -> B steerability."""
-    if t2 <= 0 or eta_sb <= 0:
+    _require_fractions(t2=t2, eta_sb=eta_sb, eta_ab=eta_ab)
+    _require_variances(v_a=v_a, v_s=v_s)
+    if t2 == 0 or eta_sb == 0:
         raise ValueError("t2 and eta_sb must be positive")
     return math.sqrt(2.0 * eta_ab * (1.0 - t2)) * v_a / (math.sqrt(eta_sb * t2) * (v_a + v_s))
 
@@ -78,8 +83,8 @@ def optimal_fd(eta: float, v_a: float, v_s: float) -> float:
 
     Balanced beam splitters and one common channel efficiency assumed.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    _require_fractions(eta=eta)
+    _require_variances(v_a=v_a, v_s=v_s)
     return 2.0 * math.sqrt(eta) * v_a / (v_a + v_s)
 
 
@@ -92,7 +97,9 @@ def optimal_fb_general_loss(
     Derived by maximizing the A -> B steering monotone of the two-user
     output state over the coefficient.
     """
-    if eta_sb <= 0:
+    _require_fractions(eta_sa=eta_sa, eta_sb=eta_sb, eta_ab=eta_ab)
+    _require_variances(v_a=v_a, v_s=v_s)
+    if eta_sb == 0:
         raise ValueError("eta_sb must be positive")
     return (
         math.sqrt(2.0 * eta_sa * eta_ab / eta_sb)
@@ -103,8 +110,8 @@ def optimal_fb_general_loss(
 
 def optimal_fd_general_loss(eta: float, v_a: float, v_s: float) -> float:
     """Optimal weight on David's mode with every channel (Alice's too) at ``eta``."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    _require_fractions(eta=eta)
+    _require_variances(v_a=v_a, v_s=v_s)
     if eta == 0.0:
         return 0.0
     return math.sqrt(2.0 * eta) * optimal_fb_general_loss(eta, eta, eta, v_a, v_s)
@@ -238,17 +245,22 @@ def numeric_optimize_coefficient(
         return ys
 
     n_scan = max(3, int(math.ceil((hi - lo) / _SCAN_STEP)) + 1)
-    xs = [lo + (hi - lo) * k / (n_scan - 1) for k in range(n_scan)]
-    ys = evaluate(xs)
+
+    def x_at(k: int) -> float:
+        return lo + (hi - lo) * k / (n_scan - 1)
+
+    # one chunk of stacks at a time, so memory does not grow with the width of the bounds
+    ys = np.concatenate([evaluate([x_at(k) for k in range(start, min(start + _CHUNK, n_scan))])
+                         for start in range(0, n_scan, _CHUNK)])
     best = int(np.argmax(ys))
     if not math.isfinite(ys[best]):
         raise ValueError("no feasible point in bounds: separability violated everywhere")
 
-    x_star, g_star = xs[best], ys[best]
+    x_star, g_star = x_at(best), ys[best]
     interior = 0 < best < n_scan - 1
     if interior:
         x, g = golden_section_maximize(lambda x: float(evaluate([x])[0]),
-                                       xs[best - 1], xs[best + 1])
+                                       x_at(best - 1), x_at(best + 1))
         if math.isfinite(g):  # otherwise it landed on an infeasible edge point
             x_star, g_star = x, g
 

@@ -94,10 +94,8 @@ class ProtocolParams:
                              f"v_s * v_a = {self.v_s * self.v_a:.6g} < 1")
         if self.v_dis < 0:
             raise ValueError("displacement variance must be nonnegative")
-        for name in ("t1", "t2", "t3", "eta_sa", "eta_sb", "eta_sd", "eta_ab", "eta_bd"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        core._require_fractions(**{name: getattr(self, name) for name in (
+            "t1", "t2", "t3", "eta_sa", "eta_sb", "eta_sd", "eta_ab", "eta_bd")})
         if self.users not in ("two", "three"):
             raise ValueError(f"users must be 'two' or 'three', got {self.users!r}")
 

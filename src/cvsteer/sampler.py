@@ -12,17 +12,28 @@ to the analytic covariance at the usual 1/sqrt(n) rate;
 ``compare_covariance`` quantifies the agreement element by element.
 
 Shots come in ``_BLOCK``-row blocks, each from its own jumped Philox
-substream.  ``shot_blocks`` yields them one at a time and ``simulate_shots``
-is their concatenation.  ``estimate_covariance`` reduces each block to a
-count, a mean and a centred ``X^T X`` and merges them in order, so a run
-that streams the blocks into it holds one block, whatever the shot count.
+substream, so no block depends on when or where it is drawn.  The blocks are
+drawn on a pool of threads, one per CPU the process may use (capped by the
+block count), and handed out in order with at most pool-size blocks in
+flight.  Each pool thread draws and propagates all its blocks in place in
+one buffer.  ``shot_blocks`` yields copies of the blocks and
+``simulate_shots`` is their concatenation.  ``estimate_covariance`` reduces
+each block to a count, a mean and a centred ``X^T X`` and merges them in
+order; ``cli``'s ``montecarlo`` has each pool thread reduce its block where
+it drew it (``_sampled_covariance``), so the memory a run holds is set by the
+pool size times one buffer, not by the shot count.  Every result is the same bit for bit whatever
+the pool size.  Code on the pool threads calls only private functions.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sized, TextIO
 
 import numpy as np
 
@@ -42,6 +53,11 @@ __all__ = [
 #: substream, so the batch is reproducible independently of how the blocks
 #: would be scheduled.  Not a tuning knob: changing it changes the streams.
 _BLOCK = 1 << 16
+
+#: Rows of ``_BLOCK`` floats in a pool thread's buffer: 8 quadratures, 2 scratch rows and
+#: a block of up to 4 modes.  One size for every stage: an allocator with an adaptive mmap
+#: threshold (glibc's) left buffers sized per stage resident in its thread heaps.
+_BUFFER_ROWS = 18
 
 #: ``compare_covariance`` flags elements deviating by more than this many standard errors.
 Z_THRESHOLD = 5.0
@@ -64,40 +80,130 @@ class ShotBatch:
         return self.quads.shape[0]
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _ordered_map(fn: Callable, items: Iterable) -> Iterator:
+    """``fn(item)`` for each item, in order, computed on a pool of threads.
+
+    The pool has one thread per usable CPU, capped by ``len(items)`` where it has one; an
+    executor starts a thread only for a submitted item, so an unsized iterable never gets
+    more threads than items either.  At most pool-size items are in flight: the next one is
+    submitted as a result is handed out.  A job's exception is raised here, unchanged, and
+    the jobs not yet started are cancelled.
+    """
+    # imported here: it loads ``logging``, which every command would pay for at startup
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = _usable_cpus()
+    if isinstance(items, Sized):
+        workers = max(1, min(workers, len(items)))
+    items = iter(items)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(fn, item) for item in islice(items, workers))
+        try:
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+                yield result
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def _propagate_block(params: ProtocolParams, steps: tuple, n_modes: int,
-                     rng: np.random.Generator, m: int) -> np.ndarray:
-    """Draw ``m`` shots, run them through the netlist ``steps`` and keep ``n_modes``; the draw
-    order (sources, ``x_dis``, ``p_dis``, a vacuum pair per loss site even at eta = 1) is fixed."""
+                     rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
+    """Draw ``m = buf.size // _BUFFER_ROWS`` shots, run them through the netlist ``steps``
+    and keep ``n_modes``; the draw order (sources, ``x_dis``, ``p_dis``, a vacuum pair per
+    loss site even at eta = 1) is fixed.
+
+    The quadratures are rows of ``buf``, drawn in place and updated in place with two
+    scratch rows; every product and sum is the one the out-of-place arithmetic would form,
+    in the same order, so the shots do not depend on this layout.  The kept rows are
+    stacked into the rest of ``buf``, and the ``(m, 2 n_modes)`` block returned is a view
+    of it.
+    """
     rt = np.sqrt
-
-    def draw(var: float) -> np.ndarray:
-        return rng.standard_normal(m) * rt(var)
-
     variances, weights = protocol._server_source(params)
-    q = [draw(v) for v in variances]  # x1, p1, ..., x4, p4 by mode slot
-    dis = (draw(params.v_dis), draw(params.v_dis))
-    q = [qk + w * dis[k % 2] if w else qk for k, (qk, w) in enumerate(zip(q, weights))]
+    n_rows = len(variances) + 2
+    m = buf.size // _BUFFER_ROWS
+    *q, dis, term = buf[: n_rows * m].reshape(n_rows, m)  # x1, p1, ..., x4, p4 by mode slot
+    for row, var in zip(q, variances):
+        rng.standard_normal(out=row)
+        row *= rt(var)
+    for parity in (0, 1):  # x_dis onto the x rows, then p_dis onto the p rows
+        rng.standard_normal(out=dis)
+        dis *= rt(params.v_dis)
+        for row, w in zip(q[parity::2], weights[parity::2]):
+            if w:
+                row += np.multiply(dis, w, out=term)
 
+    spare = [dis, term]
     for step in steps:
         if isinstance(step, Loss):
             eta = getattr(params, step.eta)
+            vacuum = spare[0]
             for k in (2 * step.slot, 2 * step.slot + 1):
-                q[k] = rt(eta) * q[k] + rt(1.0 - eta) * draw(1.0)
+                rng.standard_normal(out=vacuum)
+                vacuum *= rt(1.0 - eta)
+                q[k] *= rt(eta)
+                q[k] += vacuum
         else:
             t = getattr(params, step.t)
             c, r = (rt(1.0 - t), rt(t)) if step.complement else (rt(t), rt(1.0 - t))
             for a, b in ((2 * step.i, 2 * step.j), (2 * step.i + 1, 2 * step.j + 1)):
-                q[a], q[b] = c * q[a] + r * q[b], r * q[a] - c * q[b]
-    return np.column_stack(q[: 2 * n_modes])
+                out_a, out_b = spare
+                np.multiply(q[a], c, out=out_a)
+                out_a += np.multiply(q[b], r, out=out_b)  # c qa + r qb
+                np.multiply(q[a], r, out=out_b)
+                q[b] *= c
+                out_b -= q[b]  # r qa - c qb
+                spare = [q[a], q[b]]
+                q[a], q[b] = out_a, out_b
+    block = buf[n_rows * m : (n_rows + 2 * n_modes) * m].reshape(m, 2 * n_modes)
+    return np.stack(q[: 2 * n_modes], axis=1, out=block)
 
 
-def shot_blocks(params: ProtocolParams, stage: str, n_shots: int,
-                seed: int) -> tuple[tuple[str, ...], Iterator[np.ndarray]]:
-    """Labels of the ``stage`` modes and an iterator over ``n_shots`` shots in ``_BLOCK`` rows.
+def _block_moments(block: np.ndarray,
+                   in_place: bool = False) -> tuple[int, np.ndarray, np.ndarray]:
+    """A block's shot count, mean and centred ``X^T X``; ``in_place`` centres ``block`` itself."""
+    mean = block.mean(axis=0)
+    centred = np.subtract(block, mean, out=block if in_place else None)
+    return block.shape[0], mean, centred.T @ centred
+
+
+def _merged(moments: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Unbiased covariance of the blocks whose ``_block_moments`` come in order.
+
+    Blocks are merged by the pairwise update of Chan, Golub and LeVeque (1979), which keeps
+    the digits that raw sums of ``X^T X`` lose when the mean is large against the spread.
+    """
+    n, mean, m2 = 0, 0.0, 0.0
+    for m, block_mean, scatter in moments:
+        delta = block_mean - mean
+        n += m
+        mean = mean + delta * (m / n)
+        m2 = m2 + scatter + np.outer(delta, delta) * ((n - m) * m / n)
+    if n < 2:
+        raise ValueError("need at least 2 shots to estimate a covariance")
+    est = m2 / (n - 1)
+    return (est + est.T) / 2.0
+
+
+def _drawn_blocks(params: ProtocolParams, stage: str, n_shots: int, seed: int,
+                  reduce: Callable) -> tuple[tuple[str, ...], Iterator]:
+    """Labels of the ``stage`` modes and ``reduce(block)`` of each ``_BLOCK``-row block of
+    ``n_shots`` shots, in order, each drawn and reduced on a pool thread.  Each pool thread
+    draws all its blocks in one buffer, so ``block`` is a view that the thread's next block
+    overwrites: ``reduce`` may overwrite it too, and must not return it.
 
     The stage, the shot count and the seed (an integer Philox key) are checked on the call;
-    the shots are drawn lazily, one block per ``next``, so a consumer holds one block at a
-    time.
+    no block is drawn before the first ``next``.
     """
     steps, cut = protocol._stage_steps(params, stage)
     n_shots, seed = operator.index(n_shots), operator.index(seed)
@@ -105,17 +211,54 @@ def shot_blocks(params: ProtocolParams, stage: str, n_shots: int,
         raise ValueError("need at least 2 shots")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    base = np.random.Philox(key=seed)
 
-    def blocks() -> Iterator[np.ndarray]:
-        base = np.random.Philox(key=seed)
-        for start in range(0, n_shots, _BLOCK):
-            rng = np.random.Generator(base.jumped(start // _BLOCK))
-            # always propagate a full block and truncate, so each block's stream
-            # layout is fixed and prefixes agree across different shot counts
-            block = _propagate_block(params, steps, len(cut.labels), rng, _BLOCK)
-            yield block[: min(_BLOCK, n_shots - start)]
+    scratch = threading.local()
 
-    return cut.labels, blocks()
+    def job(start: int):
+        if not hasattr(scratch, "buf"):
+            scratch.buf = np.empty(_BUFFER_ROWS * _BLOCK)
+        rng = np.random.Generator(base.jumped(start // _BLOCK))
+        # always propagate a full block and truncate, so each block's stream
+        # layout is fixed and prefixes agree across different shot counts
+        block = _propagate_block(params, steps, len(cut.labels), rng, scratch.buf)
+        return reduce(block[: min(_BLOCK, n_shots - start)])
+
+    return cut.labels, _ordered_map(job, range(0, n_shots, _BLOCK))
+
+
+def _sampled_covariance(params: ProtocolParams, stage: str, n_shots: int, seed: int,
+                        dump: TextIO | None = None) -> tuple[tuple[str, ...], np.ndarray]:
+    """Labels of the ``stage`` modes and ``estimate_covariance`` of the shots of
+    ``shot_blocks(params, stage, n_shots, seed)``, each block reduced to its moments on the
+    pool thread that drew it.  With ``dump``, the shots are also written there as CSV
+    (a ``x_<label>,p_<label>,...`` header, then ``%.6g`` rows), block by block in order.
+    """
+    def reduce(block: np.ndarray):
+        kept = None if dump is None else block.copy()
+        return _block_moments(block, in_place=True), kept
+
+    labels, drawn = _drawn_blocks(params, stage, n_shots, seed, reduce)
+
+    def moments() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        if dump is not None:
+            dump.write(",".join(f"{q}_{l}" for l in labels for q in ("x", "p")) + "\n")
+        for block_moments, block in drawn:
+            if dump is not None:
+                np.savetxt(dump, block, delimiter=",", fmt="%.6g")
+            yield block_moments
+
+    return labels, _merged(moments())
+
+
+def shot_blocks(params: ProtocolParams, stage: str, n_shots: int,
+                seed: int) -> tuple[tuple[str, ...], Iterator[np.ndarray]]:
+    """Labels of the ``stage`` modes and an iterator over ``n_shots`` shots in ``_BLOCK`` rows.
+
+    The stage, the shot count and the seed (an integer Philox key) are checked on the call;
+    the shots are drawn lazily, at most one block per usable CPU ahead of the consumer.
+    """
+    return _drawn_blocks(params, stage, n_shots, seed, np.copy)
 
 
 def simulate_shots(params: ProtocolParams, stage: str, n_shots: int, seed: int) -> ShotBatch:
@@ -129,29 +272,15 @@ def simulate_shots(params: ProtocolParams, stage: str, n_shots: int, seed: int) 
 def estimate_covariance(shots: ShotBatch | Iterable[np.ndarray]) -> np.ndarray:
     """Unbiased sample covariance (divisor ``n - 1``) of a batch or of its blocks in order.
 
-    Each block contributes its count, mean and centred ``X^T X``; blocks are
-    merged by the pairwise update of Chan, Golub and LeVeque (1979), which
-    keeps the digits that raw sums of ``X^T X`` lose when the mean is large
-    against the spread.  A
-    ``ShotBatch`` is read in ``_BLOCK``-row slices, so it and the stream of
+    Each block is reduced to its count, mean and centred ``X^T X`` on a pool thread, and
+    the blocks are merged in order by the pairwise update of Chan, Golub and LeVeque
+    (1979).  A ``ShotBatch`` is read in ``_BLOCK``-row slices, so it and the stream of
     ``shot_blocks`` give the same result.
     """
     if isinstance(shots, ShotBatch):
         quads = shots.quads
-        shots = (quads[k : k + _BLOCK] for k in range(0, quads.shape[0], _BLOCK))
-    n, mean, m2 = 0, 0.0, 0.0
-    for block in shots:
-        m = block.shape[0]
-        block_mean = block.mean(axis=0)
-        centred = block - block_mean
-        delta = block_mean - mean
-        n += m
-        mean = mean + delta * (m / n)
-        m2 = m2 + centred.T @ centred + np.outer(delta, delta) * ((n - m) * m / n)
-    if n < 2:
-        raise ValueError("need at least 2 shots to estimate a covariance")
-    est = m2 / (n - 1)
-    return (est + est.T) / 2.0
+        shots = [quads[k : k + _BLOCK] for k in range(0, quads.shape[0], _BLOCK)]
+    return _merged(_ordered_map(_block_moments, shots))
 
 
 @dataclass(frozen=True)
@@ -173,21 +302,25 @@ class CovarianceComparison:
 def compare_covariance(
     estimated: np.ndarray, analytic: np.ndarray, n_shots: int
 ) -> CovarianceComparison:
-    """Flag estimated elements straying beyond ``Z_THRESHOLD`` standard errors."""
+    """Flag estimated elements straying beyond ``Z_THRESHOLD`` standard errors.
+
+    ``ValueError`` for non-finite matrices and for fewer than 2 shots, which no flag
+    list could judge.
+    """
     estimated = np.asarray(estimated, dtype=float)
     analytic = np.asarray(analytic, dtype=float)
     if estimated.shape != analytic.shape:
         raise ValueError(f"shape mismatch: {estimated.shape} vs {analytic.shape}")
+    if not (np.isfinite(estimated).all() and np.isfinite(analytic).all()):
+        raise ValueError("covariance has a non-finite entry")
+    if not n_shots >= 2:
+        raise ValueError(f"need at least 2 shots, got {n_shots}")
     dev = np.abs(estimated - analytic)
     diag = np.diag(analytic)
     se = np.sqrt((np.outer(diag, diag) + analytic**2) / n_shots)
     z = dev / se
-    flagged = tuple(
-        (int(i), int(j))
-        for i in range(z.shape[0])
-        for j in range(i, z.shape[1])
-        if z[i, j] > Z_THRESHOLD
-    )
+    # row-major over the upper triangle, diagonal included
+    flagged = tuple(map(tuple, np.argwhere(np.triu(z > Z_THRESHOLD)).tolist()))
     return CovarianceComparison(
         max_abs_deviation=float(dev.max()),
         z_scores=z,

@@ -402,6 +402,41 @@ class TestMonteCarloCommand:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_peak_memory_is_set_by_the_pool_not_the_shots(self, monkeypatch, k):
+        # the claim above on a pinned CPU set: both runs have at least four blocks, so
+        # the pool is as large in both, whatever the host's core count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        self.test_peak_memory_does_not_grow_with_shots()
+
+    def test_report_and_dump_identical_across_cpu_sets(self, tmp_path, monkeypatch):
+        # four blocks, the last truncated to 5 shots
+        outputs = []
+        for k in (1, 2, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
+                                raising=False)
+            config = RunConfig(scenario="two_user", seed=2**100, shots=3 * sampler._BLOCK + 5,
+                               eta_start=0.7, eta_stop=0.7, eta_steps=1)
+            dump = tmp_path / f"shots_{k}.csv"
+            report = cmd_montecarlo(config, dump_shots=str(dump))
+            outputs.append((report, dump.read_bytes(), cmd_montecarlo(config)))
+        assert outputs[0][0] == outputs[0][2]
+        assert outputs[0][1].count(b"\n") == 3 * sampler._BLOCK + 6
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    def test_worker_exception_reaches_main(self, monkeypatch):
+        # not a CLI error: it leaves main as raised on the pool thread
+        error = RuntimeError("drawing failed")
+
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(sampler, "_propagate_block", failing)
+        with pytest.raises(RuntimeError) as raised:
+            main(["montecarlo", "--shots", "200000"])
+        assert raised.value is error
+
 
 class TestMainEntry:
     def test_scan_to_file(self, tmp_path):

@@ -182,6 +182,17 @@ class TestPptTwoMode:
         with pytest.raises(ValueError):
             ppt_two_mode(np.eye(6))
 
+    def test_not_positive_definite_rejected(self):
+        # the closed form read this matrix as separable (1.0)
+        with pytest.raises(ArithmeticError, match="not positive definite"):
+            ppt_two_mode(np.diag([1.0, 1, -1, -1]))
+
+    def test_non_finite_rejected(self):
+        cov = np.eye(4)
+        cov[1, 2] = cov[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ppt_two_mode(cov)
+
 
 class TestSteerability:
     def test_product_state_no_steering(self, rng):
@@ -304,6 +315,13 @@ class TestFullReport:
         report = full_report(state, [Partition((0,), (1,))])
         assert set(report.ppt_by_split) == {"A|B"}
         assert set(report.steer_by_direction) == {"A->B", "B->A"}
+
+    @pytest.mark.parametrize("split", [Partition((0,), (5,)), Partition((5, 0), (1,))])
+    def test_out_of_range_mode_is_named(self, split):
+        # numpy's fancy index used to fail first, naming a quadrature row instead
+        state = build_network_state(two_user_params(1.0), "final_two_user")
+        with pytest.raises(IndexError, match="mode 5 out of range for 2 modes"):
+            full_report(state, [Partition((0,), (1,)), split])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_one_vs_rest_report_is_one_stack(self, monkeypatch, rng, n):

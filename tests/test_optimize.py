@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cvsteer import (
     optimal_fb_general_loss,
     optimal_fd,
     optimal_fd_general_loss,
+    optimize,
     qss_params,
     steerability,
 )
@@ -39,10 +41,52 @@ class TestOptimalFb:
                 symmetric, rel=1e-12)
 
     def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t2 and eta_sb must be positive"):
             optimal_fb(0.0, 1.0, 1.0, 3.55, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t2 and eta_sb must be positive"):
             optimal_fb(0.5, 0.0, 1.0, 3.55, 0.5)
+
+
+#: Each formula, its valid arguments by name, and the order it takes them in.
+FORMULAS = [
+    (optimal_fb, dict(t2=0.5, eta_sb=1.0, eta_ab=1.0, v_a=3.55, v_s=0.5)),
+    (optimal_fd, dict(eta=0.5, v_a=3.55, v_s=0.5)),
+    (optimal_fb_general_loss, dict(eta_sa=0.9, eta_sb=1.0, eta_ab=1.0, v_a=3.55, v_s=0.5)),
+    (optimal_fd_general_loss, dict(eta=0.5, v_a=3.55, v_s=0.5)),
+]
+
+
+class TestFormulaDomain:
+    """One domain rule for every optimal-coefficient formula: efficiencies and
+    transmittances in [0, 1], variances finite and positive, NaN rejected by both."""
+
+    @pytest.mark.parametrize("formula, args", FORMULAS)
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, math.inf])
+    def test_every_argument_is_checked(self, formula, args, bad):
+        for name in args:
+            if name.startswith("v_") and 0 < bad < math.inf:
+                continue  # any finite positive variance is in the domain
+            rule = "be finite and positive" if name.startswith("v_") else r"lie in \[0, 1\]"
+            with pytest.raises(ValueError, match=rf"{name} must {rule}, got {bad}"):
+                formula(**{**args, name: bad})
+
+    @pytest.mark.parametrize("call", [
+        # a bare math domain error, NaN, an eta_sa outside [0, 1] taken, and 1 / 0
+        lambda: optimal_fb(1.5, 1.0, 1.0, 3.55, 0.5),
+        lambda: optimal_fb(0.5, math.nan, 1.0, 3.55, 0.5),
+        lambda: optimal_fb_general_loss(2.0, 1.0, 1.0, 3.55, 0.5),
+        lambda: optimal_fd(0.5, -1.0, 1.0),
+    ])
+    def test_former_escapes_are_value_errors(self, call):
+        with pytest.raises(ValueError, match="must"):
+            call()
+
+    def test_zero_efficiency_limits_kept(self):
+        assert optimal_fd(0.0, 3.55, 0.5) == 0.0
+        assert optimal_fd_general_loss(0.0, 3.55, 0.5) == 0.0
+        assert optimal_fb_general_loss(0.0, 1.0, 1.0, 3.55, 0.5) == 0.0
+        with pytest.raises(ValueError, match="eta_sb must be positive"):
+            optimal_fb_general_loss(0.9, 0.0, 1.0, 3.55, 0.5)
 
 
 class TestOptimalFd:
@@ -239,6 +283,34 @@ def test_optimizer_pinned(objective, make, eta, which, enforce, f_star, g_star, 
                                           enforce_separability=enforce)
     assert (result.f_star, result.g_star) == (f_star, g_star)
     assert (result.constraint_active, result.at_boundary) == (active, boundary)
+
+
+class TestChunkedBracket:
+    """The coarse bracket is evaluated one fixed-size stack at a time."""
+
+    @pytest.mark.parametrize("objective, make, which", [
+        ("steer_A_to_B", two_user_params, "f_b"), ("steer_BD_to_A", qss_params, "f_d")])
+    @pytest.mark.parametrize("bounds", [(0.0, 400.0), (-3.3, 27.7)])
+    def test_chunks_change_no_bit(self, monkeypatch, objective, make, which, bounds):
+        chunked = numeric_optimize_coefficient(objective, make(0.9), which, bounds)
+        monkeypatch.setattr(optimize, "_CHUNK", 10**6)  # the whole bracket as one stack
+        whole = numeric_optimize_coefficient(objective, make(0.9), which, bounds)
+        assert repr(chunked) == repr(whole)
+
+    def test_default_bracket_is_one_chunk(self):
+        assert optimize._CHUNK >= math.ceil(4.0 / optimize._SCAN_STEP) + 1
+
+    def test_peak_memory_does_not_grow_with_bounds(self):
+        # one stack per stage over the whole bracket took 190 kB at (0, 4) and 14 MB at (0, 400)
+        peaks = []
+        for bounds in ((0.0, 4.0), (0.0, 400.0)):
+            tracemalloc.start()
+            try:
+                numeric_optimize_coefficient("steer_A_to_B", two_user_params(1.0), "f_b", bounds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 5 * peaks[0]
 
 
 class TestKeyRate:

@@ -1,4 +1,8 @@
 import hashlib
+import inspect
+import os
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from cvsteer import (
     build_network_state,
     compare_covariance,
     estimate_covariance,
+    sampler,
     shot_blocks,
     simulate_shots,
 )
@@ -196,6 +201,34 @@ class TestCompareCovariance:
         with pytest.raises(ValueError):
             compare_covariance(np.eye(4), np.eye(6), 100)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrices_rejected(self, bad):
+        # a NaN estimate used to flag nothing, which reads as full agreement
+        cov = build_network_state(two_user_params(1.0), "final_two_user").cov
+        corrupted = cov.copy()
+        corrupted[3, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            compare_covariance(corrupted, cov, 100)
+        with pytest.raises(ValueError, match="non-finite"):
+            compare_covariance(cov, corrupted, 100)
+        with pytest.raises(ValueError, match="non-finite"):
+            compare_covariance(np.full_like(cov, bad), cov, 100)
+
+    @pytest.mark.parametrize("n_shots", [0, 1, np.nan])
+    def test_too_few_shots_rejected(self, n_shots):
+        cov = np.eye(4)
+        with pytest.raises(ValueError, match="need at least 2 shots"):
+            compare_covariance(cov, cov, n_shots)
+
+    def test_flags_in_row_major_order(self):
+        analytic = np.eye(6)
+        estimated = analytic.copy()
+        for i, j in ((4, 1), (0, 5), (2, 2), (0, 3)):
+            estimated[i, j] = estimated[j, i] = analytic[i, j] + 1.0
+        report = compare_covariance(estimated, analytic, 10_000)
+        assert report.flagged == ((0, 3), (0, 5), (1, 4), (2, 2))
+        assert all(type(k) is int for pair in report.flagged for k in pair)
+
     def test_small_sample_does_not_crash(self):
         params = two_user_params(1.0)
         batch = simulate_shots(params, "final_two_user", 10, seed=31)
@@ -226,3 +259,122 @@ def test_convergence_rate_halves_with_quadrupled_shots():
             simulate_shots(params, "final_two_user", 400_000, seed + 1)) - analytic).max()
         ratios.append(d_small / d_large)
     assert 1.6 <= np.mean(ratios) <= 2.6
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Pin the set of CPUs the process may use to ``k`` of them."""
+    def pin(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    return pin
+
+
+class TestBlockPool:
+    """Blocks are drawn and reduced on one thread per usable CPU; nothing depends on it."""
+
+    def test_pool_size_follows_the_cpu_set(self, cpus, monkeypatch):
+        for k in (1, 2, 4):
+            cpus(k)
+            assert sampler._usable_cpus() == k
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert sampler._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sampler._usable_cpus() == 1
+
+    def test_estimates_identical_across_cpu_sets(self, cpus):
+        # four blocks, the last truncated
+        n_shots = 3 * _BLOCK + 4321
+        results = []
+        for k in (1, 2, 4):
+            cpus(k)
+            batch = simulate_shots(OFF_BALANCE, "final_three_user", n_shots, seed=2**100)
+            _, blocks = shot_blocks(OFF_BALANCE, "final_three_user", n_shots, seed=2**100)
+            results.append((batch.quads.tobytes(), estimate_covariance(batch).tobytes(),
+                            estimate_covariance(blocks).tobytes()))
+        assert results[0][1] == results[0][2]
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_at_most_pool_size_blocks_in_flight(self, cpus, monkeypatch, k):
+        cpus(k)
+        started = []
+        propagate = sampler._propagate_block
+
+        def counted(*args):
+            started.append(None)
+            return propagate(*args)
+
+        monkeypatch.setattr(sampler, "_propagate_block", counted)
+        _, blocks = shot_blocks(two_user_params(1.0), "final_two_user", 10 * _BLOCK, seed=3)
+        assert started == []  # nothing is drawn before the first next
+        next(blocks)
+        # the first pool-size blocks, then one more as the first result was handed out
+        assert len(started) <= k + 1
+        blocks.close()
+        assert len(started) <= k + 1  # closing cancels what had not started
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_memory_is_one_buffer_per_pool_thread(self, cpus, k):
+        # each pool thread draws every one of its blocks in the same buffer
+        from cvsteer import cli
+
+        cpus(k)
+        buffer = sampler._BUFFER_ROWS * _BLOCK * 8
+        config = cli.RunConfig(scenario="three_user", eta_start=0.9, eta_stop=0.9,
+                               eta_steps=1, seed=4, shots=10 * _BLOCK)
+        cli.cmd_montecarlo(config)  # first calls fill caches outside the measurement
+        tracemalloc.start()
+        try:
+            cli.cmd_montecarlo(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert buffer <= peak <= k * buffer + buffer // 4
+
+    def test_worker_exception_reaches_the_caller_unchanged(self, cpus, monkeypatch):
+        cpus(2)
+        error = RuntimeError("third block")
+        propagate, calls = sampler._propagate_block, []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error
+            return propagate(*args)
+
+        monkeypatch.setattr(sampler, "_propagate_block", failing)
+        _, blocks = shot_blocks(two_user_params(1.0), "final_two_user", 8 * _BLOCK, seed=3)
+        with pytest.raises(RuntimeError) as raised:
+            estimate_covariance(blocks)
+        assert raised.value is error
+        assert len(calls) <= 5  # the blocks queued behind the failure were not drawn
+
+    def test_workers_call_no_public_function(self):
+        # a wrapper around a public function (a tracer's, say) keeps one span stack for
+        # the calling thread; code on the pool threads must not reach one
+        from cvsteer import cli, core, criteria, optimize, protocol
+
+        modules = (cli, core, criteria, optimize, protocol, sampler)
+        public = {obj.__code__ for m in modules for name, obj in vars(m).items()
+                  if not name.startswith("_") and inspect.isfunction(obj)
+                  and obj.__module__ == m.__name__}
+        public.add(core.GaussianState.__post_init__.__code__)
+        main, seen = threading.main_thread(), set()
+
+        def profile(frame, event, arg):
+            if event == "call" and threading.current_thread() is not main:
+                seen.add(frame.f_code)
+
+        threading.setprofile(profile)
+        try:
+            config = cli.RunConfig(scenario="three_user", eta_start=0.8, eta_stop=0.8,
+                                   eta_steps=1, seed=7, shots=3 * _BLOCK)
+            cli.cmd_montecarlo(config)
+            estimate_covariance(simulate_shots(OFF_BALANCE, "pre_david", 2 * _BLOCK, seed=1))
+        finally:
+            threading.setprofile(None)
+        assert sampler._propagate_block.__code__ in seen
+        assert sampler._block_moments.__code__ in seen
+        assert not seen & public
