@@ -13,16 +13,17 @@ to the analytic covariance at the usual 1/sqrt(n) rate;
 
 Shots come in ``_BLOCK``-row blocks, each from its own jumped Philox
 substream, so no block depends on when or where it is drawn.  The blocks are
-drawn on a pool of threads, one per CPU the process may use (capped by the
-block count), and handed out in order with at most pool-size blocks in
-flight.  Each pool thread draws and propagates all its blocks in place in
-one buffer.  ``shot_blocks`` yields copies of the blocks and
-``simulate_shots`` is their concatenation.  ``estimate_covariance`` reduces
-each block to a count, a mean and a centred ``X^T X`` and merges them in
-order; ``cli``'s ``montecarlo`` has each pool thread reduce its block where
-it drew it (``_sampled_covariance``), so the memory a run holds is set by the
-pool size times one buffer, not by the shot count.  Every result is the same bit for bit whatever
-the pool size.  Code on the pool threads calls only private functions.
+drawn on a pool of threads, one per CPU the process may use but no more than
+``_MAX_THREADS`` or the block count, and handed out in order with at most
+pool-size blocks in flight.  Each pool thread draws and propagates all its
+blocks in place in one buffer.  ``shot_blocks`` yields copies of the blocks
+and ``simulate_shots`` is their concatenation.  ``estimate_covariance``
+reduces each block, on the calling thread, to a count, a mean and a centred
+``X^T X`` and merges them in order; ``cli``'s ``montecarlo`` has each pool
+thread reduce its block where it drew it (``_sampled_covariance``), so the
+memory a run holds is set by the pool size times one buffer, not by the shot
+count or the host.  Every result is the same bit for bit whatever the pool
+size.  Code on the pool threads calls only private functions.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sized, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -58,6 +59,13 @@ _BLOCK = 1 << 16
 #: a block of up to 4 modes.  One size for every stage: an allocator with an adaptive mmap
 #: threshold (glibc's) left buffers sized per stage resident in its thread heaps.
 _BUFFER_ROWS = 18
+
+#: The most pool threads a draw uses, whatever the host.  Each holds one 9.4 MB buffer, and
+#: memory must not grow with the core count: nine 1M-shot ``montecarlo`` runs in one process
+#: peaked at 46, 54, 62, 70 and 103 MB of RSS with 1, 2, 3, 4 and 8 threads, against 58 MB
+#: for the one-block sampler before the pool, so a third thread would already lift the peak
+#: above it.  Not a tuning knob: like ``_BLOCK``, it bounds what a run may hold.
+_MAX_THREADS = 2
 
 #: ``compare_covariance`` flags elements deviating by more than this many standard errors.
 Z_THRESHOLD = 5.0
@@ -88,21 +96,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _ordered_map(fn: Callable, items: Iterable) -> Iterator:
+def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
     """``fn(item)`` for each item, in order, computed on a pool of threads.
 
-    The pool has one thread per usable CPU, capped by ``len(items)`` where it has one; an
-    executor starts a thread only for a submitted item, so an unsized iterable never gets
-    more threads than items either.  At most pool-size items are in flight: the next one is
-    submitted as a result is handed out.  A job's exception is raised here, unchanged, and
-    the jobs not yet started are cancelled.
+    The pool has one thread per usable CPU, capped by ``_MAX_THREADS`` and ``len(items)``.
+    At most pool-size items are in flight: the next one is submitted as a result is handed
+    out.  A job's exception is raised here, unchanged, and the jobs not yet started are
+    cancelled.
     """
     # imported here: it loads ``logging``, which every command would pay for at startup
     from concurrent.futures import ThreadPoolExecutor
 
-    workers = _usable_cpus()
-    if isinstance(items, Sized):
-        workers = max(1, min(workers, len(items)))
+    workers = max(1, min(_usable_cpus(), _MAX_THREADS, len(items)))
     items = iter(items)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque(pool.submit(fn, item) for item in islice(items, workers))
@@ -256,7 +261,7 @@ def shot_blocks(params: ProtocolParams, stage: str, n_shots: int,
     """Labels of the ``stage`` modes and an iterator over ``n_shots`` shots in ``_BLOCK`` rows.
 
     The stage, the shot count and the seed (an integer Philox key) are checked on the call;
-    the shots are drawn lazily, at most one block per usable CPU ahead of the consumer.
+    the shots are drawn lazily, at most one block per pool thread ahead of the consumer.
     """
     return _drawn_blocks(params, stage, n_shots, seed, np.copy)
 
@@ -272,15 +277,16 @@ def simulate_shots(params: ProtocolParams, stage: str, n_shots: int, seed: int) 
 def estimate_covariance(shots: ShotBatch | Iterable[np.ndarray]) -> np.ndarray:
     """Unbiased sample covariance (divisor ``n - 1``) of a batch or of its blocks in order.
 
-    Each block is reduced to its count, mean and centred ``X^T X`` on a pool thread, and
-    the blocks are merged in order by the pairwise update of Chan, Golub and LeVeque
-    (1979).  A ``ShotBatch`` is read in ``_BLOCK``-row slices, so it and the stream of
+    Each block is reduced to its count, mean and centred ``X^T X`` on the calling thread
+    before the next is taken, so a producer may reuse one array for every block, and the
+    blocks are merged in order by the pairwise update of Chan, Golub and LeVeque (1979).
+    A ``ShotBatch`` is read in ``_BLOCK``-row slices, so it and the stream of
     ``shot_blocks`` give the same result.
     """
     if isinstance(shots, ShotBatch):
         quads = shots.quads
-        shots = [quads[k : k + _BLOCK] for k in range(0, quads.shape[0], _BLOCK)]
-    return _merged(_ordered_map(_block_moments, shots))
+        shots = (quads[k : k + _BLOCK] for k in range(0, quads.shape[0], _BLOCK))
+    return _merged(map(_block_moments, shots))
 
 
 @dataclass(frozen=True)

@@ -402,15 +402,16 @@ class TestMonteCarloCommand:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
 
-    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("k", [1, 64])
     def test_peak_memory_is_set_by_the_pool_not_the_shots(self, monkeypatch, k):
-        # the claim above on a pinned CPU set: both runs have at least four blocks, so
-        # the pool is as large in both, whatever the host's core count
+        # the claim above on a pinned CPU set: the pool is capped below the four blocks of
+        # the smaller run, so it is as large in both, however many cores the host has
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
         self.test_peak_memory_does_not_grow_with_shots()
 
     def test_report_and_dump_identical_across_cpu_sets(self, tmp_path, monkeypatch):
-        # four blocks, the last truncated to 5 shots
+        # four blocks, the last truncated to 5 shots, drawn by pools of 1, 2 and 4 threads
+        monkeypatch.setattr(sampler, "_MAX_THREADS", 4)
         outputs = []
         for k in (1, 2, 4):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),

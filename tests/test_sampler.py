@@ -148,6 +148,19 @@ class TestEstimateCovariance:
         ref = np.cov(quads, rowvar=False, ddof=1)
         assert np.abs(est - ref).max() <= 1e-8 * np.abs(ref).max()
 
+    def test_each_block_is_read_before_the_next(self):
+        # a producer may hand out one array, refilled for every block
+        quads = simulate_shots(OFF_BALANCE, "final_three_user", 4 * _BLOCK, seed=5).quads
+        reused = np.empty((_BLOCK, quads.shape[1]))
+
+        def refilled():
+            for k in range(0, quads.shape[0], _BLOCK):
+                reused[:] = quads[k : k + _BLOCK]
+                yield reused
+
+        np.testing.assert_array_equal(estimate_covariance(refilled()),
+                                      estimate_covariance(ShotBatch((), quads, seed=5)))
+
     def test_degenerate_batch_rejected(self):
         batch = ShotBatch(("A",), np.ones((1, 2)), seed=0)
         with pytest.raises(ValueError):
@@ -270,7 +283,8 @@ def cpus(monkeypatch):
 
 
 class TestBlockPool:
-    """Blocks are drawn and reduced on one thread per usable CPU; nothing depends on it."""
+    """Blocks are drawn and reduced on one thread per usable CPU, up to ``_MAX_THREADS``;
+    nothing depends on it."""
 
     def test_pool_size_follows_the_cpu_set(self, cpus, monkeypatch):
         for k in (1, 2, 4):
@@ -282,8 +296,9 @@ class TestBlockPool:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert sampler._usable_cpus() == 1
 
-    def test_estimates_identical_across_cpu_sets(self, cpus):
-        # four blocks, the last truncated
+    def test_estimates_identical_across_cpu_sets(self, cpus, monkeypatch):
+        # four blocks, the last truncated, drawn by pools of 1, 2 and 4 threads
+        monkeypatch.setattr(sampler, "_MAX_THREADS", 4)
         n_shots = 3 * _BLOCK + 4321
         results = []
         for k in (1, 2, 4):
@@ -296,14 +311,15 @@ class TestBlockPool:
         assert results[1] == results[0]
         assert results[2] == results[0]
 
-    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 4, 64])
     def test_at_most_pool_size_blocks_in_flight(self, cpus, monkeypatch, k):
         cpus(k)
+        pool = min(k, sampler._MAX_THREADS)
         started = []
         propagate = sampler._propagate_block
 
         def counted(*args):
-            started.append(None)
+            started.append(threading.get_ident())
             return propagate(*args)
 
         monkeypatch.setattr(sampler, "_propagate_block", counted)
@@ -311,11 +327,15 @@ class TestBlockPool:
         assert started == []  # nothing is drawn before the first next
         next(blocks)
         # the first pool-size blocks, then one more as the first result was handed out
-        assert len(started) <= k + 1
+        assert len(started) <= pool + 1
         blocks.close()
-        assert len(started) <= k + 1  # closing cancels what had not started
+        assert len(started) <= pool + 1  # closing cancels what had not started
+        _, blocks = shot_blocks(two_user_params(1.0), "final_two_user", 10 * _BLOCK, seed=3)
+        for _ in blocks:
+            pass
+        assert len(set(started[-10:])) <= pool  # however many CPUs the host has
 
-    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 64])
     def test_memory_is_one_buffer_per_pool_thread(self, cpus, k):
         # each pool thread draws every one of its blocks in the same buffer
         from cvsteer import cli
@@ -331,7 +351,7 @@ class TestBlockPool:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert buffer <= peak <= k * buffer + buffer // 4
+        assert buffer <= peak <= min(k, sampler._MAX_THREADS) * buffer + buffer // 4
 
     def test_worker_exception_reaches_the_caller_unchanged(self, cpus, monkeypatch):
         cpus(2)
