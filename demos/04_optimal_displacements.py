@@ -2,8 +2,9 @@
 
 The displacement weights on the users' modes control how much of the shared
 classical noise cancels at their beam splitters.  The analytic optima are
-re-derived here by golden-section search on the actual steering monotone,
-under the constraint that the relayed ancillas stay separable.
+re-derived here by a direct search on the actual steering monotone (a coarse
+scan, then stacked grid refinement), under the constraint that the relayed
+ancillas stay separable.
 """
 
 from cvsteer import (
@@ -19,7 +20,7 @@ from cvsteer.protocol import ProtocolParams, V_A_DEFAULT, V_S_DEFAULT
 print("analytic optimal coefficients:")
 print(cmd_table_a1())
 
-print("independent golden-section search on the pipeline steerability:")
+print("independent grid-refinement search on the pipeline steerability:")
 print(f"{'eta':>5} {'f_b search':>11} {'analytic':>9} {'f_d search':>11} {'analytic':>9}")
 for eta in (1.0, 0.8, 0.6, 0.4, 0.2):
     fb = optimal_fb(0.5, eta, eta, V_A_DEFAULT, V_S_DEFAULT)

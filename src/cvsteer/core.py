@@ -97,6 +97,14 @@ def _require_variances(**values: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _require_physical_source(v_s: float, v_a: float) -> None:
+    """ValueError unless the source obeys the uncertainty relation ``v_s * v_a >= 1`` up
+    to ``PHYSICALITY_TOL``; impure sources (``> 1``) are fine."""
+    if v_s * v_a < 1.0 - PHYSICALITY_TOL:
+        raise ValueError(f"source violates the uncertainty relation: "
+                         f"v_s * v_a = {v_s * v_a:.6g} < 1")
+
+
 def _cholesky(cov: np.ndarray) -> np.ndarray:
     """Cholesky factors of a stack of covariances, the one positive-definiteness test;
     ``ArithmeticError`` if some matrix is not positive definite."""
@@ -172,8 +180,10 @@ def db_to_variance(db: float, sign: str) -> float:
     """Convert a (anti)squeezing level in dB to a quadrature variance.
 
     ``sign`` is ``"squeezed"`` (variance below vacuum, ``10**(-db/10)``) or
-    ``"antisqueezed"`` (``10**(+db/10)``); ``db`` is a positive magnitude.
+    ``"antisqueezed"`` (``10**(+db/10)``); ``db`` is a finite nonnegative magnitude.
     """
+    if not 0.0 <= db < math.inf:  # NaN too
+        raise ValueError(f"db must be a finite nonnegative magnitude, got {db}")
     if sign == "squeezed":
         return 10.0 ** (-db / 10.0)
     if sign == "antisqueezed":
@@ -187,10 +197,11 @@ def squeezed_mode(
     """Single squeezed mode with quadrature variances ``v_s`` and ``v_a``.
 
     ``x_squeezed`` puts the low variance on x, ``p_squeezed`` on p.  Impure
-    inputs (``v_s * v_a > 1``) are allowed; real sources are rarely pure.
+    inputs (``v_s * v_a > 1``) are allowed; real sources are rarely pure, but
+    ``v_s * v_a < 1`` violates the uncertainty relation and is rejected.
     """
-    if v_s <= 0 or v_a <= 0:
-        raise ValueError("variances must be positive")
+    _require_variances(v_s=v_s, v_a=v_a)
+    _require_physical_source(v_s, v_a)
     if orientation == "x_squeezed":
         diag = (v_s, v_a)
     elif orientation == "p_squeezed":

@@ -2,11 +2,11 @@
 
 The analytic formulas give the displacement weights that maximize the
 distributed steerability for each network layout; ``numeric_optimize_coefficient``
-re-derives them by direct golden-section search on the pipeline state under
-the ancilla-separability constraint, serving as an independent check.  Its
-coarse bracket is evaluated as one stack of states per network stage through
-the batched kernels of ``protocol`` and ``criteria``; the golden-section
-refinement then evaluates one coefficient at a time through the same kernels.
+re-derives them by direct search on the pipeline state under the
+ancilla-separability constraint, serving as an independent check.  Its coarse
+bracket and each pass of its grid refinement are evaluated as one stack of
+states per network stage through the batched kernels of ``protocol`` and
+``criteria``.
 
 Deployment math: the guaranteed secret-key rate extractable from collective
 steering and the fiber length corresponding to a channel efficiency.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "ScanResult",
     "Scenario",
     "fiber_distance",
-    "golden_section_maximize",
     "key_rate",
     "numeric_optimize_coefficient",
     "optimal_fb",
@@ -52,15 +51,19 @@ __all__ = [
 #: Key-rate offset: ln(e/2), kept symbolic as 1 - ln 2.
 KEY_RATE_OFFSET = 1.0 - math.log(2.0)
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
 #: Coarse pre-scan spacing used to bracket the steering window, which is
 #: zero-flat outside a finite coefficient interval.
 _SCAN_STEP = 0.05
 
 #: Coarse points evaluated per stack; the default bounds' 81 points are one chunk.
 _CHUNK = 256
+
+#: Evenly spaced points of each refinement pass over ``x* +/- h``; odd, so the incumbent
+#: ``x*`` is the middle one.  Each pass then shrinks ``h`` by ``(_REFINE_POINTS + 1) / 2``.
+_REFINE_POINTS = 9
+
+#: Refinement stops once the window ``2h`` is this narrow.
+_REFINE_TOL = 1e-6
 
 #: Relay ancillas with a PPT value below this count as entangled.
 _SEPARABLE = 1.0 - SEPARABILITY_TOL
@@ -127,42 +130,10 @@ def key_rate(g_bd_to_a: float) -> float:
 def fiber_distance(eta: float, alpha_db_per_km: float = 0.2) -> float:
     """Fiber length whose transmission is ``eta``, for loss ``alpha`` dB/km."""
     if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    if alpha_db_per_km <= 0:
-        raise ValueError("fiber loss must be positive")
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    if not 0.0 < alpha_db_per_km < math.inf:  # NaN too
+        raise ValueError(f"fiber loss must be finite and positive, got {alpha_db_per_km} dB/km")
     return -10.0 * math.log10(eta) / alpha_db_per_km
-
-
-def golden_section_maximize(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-6
-) -> tuple[float, float]:
-    """Golden-section search for the maximum of a unimodal function on [lo, hi].
-
-    Returns ``(x_star, fn(x_star))`` with ``x_star`` located to within ``tol``.
-    """
-    if not all(map(math.isfinite, (lo, hi, tol))):
-        raise ValueError(f"lo, hi and tol must be finite, got {lo}, {hi}, {tol}")
-    if hi <= lo:
-        raise ValueError("need lo < hi")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a, b = lo, hi
-    h = b - a
-    c = a + _INV_PHI2 * h
-    d = a + _INV_PHI * h
-    yc, yd = fn(c), fn(d)
-    while h > tol:
-        h *= _INV_PHI
-        if yc > yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI2 * h
-            yc = fn(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * h
-            yd = fn(d)
-    x = (a + b) / 2.0
-    return x, fn(x)
 
 
 @dataclass(frozen=True)
@@ -216,9 +187,11 @@ def numeric_optimize_coefficient(
     outright when ``enforce_separability`` is set.
 
     The steering objective is identically zero outside a finite coefficient
-    window, so a coarse scan first brackets the window and golden-section
-    search then refines inside it.  If no interior maximum exists the best
-    boundary point is reported with ``at_boundary`` set.
+    window, so a coarse scan first brackets the window.  Grid passes then refine
+    inside it: each evaluates ``_REFINE_POINTS`` evenly spaced coefficients over
+    ``x* +/- h`` as one stack, moves ``x*`` only to a strictly better point and
+    shrinks ``h``, until the window is ``_REFINE_TOL`` wide.  If no interior
+    maximum exists the best boundary point is reported with ``at_boundary`` set.
     """
     if objective not in _OBJECTIVE_STAGE:
         raise ValueError(f"unknown objective {objective!r}")
@@ -233,16 +206,17 @@ def numeric_optimize_coefficient(
     if stage == "final_three_user" and params.users != "three":
         params = params.replace(users="three")
 
-    def evaluate(xs) -> np.ndarray:
-        """Objective at each coefficient in ``xs``, ``-inf`` where an ancilla is entangled;
-        each stage is one stack, and no final state is built for an infeasible point."""
+    def evaluate(xs) -> tuple[np.ndarray, np.ndarray]:
+        """Objective at each coefficient in ``xs``, ``-inf`` where an ancilla is entangled,
+        and the ancilla PPT value (``inf`` when unchecked); each stage is one stack, and no
+        final state is built for an infeasible point."""
         xs = np.asarray(xs, dtype=float)
-        ok = np.full(xs.shape, True)
-        if enforce_separability:
-            ok = _ancilla_ppt(params, stage, which, xs) >= _SEPARABLE
+        ppt = (_ancilla_ppt(params, stage, which, xs) if enforce_separability
+               else np.full(xs.shape, math.inf))
+        ok = ppt >= _SEPARABLE
         ys = np.full(xs.shape, -math.inf)
         ys[ok] = _steer_cov(_covariances(params, stage, which, xs[ok]), partition)
-        return ys
+        return ys, ppt
 
     n_scan = max(3, int(math.ceil((hi - lo) / _SCAN_STEP)) + 1)
 
@@ -250,29 +224,32 @@ def numeric_optimize_coefficient(
         return lo + (hi - lo) * k / (n_scan - 1)
 
     # one chunk of stacks at a time, so memory does not grow with the width of the bounds
-    ys = np.concatenate([evaluate([x_at(k) for k in range(start, min(start + _CHUNK, n_scan))])
-                         for start in range(0, n_scan, _CHUNK)])
+    chunks = [evaluate([x_at(k) for k in range(start, min(start + _CHUNK, n_scan))])
+              for start in range(0, n_scan, _CHUNK)]
+    ys, ppt = (np.concatenate(parts) for parts in zip(*chunks))
     best = int(np.argmax(ys))
     if not math.isfinite(ys[best]):
         raise ValueError("no feasible point in bounds: separability violated everywhere")
 
-    x_star, g_star = x_at(best), ys[best]
+    x_star, g_star, ppt_star = x_at(best), ys[best], ppt[best]
     interior = 0 < best < n_scan - 1
-    if interior:
-        x, g = golden_section_maximize(lambda x: float(evaluate([x])[0]),
-                                       x_at(best - 1), x_at(best + 1))
-        if math.isfinite(g):  # otherwise it landed on an infeasible edge point
-            x_star, g_star = x, g
+    h = (hi - lo) / (n_scan - 1) if interior else 0.0  # a boundary point is not refined
+    offsets = np.linspace(-1.0, 1.0, _REFINE_POINTS)
+    while 2.0 * h > _REFINE_TOL:
+        xs = x_star + h * offsets
+        ys, ppt = evaluate(xs)
+        k = int(np.argmax(ys))
+        if ys[k] > g_star:  # so g* never falls and x* stays feasible
+            x_star, g_star, ppt_star = xs[k], ys[k], ppt[k]
+        h /= (_REFINE_POINTS + 1) / 2
 
-    active = False
-    if enforce_separability:  # x_star is feasible then, so both relays are checked there
-        margin = _ancilla_ppt(params, stage, which, np.array([x_star]))[0] - 1.0
-        active = margin < 1e-6
+    # with separability enforced x* is feasible, so both relays were checked there
+    active = ppt_star - 1.0 < 1e-6
     return OptimizationResult(
         f_star=float(x_star),
         g_star=float(g_star),
         constraint_active=bool(active),
-        method="golden_section",
+        method="grid_refinement",
         at_boundary=not interior,
     )
 

@@ -89,9 +89,7 @@ class ProtocolParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.v_s <= 0 or self.v_a <= 0:
             raise ValueError("squeezing variances must be positive")
-        if self.v_s * self.v_a < 1.0 - core.PHYSICALITY_TOL:  # impure sources (> 1) are fine
-            raise ValueError(f"source violates the uncertainty relation: "
-                             f"v_s * v_a = {self.v_s * self.v_a:.6g} < 1")
+        core._require_physical_source(self.v_s, self.v_a)
         if self.v_dis < 0:
             raise ValueError("displacement variance must be nonnegative")
         core._require_fractions(**{name: getattr(self, name) for name in (

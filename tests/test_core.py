@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from cvsteer import (
     GaussianState,
     NoisePattern,
+    ProtocolParams,
     add_correlated_noise,
     beam_splitter,
     db_to_variance,
@@ -36,6 +39,14 @@ class TestDbToVariance:
     def test_bad_sign(self):
         with pytest.raises(ValueError):
             db_to_variance(3.0, "sideways")
+
+    @pytest.mark.parametrize("sign", ["squeezed", "antisqueezed"])
+    @pytest.mark.parametrize("db", [math.nan, math.inf, -math.inf, -3.0])
+    def test_non_finite_or_negative_db_rejected(self, db, sign):
+        # NaN and inf used to come back as a NaN or infinite variance, -3 dB as the other sign
+        with pytest.raises(ValueError, match=rf"db must be a finite nonnegative magnitude, "
+                                             rf"got {db}"):
+            db_to_variance(db, sign)
 
 
 class TestVacuum:
@@ -70,6 +81,21 @@ class TestSqueezedMode:
             squeezed_mode(0.0, 3.55)
         with pytest.raises(ValueError):
             squeezed_mode(0.5, -1.0)
+
+    @pytest.mark.parametrize("v_s, v_a", [(math.nan, 3.55), (0.5, math.inf)])
+    def test_non_finite_variance_rejected(self, v_s, v_a):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            squeezed_mode(v_s, v_a)
+
+    def test_unphysical_source_rejected(self):
+        # the same rule, and message, as ProtocolParams: v_s * v_a = 0.2 breaks the
+        # uncertainty relation, while a pure source on the bound and an impure one pass
+        with pytest.raises(ValueError, match=r"uncertainty relation: v_s \* v_a = 0.2 < 1"):
+            squeezed_mode(0.1, 2.0)
+        with pytest.raises(ValueError, match=r"uncertainty relation: v_s \* v_a = 0.2 < 1"):
+            ProtocolParams(v_s=0.1, v_a=2.0)
+        squeezed_mode(db_to_variance(15.0, "squeezed"), db_to_variance(15.0, "antisqueezed"))
+        squeezed_mode(0.1, 20.0)
 
 
 class TestTensor:

@@ -9,7 +9,6 @@ from cvsteer import (
     ProtocolParams,
     build_network_state,
     fiber_distance,
-    golden_section_maximize,
     key_rate,
     numeric_optimize_coefficient,
     optimal_fb,
@@ -17,9 +16,11 @@ from cvsteer import (
     optimal_fd,
     optimal_fd_general_loss,
     optimize,
+    ppt_min,
     qss_params,
     steerability,
 )
+from cvsteer.criteria import SEPARABILITY_TOL
 from cvsteer.protocol import V_A_DEFAULT, V_S_DEFAULT
 from conftest import three_user_params, two_user_params
 
@@ -142,43 +143,25 @@ class TestGeneralLossCoefficients:
             optimal_fb_general_loss(1.0, 0.0, 1.0, 3.55, 0.5)
 
 
-class TestGoldenSection:
-    def test_quadratic(self):
-        x, fx = golden_section_maximize(lambda f: -(f - 2.0) ** 2, 0.0, 4.0, tol=1e-6)
-        assert abs(x - 2.0) < 1e-6
-        assert fx == pytest.approx(0.0, abs=1e-10)
-
-    def test_bad_bracket(self):
-        with pytest.raises(ValueError):
-            golden_section_maximize(lambda f: f, 2.0, 1.0)
-
-    @pytest.mark.parametrize("lo, hi, tol", [
-        (math.nan, 1.0, 1e-6), (0.0, math.nan, 1e-6), (-math.inf, 1.0, 1e-6),
-        (0.0, math.inf, 1e-6), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf)])
-    def test_non_finite_inputs_rejected(self, lo, hi, tol):
-        with pytest.raises(ValueError, match="finite"):
-            golden_section_maximize(lambda f: -(f - 0.5) ** 2, lo, hi, tol)
-
-
 class TestNumericOptimizer:
     def test_two_user_coefficient(self):
         result = numeric_optimize_coefficient("steer_A_to_B", two_user_params(1.0), "f_b")
         assert abs(result.f_star - 1.239) < 1e-3
-        assert result.method == "golden_section"
+        assert result.method == "grid_refinement"
         assert not result.constraint_active
         assert not result.at_boundary
         assert result.g_star == pytest.approx(0.0627748, abs=1e-6)
 
     def test_three_user_david_coefficient(self):
         result = numeric_optimize_coefficient("steer_A_to_BD", three_user_params(0.4), "f_d")
-        assert abs(result.f_star - 1.108) < 1e-3
+        assert abs(result.f_star - optimal_fd(0.4, V_A_DEFAULT, V_S_DEFAULT)) < 1e-6
 
     @pytest.mark.parametrize("eta", TABLE_ETAS)
     def test_reproduces_table_fb(self, eta):
         result = numeric_optimize_coefficient("steer_A_to_B", two_user_params(eta), "f_b")
         expected = optimal_fb(0.5, eta if eta else 1.0, eta if eta else 1.0,
                               V_A_DEFAULT, V_S_DEFAULT)
-        assert abs(result.f_star - expected) < 1e-3
+        assert abs(result.f_star - expected) < 1e-6
 
     def test_local_maximum_witness(self):
         params = three_user_params(0.6)
@@ -224,6 +207,10 @@ class TestNumericOptimizer:
         assert constrained.constraint_active
         assert not constrained.at_boundary
         assert abs(constrained.f_star - 1.70) < 0.05
+        # the returned weight itself keeps both relayed ancillas separable
+        at_star = params.replace(f_d=constrained.f_star)
+        assert ppt_min(build_network_state(at_star, "pre_bob"), ["C1"]) >= 1 - SEPARABILITY_TOL
+        assert ppt_min(build_network_state(at_star, "pre_david"), ["C2"]) >= 1 - SEPARABILITY_TOL
         unconstrained = numeric_optimize_coefficient(
             "steer_BD_to_A", params, "f_d", enforce_separability=False)
         assert not unconstrained.constraint_active
@@ -234,9 +221,15 @@ class TestNumericOptimizer:
         assert g_frozen <= constrained.g_star
         assert constrained.g_star - g_frozen < 0.02
 
-    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (math.nan, 4.0)])
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (math.nan, 4.0), (-math.inf, 1.0),
+                                        (0.0, math.nan)])
     def test_non_finite_bounds_rejected(self, bounds):
-        with pytest.raises(ValueError, match="bounds"):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            numeric_optimize_coefficient("steer_A_to_B", two_user_params(1.0), "f_b", bounds)
+
+    @pytest.mark.parametrize("bounds", [(2.0, 1.0), (1.0, 1.0)])
+    def test_reversed_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="lo < hi"):
             numeric_optimize_coefficient("steer_A_to_B", two_user_params(1.0), "f_b", bounds)
 
     def test_unknown_objective(self):
@@ -247,36 +240,38 @@ class TestNumericOptimizer:
 
 
 #: (objective, parameters, eta, coefficient, enforce_separability, f_star, g_star,
-#: constraint_active, at_boundary), as computed by the point-by-point optimizer this
-#: batched one replaced; the batched coarse bracket must reproduce them bit for bit.
+#: constraint_active, at_boundary) of the grid-refinement optimizer.  Exact, so any change
+#: to the coarse bracket, the refinement passes or the kernels under them shows here.
 PINNED_OPTIMA = [
     ("steer_A_to_B", two_user_params, 1.0, "f_b", True,
-     1.239175640332382, 0.06277479913993837, False, False),
+     1.2391753600000002, 0.06277479913997538, False, False),
     ("steer_A_to_B", two_user_params, 0.7, "f_b", True,
-     1.239175640332382, 0.04352516159409473, False, False),
+     1.2391753600000002, 0.043525161594120475, False, False),
     ("steer_A_to_B", two_user_params, 0.4, "f_b", True,
-     1.239175640332382, 0.024639085187924688, False, False),
+     1.2391753600000002, 0.02463908518793891, False, False),
     ("steer_A_to_BD", three_user_params, 1.0, "f_d", True,
-     1.7524584216290418, 0.0957045927508973, False, False),
+     1.75245872, 0.09570459275090584, False, False),
     ("steer_A_to_BD", three_user_params, 0.7, "f_d", True,
-     1.4662118414912877, 0.05921784643313091, False, False),
+     1.4662121599999995, 0.05921784643313691, False, False),
     ("steer_A_to_BD", three_user_params, 0.4, "f_d", True,
-     1.1083521205602072, 0.02964059910865017, False, False),
+     1.10835216, 0.02964059910864994, False, False),
     ("steer_A_to_BD", three_user_params, 0.7, "f_b", True,
-     1.239175640332382, 0.05921784643312902, False, False),
+     1.2391753600000002, 0.05921784643313715, False, False),
     ("steer_BD_to_A", qss_params, 1.0, "f_d", True,
-     1.718947403239698, 0.4384660002040186, True, False),
+     1.7189476799999996, 0.438466190435661, True, False),
     ("steer_BD_to_A", qss_params, 0.9, "f_d", True,
-     1.863109711024948, 0.28793436943211254, True, False),
+     1.86310992, 0.2879344518331027, True, False),
     ("steer_BD_to_A", qss_params, 0.8, "f_d", True,
-     2.028959069433207, 0.0944990126056686, True, False),
+     2.0289593599999995, 0.09449906765691839, True, False),
     ("steer_BD_to_A", qss_params, 1.0, "f_d", False,
-     2.4535511486852237, 0.6827725794043428, False, False),
+     2.4535512000000006, 0.6827725794043384, False, False),
 ]
 
 
+# each case is named by its inputs only, so a re-pin keeps the test names
 @pytest.mark.parametrize("objective,make,eta,which,enforce,f_star,g_star,active,boundary",
-                         PINNED_OPTIMA)
+                         PINNED_OPTIMA, ids=["-".join(map(str, (o, m.__name__, e, w, en)))
+                                             for o, m, e, w, en, *_ in PINNED_OPTIMA])
 def test_optimizer_pinned(objective, make, eta, which, enforce, f_star, g_star, active,
                           boundary):
     result = numeric_optimize_coefficient(objective, make(eta), which,
@@ -358,3 +353,10 @@ class TestFiberDistance:
             fiber_distance(0.0, 0.2)
         with pytest.raises(ValueError):
             fiber_distance(0.5, -0.2)
+
+    @pytest.mark.parametrize("eta, alpha", [(0.5, math.nan), (0.5, math.inf), (math.nan, 0.2)])
+    def test_non_finite_inputs_rejected(self, eta, alpha):
+        # a NaN loss used to give a NaN length, and an infinite one a length of 0 km
+        bad = eta if math.isnan(eta) else alpha
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            fiber_distance(eta, alpha)
