@@ -239,45 +239,63 @@ class TestNumericOptimizer:
             numeric_optimize_coefficient("steer_A_to_B", two_user_params(1.0), "f_q")
 
 
-#: (objective, parameters, eta, coefficient, enforce_separability, f_star, g_star,
-#: constraint_active, at_boundary) of the grid-refinement optimizer.  Exact, so any change
-#: to the coarse bracket, the refinement passes or the kernels under them shows here.
+#: (objective, parameters, eta, coefficient, enforce_separability, f_ref, g_ref,
+#: constraint_active, at_boundary, f_star, g_star).  f_ref/g_ref are the optimum that the
+#: golden-section refinement found before the grid passes replaced it; the grid must stay
+#: within 1e-6 of f_ref and lose no more than 1e-12 of g_ref.  f_star/g_star are the
+#: grid-refinement optimizer's values, exact, so any change to the coarse bracket, the
+#: refinement passes or the kernels under them shows here.
 PINNED_OPTIMA = [
     ("steer_A_to_B", two_user_params, 1.0, "f_b", True,
-     1.2391753600000002, 0.06277479913997538, False, False),
+     1.239175640332382, 0.06277479913993837, False, False,
+     1.2391753600000002, 0.06277479913997538),
     ("steer_A_to_B", two_user_params, 0.7, "f_b", True,
-     1.2391753600000002, 0.043525161594120475, False, False),
+     1.239175640332382, 0.04352516159409473, False, False,
+     1.2391753600000002, 0.043525161594120475),
     ("steer_A_to_B", two_user_params, 0.4, "f_b", True,
-     1.2391753600000002, 0.02463908518793891, False, False),
+     1.239175640332382, 0.024639085187924688, False, False,
+     1.2391753600000002, 0.02463908518793891),
     ("steer_A_to_BD", three_user_params, 1.0, "f_d", True,
-     1.75245872, 0.09570459275090584, False, False),
+     1.7524584216290418, 0.0957045927508973, False, False,
+     1.75245872, 0.09570459275090584),
     ("steer_A_to_BD", three_user_params, 0.7, "f_d", True,
-     1.4662121599999995, 0.05921784643313691, False, False),
+     1.4662118414912877, 0.05921784643313091, False, False,
+     1.4662121599999995, 0.05921784643313691),
     ("steer_A_to_BD", three_user_params, 0.4, "f_d", True,
-     1.10835216, 0.02964059910864994, False, False),
+     1.1083521205602072, 0.02964059910865017, False, False,
+     1.10835216, 0.02964059910864994),
     ("steer_A_to_BD", three_user_params, 0.7, "f_b", True,
-     1.2391753600000002, 0.05921784643313715, False, False),
+     1.239175640332382, 0.05921784643312902, False, False,
+     1.2391753600000002, 0.05921784643313715),
     ("steer_BD_to_A", qss_params, 1.0, "f_d", True,
-     1.7189476799999996, 0.438466190435661, True, False),
+     1.718947403239698, 0.4384660002040186, True, False,
+     1.7189476799999996, 0.438466190435661),
     ("steer_BD_to_A", qss_params, 0.9, "f_d", True,
-     1.86310992, 0.2879344518331027, True, False),
+     1.863109711024948, 0.28793436943211254, True, False,
+     1.86310992, 0.2879344518331027),
     ("steer_BD_to_A", qss_params, 0.8, "f_d", True,
-     2.0289593599999995, 0.09449906765691839, True, False),
+     2.028959069433207, 0.0944990126056686, True, False,
+     2.0289593599999995, 0.09449906765691839),
     ("steer_BD_to_A", qss_params, 1.0, "f_d", False,
-     2.4535512000000006, 0.6827725794043384, False, False),
+     2.4535511486852237, 0.6827725794043428, False, False,
+     2.4535512000000006, 0.6827725794043384),
 ]
 
 
-# each case is named by its inputs only, so a re-pin keeps the test names
-@pytest.mark.parametrize("objective,make,eta,which,enforce,f_star,g_star,active,boundary",
-                         PINNED_OPTIMA, ids=["-".join(map(str, (o, m.__name__, e, w, en)))
-                                             for o, m, e, w, en, *_ in PINNED_OPTIMA])
-def test_optimizer_pinned(objective, make, eta, which, enforce, f_star, g_star, active,
-                          boundary):
+# a case is named by its inputs and reference optimum, not by the exact pin, so a re-pin
+# keeps the test names
+@pytest.mark.parametrize(
+    "objective,make,eta,which,enforce,f_ref,g_ref,active,boundary,f_star,g_star",
+    PINNED_OPTIMA, ids=["-".join(map(str, (o, m.__name__, *rest)))
+                        for o, m, *rest, _, _ in PINNED_OPTIMA])
+def test_optimizer_pinned(objective, make, eta, which, enforce, f_ref, g_ref, active,
+                          boundary, f_star, g_star):
     result = numeric_optimize_coefficient(objective, make(eta), which,
                                           enforce_separability=enforce)
     assert (result.f_star, result.g_star) == (f_star, g_star)
     assert (result.constraint_active, result.at_boundary) == (active, boundary)
+    assert abs(result.f_star - f_ref) <= 1e-6
+    assert result.g_star >= g_ref - 1e-12
 
 
 class TestChunkedBracket:
