@@ -49,7 +49,6 @@ __all__ = [
     "cmd_table_a1",
     "main",
     "read_cov_matrix_file",
-    "write_cov_matrix_file",
 ]
 
 EXIT_USAGE = 2
@@ -265,14 +264,6 @@ def read_cov_matrix_file(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     if len(set(labels)) != n:
         raise InputDataError(f"{path}: duplicate mode labels: {labels}")
     return labels, (cov + cov.T) / 2.0
-
-
-def write_cov_matrix_file(path: str, state: GaussianState) -> None:
-    """Export a state in the plain-text matrix format ``read_cov_matrix_file`` reads."""
-    lines = ["# labels: " + " ".join(state.labels)]
-    for row in state.cov:
-        lines.append(" ".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def parse_split_spec(spec: str, labels: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -13,10 +13,11 @@ This module owns covariance validity: ``GaussianState`` checks shape, finiteness
 symmetry and unique labels once, and the Cholesky behind the symplectic spectrum is the one
 positive-definiteness test (``ArithmeticError`` on failure).
 
-The private kernels behind the states (the validity check, the channels and the
-symplectic spectrum) take a stack ``(..., 2n, 2n)`` of covariances and act on each
+The private kernels (the validity check, the loss, beam-splitter and noise channels and
+the symplectic spectrum) take a stack ``(..., 2n, 2n)`` of covariances and act on each
 matrix alone, so a grid of states is one call; a single ``2n x 2n`` matrix is the
-stack of one.
+stack of one.  The channels trust their parameters: callers check them with the
+``_require_*`` rules here, one per kind of quantity.
 """
 
 from __future__ import annotations
@@ -31,13 +32,9 @@ import numpy as np
 
 __all__ = [
     "GaussianState",
-    "NoisePattern",
-    "add_correlated_noise",
     "beam_splitter",
     "db_to_variance",
     "is_physical",
-    "loss_channel",
-    "relabel",
     "select_modes",
     "squeezed_mode",
     "symplectic_form",
@@ -162,12 +159,6 @@ class GaussianState:
             raise IndexError(f"mode index {idx} out of range for {self.n_modes} modes")
         return idx
 
-    def block(self, i: int | str, j: int | str | None = None) -> np.ndarray:
-        """The 2x2 covariance block between modes ``i`` and ``j`` (``i`` if omitted)."""
-        a = 2 * self.mode_index(i)
-        b = a if j is None else 2 * self.mode_index(j)
-        return self.cov[a : a + 2, b : b + 2].copy()
-
 
 def vacuum(n: int, labels: Sequence[str] | None = None) -> GaussianState:
     """n-mode vacuum: identity covariance."""
@@ -240,25 +231,23 @@ def _beam_splitter_matrix(n: int, i: int, j: int, t: float) -> np.ndarray:
 def _bs_cov(cov: np.ndarray, i: int, j: int, t: float) -> np.ndarray:
     """Covariances ``(..., 2n, 2n)`` after mixing mode indices ``i`` and ``j`` on
     transmittance ``t``."""
-    if i == j:
-        raise ValueError("beam splitter needs two distinct modes")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {t}")
     s = _beam_splitter_matrix(cov.shape[-1] // 2, i, j, t)
     return s @ cov @ s.T
 
 
 def beam_splitter(state: GaussianState, i: int | str, j: int | str, t: float) -> GaussianState:
     """Mix modes ``i`` and ``j`` on a beam splitter of power transmittance ``t``."""
-    return GaussianState(state.labels, _bs_cov(state.cov, state.mode_index(i),
-                                               state.mode_index(j), t))
+    a, b = state.mode_index(i), state.mode_index(j)
+    if a == b:
+        raise ValueError("beam splitter needs two distinct modes")
+    _require_fractions(t=t)
+    return GaussianState(state.labels, _bs_cov(state.cov, a, b, t))
 
 
 def _loss_cov(cov: np.ndarray, i: int, eta: float) -> np.ndarray:
     """Covariances ``(..., 2n, 2n)`` after a pure-loss channel of efficiency ``eta`` on mode
-    index ``i``."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
+    index ``i``: its own block maps to ``eta * V + (1 - eta) * I``, cross blocks scale by
+    ``sqrt(eta)``."""
     m = cov.shape[-1]
     scale = np.ones(m)
     scale[2 * i : 2 * i + 2] = math.sqrt(eta)
@@ -267,44 +256,11 @@ def _loss_cov(cov: np.ndarray, i: int, eta: float) -> np.ndarray:
     return out.reshape(cov.shape)
 
 
-def loss_channel(state: GaussianState, i: int | str, eta: float) -> GaussianState:
-    """Pure-loss channel of transmission efficiency ``eta`` on mode ``i``.
-
-    The mode couples to a fresh vacuum: its own block maps to
-    ``eta * V + (1 - eta) * I`` and cross blocks scale by ``sqrt(eta)``.
-    """
-    return GaussianState(state.labels, _loss_cov(state.cov, state.mode_index(i), eta))
-
-
-@dataclass(frozen=True)
-class NoisePattern:
-    """Correlated classical displacement noise shared across modes.
-
-    One classical variable ``x_dis`` is added to every x quadrature with the
-    signed weight ``x_coeffs[k]``, and an independent ``p_dis`` to every p
-    quadrature with ``p_coeffs[k]``.  Both variables have variance ``v_dis``.
-    """
-
-    x_coeffs: tuple[float, ...]
-    p_coeffs: tuple[float, ...]
-    v_dis: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x_coeffs", tuple(float(c) for c in self.x_coeffs))
-        object.__setattr__(self, "p_coeffs", tuple(float(c) for c in self.p_coeffs))
-        if len(self.x_coeffs) != len(self.p_coeffs):
-            raise ValueError("x_coeffs and p_coeffs must have equal length")
-        if self.v_dis < 0:
-            raise ValueError("noise variance must be nonnegative")
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.x_coeffs)
-
-
 def _noise_cov(cov: np.ndarray, x_coeffs: Sequence, p_coeffs: Sequence,
                v_dis: float) -> np.ndarray:
-    """Covariance plus the rank-two noise term of ``add_correlated_noise``.
+    """Covariances ``(..., 2n, 2n)`` plus shared classical noise: a variable ``x_dis`` adds
+    to x quadrature ``k`` with weight ``x_coeffs[k]``, an independent ``p_dis`` to p
+    quadrature ``k`` with ``p_coeffs[k]``, both of variance ``v_dis``.
 
     A weight may be an array: the weights broadcast to a stack shape ``S`` and the result
     is ``S + (2n, 2n)``, one covariance per weight vector."""
@@ -317,19 +273,6 @@ def _noise_cov(cov: np.ndarray, x_coeffs: Sequence, p_coeffs: Sequence,
     return cov + v_dis * (uw.swapaxes(-2, -1) @ uw)
 
 
-def add_correlated_noise(state: GaussianState, pattern: NoisePattern) -> GaussianState:
-    """Add the shared classical displacement noise described by ``pattern``.
-
-    Since ``x_dis`` and ``p_dis`` are independent, the update is the rank-two
-    correction ``cov + v_dis * (u u^T + w w^T)`` with ``u`` carrying the x
-    weights and ``w`` the p weights; no x-p cross terms appear.
-    """
-    if pattern.n_modes != state.n_modes:
-        raise ValueError(f"pattern covers {pattern.n_modes} modes, state has {state.n_modes}")
-    return GaussianState(state.labels, _noise_cov(state.cov, pattern.x_coeffs,
-                                                  pattern.p_coeffs, pattern.v_dis))
-
-
 def select_modes(state: GaussianState, keep: Iterable[int | str]) -> GaussianState:
     """Partial trace: keep only the listed modes, in the requested order."""
     modes = [state.mode_index(m) for m in keep]
@@ -339,11 +282,6 @@ def select_modes(state: GaussianState, keep: Iterable[int | str]) -> GaussianSta
     return GaussianState(
         tuple(state.labels[m] for m in modes), state.cov[np.ix_(idx, idx)]
     )
-
-
-def relabel(state: GaussianState, labels: Sequence[str]) -> GaussianState:
-    """Same covariance under new mode names."""
-    return GaussianState(tuple(labels), state.cov)
 
 
 class _NotPositiveDefinite(ArithmeticError):

@@ -114,15 +114,22 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return _symplectic_eigenvalues(_checked_cov(cov, 1e-8))
 
 
+def _check_modes(modes: Iterable[int], n_modes: int) -> list[int]:
+    """``modes`` as integer indices; IndexError naming the first outside ``n_modes`` modes."""
+    modes = [operator.index(m) for m in modes]
+    for m in modes:
+        if not 0 <= m < n_modes:
+            raise IndexError(f"mode {m} out of range for {n_modes} modes")
+    return modes
+
+
 def partial_transpose(cov: np.ndarray, party: Sequence[int]) -> np.ndarray:
     """Flip the sign of every p row/column belonging to ``party`` modes (of each matrix
     of a stack ``(..., 2n, 2n)``)."""
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[-1] // 2
     signs = np.ones(2 * n)
-    for m in map(operator.index, party):
-        if not 0 <= m < n:
-            raise IndexError(f"mode {m} out of range for {n} modes")
+    for m in _check_modes(party, n):
         signs[2 * m + 1] = -1.0
     return cov * (signs[:, None] * signs)
 
@@ -171,13 +178,6 @@ def ppt_two_mode(cov: np.ndarray) -> float:
     return float(np.sqrt(2.0 * det / (c + np.sqrt(max(disc, 0.0)))))
 
 
-def _check_modes(partition: Partition, n_modes: int) -> None:
-    """IndexError naming the first mode of ``partition`` outside ``n_modes`` modes."""
-    for m in partition.steering + partition.steered:
-        if m >= n_modes:
-            raise IndexError(f"mode {m} out of range for {n_modes} modes")
-
-
 class _SingularBlock(ArithmeticError):
     """The steering party's block fails the ``COND_LIMIT`` guard."""
 
@@ -185,7 +185,7 @@ class _SingularBlock(ArithmeticError):
 def _steer_cov(cov: np.ndarray, partition: Partition) -> np.ndarray:
     """``steerability`` across ``partition`` of each covariance of a stack
     ``(..., 2n, 2n)``, as ``(...)``; ``ArithmeticError`` if any matrix fails the guard."""
-    _check_modes(partition, cov.shape[-1] // 2)
+    _check_modes(partition.steering + partition.steered, cov.shape[-1] // 2)
     idx_n = [k for m in partition.steering for k in (2 * m, 2 * m + 1)]
     idx_m = [k for m in partition.steered for k in (2 * m, 2 * m + 1)]
     rows_n, rows_m = cov.take(idx_n, axis=-2), cov.take(idx_m, axis=-2)
@@ -245,7 +245,7 @@ def full_report(state: GaussianState,
         splits = [Partition((i,), tuple(m for m in modes if m != i)) for i in modes]
     groups: dict[tuple[int, int], list[int]] = {}
     for i, part in enumerate(splits):
-        _check_modes(part, state.n_modes)
+        _check_modes(part.steering + part.steered, state.n_modes)
         groups.setdefault((len(part.steering), len(part.steered)), []).append(i)
     values: dict[int, list[float]] = {}  # split index -> [PPT, G(N->M), G(M->N)]
     for (a, b), members in groups.items():

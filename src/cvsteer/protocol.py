@@ -84,11 +84,10 @@ class ProtocolParams:
     users: str = "two"
 
     def __post_init__(self) -> None:
-        for name in ("v_s", "v_a", "v_dis", "f_a", "f_b", "f_c", "f_d"):
+        core._require_variances(v_s=self.v_s, v_a=self.v_a)
+        for name in ("v_dis", "f_a", "f_b", "f_c", "f_d"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.v_s <= 0 or self.v_a <= 0:
-            raise ValueError("squeezing variances must be positive")
         core._require_physical_source(self.v_s, self.v_a)
         if self.v_dis < 0:
             raise ValueError("displacement variance must be nonnegative")
@@ -190,8 +189,8 @@ def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
     takes ``sqrt(t3)`` from his mode and ``-sqrt(1-t3)`` from the relayed
     ancilla (the sign convention under which the closed forms hold).
 
-    The covariance is propagated as a plain array through the same channel
-    kernels that back ``core.loss_channel`` and ``core.beam_splitter``, and
+    The covariance is propagated as a plain array through ``core``'s channel
+    kernels, which take the ``ProtocolParams`` values as already checked, and
     only the returned state is wrapped (and validated) as a ``GaussianState``.
     """
     cov = _network_cov(params, stage)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,19 +61,23 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+def write_cov_matrix_file(path, labels, cov) -> str:
+    """Write ``cov`` in the plain-text matrix format ``cli.read_cov_matrix_file`` reads, each
+    entry to six significant digits; returns the path as a string."""
+    lines = ["# labels: " + " ".join(labels)]
+    lines += [" ".join(format(float(v), ".6g") for v in row) for row in cov]
+    Path(path).write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 @pytest.fixture
 def three_mode_file(tmp_path):
-    path = tmp_path / "three_mode.txt"
-    lines = ["# labels: " + " ".join(THREE_MODE_LABELS)]
-    lines += [" ".join(f"{v:g}" for v in row) for row in THREE_MODE_REFERENCE]
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
+    return write_cov_matrix_file(tmp_path / "three_mode.txt", THREE_MODE_LABELS,
+                                 THREE_MODE_REFERENCE)
 
 
 @pytest.fixture
 def four_mode_file(tmp_path):
-    path = tmp_path / "four_mode.txt"
-    lines = ["# labels: " + " ".join(FOUR_MODE_LABELS)]
-    lines += [" ".join(f"{v:g}" for v in row) for row in FOUR_MODE_REFERENCE]
-    path.write_text("\n".join(lines) + "\n")
-    return str(path)
+    # written as published, asymmetry included: a GaussianState would symmetrize it
+    return write_cov_matrix_file(tmp_path / "four_mode.txt", FOUR_MODE_LABELS,
+                                 FOUR_MODE_REFERENCE)

@@ -31,9 +31,8 @@ from cvsteer.cli import (
     parse_eta_grid,
     parse_split_spec,
     read_cov_matrix_file,
-    write_cov_matrix_file,
 )
-from conftest import THREE_MODE_PPT, FOUR_MODE_PPT, two_user_params
+from conftest import THREE_MODE_PPT, FOUR_MODE_PPT, two_user_params, write_cov_matrix_file
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -239,7 +238,7 @@ class TestCovMatrixFile:
     def test_write_read_roundtrip(self, tmp_path):
         state = build_network_state(two_user_params(0.8), "final_two_user")
         path = tmp_path / "state.txt"
-        write_cov_matrix_file(str(path), state)
+        write_cov_matrix_file(path, state.labels, state.cov)
         labels, cov = read_cov_matrix_file(str(path))
         assert labels == ("A", "B")
         np.testing.assert_allclose(cov, state.cov, atol=1e-5)
@@ -311,7 +310,7 @@ class TestCertify:
 
         state = build_network_state(two_user_params(0.9), "final_two_user")
         path = tmp_path / "state.txt"
-        write_cov_matrix_file(str(path), state)
+        write_cov_matrix_file(path, state.labels, state.cov)
         report = cmd_certify(str(path))
         assert report.ppt_by_split["A|B"] == pytest.approx(ppt_min(state, ["A"]), abs=1e-4)
         direct = steerability(state, Partition((0,), (1,)))

@@ -5,13 +5,10 @@ import pytest
 
 from cvsteer import (
     GaussianState,
-    NoisePattern,
     ProtocolParams,
-    add_correlated_noise,
     beam_splitter,
     db_to_variance,
     is_physical,
-    loss_channel,
     select_modes,
     squeezed_mode,
     symplectic_eigenvalues,
@@ -19,7 +16,7 @@ from cvsteer import (
     tensor,
     vacuum,
 )
-from cvsteer.core import SYMMETRY_TOL, _checked_cov
+from cvsteer.core import SYMMETRY_TOL, _checked_cov, _loss_cov, _noise_cov
 from conftest import THREE_MODE_REFERENCE, THREE_MODE_LABELS, random_physical_cov
 
 
@@ -127,7 +124,7 @@ class TestBeamSplitter:
         out = beam_splitter(state, 0, 1, 1.0)
         # port i passes straight through; port j only picks up a sign
         np.testing.assert_allclose(np.abs(out.cov), np.abs(state.cov), atol=1e-12)
-        np.testing.assert_allclose(out.block("a"), state.block("a"), atol=1e-12)
+        np.testing.assert_allclose(out.cov[:2, :2], state.cov[:2, :2], atol=1e-12)
 
     def test_balanced_mixing_of_squeezed_pair(self):
         state = tensor(
@@ -155,67 +152,64 @@ class TestBeamSplitter:
     def test_same_mode_rejected(self):
         with pytest.raises(ValueError):
             beam_splitter(vacuum(2), 1, 1, 0.5)
+        with pytest.raises(ValueError, match="two distinct modes"):
+            beam_splitter(vacuum(2), "m2", 1, 0.5)  # one mode by label and by index
 
     def test_bad_transmittance_rejected(self):
         with pytest.raises(ValueError):
             beam_splitter(vacuum(2), 0, 1, 1.2)
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\], got nan"):
+            beam_splitter(vacuum(2), 0, 1, float("nan"))
 
 
 class TestLossChannel:
     def test_unit_efficiency_is_identity(self, rng):
-        state = GaussianState(("a", "b"), random_physical_cov(rng, 2))
-        np.testing.assert_array_equal(loss_channel(state, 0, 1.0).cov, state.cov)
+        cov = random_physical_cov(rng, 2)
+        np.testing.assert_array_equal(_loss_cov(cov, 0, 1.0), cov)
 
     def test_zero_efficiency_gives_vacuum(self, rng):
-        state = GaussianState(("a", "b"), random_physical_cov(rng, 2))
-        out = loss_channel(state, "a", 0.0)
-        np.testing.assert_allclose(out.block("a"), np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(out.block("a", "b"), 0, atol=1e-12)
+        out = _loss_cov(random_physical_cov(rng, 2), 0, 0.0)
+        np.testing.assert_allclose(out[:2, :2], np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(out[:2, 2:], 0, atol=1e-12)
 
     def test_half_loss_on_squeezed(self):
-        state = squeezed_mode(0.5, 3.55, "p_squeezed")
-        out = loss_channel(state, 0, 0.5)
-        np.testing.assert_allclose(np.diag(out.cov), [2.275, 0.75])
+        out = _loss_cov(squeezed_mode(0.5, 3.55, "p_squeezed").cov, 0, 0.5)
+        np.testing.assert_allclose(np.diag(out), [2.275, 0.75])
 
     def test_bad_eta_rejected(self):
+        # the kernel reads efficiencies only from ProtocolParams, which checks them
         with pytest.raises(ValueError):
-            loss_channel(vacuum(1), 0, -0.1)
+            ProtocolParams(eta_sb=-0.1)
 
 
 class TestCorrelatedNoise:
     def test_zero_variance_is_identity(self, rng):
-        state = GaussianState(("a", "b"), random_physical_cov(rng, 2))
-        pattern = NoisePattern((1.0, -2.0), (0.5, 1.0), 0.0)
-        np.testing.assert_array_equal(add_correlated_noise(state, pattern).cov, state.cov)
+        cov = random_physical_cov(rng, 2)
+        np.testing.assert_array_equal(_noise_cov(cov, (1.0, -2.0), (0.5, 1.0), 0.0), cov)
 
     def test_single_mode_additive(self):
-        out = add_correlated_noise(vacuum(1), NoisePattern((1.0,), (0.0,), 1.5))
-        np.testing.assert_allclose(out.cov, np.diag([2.5, 1.0]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            add_correlated_noise(vacuum(2), NoisePattern((1.0,), (1.0,), 1.0))
+        out = _noise_cov(np.eye(2), (1.0,), (0.0,), 1.5)
+        np.testing.assert_allclose(out, np.diag([2.5, 1.0]))
 
     def test_many_modes(self):
         # more weights than numpy broadcasts in one call: u u^T + w w^T, x and p sectors apart
         n = 40
-        out = add_correlated_noise(vacuum(n), NoisePattern((0.5,) * n, (0.25,) * n, 2.0))
-        np.testing.assert_array_equal(out.cov[0::2, 0::2], np.eye(n) + 0.5)
-        np.testing.assert_array_equal(out.cov[1::2, 1::2], np.eye(n) + 0.125)
-        np.testing.assert_array_equal(out.cov[0::2, 1::2], 0.0)
+        out = _noise_cov(np.eye(2 * n), (0.5,) * n, (0.25,) * n, 2.0)
+        np.testing.assert_array_equal(out[0::2, 0::2], np.eye(n) + 0.5)
+        np.testing.assert_array_equal(out[1::2, 1::2], np.eye(n) + 0.125)
+        np.testing.assert_array_equal(out[0::2, 1::2], 0.0)
 
     def test_negative_variance_rejected(self):
+        # the kernel reads the noise variance only from ProtocolParams, which checks it
         with pytest.raises(ValueError):
-            NoisePattern((1.0,), (1.0,), -0.5)
+            ProtocolParams(v_dis=-0.5)
 
     def test_diagonal_never_decreases(self, rng):
-        state = GaussianState(tuple("abc"), random_physical_cov(rng, 3))
+        cov = random_physical_cov(rng, 3)
         for _ in range(20):
-            pattern = NoisePattern(
-                tuple(rng.normal(size=3)), tuple(rng.normal(size=3)), rng.uniform(0, 3)
-            )
-            out = add_correlated_noise(state, pattern)
-            assert np.all(np.diag(out.cov) >= np.diag(state.cov) - 1e-12)
+            out = _noise_cov(cov, tuple(rng.normal(size=3)), tuple(rng.normal(size=3)),
+                             rng.uniform(0, 3))
+            assert np.all(np.diag(out) >= np.diag(cov) - 1e-12)
 
     def test_two_user_pipeline_variance(self):
         # four displaced modes then the full two-user chain at unit efficiency:
@@ -225,8 +219,8 @@ class TestCorrelatedNoise:
             squeezed_mode(0.5, 3.55, "x_squeezed", label="C"),
         )
         f_b = 1.239
-        pattern = NoisePattern((0.0, f_b, 1.0), (1.0, -f_b, 0.0), 1.5)
-        state = add_correlated_noise(state, pattern)
+        state = GaussianState(state.labels, _noise_cov(state.cov, (0.0, f_b, 1.0),
+                                                       (1.0, -f_b, 0.0), 1.5))
         state = beam_splitter(state, "A", "C", 0.5)
         state = beam_splitter(state, "B", "C", 0.5)
         assert state.cov[0, 0] == pytest.approx(2.775, abs=1e-12)
@@ -252,8 +246,8 @@ class TestSelectModes:
         state = GaussianState(tuple("abc"), random_physical_cov(rng, 3))
         out = select_modes(state, ["c", "a"])
         assert out.labels == ("c", "a")
-        np.testing.assert_array_equal(out.block("c"), state.block("c"))
-        np.testing.assert_array_equal(out.block("c", "a"), state.block("c", "a"))
+        np.testing.assert_array_equal(out.cov[:2, :2], state.cov[4:, 4:])
+        np.testing.assert_array_equal(out.cov[:2, 2:], state.cov[4:, :2])
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -285,7 +279,8 @@ class TestIsPhysical:
         for _ in range(25):
             t, eta = rng.uniform(0, 1), rng.uniform(0, 1)
             i, j = rng.choice(3, size=2, replace=False)
-            state = loss_channel(beam_splitter(state, int(i), int(j), t), int(i), eta)
+            state = beam_splitter(state, int(i), int(j), t)
+            state = GaussianState(state.labels, _loss_cov(state.cov, int(i), eta))
             assert is_physical(state)
 
 

@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 
 from cvsteer import (
     GaussianState,
-    NoisePattern,
     Partition,
     ProtocolParams,
-    add_correlated_noise,
     beam_splitter,
     build_network_state,
     full_report,
     is_physical,
-    loss_channel,
     ppt_min,
-    relabel,
     select_modes,
     separable_boundary_vsep,
     server_output_state,
@@ -29,7 +25,8 @@ from cvsteer import (
     tensor,
     vacuum,
 )
-from cvsteer.core import SYMMETRY_TOL, _checked_cov, _symplectic_eigenvalues
+from cvsteer.core import (SYMMETRY_TOL, _bs_cov, _checked_cov, _loss_cov, _noise_cov,
+                          _symplectic_eigenvalues)
 from cvsteer.criteria import SEPARABILITY_TOL, _ppt_cov, _steer_cov
 from cvsteer.protocol import STAGES, _network_cov
 
@@ -177,8 +174,8 @@ def test_steerability_does_not_grow_under_loss_on_the_steered_party(state, data)
     n = cov.shape[0] // 2
     part = _random_partition(data, n)
     before = GaussianState(tuple(f"m{i}" for i in range(n)), cov)
-    after = loss_channel(before, data.draw(st.sampled_from(part.steered)),
-                         data.draw(st.floats(0.0, 1.0)))
+    after = GaussianState(before.labels, _loss_cov(
+        before.cov, data.draw(st.sampled_from(part.steered)), data.draw(st.floats(0.0, 1.0))))
     g_before, g_after = steerability(before, part), steerability(after, part)
     assert g_after <= g_before * (1.0 + 1e-9) + 1e-12
 
@@ -216,40 +213,38 @@ def test_channels_preserve_physicality(state, data):
     before = GaussianState(tuple(f"m{i}" for i in range(n)), cov)
     i, j = data.draw(st.permutations(range(n)))[:2]
     weights = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
-    pattern = NoisePattern(data.draw(weights), data.draw(weights), data.draw(st.floats(0.0, 5.0)))
-    for after in (loss_channel(before, i, data.draw(st.floats(0.0, 1.0))),
+    noise = (data.draw(weights), data.draw(weights), data.draw(st.floats(0.0, 5.0)))
+    for after in (GaussianState(before.labels,
+                                _loss_cov(before.cov, i, data.draw(st.floats(0.0, 1.0)))),
                   beam_splitter(before, i, j, data.draw(st.floats(0.0, 1.0))),
-                  add_correlated_noise(before, pattern)):
+                  GaussianState(before.labels, _noise_cov(before.cov, *noise))):
         assert is_physical(after)
 
 
 def composed_network_state(params: ProtocolParams, stage: str) -> GaussianState:
-    """The network state built step by step from the public ``core`` operations."""
+    """The network state built step by step from the ``core`` states and channel kernels."""
     state = tensor(squeezed_mode(params.v_s, params.v_a, "p_squeezed", "A0"),
                    vacuum(1, ("B0",)))
     state = tensor(state, squeezed_mode(params.v_s, params.v_a, "x_squeezed", "C0"))
-    state = tensor(state, vacuum(1, ("D0",)))
-    state = add_correlated_noise(state, NoisePattern(
-        x_coeffs=(0.0, params.f_b, params.f_c, params.f_d),
-        p_coeffs=(params.f_a, -params.f_b, 0.0, -params.f_d),
-        v_dis=params.v_dis,
-    ))
-    state = loss_channel(state, 0, params.eta_sa)
-    state = loss_channel(state, 2, params.eta_sa)
-    state = loss_channel(state, 1, params.eta_sb)
-    state = loss_channel(state, 3, params.eta_sd)
-    state = beam_splitter(state, 0, 2, params.t1)
-    state = loss_channel(state, 2, params.eta_ab)
+    cov = tensor(state, vacuum(1, ("D0",))).cov
+    cov = _noise_cov(cov, x_coeffs=(0.0, params.f_b, params.f_c, params.f_d),
+                     p_coeffs=(params.f_a, -params.f_b, 0.0, -params.f_d), v_dis=params.v_dis)
+    cov = _loss_cov(cov, 0, params.eta_sa)
+    cov = _loss_cov(cov, 2, params.eta_sa)
+    cov = _loss_cov(cov, 1, params.eta_sb)
+    cov = _loss_cov(cov, 3, params.eta_sd)
+    cov = _bs_cov(cov, 0, 2, params.t1)
+    cov = _loss_cov(cov, 2, params.eta_ab)
     if stage == "pre_bob":
-        return relabel(select_modes(state, [0, 1, 2]), ("A", "B0", "C1"))
-    state = beam_splitter(state, 1, 2, params.t2)
+        return GaussianState(("A", "B0", "C1"), cov[:6, :6])
+    cov = _bs_cov(cov, 1, 2, params.t2)
     if stage == "final_two_user":
-        return relabel(select_modes(state, [0, 1]), ("A", "B"))
-    state = loss_channel(state, 2, params.eta_bd)
+        return GaussianState(("A", "B"), cov[:4, :4])
+    cov = _loss_cov(cov, 2, params.eta_bd)
     if stage == "pre_david":
-        return relabel(select_modes(state, [0, 1, 2, 3]), ("A", "B", "C2", "D0"))
-    state = beam_splitter(state, 3, 2, 1.0 - params.t3)
-    return relabel(select_modes(state, [0, 1, 2]), ("A", "B", "D"))
+        return GaussianState(("A", "B", "C2", "D0"), cov)
+    cov = _bs_cov(cov, 3, 2, 1.0 - params.t3)
+    return GaussianState(("A", "B", "D"), cov[:6, :6])
 
 
 unit = st.floats(0.0, 1.0)

@@ -45,6 +45,11 @@ class TestParams:
         with pytest.raises(ValueError):
             ProtocolParams(users="four")
 
+    @pytest.mark.parametrize("name, value", [("v_s", 0.0), ("v_a", -1.0)])
+    def test_non_positive_variance_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value}"):
+            ProtocolParams(**{name: value})
+
     def test_source_uncertainty_relation(self):
         with pytest.raises(ValueError, match="uncertainty relation"):
             ProtocolParams(v_s=0.1, v_a=2.0)
@@ -85,10 +90,10 @@ class TestBuildNetworkState:
     def test_total_loss_decouples_users(self):
         p = three_user_params(0.0)
         state = build_network_state(p, "final_three_user")
-        np.testing.assert_allclose(state.block("B"), np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(state.block("D"), np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(state.block("A", "B"), 0, atol=1e-12)
-        np.testing.assert_allclose(state.block("A", "D"), 0, atol=1e-12)
+        np.testing.assert_allclose(state.cov[2:4, 2:4], np.eye(2), atol=1e-12)  # B
+        np.testing.assert_allclose(state.cov[4:6, 4:6], np.eye(2), atol=1e-12)  # D
+        np.testing.assert_allclose(state.cov[0:2, 2:4], 0, atol=1e-12)  # A, B
+        np.testing.assert_allclose(state.cov[0:2, 4:6], 0, atol=1e-12)  # A, D
 
     def test_all_stages_physical(self, rng):
         for _ in range(30):
