@@ -65,7 +65,8 @@ MIN_SYMPLECTIC_EIGENVALUE = 0.95
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(ProtocolParams)} - {"users"}
 
-#: Run settings a config file or a flag can give besides the ``_PARAM_FIELDS`` overrides.
+#: Run settings a flag can give besides the ``_PARAM_FIELDS`` overrides; a config file may
+#: give those a command has a flag for.
 _RUN_KEYS = ("scenario", "eta_grid", "format", "out", "seed", "shots")
 
 
@@ -149,8 +150,13 @@ def load_config_file(path: str) -> dict[str, str]:
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge config-file entries with command-line flags (flags win)."""
     raw = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in _RUN_KEYS:
-        if getattr(args, key, None) not in (None, ""):
+    run_keys = [key for key in _RUN_KEYS if hasattr(args, key)]
+    for key in raw:
+        if key not in run_keys and key not in _PARAM_FIELDS:
+            raise UsageError(f"unknown config key {key!r} for {args.command}; "
+                             f"known: {sorted({*run_keys, *_PARAM_FIELDS})}")
+    for key in run_keys:
+        if getattr(args, key) not in (None, ""):
             raw[key] = getattr(args, key)
     for item in getattr(args, "set", None) or []:
         key, eq, value = item.partition("=")
@@ -175,11 +181,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
                 cfg[key] = int(value)
             except ValueError:
                 raise UsageError(f"{key} must be an integer, got {value!r}") from None
-        elif key in _RUN_KEYS:
-            cfg["fmt" if key == "format" else key] = value
         else:
-            raise UsageError(f"unknown config key {key!r}; "
-                             f"known: {sorted({*_RUN_KEYS, *_PARAM_FIELDS})}")
+            cfg["fmt" if key == "format" else key] = value
     config = RunConfig(**cfg)  # type: ignore[arg-type]
     if config.scenario not in SCENARIOS:
         raise UsageError(f"unknown scenario {config.scenario!r}; choose from {SCENARIOS}")
@@ -213,13 +216,13 @@ def format_scan_json(result: ScanResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-def read_cov_matrix_file(path: str) -> tuple[tuple[str, ...], np.ndarray]:
+def read_cov_matrix_file(path: str) -> GaussianState:
     """Parse a whitespace-separated square matrix with optional label header.
 
     The header line looks like ``# labels: A B0 C1``.  The matrix must be
-    finite, square with even dimension and symmetric within ``INPUT_SYMMETRY_TOL``
-    (published matrices are rounded, so mild asymmetry is tolerated and
-    symmetrized away).
+    finite, square and symmetric within ``INPUT_SYMMETRY_TOL`` (published
+    matrices are rounded, so mild asymmetry is tolerated and symmetrized away);
+    ``GaussianState`` checks the rest, and its errors are ``InputDataError`` too.
     """
     try:
         text = Path(path).read_text()
@@ -247,23 +250,19 @@ def read_cov_matrix_file(path: str) -> tuple[tuple[str, ...], np.ndarray]:
         raise InputDataError(f"{path}: ragged rows; expected {width} entries per row")
     if len(rows) != width:
         raise InputDataError(f"{path}: matrix is {len(rows)} x {width}, not square")
-    if width % 2:
-        raise InputDataError(f"{path}: dimension {width} is odd; need 2 per mode")
     cov = np.array(rows)
-    if not np.isfinite(cov).all():
+    if not np.isfinite(cov).all():  # before the subtraction, where inf - inf would warn
         raise InputDataError(f"{path}: non-finite matrix entry")
     asym = float(np.abs(cov - cov.T).max())
     if asym > INPUT_SYMMETRY_TOL:
         raise InputDataError(
             f"{path}: matrix asymmetric by {asym:.3g} (tolerance {INPUT_SYMMETRY_TOL:g})")
-    n = width // 2
     if labels is None:
-        labels = tuple(f"M{i + 1}" for i in range(n))
-    if len(labels) != n:
-        raise InputDataError(f"{path}: {len(labels)} labels for {n} modes")
-    if len(set(labels)) != n:
-        raise InputDataError(f"{path}: duplicate mode labels: {labels}")
-    return labels, (cov + cov.T) / 2.0
+        labels = tuple(f"M{i + 1}" for i in range(width // 2))
+    try:
+        return GaussianState(labels, (cov + cov.T) / 2.0)
+    except ValueError as exc:
+        raise InputDataError(f"{path}: {exc}") from None
 
 
 def parse_split_spec(spec: str, labels: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -296,14 +295,13 @@ def cmd_certify(path: str, splits: Sequence[str] | None = None) -> SteeringRepor
     ``NumericalError`` if the matrix is not positive definite or certification
     fails numerically, e.g. on an ill-conditioned steering block.
     """
-    labels, cov = read_cov_matrix_file(path)
-    if len(labels) < 2:
+    state = read_cov_matrix_file(path)
+    if state.n_modes < 2:
         raise InputDataError(f"{path}: one mode; need at least two modes to certify")
-    state = GaussianState(labels, cov)
-    partitions = [Partition.from_labels(state, *parse_split_spec(s, labels))
+    partitions = [Partition.from_labels(state, *parse_split_spec(s, state.labels))
                   for s in splits] if splits else None
     try:
-        nu_min = symplectic_eigenvalues(cov)[0]
+        nu_min = symplectic_eigenvalues(state.cov)[0]
         if nu_min < MIN_SYMPLECTIC_EIGENVALUE:
             raise InputDataError(f"{path}: unphysical covariance: smallest symplectic "
                                  f"eigenvalue {nu_min:.4g} is below {MIN_SYMPLECTIC_EIGENVALUE:g}")

@@ -65,10 +65,10 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def _checked_cov(cov, tol: float) -> np.ndarray:
-    """``cov`` symmetrized; ValueError unless each matrix of the stack ``(..., 2n, 2n)`` is
-    finite and symmetric to tol x max(1, its max|entry|)."""
+    """``cov`` symmetrized; ValueError unless each matrix of the stack ``(..., 2n, 2n)``,
+    n >= 1, is finite and symmetric to tol x max(1, its max|entry|)."""
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2 or not cov.shape[-1]:
         raise ValueError(f"covariance must be square 2n x 2n, got {cov.shape}")
     scale = np.abs(cov).max(axis=(-2, -1))  # NaN or inf exactly where some entry is
     if not (scale < np.inf).all():

@@ -143,7 +143,6 @@ class OptimizationResult:
     f_star: float
     g_star: float
     constraint_active: bool
-    method: str
     at_boundary: bool = False
 
 
@@ -182,9 +181,9 @@ def numeric_optimize_coefficient(
 
     ``objective`` is one of ``steer_A_to_B``, ``steer_A_to_BD`` or
     ``steer_BD_to_A``; ``which`` selects the coefficient (``"f_b"`` or
-    ``"f_d"``), the other staying at its value in ``params``.  Candidate
-    points that break the ancilla-separability requirement are rejected
-    outright when ``enforce_separability`` is set.
+    ``"f_d"``, which ``steer_A_to_B`` never reads), the other staying at its
+    value in ``params``.  Candidate points that break the ancilla-separability
+    requirement are rejected outright when ``enforce_separability`` is set.
 
     The steering objective is identically zero outside a finite coefficient
     window, so a coarse scan first brackets the window.  Grid passes then refine
@@ -203,6 +202,8 @@ def numeric_optimize_coefficient(
     if hi <= lo:
         raise ValueError("bounds must satisfy lo < hi")
     stage, partition = _OBJECTIVE_STAGE[objective]
+    if stage == "final_two_user" and which == "f_d":  # David's weight
+        raise ValueError(f"{objective} does not depend on f_d; optimize f_b")
     if stage == "final_three_user" and params.users != "three":
         params = params.replace(users="three")
 
@@ -249,7 +250,6 @@ def numeric_optimize_coefficient(
         f_star=float(x_star),
         g_star=float(g_star),
         constraint_active=bool(active),
-        method="grid_refinement",
         at_boundary=not interior,
     )
 

@@ -16,14 +16,15 @@ substream, so no block depends on when or where it is drawn.  The blocks are
 drawn on a pool of threads, one per CPU the process may use but no more than
 ``_MAX_THREADS`` or the block count, and handed out in order with at most
 pool-size blocks in flight.  Each pool thread draws and propagates all its
-blocks in place in one buffer.  ``shot_blocks`` yields copies of the blocks
-and ``simulate_shots`` is their concatenation.  ``estimate_covariance``
-reduces each block, on the calling thread, to a count, a mean and a centred
-``X^T X`` and merges them in order; ``cli``'s ``montecarlo`` has each pool
-thread reduce its block where it drew it (``_sampled_covariance``), so the
-memory a run holds is set by the pool size times one buffer, not by the shot
-count or the host.  Every result is the same bit for bit whatever the pool
-size.  Code on the pool threads calls only private functions.
+blocks in place in one buffer.  ``simulate_shots`` concatenates copies of the
+blocks into a ``ShotBatch``, which checks its records and is the one input of
+``estimate_covariance``.  That reduces each ``_BLOCK``-row slice, on the
+calling thread, to a count, a mean and a centred ``X^T X`` and merges them in
+order; ``cli``'s ``montecarlo`` has each pool thread reduce its block where it
+drew it (``_sampled_covariance``), so the memory a run holds is set by the
+pool size times one buffer, not by the shot count or the host.  Both give the
+same result bit for bit whatever the pool size.  Code on the pool threads
+calls only private functions.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "compare_covariance",
     "CovarianceComparison",
     "estimate_covariance",
-    "shot_blocks",
     "simulate_shots",
 ]
 
@@ -77,11 +77,21 @@ class ShotBatch:
 
     ``quads`` has one row per shot and columns ``(x1, p1, ..., xn, pn)``
     matching ``labels``.  Deterministic given (seed, params, stage, n_shots).
+    ``ValueError`` unless ``quads`` is 2-D, finite and ``2 * len(labels) >= 2`` wide.
     """
 
     labels: tuple[str, ...]
     quads: np.ndarray
     seed: int
+
+    def __post_init__(self) -> None:
+        quads = np.asarray(self.quads, dtype=float)
+        if quads.ndim != 2 or quads.shape[1] != 2 * len(self.labels) or not self.labels:
+            raise ValueError(f"quads must be shots x 2 columns per label, at least one label; "
+                             f"got shape {quads.shape} for labels {tuple(self.labels)}")
+        if not np.isfinite(quads).all():
+            raise ValueError("shot record has a non-finite entry")
+        object.__setattr__(self, "quads", quads)
 
     @property
     def n_shots(self) -> int:
@@ -174,12 +184,11 @@ def _propagate_block(params: ProtocolParams, steps: tuple, n_modes: int,
     return np.stack(q[: 2 * n_modes], axis=1, out=block)
 
 
-def _block_moments(block: np.ndarray,
-                   in_place: bool = False) -> tuple[int, np.ndarray, np.ndarray]:
-    """A block's shot count, mean and centred ``X^T X``; ``in_place`` centres ``block`` itself."""
+def _block_moments(block: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """A block's shot count, mean and centred ``X^T X``; ``block`` is centred in place."""
     mean = block.mean(axis=0)
-    centred = np.subtract(block, mean, out=block if in_place else None)
-    return block.shape[0], mean, centred.T @ centred
+    block -= mean
+    return block.shape[0], mean, block.T @ block
 
 
 def _merged(moments: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -234,14 +243,14 @@ def _drawn_blocks(params: ProtocolParams, stage: str, n_shots: int, seed: int,
 
 def _sampled_covariance(params: ProtocolParams, stage: str, n_shots: int, seed: int,
                         dump: TextIO | None = None) -> tuple[tuple[str, ...], np.ndarray]:
-    """Labels of the ``stage`` modes and ``estimate_covariance`` of the shots of
-    ``shot_blocks(params, stage, n_shots, seed)``, each block reduced to its moments on the
-    pool thread that drew it.  With ``dump``, the shots are also written there as CSV
+    """Labels of the ``stage`` modes and ``estimate_covariance`` of
+    ``simulate_shots(params, stage, n_shots, seed)``, each block reduced to its moments on
+    the pool thread that drew it.  With ``dump``, the shots are also written there as CSV
     (a ``x_<label>,p_<label>,...`` header, then ``%.6g`` rows), block by block in order.
     """
     def reduce(block: np.ndarray):
         kept = None if dump is None else block.copy()
-        return _block_moments(block, in_place=True), kept
+        return _block_moments(block), kept
 
     labels, drawn = _drawn_blocks(params, stage, n_shots, seed, reduce)
 
@@ -256,37 +265,25 @@ def _sampled_covariance(params: ProtocolParams, stage: str, n_shots: int, seed: 
     return labels, _merged(moments())
 
 
-def shot_blocks(params: ProtocolParams, stage: str, n_shots: int,
-                seed: int) -> tuple[tuple[str, ...], Iterator[np.ndarray]]:
-    """Labels of the ``stage`` modes and an iterator over ``n_shots`` shots in ``_BLOCK`` rows.
-
-    The stage, the shot count and the seed (an integer Philox key) are checked on the call;
-    the shots are drawn lazily, at most one block per pool thread ahead of the consumer.
-    """
-    return _drawn_blocks(params, stage, n_shots, seed, np.copy)
-
-
 def simulate_shots(params: ProtocolParams, stage: str, n_shots: int, seed: int) -> ShotBatch:
     """Sample ``n_shots`` joint quadrature outcomes of the ``stage`` modes."""
-    labels, blocks = shot_blocks(params, stage, n_shots, seed)
+    labels, blocks = _drawn_blocks(params, stage, n_shots, seed, np.copy)
     quads = np.concatenate(list(blocks), axis=0)
     quads.flags.writeable = False
     return ShotBatch(labels=labels, quads=quads, seed=int(seed))
 
 
-def estimate_covariance(shots: ShotBatch | Iterable[np.ndarray]) -> np.ndarray:
-    """Unbiased sample covariance (divisor ``n - 1``) of a batch or of its blocks in order.
+def estimate_covariance(shots: ShotBatch) -> np.ndarray:
+    """Unbiased sample covariance (divisor ``n - 1``) of a batch.
 
-    Each block is reduced to its count, mean and centred ``X^T X`` on the calling thread
-    before the next is taken, so a producer may reuse one array for every block, and the
-    blocks are merged in order by the pairwise update of Chan, Golub and LeVeque (1979).
-    A ``ShotBatch`` is read in ``_BLOCK``-row slices, so it and the stream of
-    ``shot_blocks`` give the same result.
+    The batch is read in ``_BLOCK``-row slices, each reduced to its count, mean and centred
+    ``X^T X`` and merged in order by the pairwise update of Chan, Golub and LeVeque (1979):
+    the reduction ``montecarlo`` runs on the blocks where they are drawn, so both give the
+    same result.
     """
-    if isinstance(shots, ShotBatch):
-        quads = shots.quads
-        shots = (quads[k : k + _BLOCK] for k in range(0, quads.shape[0], _BLOCK))
-    return _merged(map(_block_moments, shots))
+    quads = shots.quads
+    return _merged(_block_moments(quads[k : k + _BLOCK].copy())
+                   for k in range(0, quads.shape[0], _BLOCK))
 
 
 @dataclass(frozen=True)

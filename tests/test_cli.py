@@ -88,6 +88,16 @@ class TestGridAndConfig:
         with pytest.raises(UsageError, match="unknown parameter"):
             build_run_config(args)
 
+    @pytest.mark.parametrize("command, entry", [
+        ("scan", "seed=5"), ("scan", "shots=3"), ("montecarlo", "format=json")])
+    def test_config_key_without_a_flag_is_rejected(self, tmp_path, capsys, command, entry):
+        # the command has no flag for it, so the key used to be read and then ignored
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n")
+        key = entry.partition("=")[0]
+        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+        assert f"unknown config key {key!r} for {command}" in capsys.readouterr().err
+
 
 class TestScan:
     def test_two_user_columns_and_shape(self):
@@ -199,26 +209,25 @@ class TestScan:
 
 class TestCovMatrixFile:
     def test_read_reference(self, three_mode_file):
-        labels, cov = read_cov_matrix_file(three_mode_file)
-        assert labels == ("A", "B0", "C1")
-        assert cov.shape == (6, 6)
+        state = read_cov_matrix_file(three_mode_file)
+        assert state.labels == ("A", "B0", "C1")
+        assert state.cov.shape == (6, 6)
 
     def test_published_asymmetry_tolerated(self, four_mode_file):
-        labels, cov = read_cov_matrix_file(four_mode_file)
+        cov = read_cov_matrix_file(four_mode_file).cov
         np.testing.assert_allclose(cov, cov.T)  # symmetrized on ingestion
 
     def test_default_labels(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("1 0\n0 1\n")
-        labels, _ = read_cov_matrix_file(str(path))
-        assert labels == ("M1",)
+        assert read_cov_matrix_file(str(path)).labels == ("M1",)
 
     def test_errors_are_distinct(self, tmp_path):
         cases = {
             "nonnumeric.txt": ("1 x\n0 1\n", "non-numeric"),
             "ragged.txt": ("1 0\n0\n", "ragged"),
             "notsquare.txt": ("1 0\n", "not square"),
-            "odd.txt": ("1 0 0\n0 1 0\n0 0 1\n", "odd"),
+            "odd.txt": ("1 0 0\n0 1 0\n0 0 1\n", "2n x 2n"),
             "asym.txt": ("1 0.5\n0 1\n", "asymmetric"),
             "empty.txt": ("# labels: A\n", "no matrix data"),
             "nan.txt": ("1 0\n0 nan\n", "non-finite"),
@@ -239,9 +248,9 @@ class TestCovMatrixFile:
         state = build_network_state(two_user_params(0.8), "final_two_user")
         path = tmp_path / "state.txt"
         write_cov_matrix_file(path, state.labels, state.cov)
-        labels, cov = read_cov_matrix_file(str(path))
-        assert labels == ("A", "B")
-        np.testing.assert_allclose(cov, state.cov, atol=1e-5)
+        read = read_cov_matrix_file(str(path))
+        assert read.labels == ("A", "B")
+        np.testing.assert_allclose(read.cov, state.cov, atol=1e-5)
 
 
 class TestSplitSpec:

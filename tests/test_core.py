@@ -331,6 +331,15 @@ class TestGaussianStateValidation:
         with pytest.raises(ValueError):
             GaussianState(("a",), np.eye(3))
 
+    def test_zero_modes_rejected_by_the_shape_rule(self):
+        # a 0 x 0 matrix reached numpy's max reduction, which has no identity on it
+        with pytest.raises(ValueError, match="square 2n x 2n"):
+            GaussianState((), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="square 2n x 2n"):
+            symplectic_eigenvalues(np.zeros((0, 0)))
+        # an empty stack of one-mode or larger matrices is still a stack
+        assert _checked_cov(np.zeros((0, 4, 4)), SYMMETRY_TOL).shape == (0, 4, 4)
+
     def test_immutable(self):
         state = vacuum(1)
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Every narrative demo runs to completion against the package in ``src`` and prints
-exactly its golden output, ``tests/golden/demo_<stem>.txt``."""
+"""Every narrative demo runs to completion against the package in ``src``, warning-free
+under the ``RuntimeWarning`` filter pytest applies in-process, and prints exactly its
+golden output, ``tests/golden/demo_<stem>.txt``."""
 
 import os
 import subprocess
@@ -18,7 +19,8 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
     assert proc.stdout == (GOLDEN / f"demo_{demo.stem}.txt").read_bytes()

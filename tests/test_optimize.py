@@ -147,7 +147,6 @@ class TestNumericOptimizer:
     def test_two_user_coefficient(self):
         result = numeric_optimize_coefficient("steer_A_to_B", two_user_params(1.0), "f_b")
         assert abs(result.f_star - 1.239) < 1e-3
-        assert result.method == "grid_refinement"
         assert not result.constraint_active
         assert not result.at_boundary
         assert result.g_star == pytest.approx(0.0627748, abs=1e-6)
@@ -183,6 +182,12 @@ class TestNumericOptimizer:
         with pytest.raises(ValueError, match="separability"):
             numeric_optimize_coefficient(
                 "steer_A_to_B", two_user_params(1.0), "f_b", bounds=(2.5, 4.0))
+
+    def test_two_user_objective_rejects_david_coefficient(self):
+        # no two-user step reads f_d, so the search returned f* = 0 at the boundary
+        with pytest.raises(ValueError, match="does not depend on f_d"):
+            numeric_optimize_coefficient(
+                "steer_A_to_B", ProtocolParams(eta_sb=0.7, eta_ab=0.7), "f_d")
 
     def test_infeasible_everywhere(self):
         params = two_user_params(1.0).replace(v_dis=0.1)

@@ -37,7 +37,7 @@ PUBLIC_NAMES = {
     "server_output_state",
     # sampler
     "CovarianceComparison", "ShotBatch", "compare_covariance", "estimate_covariance",
-    "shot_blocks", "simulate_shots",
+    "simulate_shots",
 }
 
 

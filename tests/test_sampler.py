@@ -14,7 +14,6 @@ from cvsteer import (
     compare_covariance,
     estimate_covariance,
     sampler,
-    shot_blocks,
     simulate_shots,
 )
 from cvsteer.protocol import STAGES
@@ -72,20 +71,19 @@ class TestSimulateShots:
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_bad_seed_rejected_on_the_call(self, seed):
-        # the iterator is never advanced: the error comes from the call itself
         with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*128\), got {seed}"):
-            shot_blocks(two_user_params(1.0), "final_two_user", 100, seed=seed)
+            simulate_shots(two_user_params(1.0), "final_two_user", 100, seed=seed)
 
     def test_seed_and_shot_count_must_be_integers(self):
         # Philox truncated 1.5 to the key 1 and drew seed 1's stream; a float shot
         # count passed the call and failed only at the first block
         with pytest.raises(TypeError):
-            shot_blocks(two_user_params(1.0), "final_two_user", 100, seed=1.5)
+            simulate_shots(two_user_params(1.0), "final_two_user", 100, seed=1.5)
         with pytest.raises(TypeError):
-            shot_blocks(two_user_params(1.0), "final_two_user", 2.5, seed=0)
-        _, blocks = shot_blocks(two_user_params(1.0), "final_two_user", 100, seed=np.uint64(1))
-        _, reference = shot_blocks(two_user_params(1.0), "final_two_user", 100, seed=1)
-        np.testing.assert_array_equal(next(blocks), next(reference))
+            simulate_shots(two_user_params(1.0), "final_two_user", 2.5, seed=0)
+        batch = simulate_shots(two_user_params(1.0), "final_two_user", 100, seed=np.uint64(1))
+        reference = simulate_shots(two_user_params(1.0), "final_two_user", 100, seed=1)
+        np.testing.assert_array_equal(batch.quads, reference.quads)
 
     @pytest.mark.parametrize("stage, digest", [
         ("pre_bob", "c605c132d1d216df53fcf75023b6c393a8788d2fbbab46bd959ab57dbc3a1f77"),
@@ -135,10 +133,10 @@ class TestEstimateCovariance:
         est = estimate_covariance(batch)
         ref = np.cov(batch.quads, rowvar=False, ddof=1)
         assert np.abs(est - ref).max() <= 1e-12 * np.abs(ref).max()
-        # the stream and the batch are the same estimator on the same blocks
-        labels, blocks = shot_blocks(params, stage, n_shots, seed=17)
+        # the batch and montecarlo's pool route are the same estimator on the same blocks
+        labels, pooled = sampler._sampled_covariance(params, stage, n_shots, seed=17)
         assert labels == batch.labels
-        np.testing.assert_array_equal(estimate_covariance(blocks), est)
+        np.testing.assert_array_equal(pooled, est)
 
     def test_large_offset_keeps_digits(self):
         # per-block centring: a mean 1e6 above unit-scale spread costs no digits,
@@ -148,24 +146,33 @@ class TestEstimateCovariance:
         ref = np.cov(quads, rowvar=False, ddof=1)
         assert np.abs(est - ref).max() <= 1e-8 * np.abs(ref).max()
 
-    def test_each_block_is_read_before_the_next(self):
-        # a producer may hand out one array, refilled for every block
-        quads = simulate_shots(OFF_BALANCE, "final_three_user", 4 * _BLOCK, seed=5).quads
-        reused = np.empty((_BLOCK, quads.shape[1]))
-
-        def refilled():
-            for k in range(0, quads.shape[0], _BLOCK):
-                reused[:] = quads[k : k + _BLOCK]
-                yield reused
-
-        np.testing.assert_array_equal(estimate_covariance(refilled()),
-                                      estimate_covariance(ShotBatch((), quads, seed=5)))
-
     def test_degenerate_batch_rejected(self):
         batch = ShotBatch(("A",), np.ones((1, 2)), seed=0)
         with pytest.raises(ValueError):
             estimate_covariance(batch)
 
+
+class TestShotBatch:
+    """A batch is the one form in which shot records enter, and it checks them."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_record_rejected(self, bad):
+        # a NaN record gave a NaN covariance
+        quads = np.ones((10, 4))
+        quads[3, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ShotBatch(("A", "B"), quads, seed=0)
+
+    @pytest.mark.parametrize("labels, shape", [
+        (("A", "B"), (10, 2)),  # gave a 2 x 2 covariance for two modes
+        (("A",), (10, 3)),
+        ((), (10, 0)),
+        (("A",), (10,)),  # 1-D records gave a 1 x 1 covariance
+        (("A",), (10, 2, 1)),
+    ])
+    def test_shape_must_match_labels(self, labels, shape):
+        with pytest.raises(ValueError, match="2 columns per label"):
+            ShotBatch(labels, np.ones(shape), seed=0)
 
 class TestCompareCovariance:
     def test_self_comparison_clean(self):
@@ -304,9 +311,10 @@ class TestBlockPool:
         for k in (1, 2, 4):
             cpus(k)
             batch = simulate_shots(OFF_BALANCE, "final_three_user", n_shots, seed=2**100)
-            _, blocks = shot_blocks(OFF_BALANCE, "final_three_user", n_shots, seed=2**100)
+            _, pooled = sampler._sampled_covariance(OFF_BALANCE, "final_three_user", n_shots,
+                                                    seed=2**100)
             results.append((batch.quads.tobytes(), estimate_covariance(batch).tobytes(),
-                            estimate_covariance(blocks).tobytes()))
+                            pooled.tobytes()))
         assert results[0][1] == results[0][2]
         assert results[1] == results[0]
         assert results[2] == results[0]
@@ -322,16 +330,19 @@ class TestBlockPool:
             started.append(threading.get_ident())
             return propagate(*args)
 
+        def draw():
+            return sampler._drawn_blocks(two_user_params(1.0), "final_two_user", 10 * _BLOCK,
+                                         3, np.copy)[1]
+
         monkeypatch.setattr(sampler, "_propagate_block", counted)
-        _, blocks = shot_blocks(two_user_params(1.0), "final_two_user", 10 * _BLOCK, seed=3)
+        blocks = draw()
         assert started == []  # nothing is drawn before the first next
         next(blocks)
         # the first pool-size blocks, then one more as the first result was handed out
         assert len(started) <= pool + 1
         blocks.close()
         assert len(started) <= pool + 1  # closing cancels what had not started
-        _, blocks = shot_blocks(two_user_params(1.0), "final_two_user", 10 * _BLOCK, seed=3)
-        for _ in blocks:
+        for _ in draw():
             pass
         assert len(set(started[-10:])) <= pool  # however many CPUs the host has
 
@@ -365,9 +376,8 @@ class TestBlockPool:
             return propagate(*args)
 
         monkeypatch.setattr(sampler, "_propagate_block", failing)
-        _, blocks = shot_blocks(two_user_params(1.0), "final_two_user", 8 * _BLOCK, seed=3)
         with pytest.raises(RuntimeError) as raised:
-            estimate_covariance(blocks)
+            sampler._sampled_covariance(two_user_params(1.0), "final_two_user", 8 * _BLOCK, 3)
         assert raised.value is error
         assert len(calls) <= 5  # the blocks queued behind the failure were not drawn
 
