@@ -10,10 +10,11 @@ Subcommands
 ``table-a1``    optimal displacement coefficients versus channel efficiency
 ``montecarlo``  shot-level validation of the analytic covariances
 
-All output is deterministic given the inputs (including RNG seeds).  The output
-path (``--out`` or a config file's ``out``) is opened before the command runs, so an
-unwritable one fails before any work.  Exit
-codes: 0 success, 2 usage or configuration error, 3 input-data error,
+A ``--config`` file's entries are parsed as the command's flags, ahead of the command
+line's; a ``certify --split`` is checked as a ``Partition``.  All output is deterministic
+given the inputs (including RNG seeds).  The output path (``--out`` or a config file's
+``out``) is opened before the command runs, so an unwritable one fails before any work.
+Exit codes: 0 success, 2 usage or configuration error, 3 input-data error,
 4 numerical failure (e.g. a covariance that is not positive definite).
 """
 
@@ -65,8 +66,7 @@ MIN_SYMPLECTIC_EIGENVALUE = 0.95
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(ProtocolParams)} - {"users"}
 
-#: Run settings a flag can give besides the ``_PARAM_FIELDS`` overrides; a config file may
-#: give those a command has a flag for.
+#: Config keys read as the ``--key`` flag of that dest, if the command has one.
 _RUN_KEYS = ("scenario", "eta_grid", "format", "out", "seed", "shots")
 
 
@@ -123,6 +123,8 @@ def parse_eta_grid(spec: str) -> tuple[float, float, int]:
         raise UsageError(f"bad eta grid {spec!r}: {exc}") from None
     if steps < 1:
         raise UsageError("eta grid needs at least one step")
+    if steps == 1 and start != stop:
+        raise UsageError(f"a one-step eta grid needs start = stop, got {spec!r}")
     for v in (start, stop):
         if not 0.0 <= v <= 1.0:
             raise UsageError(f"eta grid bounds must lie in [0, 1], got {v}")
@@ -147,48 +149,40 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config-file entries with command-line flags (flags win)."""
-    raw = load_config_file(args.config) if getattr(args, "config", None) else {}
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """``args.config``'s entries as ``--set=key=value`` or ``--key=value`` flags (the ``=``
+    form keeps a value such as ``-0.1:1:3`` from reading as an option)."""
     run_keys = [key for key in _RUN_KEYS if hasattr(args, key)]
-    for key in raw:
+    flags = []
+    for key, value in load_config_file(args.config).items():
         if key not in run_keys and key not in _PARAM_FIELDS:
             raise UsageError(f"unknown config key {key!r} for {args.command}; "
                              f"known: {sorted({*run_keys, *_PARAM_FIELDS})}")
-    for key in run_keys:
-        if getattr(args, key) not in (None, ""):
-            raw[key] = getattr(args, key)
-    for item in getattr(args, "set", None) or []:
+        flags.append(f"--set={key}={value}" if key in _PARAM_FIELDS
+                     else f"--{key.replace('_', '-')}={value}")
+    return flags
+
+
+def build_run_config(args: argparse.Namespace) -> RunConfig:
+    """The ``RunConfig`` of a parsed ``scan`` or ``montecarlo`` command line; argparse has
+    checked its scenario, format, seed and shots."""
+    overrides: dict[str, float] = {}
+    for item in args.set or []:
         key, eq, value = item.partition("=")
         key = key.strip()
         if not eq:
             raise UsageError(f"override must look like key=value, got {item!r}")
         if key not in _PARAM_FIELDS:
             raise UsageError(f"unknown parameter {key!r}; settable: {sorted(_PARAM_FIELDS)}")
-        raw[key] = value
-    overrides: dict[str, float] = {}
-    cfg: dict[str, object] = {"overrides": overrides}
-    for key, value in raw.items():
-        if key in _PARAM_FIELDS:
-            try:
-                overrides[key] = float(value)
-            except ValueError:
-                raise UsageError(f"value for {key!r} is not a number: {value!r}") from None
-        elif key == "eta_grid":
-            cfg["eta_start"], cfg["eta_stop"], cfg["eta_steps"] = parse_eta_grid(value)
-        elif key in ("seed", "shots"):
-            try:
-                cfg[key] = int(value)
-            except ValueError:
-                raise UsageError(f"{key} must be an integer, got {value!r}") from None
-        else:
-            cfg["fmt" if key == "format" else key] = value
-    config = RunConfig(**cfg)  # type: ignore[arg-type]
-    if config.scenario not in SCENARIOS:
-        raise UsageError(f"unknown scenario {config.scenario!r}; choose from {SCENARIOS}")
-    if config.fmt not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {config.fmt!r}")
-    return config
+        try:
+            overrides[key] = float(value)
+        except ValueError:
+            raise UsageError(f"value for {key!r} is not a number: {value!r}") from None
+    start, stop, steps = parse_eta_grid(args.eta_grid)
+    settings = {"fmt" if key == "format" else key: value for key, value in vars(args).items()
+                if key in _RUN_KEYS and key != "eta_grid"}
+    return RunConfig(eta_start=start, eta_stop=stop, eta_steps=steps, overrides=overrides,
+                     **settings)
 
 
 def cmd_scan(config: RunConfig) -> ScanResult:
@@ -219,8 +213,8 @@ def format_scan_json(result: ScanResult) -> str:
 def read_cov_matrix_file(path: str) -> GaussianState:
     """Parse a whitespace-separated square matrix with optional label header.
 
-    The header line looks like ``# labels: A B0 C1``.  The matrix must be
-    finite, square and symmetric within ``INPUT_SYMMETRY_TOL`` (published
+    The one header line, before the rows, looks like ``# labels: A B0 C1``.  The matrix must
+    be finite, square and symmetric within ``INPUT_SYMMETRY_TOL`` (published
     matrices are rounded, so mild asymmetry is tolerated and symmetrized away);
     ``GaussianState`` checks the rest, and its errors are ``InputDataError`` too.
     """
@@ -237,6 +231,8 @@ def read_cov_matrix_file(path: str) -> GaussianState:
         if line.startswith("#"):
             body = line.lstrip("#").strip()
             if body.lower().startswith("labels:"):
+                if labels is not None or rows:
+                    raise InputDataError(f"{path}:{lineno}: second or late '# labels:' line")
                 labels = tuple(body[len("labels:"):].split())
             continue
         try:
@@ -265,25 +261,17 @@ def read_cov_matrix_file(path: str) -> GaussianState:
         raise InputDataError(f"{path}: {exc}") from None
 
 
-def parse_split_spec(spec: str, labels: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Parse ``"A|B0,C1"`` into two label tuples; whitespace is ignored."""
-    parts = [p.strip() for p in spec.split("|")]
-    if len(parts) != 2:
+def parse_split_spec(spec: str, state: GaussianState) -> Partition:
+    """The ``Partition`` of ``state`` that ``"A|B0,C1"`` names (whitespace is ignored); an
+    ``InputDataError`` if it breaks the ``N|M`` syntax or ``Partition``'s rules."""
+    parties = [[tok.strip() for tok in party.split(",") if tok.strip()]
+               for party in spec.split("|")]
+    if len(parties) != 2:
         raise InputDataError(f"split {spec!r} must have exactly two parties separated by '|'")
-    parties = []
-    for part in parts:
-        members = tuple(tok.strip() for tok in part.split(",") if tok.strip())
-        if not members:
-            raise InputDataError(f"split {spec!r} has an empty party")
-        for m in members:
-            if m not in labels:
-                raise InputDataError(f"unknown mode label {m!r} in split {spec!r}; "
-                                     f"file defines {tuple(labels)}")
-        parties.append(members)
-    overlap = set(parties[0]) & set(parties[1])
-    if overlap:
-        raise InputDataError(f"split {spec!r} repeats modes {sorted(overlap)}")
-    return parties[0], parties[1]
+    try:
+        return Partition.from_labels(state, *parties)
+    except (KeyError, ValueError) as exc:
+        raise InputDataError(f"split {spec!r}: {exc.args[0]}") from None
 
 
 def cmd_certify(path: str, splits: Sequence[str] | None = None) -> SteeringReport:
@@ -291,23 +279,24 @@ def cmd_certify(path: str, splits: Sequence[str] | None = None) -> SteeringRepor
 
     Without explicit splits, every one-mode-versus-rest bipartition is
     certified.  Raises ``InputDataError`` for a one-mode or unphysical file
-    (smallest symplectic eigenvalue below ``MIN_SYMPLECTIC_EIGENVALUE``) and
+    (smallest symplectic eigenvalue below ``MIN_SYMPLECTIC_EIGENVALUE``) or a bad split, and
     ``NumericalError`` if the matrix is not positive definite or certification
     fails numerically, e.g. on an ill-conditioned steering block.
     """
     state = read_cov_matrix_file(path)
     if state.n_modes < 2:
         raise InputDataError(f"{path}: one mode; need at least two modes to certify")
-    partitions = [Partition.from_labels(state, *parse_split_spec(s, state.labels))
-                  for s in splits] if splits else None
+    partitions = [parse_split_spec(s, state) for s in splits] if splits else None
     try:
         nu_min = symplectic_eigenvalues(state.cov)[0]
         if nu_min < MIN_SYMPLECTIC_EIGENVALUE:
             raise InputDataError(f"{path}: unphysical covariance: smallest symplectic "
                                  f"eigenvalue {nu_min:.4g} is below {MIN_SYMPLECTIC_EIGENVALUE:g}")
         return full_report(state, partitions)
-    except ArithmeticError as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         raise NumericalError(f"{path}: {exc}") from None
+    except ValueError as exc:  # a split given twice
+        raise InputDataError(f"{path}: {exc}") from None
 
 
 def format_report_json(report: SteeringReport) -> str:
@@ -392,8 +381,8 @@ def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _add_run_flags(sub: argparse.ArgumentParser, *, grid_default: str | None) -> None:
-    sub.add_argument("--scenario", choices=SCENARIOS, default=None,
+def _add_run_flags(sub: argparse.ArgumentParser, *, grid_default: str) -> None:
+    sub.add_argument("--scenario", choices=SCENARIOS, default=RunConfig.scenario,
                      help="network scenario (default two_user)")
     sub.add_argument("--eta-grid", default=grid_default, metavar="A:B:N",
                      help="efficiency grid start:stop:steps")
@@ -411,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     scan = subs.add_parser("scan", help="PPT / steering table over an efficiency grid")
-    _add_run_flags(scan, grid_default=None)
-    scan.add_argument("--format", choices=("csv", "json"), default=None,
+    _add_run_flags(scan, grid_default="0.1:1:10")
+    scan.add_argument("--format", choices=("csv", "json"), default=RunConfig.fmt,
                       help="output format (default csv)")
 
     certify = subs.add_parser("certify", help="certify a covariance-matrix file")
@@ -427,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = subs.add_parser("montecarlo", help="validate covariances by sampling")
     _add_run_flags(mc, grid_default="1:1:1")
-    mc.add_argument("--seed", type=int, default=None, help="random seed")
-    mc.add_argument("--shots", type=int, default=None, help="Monte Carlo shot count")
+    mc.add_argument("--seed", type=int, default=RunConfig.seed, help="random seed")
+    mc.add_argument("--shots", type=int, default=RunConfig.shots, help="Monte Carlo shot count")
     mc.add_argument("--dump-shots", metavar="PATH",
                     help="also write the raw shot records as CSV")
     return parser
@@ -441,8 +430,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # the file's flags go ahead of the command line's, which therefore win
+            args = _parser().parse_args([argv[0], *_config_flags(args), *argv[1:]])
         config = build_run_config(args) if args.command in ("scan", "montecarlo") else None
         out = config.out if config else args.out
         # opened before the run: an unwritable path costs no work, a failed run leaves it empty

@@ -54,8 +54,8 @@ COND_LIMIT = 1e12
 class Partition:
     """An ordered bipartition: steering party ``N`` and steered party ``M``.
 
-    Parties are nonnegative integer mode indices into some host state; their union
-    may be a strict subset of it (remaining modes are traced out).
+    Parties are nonnegative integer mode indices into some host state, no mode twice in the
+    split; their union may be a strict subset of it (remaining modes are traced out).
     """
 
     steering: tuple[int, ...]
@@ -68,8 +68,8 @@ class Partition:
             raise ValueError("both parties must be nonempty")
         if min(steering + steered) < 0:
             raise ValueError(f"mode indices must be nonnegative, got {steering}, {steered}")
-        if set(steering) & set(steered):
-            raise ValueError("parties must be disjoint")
+        if len(set(steering + steered)) < len(steering + steered):
+            raise ValueError(f"a mode appears twice in the split, got {steering}, {steered}")
         object.__setattr__(self, "steering", steering)
         object.__setattr__(self, "steered", steered)
 
@@ -238,7 +238,8 @@ def full_report(state: GaussianState,
     split.  Each PPT value is bit for bit ``ppt_min`` on ``select_modes`` of the split's
     modes, steering party first (the PPT spectrum does not depend on mode order, so it
     equals ``ppt_min(state, steering)`` for a full union up to rounding), and each
-    steering value is bit for bit ``steerability`` for that split.
+    steering value is bit for bit ``steerability`` for that split.  A split given twice is a
+    ``ValueError``.
     """
     if splits is None:
         modes = range(state.n_modes)
@@ -265,6 +266,8 @@ def full_report(state: GaussianState,
         key_n = _party_label(state, part.steering)
         key_m = _party_label(state, part.steered)
         split_key = f"{key_n}|{key_m}"
+        if split_key in ppt:
+            raise ValueError(f"split {split_key!r} is given twice")
         ppt[split_key] = value
         verdicts[split_key] = "separable" if value >= 1.0 - SEPARABILITY_TOL else "inseparable"
         steer[f"{key_n}->{key_m}"] = g_nm

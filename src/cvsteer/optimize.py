@@ -133,7 +133,7 @@ def fiber_distance(eta: float, alpha_db_per_km: float = 0.2) -> float:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     if not 0.0 < alpha_db_per_km < math.inf:  # NaN too
         raise ValueError(f"fiber loss must be finite and positive, got {alpha_db_per_km} dB/km")
-    return -10.0 * math.log10(eta) / alpha_db_per_km
+    return 0.0 - 10.0 * math.log10(eta) / alpha_db_per_km  # +0.0 at eta = 1, not -0.0
 
 
 @dataclass(frozen=True)

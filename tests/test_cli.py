@@ -51,7 +51,8 @@ class TestGridAndConfig:
         assert parse_eta_grid("0.1:1.0:10") == (0.1, 1.0, 10)
 
     def test_eta_grid_errors(self):
-        for bad in ("0.1:1.0", "a:b:c", "0.1:1.0:0", "0.1:1.5:3"):
+        # a one-step grid runs at one efficiency: its stop used to be dropped unread
+        for bad in ("0.1:1.0", "a:b:c", "0.1:1.0:0", "0.1:1.5:3", "0.2:0.9:1"):
             with pytest.raises(UsageError):
                 parse_eta_grid(bad)
 
@@ -62,20 +63,55 @@ class TestGridAndConfig:
         assert entries["scenario"] == "qss"
         assert entries["v_dis"] == "2.0"
 
-    def test_flags_win_over_file(self, tmp_path):
+    def test_flags_win_over_file(self, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("scenario=qss\neta_grid=0.5:1.0:6\n")
-        import argparse
+        cfg.write_text("scenario=qss\neta_grid=0.5:1.0:6\nv_dis=2.0\nv_a=3.0\n")
+        configs, real = [], cli.build_run_config
 
-        args = argparse.Namespace(scenario="two_user", eta_grid=None, set=["v_dis=2.5"],
-                                  config=str(cfg), out=None, format=None, seed=None,
-                                  shots=None)
-        from cvsteer.cli import build_run_config
+        def build(args):
+            configs.append(real(args))
+            return configs[-1]
 
-        config = build_run_config(args)
+        monkeypatch.setattr(cli, "build_run_config", build)
+        assert main(["scan", "--config", str(cfg), "--scenario", "two_user",
+                     "--set", "v_dis=2.5", "--out", str(tmp_path / "scan.csv")]) == 0
+        (config,) = configs
         assert config.scenario == "two_user"      # flag wins
         assert config.eta_steps == 6              # file survives where no flag
-        assert config.overrides == {"v_dis": 2.5}
+        assert config.overrides == {"v_dis": 2.5, "v_a": 3.0}  # --set beats the file's entry
+
+    def test_file_grid_beats_the_flag_default(self, tmp_path, capsys):
+        # montecarlo's --eta-grid default 1:1:1 used to override the file's grid
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta_grid=0.5:0.5:1\nshots=100\n")
+        assert main(["montecarlo", "--config", str(cfg)]) == 0
+        assert "eta: 0.5\n" in capsys.readouterr().out
+        assert main(["montecarlo", "--config", str(cfg), "--eta-grid", "0.7:0.7:1"]) == 0
+        assert "eta: 0.7\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, entry, flag", [
+        ("scan", "scenario=marble", ["--scenario", "marble"]),
+        ("montecarlo", "seed=abc", ["--seed", "abc"]),
+        ("montecarlo", "shots=1e3", ["--shots", "1e3"]),
+        ("scan", "format=xml", ["--format", "xml"])])
+    def test_bad_file_value_fails_as_the_flag_would(self, tmp_path, capsys, command, entry,
+                                                    flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n")
+        errors = []
+        for argv in ([command, "--config", str(cfg)], [command, *flag]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_USAGE
+            errors.append(capsys.readouterr().err.splitlines()[-1])
+        assert errors[0] == errors[1]
+        assert "invalid" in errors[0]
+
+    def test_file_value_is_not_read_as_an_option(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta_grid=-0.1:1:3\n")
+        assert main(["scan", "--config", str(cfg)]) == EXIT_USAGE
+        assert "eta grid bounds must lie in [0, 1], got -0.1" in capsys.readouterr().err
 
     def test_unknown_override_key(self):
         config = RunConfig()
@@ -233,6 +269,11 @@ class TestCovMatrixFile:
             "nan.txt": ("1 0\n0 nan\n", "non-finite"),
             "inf.txt": ("inf 0\n0 1\n", "non-finite"),
             "duplicate.txt": ("# labels: A A\n" + EYE4, "duplicate mode labels"),
+            # the last header used to win, even one after the rows
+            "two_headers.txt": ("# labels: A B\n# labels: X Y\n" + EYE4,
+                                ":2: second or late '# labels:' line"),
+            "late_header.txt": ("# labels: A B\n" + EYE4 + "# labels: X Y\n",
+                                ":6: second or late '# labels:' line"),
         }
         for name, (content, message) in cases.items():
             path = tmp_path / name
@@ -254,19 +295,27 @@ class TestCovMatrixFile:
 
 
 class TestSplitSpec:
-    def test_parse(self):
-        assert parse_split_spec(" A | B0 , C1 ", ("A", "B0", "C1")) == (("A",), ("B0", "C1"))
+    def test_parse(self, three_mode_file):
+        state = read_cov_matrix_file(three_mode_file)
+        assert parse_split_spec(" A | B0 , C1 ", state) == Partition((0,), (1, 2))
+        report = cmd_certify(three_mode_file, [" A | B0 , C1 "])
+        assert list(report.ppt_by_split) == ["A|B0,C1"]
 
-    def test_errors(self):
-        labels = ("A", "B0", "C1")
-        with pytest.raises(InputDataError, match="exactly two"):
-            parse_split_spec("A|B0|C1", labels)
-        with pytest.raises(InputDataError, match="unknown mode label"):
-            parse_split_spec("A|Z", labels)
-        with pytest.raises(InputDataError, match="empty party"):
-            parse_split_spec("A|", labels)
-        with pytest.raises(InputDataError, match="repeats"):
-            parse_split_spec("A|A,B0", labels)
+    def test_errors(self, three_mode_file, capsys):
+        # "A,A|B0" used to reach the Cholesky factorisation and exit 4
+        for split, message in (("A|B0|C1", "exactly two"), ("A|Z", "unknown mode label 'Z'"),
+                               ("A|", "nonempty"), ("A|A,B0", "twice"), ("A,A|B0", "twice"),
+                               ("A|B0,B0", "twice")):
+            assert main(["certify", three_mode_file, "--split", split]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert f"error: split {split!r}" in err and message in err
+
+    def test_split_given_twice(self, three_mode_file, capsys):
+        # the second used to overwrite the first, printing a single entry
+        argv = ["certify", three_mode_file, "--split", "A|B0", "--split", "C1|A",
+                "--split", "A|B0"]
+        assert main(argv) == EXIT_INPUT
+        assert "split 'A|B0' is given twice" in capsys.readouterr().err
 
 
 class TestCertify:

@@ -225,6 +225,8 @@ class TestSteerability:
             Partition((), (1,))
         with pytest.raises(ValueError):
             Partition((0,), (0,))
+        with pytest.raises(ValueError, match="twice"):  # within one party too
+            Partition((0, 0), (1,))
 
     def test_partition_takes_only_nonnegative_integer_indices(self):
         # a float was truncated, ((0.7,), (1.2, 2.9)) -> ((0,), (1, 2)), and a negative
@@ -315,6 +317,13 @@ class TestFullReport:
         report = full_report(state, [Partition((0,), (1,))])
         assert set(report.ppt_by_split) == {"A|B"}
         assert set(report.steer_by_direction) == {"A->B", "B->A"}
+
+    def test_split_given_twice_is_rejected(self):
+        # the second used to overwrite the first under the same key
+        state = build_network_state(two_user_params(1.0), "final_two_user")
+        with pytest.raises(ValueError, match="split 'A|B' is given twice"):
+            full_report(state, [Partition((0,), (1,)), Partition((1,), (0,)),
+                                Partition((0,), (1,))])
 
     @pytest.mark.parametrize("split", [Partition((0,), (5,)), Partition((5, 0), (1,))])
     def test_out_of_range_mode_is_named(self, split):

@@ -363,6 +363,11 @@ class TestFiberDistance:
     def test_no_loss_no_distance(self):
         assert fiber_distance(1.0, 0.2) == 0.0
 
+    def test_no_loss_is_positive_zero(self):
+        # -10 log10(1) is -0.0, which printed as "-0.00 km"
+        assert math.copysign(1.0, fiber_distance(1.0, 0.2)) == 1.0
+        assert f"{fiber_distance(1.0):.2f}" == "0.00"
+
     def test_key_rate_range(self):
         assert fiber_distance(0.94, 0.2) == pytest.approx(1.34, abs=0.05)
 

@@ -3,6 +3,7 @@ straightforward references, and the physical invariants of the certificates,
 on random physical states and parameters."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -137,9 +138,9 @@ def test_stacked_kernels_equal_the_batch_of_one(states, data):
 @SETTINGS
 @given(physical_states(min_modes=2, max_modes=5), st.data())
 def test_full_report_equals_each_split(state, data):
-    # mixed party sizes, partial unions, repeats and swaps: every value is the scalar
-    # certificate of its gathered split, bit for bit, under the keys and in the order of
-    # the splits; a full union's PPT value also stays tied to the host-order one
+    # mixed party sizes, partial unions and swaps: every value is the scalar certificate of
+    # its gathered split, bit for bit, under the keys and in the order of the splits; a full
+    # union's PPT value also stays tied to the host-order one; a repeated split is refused
     cov, _ = state
     n = cov.shape[0] // 2
     state = GaussianState(tuple(f"m{i}" for i in range(n)), cov)
@@ -147,6 +148,10 @@ def test_full_report_equals_each_split(state, data):
     splits += data.draw(st.lists(st.sampled_from(splits), max_size=2))
     splits += [p.swapped() for p in data.draw(st.lists(st.sampled_from(splits), max_size=2))]
     splits = data.draw(st.permutations(splits))
+    if len(set(splits)) < len(splits):
+        with pytest.raises(ValueError, match="is given twice"):
+            full_report(state, splits)
+        splits = list(dict.fromkeys(splits))
     report = full_report(state, splits)
     ppt, steer, verdicts = {}, {}, {}
     for part in splits:
