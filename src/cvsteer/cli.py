@@ -35,7 +35,7 @@ import numpy as np
 from . import optimize, sampler
 from .core import GaussianState
 from .criteria import Partition, SteeringReport, full_report, symplectic_eigenvalues
-from .optimize import SCENARIOS, ScanResult
+from .optimize import SCENARIO_TABLE, ScanResult
 from .protocol import STAGES, ProtocolParams, build_network_state
 
 __all__ = [
@@ -145,7 +145,10 @@ def load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in entries:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} is given twice")
+        entries[key] = value.strip()
     return entries
 
 
@@ -187,7 +190,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_scan(config: RunConfig) -> ScanResult:
     """One table row per grid efficiency for the configured scenario."""
-    return optimize.scan(optimize.SCENARIO_TABLE[config.scenario], config.etas(), config.overrides)
+    return optimize.scan(SCENARIO_TABLE[config.scenario], config.etas(), config.overrides)
 
 
 def format_scan_csv(result: ScanResult) -> str:
@@ -320,7 +323,7 @@ def cmd_table_a1() -> str:
     """Optimal displacement coefficients versus channel efficiency (``three_user``)."""
     lines = ["eta    F_B      F_D"]
     for eta in TABLE_ETAS:
-        params = optimize.scenario_params(optimize.SCENARIO_TABLE["three_user"], eta, {})
+        params = optimize.scenario_params(SCENARIO_TABLE["three_user"], eta, {})
         lines.append(f"{eta:<6.1f} {params.f_b:<8.3f} {params.f_d:<8.3f}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -338,7 +341,7 @@ def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
     if config.eta_steps > 1:
         raise UsageError(f"montecarlo takes a one-step eta grid, got {config.eta_steps} steps")
     eta = float(config.eta_start)
-    scenario = optimize.SCENARIO_TABLE[config.scenario]
+    scenario = SCENARIO_TABLE[config.scenario]
     params = optimize.scenario_params(scenario, eta, config.overrides)
     # the furthest-propagated state the scenario's own columns read
     stage = max((spec[0] for spec in scenario.columns.values() if spec), key=STAGES.index)
@@ -382,7 +385,7 @@ def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
 
 
 def _add_run_flags(sub: argparse.ArgumentParser, *, grid_default: str) -> None:
-    sub.add_argument("--scenario", choices=SCENARIOS, default=RunConfig.scenario,
+    sub.add_argument("--scenario", choices=SCENARIO_TABLE, default=RunConfig.scenario,
                      help="network scenario (default two_user)")
     sub.add_argument("--eta-grid", default=grid_default, metavar="A:B:N",
                      help="efficiency grid start:stop:steps")

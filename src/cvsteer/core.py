@@ -11,7 +11,8 @@ Conventions used throughout the package:
 All operations are pure: they return new states and never mutate inputs.
 This module owns covariance validity: ``GaussianState`` checks shape, finiteness,
 symmetry and unique labels once, and the Cholesky behind the symplectic spectrum is the one
-positive-definiteness test (``ArithmeticError`` on failure).
+positive-definiteness test (``ArithmeticError`` on failure).  It also owns the one mode
+rule, ``_quadratures``, which every mode index in the package goes through.
 
 The private kernels (the validity check, the loss, beam-splitter and noise channels and
 the symplectic spectrum) take a stack ``(..., 2n, 2n)`` of covariances and act on each
@@ -37,7 +38,6 @@ __all__ = [
     "is_physical",
     "select_modes",
     "squeezed_mode",
-    "symplectic_form",
     "tensor",
     "vacuum",
 ]
@@ -51,17 +51,21 @@ PHYSICALITY_TOL = 1e-9
 
 @cache
 def _omega(n_modes: int) -> np.ndarray:
-    """``symplectic_form(n_modes)``, built once per mode count and read-only."""
+    """The symplectic form, ``n_modes`` copies of ``[[0, 1], [-1, 0]]``; cached, read-only."""
     omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     omega.flags.writeable = False
     return omega
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form: n copies of ``[[0, 1], [-1, 0]]``."""
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    return _omega(n_modes).copy()
+def _quadratures(modes: Iterable[int], n_modes: int) -> list[int]:
+    """The quadrature indices ``2m, 2m+1`` of each mode index ``m``, in order: the one mode
+    rule.  IndexError unless ``0 <= m < n_modes``, TypeError for a non-integer."""
+    idx = []
+    for m in map(operator.index, modes):
+        if not 0 <= m < n_modes:
+            raise IndexError(f"mode {m} out of range for {n_modes} modes")
+        idx += (2 * m, 2 * m + 1)
+    return idx
 
 
 def _checked_cov(cov, tol: float) -> np.ndarray:
@@ -155,8 +159,7 @@ class GaussianState:
             except ValueError:
                 raise KeyError(f"unknown mode label {mode!r}; have {self.labels}") from None
         idx = operator.index(mode)
-        if not 0 <= idx < self.n_modes:
-            raise IndexError(f"mode index {idx} out of range for {self.n_modes} modes")
+        _quadratures((idx,), self.n_modes)
         return idx
 
 
@@ -278,7 +281,7 @@ def select_modes(state: GaussianState, keep: Iterable[int | str]) -> GaussianSta
     modes = [state.mode_index(m) for m in keep]
     if not modes:
         raise ValueError("must keep at least one mode")
-    idx = [k for m in modes for k in (2 * m, 2 * m + 1)]
+    idx = _quadratures(modes, state.n_modes)
     return GaussianState(
         tuple(state.labels[m] for m in modes), state.cov[np.ix_(idx, idx)]
     )

@@ -10,8 +10,9 @@ Two certificates are provided for an arbitrary bipartition ``N | M``:
   steering party's block, i.e. of the conditional state of ``M`` given
   Gaussian measurements on ``N``.
 
-``core`` validates each ``GaussianState`` once; the certificates take it as given.
-Their kernels ``_ppt_cov`` and ``_steer_cov`` take a stack ``(..., 2n, 2n)`` of
+``core`` validates each ``GaussianState`` once and owns the one mode rule (``IndexError``
+``mode m out of range for n modes``).  A split is a ``Partition``, a ``ppt_min`` party
+included.  The kernels ``_ppt_cov`` and ``_steer_cov`` take a stack ``(..., 2n, 2n)`` of
 covariances and certify each matrix alone; ``ppt_min`` and ``steerability`` are
 their batch of one.  ``full_report`` gathers the splits of one party shape into one
 stack, so a report makes three kernel calls per shape, not per split; without explicit
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import GaussianState, _checked_cov, _cholesky, _symplectic_eigenvalues
+from .core import GaussianState, _checked_cov, _cholesky, _quadratures, _symplectic_eigenvalues
 
 __all__ = [
     "Partition",
@@ -114,23 +115,14 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return _symplectic_eigenvalues(_checked_cov(cov, 1e-8))
 
 
-def _check_modes(modes: Iterable[int], n_modes: int) -> list[int]:
-    """``modes`` as integer indices; IndexError naming the first outside ``n_modes`` modes."""
-    modes = [operator.index(m) for m in modes]
-    for m in modes:
-        if not 0 <= m < n_modes:
-            raise IndexError(f"mode {m} out of range for {n_modes} modes")
-    return modes
-
-
 def partial_transpose(cov: np.ndarray, party: Sequence[int]) -> np.ndarray:
     """Flip the sign of every p row/column belonging to ``party`` modes (of each matrix
     of a stack ``(..., 2n, 2n)``)."""
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[-1] // 2
     signs = np.ones(2 * n)
-    for m in _check_modes(party, n):
-        signs[2 * m + 1] = -1.0
+    for k in _quadratures(party, n)[1::2]:  # the p rows; a scalar store beats fancy indexing
+        signs[k] = -1.0
     return cov * (signs[:, None] * signs)
 
 
@@ -143,13 +135,11 @@ def ppt_min(state: GaussianState, party: Sequence[int | str]) -> float:
     """Minimum symplectic eigenvalue after partially transposing ``party``.
 
     A value ``>= 1`` certifies separability across ``party | rest``; below 1
-    the split is entangled (necessary and sufficient for 1-vs-m splits).
+    the split is entangled (necessary and sufficient for 1-vs-m splits).  The split is
+    checked as ``Partition(party, rest)``: both nonempty, no mode twice.
     """
-    modes = [state.mode_index(m) for m in party]
-    if not modes:
-        raise ValueError("party must be nonempty")
-    if len(set(modes)) == state.n_modes:
-        raise ValueError("party must be a strict subset of the modes")
+    modes = tuple(state.mode_index(m) for m in party)
+    Partition(modes, tuple(m for m in range(state.n_modes) if m not in modes))
     return float(_ppt_cov(state.cov, modes))
 
 
@@ -178,16 +168,11 @@ def ppt_two_mode(cov: np.ndarray) -> float:
     return float(np.sqrt(2.0 * det / (c + np.sqrt(max(disc, 0.0)))))
 
 
-class _SingularBlock(ArithmeticError):
-    """The steering party's block fails the ``COND_LIMIT`` guard."""
-
-
 def _steer_cov(cov: np.ndarray, partition: Partition) -> np.ndarray:
     """``steerability`` across ``partition`` of each covariance of a stack
     ``(..., 2n, 2n)``, as ``(...)``; ``ArithmeticError`` if any matrix fails the guard."""
-    _check_modes(partition.steering + partition.steered, cov.shape[-1] // 2)
-    idx_n = [k for m in partition.steering for k in (2 * m, 2 * m + 1)]
-    idx_m = [k for m in partition.steered for k in (2 * m, 2 * m + 1)]
+    n = cov.shape[-1] // 2
+    idx_n, idx_m = _quadratures(partition.steering, n), _quadratures(partition.steered, n)
     rows_n, rows_m = cov.take(idx_n, axis=-2), cov.take(idx_m, axis=-2)
     n_blk, m_blk = rows_n.take(idx_n, axis=-1), rows_m.take(idx_m, axis=-1)
     gamma = rows_n.take(idx_m, axis=-1)
@@ -196,7 +181,7 @@ def _steer_cov(cov: np.ndarray, partition: Partition) -> np.ndarray:
     lo = mags.min(axis=-1)
     # max / COND_LIMIT, not COND_LIMIT * lo, which overflows for blocks near 1e300
     if ((lo == 0.0) | (mags.max(axis=-1) / COND_LIMIT > lo)).any():
-        raise _SingularBlock("steering party block is numerically singular")
+        raise ArithmeticError("steering party block is numerically singular")
     x = u.swapaxes(-2, -1) @ gamma
     schur = m_blk - x.swapaxes(-2, -1) @ (x / lam[..., :, None])
     nus = _symplectic_eigenvalues((schur + schur.swapaxes(-2, -1)) / 2.0)
@@ -245,14 +230,12 @@ def full_report(state: GaussianState,
         modes = range(state.n_modes)
         splits = [Partition((i,), tuple(m for m in modes if m != i)) for i in modes]
     groups: dict[tuple[int, int], list[int]] = {}
+    quads = [_quadratures(part.steering + part.steered, state.n_modes) for part in splits]
     for i, part in enumerate(splits):
-        _check_modes(part.steering + part.steered, state.n_modes)
         groups.setdefault((len(part.steering), len(part.steered)), []).append(i)
     values: dict[int, list[float]] = {}  # split index -> [PPT, G(N->M), G(M->N)]
     for (a, b), members in groups.items():
-        parts = [splits[i] for i in members]
-        idx = np.array([[k for m in p.steering + p.steered for k in (2 * m, 2 * m + 1)]
-                        for p in parts])
+        idx = np.array([quads[i] for i in members])
         stack = state.cov[idx[:, :, None], idx[:, None, :]]
         local = Partition(tuple(range(a)), tuple(range(a, a + b)))
         rows = np.stack([_ppt_cov(stack, local.steering),

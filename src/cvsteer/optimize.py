@@ -33,7 +33,6 @@ from .protocol import ProtocolParams, _network_cov, build_network_state, qss_par
 
 __all__ = [
     "OptimizationResult",
-    "SCENARIOS",
     "SCENARIO_TABLE",
     "ScanResult",
     "Scenario",
@@ -204,8 +203,6 @@ def numeric_optimize_coefficient(
     stage, partition = _OBJECTIVE_STAGE[objective]
     if stage == "final_two_user" and which == "f_d":  # David's weight
         raise ValueError(f"{objective} does not depend on f_d; optimize f_b")
-    if stage == "final_three_user" and params.users != "three":
-        params = params.replace(users="three")
 
     def evaluate(xs) -> tuple[np.ndarray, np.ndarray]:
         """Objective at each coefficient in ``xs``, ``-inf`` where an ancilla is entangled,
@@ -321,8 +318,6 @@ SCENARIO_TABLE = {
                                 columns={"G_BD_to_A_qss": _QSS.columns["G_BD_to_A"]}),
         key_rates={"key_rate_qss": "G_BD_to_A_qss"}),
 }
-
-SCENARIOS = tuple(SCENARIO_TABLE)
 
 
 def scenario_params(scenario: Scenario, eta: float, overrides: dict[str, float]) -> ProtocolParams:

@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import protocol
+from .core import _checked_cov, _cholesky
 from .protocol import Loss, ProtocolParams
 
 __all__ = [
@@ -307,15 +308,15 @@ def compare_covariance(
 ) -> CovarianceComparison:
     """Flag estimated elements straying beyond ``Z_THRESHOLD`` standard errors.
 
-    ``ValueError`` for non-finite matrices and for fewer than 2 shots, which no flag
-    list could judge.
+    Both matrices are checked as ``symplectic_eigenvalues`` checks its input and must share
+    one 2-D shape, and the analytic one, whose diagonal scales the errors, must be positive
+    definite.  ``ValueError`` for fewer than 2 shots, which no flag list could judge.
     """
-    estimated = np.asarray(estimated, dtype=float)
-    analytic = np.asarray(analytic, dtype=float)
-    if estimated.shape != analytic.shape:
-        raise ValueError(f"shape mismatch: {estimated.shape} vs {analytic.shape}")
-    if not (np.isfinite(estimated).all() and np.isfinite(analytic).all()):
-        raise ValueError("covariance has a non-finite entry")
+    estimated, analytic = _checked_cov(estimated, 1e-8), _checked_cov(analytic, 1e-8)
+    if estimated.ndim != 2 or estimated.shape != analytic.shape:
+        raise ValueError(f"need two 2-D covariances of one shape, got {estimated.shape} "
+                         f"and {analytic.shape}")
+    _cholesky(analytic)
     if not n_shots >= 2:
         raise ValueError(f"need at least 2 shots, got {n_shots}")
     dev = np.abs(estimated - analytic)

@@ -38,10 +38,9 @@ from cvsteer import (
     simulate_shots,
     steerability,
     symplectic_eigenvalues,
-    symplectic_form,
 )
 from cvsteer.cli import cmd_certify, cmd_table_a1
-from cvsteer.core import _beam_splitter_matrix
+from cvsteer.core import _beam_splitter_matrix, _omega
 from cvsteer.protocol import V_A_DEFAULT, V_S_DEFAULT
 from conftest import (
     FOUR_MODE_PPT,
@@ -250,7 +249,7 @@ def test_criterion_8_monte_carlo_statistical_twin():
 
 def test_criterion_9_property_suite(rng):
     # beam-splitter matrices are symplectic across the whole transmittance range
-    omega = symplectic_form(2)
+    omega = _omega(2)
     for t in np.linspace(0.0, 1.0, 100):
         s = _beam_splitter_matrix(2, 0, 1, float(t))
         assert np.abs(s @ omega @ s.T - omega).max() <= 1e-12

@@ -509,6 +509,27 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ppt"]["A|B0,C1"] == pytest.approx(0.701, abs=0.01)
 
+    def test_blank_line_between_rows_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "gap.txt"
+        path.write_text("1 0 0 0\n0 1 0 0\n\n0 0 1 0\n0 0 0 1\n")
+        assert main(["certify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"] == {"M1|M2": "separable",
+                                                                   "M2|M1": "separable"}
+
+    @pytest.mark.parametrize("text, message", [
+        ("scenario=qss\n# then\nscenario=three_user\n",
+         ":3: config key 'scenario' is given twice"),
+        ("eta_grid=0.9:0.9:1\nv_s 0.5\n", ":2: expected key=value, got 'v_s 0.5'"),
+    ], ids=["repeated-key", "missing-equals"])
+    def test_malformed_config_file_is_a_usage_error(self, tmp_path, capsys, text, message):
+        # a repeated key used to let its last value win, with exit 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["scan", "--config", str(cfg), "--eta-grid", "0.9:0.9:1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {cfg}{message}" in captured.err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["scan", "--eta-grid", "bogus"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
@@ -530,6 +551,10 @@ class TestMainEntry:
         # a Philox key out of range is named as the seed, not as numpy's key
         (["montecarlo", "--seed", "-1", "--shots", "100"],
          "seed must lie in [0, 2**128), got -1"),
+        (["scan", "--set", "v_s"], "override must look like key=value, got 'v_s'"),
+        (["scan", "--set", "v_s=abc"], "value for 'v_s' is not a number: 'abc'"),
+        (["scan", "--config", "/nonexistent/run.cfg"],
+         "cannot read config file /nonexistent/run.cfg"),
     ])
     def test_rejected_run_settings_exit_code(self, capsys, argv, message):
         assert main(argv) == EXIT_USAGE

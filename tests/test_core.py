@@ -12,11 +12,10 @@ from cvsteer import (
     select_modes,
     squeezed_mode,
     symplectic_eigenvalues,
-    symplectic_form,
     tensor,
     vacuum,
 )
-from cvsteer.core import SYMMETRY_TOL, _checked_cov, _loss_cov, _noise_cov
+from cvsteer.core import SYMMETRY_TOL, _checked_cov, _loss_cov, _noise_cov, _omega
 from conftest import THREE_MODE_REFERENCE, THREE_MODE_LABELS, random_physical_cov
 
 
@@ -84,6 +83,10 @@ class TestSqueezedMode:
         with pytest.raises(ValueError, match="must be finite and positive"):
             squeezed_mode(v_s, v_a)
 
+    def test_bad_orientation_rejected(self):
+        with pytest.raises(ValueError, match="orientation must be 'x_squeezed' or"):
+            squeezed_mode(0.5, 3.55, "q_squeezed")
+
     def test_unphysical_source_rejected(self):
         # the same rule, and message, as ProtocolParams: v_s * v_a = 0.2 breaks the
         # uncertainty relation, while a pure source on the bound and an impure one pass
@@ -140,7 +143,7 @@ class TestBeamSplitter:
         from cvsteer.core import _beam_splitter_matrix
 
         s = _beam_splitter_matrix(2, 0, 1, t)
-        omega = symplectic_form(2)
+        omega = _omega(2)
         np.testing.assert_allclose(s @ omega @ s.T, omega, atol=1e-12)
 
     def test_involution(self, rng):
@@ -360,13 +363,7 @@ class TestGaussianStateValidation:
 
 def test_symplectic_form_properties():
     for n in (1, 2, 4):
-        omega = symplectic_form(n)
+        omega = _omega(n)
         np.testing.assert_array_equal(omega, -omega.T)
         np.testing.assert_array_equal(omega @ omega, -np.eye(2 * n))
-
-
-def test_symplectic_form_is_a_fresh_copy():
-    omega = symplectic_form(2)
-    omega[0, 1] = 7.0
-    np.testing.assert_array_equal(symplectic_form(2), np.kron(np.eye(2), [[0, 1], [-1, 0]]))
-    assert is_physical(vacuum(2))
+        assert not omega.flags.writeable  # the cached form is shared by every caller

@@ -9,6 +9,7 @@ from cvsteer import (
     partial_transpose,
     ppt_min,
     ppt_two_mode,
+    select_modes,
     squeezed_mode,
     steerability,
     symplectic_eigenvalues,
@@ -137,11 +138,14 @@ class TestPptMin:
             steerability(state, Partition((1,), (0,)))
 
     def test_party_validation(self):
-        state = vacuum(2)
-        with pytest.raises(ValueError):
+        # the party is checked as Partition(party, rest)
+        state = vacuum(2, ["A", "B"])
+        with pytest.raises(ValueError, match="both parties must be nonempty"):
             ppt_min(state, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="both parties must be nonempty"):
             ppt_min(state, [0, 1])
+        with pytest.raises(ValueError, match="a mode appears twice in the split"):
+            ppt_min(state, ["A", "A"])
 
 
 class TestPptTwoMode:
@@ -331,6 +335,18 @@ class TestFullReport:
         state = build_network_state(two_user_params(1.0), "final_two_user")
         with pytest.raises(IndexError, match="mode 5 out of range for 2 modes"):
             full_report(state, [Partition((0,), (1,)), split])
+
+    @pytest.mark.parametrize("call", [
+        lambda state: state.mode_index(5),
+        lambda state: steerability(state, Partition((0,), (5,))),
+        lambda state: partial_transpose(state.cov, [5]),
+        lambda state: select_modes(state, [0, 5]),
+    ], ids=["mode_index", "steerability", "partial_transpose", "select_modes"])
+    def test_every_entry_names_a_mode_out_of_range_alike(self, call):
+        # full_report's case is test_out_of_range_mode_is_named
+        state = build_network_state(two_user_params(1.0), "final_two_user")
+        with pytest.raises(IndexError, match="^mode 5 out of range for 2 modes$"):
+            call(state)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_one_vs_rest_report_is_one_stack(self, monkeypatch, rng, n):

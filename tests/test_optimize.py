@@ -189,6 +189,13 @@ class TestNumericOptimizer:
             numeric_optimize_coefficient(
                 "steer_A_to_B", ProtocolParams(eta_sb=0.7, eta_ab=0.7), "f_d")
 
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_three_user_objective_on_two_users_is_rejected(self, enforce):
+        # the optimizer used to switch the parameters to three users without a word
+        with pytest.raises(ValueError, match="requires users='three'"):
+            numeric_optimize_coefficient("steer_A_to_BD", ProtocolParams(users="two"), "f_d",
+                                         enforce_separability=enforce)
+
     def test_infeasible_everywhere(self):
         params = two_user_params(1.0).replace(v_dis=0.1)
         with pytest.raises(ValueError, match="separability"):

@@ -21,12 +21,12 @@ PUBLIC_NAMES = {
     "core", "criteria", "optimize", "protocol", "sampler",
     # core
     "GaussianState", "beam_splitter", "db_to_variance", "is_physical", "select_modes",
-    "squeezed_mode", "symplectic_form", "tensor", "vacuum",
+    "squeezed_mode", "tensor", "vacuum",
     # criteria
     "Partition", "SteeringReport", "full_report", "partial_transpose", "ppt_min",
     "ppt_two_mode", "steerability", "symplectic_eigenvalues",
     # optimize
-    "OptimizationResult", "SCENARIOS", "SCENARIO_TABLE", "ScanResult", "Scenario",
+    "OptimizationResult", "SCENARIO_TABLE", "ScanResult", "Scenario",
     "fiber_distance", "key_rate", "numeric_optimize_coefficient", "optimal_fb",
     "optimal_fb_general_loss", "optimal_fd", "optimal_fd_general_loss", "scan",
     "scenario_params",

@@ -22,11 +22,10 @@ from cvsteer import (
     squeezed_mode,
     steerability,
     symplectic_eigenvalues,
-    symplectic_form,
     tensor,
     vacuum,
 )
-from cvsteer.core import (SYMMETRY_TOL, _bs_cov, _checked_cov, _loss_cov, _noise_cov,
+from cvsteer.core import (SYMMETRY_TOL, _bs_cov, _checked_cov, _loss_cov, _noise_cov, _omega,
                           _symplectic_eigenvalues)
 from cvsteer.criteria import SEPARABILITY_TOL, _ppt_cov, _steer_cov
 from cvsteer.protocol import STAGES, _network_cov
@@ -79,7 +78,7 @@ def _random_partition(data, n: int) -> Partition:
 def reference_spectrum(cov: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues from the general eigensolver on ``Omega @ cov``."""
     n = cov.shape[0] // 2
-    imag = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ cov).imag))
+    imag = np.sort(np.abs(np.linalg.eigvals(_omega(n) @ cov).imag))
     return (imag[0::2] + imag[1::2]) / 2.0
 
 

@@ -221,6 +221,18 @@ class TestCompareCovariance:
         with pytest.raises(ValueError):
             compare_covariance(np.eye(4), np.eye(6), 100)
 
+    @pytest.mark.parametrize("estimated, analytic, error, message", [
+        # numpy's broadcast error, its 1- or 2-d error and a divide-by-zero warning used to
+        # surface instead
+        (np.eye(3)[0], np.eye(6), ValueError, r"square 2n x 2n, got \(3,\)"),
+        (np.eye(4)[None], np.eye(4)[None], ValueError, r"2-D covariances of one shape"),
+        (np.eye(4), np.diag([1.0, 1.0, 0.0, 1.0]), ArithmeticError, "not positive definite"),
+        (np.eye(4), np.eye(4) + np.triu(np.ones((4, 4)), 1), ValueError, "asymmetric"),
+    ], ids=["1-D", "3-D", "zero-analytic-variance", "asymmetric"])
+    def test_malformed_matrices_rejected(self, estimated, analytic, error, message):
+        with pytest.raises(error, match=message):
+            compare_covariance(estimated, analytic, 100)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrices_rejected(self, bad):
         # a NaN estimate used to flag nothing, which reads as full agreement
