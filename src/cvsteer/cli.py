@@ -342,6 +342,7 @@ def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
         raise UsageError(f"montecarlo takes a one-step eta grid, got {config.eta_steps} steps")
     eta = float(config.eta_start)
     scenario = SCENARIO_TABLE[config.scenario]
+    optimize._check_overrides(scenario, config.overrides)
     params = optimize.scenario_params(scenario, eta, config.overrides)
     # the furthest-propagated state the scenario's own columns read
     stage = max((spec[0] for spec in scenario.columns.values() if spec), key=STAGES.index)

@@ -45,7 +45,7 @@ __all__ = [
 #: Symmetry slack relative to the largest entry, absorbed on construction (float drift).
 SYMMETRY_TOL = 1e-10
 
-#: Default slack on the ``min symplectic eigenvalue >= 1`` physicality test.
+#: Slack on the ``min symplectic eigenvalue >= 1`` physicality test.
 PHYSICALITY_TOL = 1e-9
 
 
@@ -312,11 +312,11 @@ def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return (lo + hi) / 2.0
 
 
-def is_physical(state: GaussianState, tol: float = PHYSICALITY_TOL) -> bool:
+def is_physical(state: GaussianState) -> bool:
     """Whether the covariance is positive definite with every symplectic
-    eigenvalue ``>= 1 - tol`` (uncertainty bound)."""
+    eigenvalue ``>= 1 - PHYSICALITY_TOL`` (uncertainty bound)."""
     try:
         nus = _symplectic_eigenvalues(state.cov)
     except _NotPositiveDefinite:
         return False
-    return bool(nus.min() >= 1.0 - tol)
+    return bool(nus.min() >= 1.0 - PHYSICALITY_TOL)

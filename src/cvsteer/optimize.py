@@ -2,20 +2,22 @@
 
 The analytic formulas give the displacement weights that maximize the
 distributed steerability for each network layout; ``numeric_optimize_coefficient``
-re-derives them by direct search on the pipeline state under the
-ancilla-separability constraint, serving as an independent check.  Its coarse
+re-derives them by direct search over the coefficient bracket ``[0, 4]`` on the
+pipeline state, serving as an independent check.  The search always keeps every
+relayed ancilla separable, since that rule defines the protocol.  Its coarse
 bracket and each pass of its grid refinement are evaluated as one stack of
 states per network stage through the batched kernels of ``protocol`` and
 ``criteria``.
 
 Deployment math: the guaranteed secret-key rate extractable from collective
-steering and the fiber length corresponding to a channel efficiency.
+steering and the fiber length, at ``FIBER_LOSS_DB_PER_KM``, corresponding to a
+channel efficiency.
 
 Scans: ``SCENARIO_TABLE`` holds each scenario of the paper as data (parameters
 at a grid efficiency, with the optimal coefficients above, and the columns it
-reports); ``scan`` runs one over an efficiency grid.  Secret sharing is the ``qss``
-entry, and ``appendix_e``'s ``G_BD_to_A_qss`` column is the same with the dealer's
-link on the grid too.
+reports); ``scan`` runs one over an efficiency grid, refusing an override that no
+column reads.  Secret sharing is the ``qss`` entry, and ``appendix_e``'s
+``G_BD_to_A_qss`` column is the same with the dealer's link on the grid too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import numpy as np
 
 from .core import SYMMETRY_TOL, _checked_cov, _require_fractions, _require_variances
 from .criteria import SEPARABILITY_TOL, Partition, _ppt_cov, _steer_cov, ppt_min, steerability
-from .protocol import ProtocolParams, _network_cov, build_network_state, qss_params
+from .protocol import (ProtocolParams, _network_cov, _stage_fields, build_network_state,
+                       qss_params)
 
 __all__ = [
     "OptimizationResult",
@@ -50,12 +53,13 @@ __all__ = [
 #: Key-rate offset: ln(e/2), kept symbolic as 1 - ln 2.
 KEY_RATE_OFFSET = 1.0 - math.log(2.0)
 
-#: Coarse pre-scan spacing used to bracket the steering window, which is
-#: zero-flat outside a finite coefficient interval.
-_SCAN_STEP = 0.05
+#: Fiber loss in dB/km behind ``fiber_distance``: standard telecom fiber at 1550 nm.
+FIBER_LOSS_DB_PER_KM = 0.2
 
-#: Coarse points evaluated per stack; the default bounds' 81 points are one chunk.
-_CHUNK = 256
+#: The coarse bracket: every 0.05 of a coefficient over ``[0, 4]``, wide enough for the
+#: steering window of every scenario, which is zero-flat outside a finite interval.
+_BRACKET = np.arange(81) * 4.0 / 80
+_BRACKET.flags.writeable = False
 
 #: Evenly spaced points of each refinement pass over ``x* +/- h``; odd, so the incumbent
 #: ``x*`` is the middle one.  Each pass then shrinks ``h`` by ``(_REFINE_POINTS + 1) / 2``.
@@ -126,13 +130,11 @@ def key_rate(g_bd_to_a: float) -> float:
     return max(0.0, g_bd_to_a - KEY_RATE_OFFSET)
 
 
-def fiber_distance(eta: float, alpha_db_per_km: float = 0.2) -> float:
-    """Fiber length whose transmission is ``eta``, for loss ``alpha`` dB/km."""
+def fiber_distance(eta: float) -> float:
+    """Fiber length in km whose transmission is ``eta``, at ``FIBER_LOSS_DB_PER_KM``."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    if not 0.0 < alpha_db_per_km < math.inf:  # NaN too
-        raise ValueError(f"fiber loss must be finite and positive, got {alpha_db_per_km} dB/km")
-    return 0.0 - 10.0 * math.log10(eta) / alpha_db_per_km  # +0.0 at eta = 1, not -0.0
+    return 0.0 - 10.0 * math.log10(eta) / FIBER_LOSS_DB_PER_KM  # +0.0 at eta = 1, not -0.0
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ class OptimizationResult:
     f_star: float
     g_star: float
     constraint_active: bool
-    at_boundary: bool = False
+    at_boundary: bool
 
 
 _OBJECTIVE_STAGE = {
@@ -169,69 +171,49 @@ def _ancilla_ppt(params: ProtocolParams, stage: str, which: str, xs: np.ndarray)
     return ppt
 
 
-def numeric_optimize_coefficient(
-    objective: str,
-    params: ProtocolParams,
-    which: str,
-    bounds: tuple[float, float] = (0.0, 4.0),
-    enforce_separability: bool = True,
-) -> OptimizationResult:
-    """Maximize a steering objective over one displacement coefficient.
+def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
+                                 which: str) -> OptimizationResult:
+    """Maximize a steering objective over one displacement coefficient in ``[0, 4]``.
 
     ``objective`` is one of ``steer_A_to_B``, ``steer_A_to_BD`` or
     ``steer_BD_to_A``; ``which`` selects the coefficient (``"f_b"`` or
     ``"f_d"``, which ``steer_A_to_B`` never reads), the other staying at its
-    value in ``params``.  Candidate points that break the ancilla-separability
-    requirement are rejected outright when ``enforce_separability`` is set.
+    value in ``params``.  The relays may only carry separable ancillas, so a
+    coefficient that entangles one is rejected outright.
 
     The steering objective is identically zero outside a finite coefficient
-    window, so a coarse scan first brackets the window.  Grid passes then refine
-    inside it: each evaluates ``_REFINE_POINTS`` evenly spaced coefficients over
-    ``x* +/- h`` as one stack, moves ``x*`` only to a strictly better point and
+    window, so a coarse scan of ``_BRACKET`` first brackets the window.  Grid passes
+    then refine inside it: each evaluates ``_REFINE_POINTS`` evenly spaced coefficients
+    over ``x* +/- h`` as one stack, moves ``x*`` only to a strictly better point and
     shrinks ``h``, until the window is ``_REFINE_TOL`` wide.  If no interior
-    maximum exists the best boundary point is reported with ``at_boundary`` set.
+    maximum exists the best end of the bracket is reported with ``at_boundary`` set.
     """
     if objective not in _OBJECTIVE_STAGE:
         raise ValueError(f"unknown objective {objective!r}")
     if which not in ("f_b", "f_d"):
         raise ValueError(f"which must be 'f_b' or 'f_d', got {which!r}")
-    lo, hi = bounds
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"bounds must be finite, got {bounds}")
-    if hi <= lo:
-        raise ValueError("bounds must satisfy lo < hi")
     stage, partition = _OBJECTIVE_STAGE[objective]
     if stage == "final_two_user" and which == "f_d":  # David's weight
         raise ValueError(f"{objective} does not depend on f_d; optimize f_b")
 
-    def evaluate(xs) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Objective at each coefficient in ``xs``, ``-inf`` where an ancilla is entangled,
-        and the ancilla PPT value (``inf`` when unchecked); each stage is one stack, and no
-        final state is built for an infeasible point."""
-        xs = np.asarray(xs, dtype=float)
-        ppt = (_ancilla_ppt(params, stage, which, xs) if enforce_separability
-               else np.full(xs.shape, math.inf))
+        and the ancilla PPT value; each stage is one stack, and no final state is built
+        for an infeasible point."""
+        ppt = _ancilla_ppt(params, stage, which, xs)
         ok = ppt >= _SEPARABLE
         ys = np.full(xs.shape, -math.inf)
         ys[ok] = _steer_cov(_covariances(params, stage, which, xs[ok]), partition)
         return ys, ppt
 
-    n_scan = max(3, int(math.ceil((hi - lo) / _SCAN_STEP)) + 1)
-
-    def x_at(k: int) -> float:
-        return lo + (hi - lo) * k / (n_scan - 1)
-
-    # one chunk of stacks at a time, so memory does not grow with the width of the bounds
-    chunks = [evaluate([x_at(k) for k in range(start, min(start + _CHUNK, n_scan))])
-              for start in range(0, n_scan, _CHUNK)]
-    ys, ppt = (np.concatenate(parts) for parts in zip(*chunks))
+    ys, ppt = evaluate(_BRACKET)
     best = int(np.argmax(ys))
     if not math.isfinite(ys[best]):
-        raise ValueError("no feasible point in bounds: separability violated everywhere")
+        raise ValueError("no feasible point in [0, 4]: separability violated everywhere")
 
-    x_star, g_star, ppt_star = x_at(best), ys[best], ppt[best]
-    interior = 0 < best < n_scan - 1
-    h = (hi - lo) / (n_scan - 1) if interior else 0.0  # a boundary point is not refined
+    x_star, g_star, ppt_star = _BRACKET[best], ys[best], ppt[best]
+    interior = 0 < best < len(_BRACKET) - 1
+    h = _BRACKET[1] if interior else 0.0  # the bracket's spacing; an end is not refined
     offsets = np.linspace(-1.0, 1.0, _REFINE_POINTS)
     while 2.0 * h > _REFINE_TOL:
         xs = x_star + h * offsets
@@ -241,7 +223,7 @@ def numeric_optimize_coefficient(
             x_star, g_star, ppt_star = xs[k], ys[k], ppt[k]
         h /= (_REFINE_POINTS + 1) / 2
 
-    # with separability enforced x* is feasible, so both relays were checked there
+    # x* is feasible, so both relays were checked there
     active = ppt_star - 1.0 < 1e-6
     return OptimizationResult(
         f_star=float(x_star),
@@ -337,6 +319,17 @@ def scenario_params(scenario: Scenario, eta: float, overrides: dict[str, float])
     return ProtocolParams(**{**fields, **auto}) if auto else params
 
 
+def _check_overrides(scenario: Scenario, overrides: dict[str, float]) -> None:
+    """ValueError naming each override that no stage of ``scenario``'s own columns reads,
+    since it would change nothing the run reports."""
+    read = frozenset().union(*(_stage_fields(spec[0]) for spec in scenario.columns.values()
+                               if spec))
+    unread = sorted(set(overrides) - read)
+    if unread:
+        raise ValueError(f"no column of this scenario reads {', '.join(unread)}; "
+                         f"it reads {', '.join(sorted(read))}")
+
+
 def _scan_row(params: ProtocolParams, eta: float, columns: dict) -> dict[str, float]:
     """One table row at grid efficiency ``eta``, building each needed stage once.
 
@@ -360,7 +353,9 @@ def _scan_row(params: ProtocolParams, eta: float, columns: dict) -> dict[str, fl
 
 def scan(scenario: Scenario, etas: Sequence[float],
          overrides: dict[str, float] | None = None) -> ScanResult:
-    """One row of ``scenario`` per grid efficiency; ``overrides`` pin parameter fields."""
+    """One row of ``scenario`` per grid efficiency; ``overrides`` pin parameter fields, and
+    each must be one that a column of ``scenario`` reads (``ValueError`` otherwise)."""
+    _check_overrides(scenario, overrides or {})
     reference = scenario.reference
     rows = []
     for eta in map(float, etas):

@@ -12,7 +12,8 @@ channels.  Users then only apply local beam splitters:
 
 ``NETLIST`` writes this chain down once, as loss and beam-splitter steps on
 mode slots with named stage cuts.  ``build_network_state`` interprets it on
-covariance matrices and ``sampler`` on shot arrays.  The ``analytic_cov_*``
+covariance matrices and ``sampler`` on shot arrays; ``_stage_fields`` reads off
+which parameters each stage depends on.  The ``analytic_cov_*``
 functions assemble the same covariances from closed-form matrix elements
 and must agree with the pipeline to float precision wherever their
 parameter regimes apply.  The scans over these states, with their optimal
@@ -100,12 +101,15 @@ class ProtocolParams:
         return dataclasses.replace(self, **changes)
 
 
+#: The ``ProtocolParams`` field weighting the shared noise on each server slot, A0 to D0.
+_SLOT_WEIGHTS = ("f_a", "f_b", "f_c", "f_d")
+
+
 def _server_source(p: ProtocolParams, **weights) -> tuple[tuple[float, ...], tuple]:
     """Variances and shared-noise weights of the server quadratures, ``(x1, p1, ..., x4, p4)``
     of ``A0, B0, C0, D0``; x weights multiply ``x_dis`` and p weights ``p_dis``.  ``weights``
     replace the ``f_*`` fields of ``p`` and may be arrays."""
-    f_a, f_b = weights.get("f_a", p.f_a), weights.get("f_b", p.f_b)
-    f_c, f_d = weights.get("f_c", p.f_c), weights.get("f_d", p.f_d)
+    f_a, f_b, f_c, f_d = (weights.get(name, getattr(p, name)) for name in _SLOT_WEIGHTS)
     variances = (p.v_a, p.v_s, 1.0, 1.0, p.v_s, p.v_a, 1.0, 1.0)
     return variances, (0.0, f_a, f_b, -f_b, f_c, 0.0, f_d, -f_d)
 
@@ -161,6 +165,27 @@ def _stage_steps(params: ProtocolParams, stage: str) -> tuple[tuple, Cut]:
     if cut.users == "three" and params.users != "three":
         raise ValueError(f"stage {stage!r} requires users='three'")
     return steps, cut
+
+
+def _stage_fields(stage: str) -> frozenset[str]:
+    """The ``ProtocolParams`` fields the covariance at the cut of ``stage`` depends on.
+
+    The steps before the cut are walked backwards from the kept slots: a loss or splitter
+    touching a live slot adds its field, and a splitter makes both its slots live.  The
+    weights of the live server slots and the source's ``v_s``, ``v_a`` and ``v_dis`` follow.
+    """
+    steps, cut = _STAGE_STEPS[stage]
+    live = set(range(len(cut.labels)))
+    fields = {"v_s", "v_a", "v_dis"}
+    for step in reversed(steps):
+        if isinstance(step, Loss):
+            name, slots = step.eta, {step.slot}
+        else:
+            name, slots = step.t, {step.i, step.j}
+        if live & slots:
+            fields.add(name)
+            live |= slots
+    return frozenset(fields | {_SLOT_WEIGHTS[slot] for slot in live})
 
 
 def _network_cov(params: ProtocolParams, stage: str, **weights) -> np.ndarray:
@@ -352,10 +377,10 @@ QSS_V_S = db_to_variance(10.0, "squeezed")
 QSS_V_A = db_to_variance(11.0, "antisqueezed")
 
 
-def qss_params(eta: float = 1.0, eta_sa: float = 1.0) -> ProtocolParams:
-    """Three-user parameters for the secret-sharing resource state."""
+def qss_params(eta: float = 1.0) -> ProtocolParams:
+    """Three-user parameters for the secret-sharing resource state, every user link at
+    ``eta`` and Alice's lossless."""
     return ProtocolParams(
         v_s=QSS_V_S, v_a=QSS_V_A, f_b=QSS_F_B, f_d=QSS_F_D,
-        eta_sa=eta_sa, eta_sb=eta, eta_sd=eta, eta_ab=eta, eta_bd=eta,
-        users="three",
+        eta_sb=eta, eta_sd=eta, eta_ab=eta, eta_bd=eta, users="three",
     )

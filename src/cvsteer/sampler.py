@@ -258,9 +258,10 @@ def _sampled_covariance(params: ProtocolParams, stage: str, n_shots: int, seed: 
     def moments() -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         if dump is not None:
             dump.write(",".join(f"{q}_{l}" for l in labels for q in ("x", "p")) + "\n")
+            row = ",".join(["%.6g"] * 2 * len(labels)) + "\n"
         for block_moments, block in drawn:
-            if dump is not None:
-                np.savetxt(dump, block, delimiter=",", fmt="%.6g")
+            if dump is not None:  # the bytes of np.savetxt(fmt="%.6g"), in one % format
+                dump.write((row * len(block)) % tuple(block.ravel().tolist()))
             yield block_moments
 
     return labels, _merged(moments())

@@ -156,7 +156,7 @@ def test_criterion_5_steering_identities():
 
 def test_criterion_6_thresholds_and_fiber_reach():
     def qss_steering(eta, lossy_dealer=False):
-        params = qss_params(eta, eta_sa=eta if lossy_dealer else 1.0)
+        params = qss_params(eta).replace(eta_sa=eta if lossy_dealer else 1.0)
         state = build_network_state(params, "final_three_user")
         return steerability(state, Partition((1, 2), (0,)))
 
@@ -180,9 +180,9 @@ def test_criterion_6_thresholds_and_fiber_reach():
     assert abs(thr_qss_e - 0.87) <= 0.01
 
     # reach quoted at the published two-decimal threshold efficiencies
-    reach_steer = fiber_distance(round(thr_qss, 2), 0.2)
-    reach_key = fiber_distance(round(thr_key, 2), 0.2)
-    reach_qss_e = fiber_distance(round(thr_qss_e, 2), 0.2)
+    reach_steer = fiber_distance(round(thr_qss, 2))
+    reach_key = fiber_distance(round(thr_key, 2))
+    reach_qss_e = fiber_distance(round(thr_qss_e, 2))
     assert abs(reach_steer - 4.90) <= 0.10
     assert abs(reach_key - 1.34) <= 0.05
     assert abs(reach_qss_e - 3.02) <= 0.10

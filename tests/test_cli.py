@@ -182,7 +182,7 @@ class TestScan:
         # the reference column is collective BD -> A steering with the dealer's link lossy too
         config = RunConfig(scenario="appendix_e", eta_start=0.5, eta_stop=1.0, eta_steps=11)
         result = cmd_scan(config)
-        reference = [steerability(build_network_state(qss_params(eta, eta_sa=eta),
+        reference = [steerability(build_network_state(qss_params(eta).replace(eta_sa=eta),
                                                       "final_three_user"),
                                   Partition((1, 2), (0,)))
                      for eta in config.etas()]
@@ -555,6 +555,16 @@ class TestMainEntry:
         (["scan", "--set", "v_s=abc"], "value for 'v_s' is not a number: 'abc'"),
         (["scan", "--config", "/nonexistent/run.cfg"],
          "cannot read config file /nonexistent/run.cfg"),
+        # an override that no column reads used to leave the printed rows unchanged in silence:
+        # David's weight and splitter in two_user, and in appendix_e a link only its
+        # secret-sharing reference columns read, which overrides skip
+        (["scan", "--eta-grid", "0.5:0.5:1", "--set", "f_d=3", "--set", "t3=0.1"],
+         "error: no column of this scenario reads f_d, t3; it reads eta_ab, eta_sa, eta_sb, "
+         "f_a, f_b, f_c, t1, t2, v_a, v_dis, v_s\n"),
+        (["montecarlo", "--shots", "100", "--set", "t3=0.1"],
+         "error: no column of this scenario reads t3;"),
+        (["scan", "--scenario", "appendix_e", "--eta-grid", "0.5:0.5:1", "--set", "eta_bd=0.3"],
+         "error: no column of this scenario reads eta_bd;"),
     ])
     def test_rejected_run_settings_exit_code(self, capsys, argv, message):
         assert main(argv) == EXIT_USAGE

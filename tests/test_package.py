@@ -1,4 +1,6 @@
-"""The package's top level re-exports each library module's public names."""
+"""The public surface: the names the package re-exports and the options they take."""
+
+import inspect
 
 import pytest
 
@@ -43,3 +45,30 @@ PUBLIC_NAMES = {
 
 def test_public_surface_is_pinned():
     assert set(cvsteer.__all__) == PUBLIC_NAMES
+
+
+#: Every parameter with a default of a public callable, dataclass fields included: an
+#: option is public surface too, and one that only tests set is a candidate for deletion.
+PUBLIC_OPTIONS = {
+    "ProtocolParams": {"v_s", "v_a", "v_dis", "t1", "t2", "t3", "eta_sa", "eta_sb", "eta_sd",
+                       "eta_ab", "eta_bd", "f_a", "f_b", "f_c", "f_d", "users"},
+    "Scenario": {"reference", "key_rates"},
+    "SteeringReport": {"separability_tol"},
+    "full_report": {"splits"},
+    "qss_params": {"eta"},
+    "scan": {"overrides"},
+    "squeezed_mode": {"orientation", "label"},
+    "vacuum": {"labels"},
+}
+
+
+def test_public_options_are_pinned():
+    options = {}
+    for name in cvsteer.__all__:
+        obj = getattr(cvsteer, name)
+        if callable(obj) and not inspect.ismodule(obj):
+            params = inspect.signature(obj).parameters.values()
+            defaults = {p.name for p in params if p.default is not p.empty}
+            if defaults:
+                options[name] = defaults
+    assert options == PUBLIC_OPTIONS

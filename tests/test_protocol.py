@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from cvsteer import (
     server_output_state,
     steerability,
 )
+from cvsteer.protocol import STAGES, _stage_fields
 from conftest import three_user_params, two_user_params
 
 
@@ -115,6 +117,20 @@ class TestBuildNetworkState:
             p = three_user_params(float(rng.uniform(0.1, 1.0)))
             cov = build_network_state(p, "final_three_user").cov
             assert np.abs(cov[0::2, 1::2]).max() == 0.0
+
+
+class TestStageFields:
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_exactly_the_fields_the_covariance_reads(self, stage):
+        # each field moved by 20% changes the stage's covariance if and only if it is listed
+        base = ProtocolParams(users="three")
+        cov = build_network_state(base, stage).cov
+        for field in dataclasses.fields(ProtocolParams):
+            if field.name == "users":
+                continue
+            moved = base.replace(**{field.name: 0.8 * getattr(base, field.name)})
+            changed = not np.array_equal(build_network_state(moved, stage).cov, cov)
+            assert changed == (field.name in _stage_fields(stage)), field.name
 
 
 class TestAnalyticPreBob:
