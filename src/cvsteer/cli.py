@@ -88,15 +88,13 @@ class NumericalError(CliError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a scan or Monte Carlo run needs."""
+    """What a scan or Monte Carlo run computes; ``main`` owns where and how it is written."""
 
     scenario: str = "two_user"
     eta_start: float = 0.1
     eta_stop: float = 1.0
     eta_steps: int = 10
     overrides: dict[str, float] = field(default_factory=dict)
-    out: str | None = None
-    fmt: str = "csv"
     seed: int = 12345
     shots: int = 1_000_000
 
@@ -168,7 +166,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """The ``RunConfig`` of a parsed ``scan`` or ``montecarlo`` command line; argparse has
-    checked its scenario, format, seed and shots."""
+    checked its scenario, seed and shots."""
     overrides: dict[str, float] = {}
     for item in args.set or []:
         key, eq, value = item.partition("=")
@@ -182,8 +180,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         except ValueError:
             raise UsageError(f"value for {key!r} is not a number: {value!r}") from None
     start, stop, steps = parse_eta_grid(args.eta_grid)
-    settings = {"fmt" if key == "format" else key: value for key, value in vars(args).items()
-                if key in _RUN_KEYS and key != "eta_grid"}
+    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+                if hasattr(args, f.name)}
     return RunConfig(eta_start=start, eta_stop=stop, eta_steps=steps, overrides=overrides,
                      **settings)
 
@@ -405,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = subs.add_parser("scan", help="PPT / steering table over an efficiency grid")
     _add_run_flags(scan, grid_default="0.1:1:10")
-    scan.add_argument("--format", choices=("csv", "json"), default=RunConfig.fmt,
+    scan.add_argument("--format", choices=("csv", "json"), default="csv",
                       help="output format (default csv)")
 
     certify = subs.add_parser("certify", help="certify a covariance-matrix file")
@@ -441,12 +439,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             # the file's flags go ahead of the command line's, which therefore win
             args = _parser().parse_args([argv[0], *_config_flags(args), *argv[1:]])
         config = build_run_config(args) if args.command in ("scan", "montecarlo") else None
-        out = config.out if config else args.out
         # opened before the run: an unwritable path costs no work, a failed run leaves it empty
-        with _open_out(out) if out else contextlib.nullcontext(sys.stdout) as fh:
+        with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
             if args.command == "scan":
                 result = cmd_scan(config)
-                fh.write(format_scan_csv(result) if config.fmt == "csv"
+                fh.write(format_scan_csv(result) if args.format == "csv"
                          else format_scan_json(result))
             elif args.command == "certify":
                 fh.write(format_report_json(cmd_certify(args.file, args.split)))

@@ -10,7 +10,7 @@ Conventions used throughout the package:
 
 All operations are pure: they return new states and never mutate inputs.
 This module owns covariance validity: ``GaussianState`` checks shape, finiteness,
-symmetry and unique labels once, and the Cholesky behind the symplectic spectrum is the one
+symmetry and label rules once, and the Cholesky behind the symplectic spectrum is the one
 positive-definiteness test (``ArithmeticError`` on failure).  It also owns the one mode
 rule, ``_quadratures``, which every mode index in the package goes through.
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Sequence
@@ -115,6 +116,9 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
         raise _NotPositiveDefinite("matrix is not positive definite") from None
 
 
+_NOT_IN_LABELS = re.compile(r"[,|\s]|->")
+
+
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"m{i + 1}" for i in range(n))
 
@@ -124,7 +128,8 @@ class GaussianState:
     """A zero-mean Gaussian state of ``n_modes`` labeled optical modes.
 
     Attributes:
-        labels: unique mode names, e.g. ``("A", "B0", "C1")``.
+        labels: unique nonempty mode names free of the key separators ``,``, ``|``, ``->``
+            and of whitespace, e.g. ``("A", "B0", "C1")``.
         cov: real symmetric ``2n x 2n`` covariance matrix in
             ``(x1, p1, ..., xn, pn)`` ordering, vacuum-normalized.
     """
@@ -142,6 +147,8 @@ class GaussianState:
             raise ValueError(f"{len(labels)} labels for {n} modes")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate mode labels: {labels}")
+        if not all(labels) or _NOT_IN_LABELS.search("\0".join(labels)):
+            raise ValueError(f"labels may not be empty or hold ',', '|', '->' or space: {labels}")
         cov.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "cov", cov)

@@ -100,7 +100,7 @@ class SteeringReport:
     ppt_by_split: dict[str, float]
     steer_by_direction: dict[str, float]
     verdicts: dict[str, str]
-    separability_tol: float = SEPARABILITY_TOL
+    separability_tol: float
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

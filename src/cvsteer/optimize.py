@@ -4,10 +4,10 @@ The analytic formulas give the displacement weights that maximize the
 distributed steerability for each network layout; ``numeric_optimize_coefficient``
 re-derives them by direct search over the coefficient bracket ``[0, 4]`` on the
 pipeline state, serving as an independent check.  The search always keeps every
-relayed ancilla separable, since that rule defines the protocol.  Its coarse
-bracket and each pass of its grid refinement are evaluated as one stack of
-states per network stage through the batched kernels of ``protocol`` and
-``criteria``.
+relayed ancilla that ``protocol.NETLIST`` marks separable, since that rule defines the
+protocol, and refuses a coefficient the objective's stage does not read.  Its coarse
+bracket and each pass of its grid refinement are evaluated as one stack of states per
+network stage through the batched kernels of ``protocol`` and ``criteria``.
 
 Deployment math: the guaranteed secret-key rate extractable from collective
 steering and the fiber length, at ``FIBER_LOSS_DB_PER_KM``, corresponding to a
@@ -31,8 +31,8 @@ import numpy as np
 
 from .core import SYMMETRY_TOL, _checked_cov, _require_fractions, _require_variances
 from .criteria import SEPARABILITY_TOL, Partition, _ppt_cov, _steer_cov, ppt_min, steerability
-from .protocol import (ProtocolParams, _network_cov, _stage_fields, build_network_state,
-                       qss_params)
+from .protocol import (STAGES, ProtocolParams, _network_cov, _stage_fields, _stage_steps,
+                       build_network_state, qss_params)
 
 __all__ = [
     "OptimizationResult",
@@ -70,9 +70,6 @@ _REFINE_TOL = 1e-6
 
 #: Relay ancillas with a PPT value below this count as entangled.
 _SEPARABLE = 1.0 - SEPARABILITY_TOL
-
-#: The relay ancilla's mode index at its cut: ``C1`` of ``pre_bob`` and ``C2`` of ``pre_david``.
-_ANCILLA = (2,)
 
 
 def optimal_fb(t2: float, eta_sb: float, eta_ab: float, v_a: float, v_s: float) -> float:
@@ -161,13 +158,16 @@ def _covariances(params: ProtocolParams, stage: str, which: str,
 
 
 def _ancilla_ppt(params: ProtocolParams, stage: str, which: str, xs: np.ndarray) -> np.ndarray:
-    """Smallest PPT value of the relay ancillas in flight before ``stage`` at each value in
-    ``xs`` of ``which``: ``C1``, and for three users ``C2`` where ``C1`` is separable."""
-    ppt = _ppt_cov(_covariances(params, "pre_bob", which, xs), _ANCILLA)
-    if stage == "final_three_user":
-        ok = ppt >= _SEPARABLE
-        c2 = _ppt_cov(_covariances(params, "pre_david", which, xs[ok]), _ANCILLA)
-        ppt[ok] = np.minimum(ppt[ok], c2)
+    """Smallest PPT value of the relay ancillas of the cuts before ``stage`` at each value in
+    ``xs`` of ``which``; each is evaluated only where the ones before it are separable."""
+    ppt = np.full(xs.shape, math.inf)
+    for before in STAGES[:STAGES.index(stage)]:
+        cut = _stage_steps(params, before)[1]
+        if cut.relay:
+            ok = ppt >= _SEPARABLE
+            relay = _ppt_cov(_covariances(params, before, which, xs[ok]),
+                             (cut.labels.index(cut.relay),))
+            ppt[ok] = np.minimum(ppt[ok], relay)
     return ppt
 
 
@@ -175,11 +175,11 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
                                  which: str) -> OptimizationResult:
     """Maximize a steering objective over one displacement coefficient in ``[0, 4]``.
 
-    ``objective`` is one of ``steer_A_to_B``, ``steer_A_to_BD`` or
-    ``steer_BD_to_A``; ``which`` selects the coefficient (``"f_b"`` or
-    ``"f_d"``, which ``steer_A_to_B`` never reads), the other staying at its
-    value in ``params``.  The relays may only carry separable ancillas, so a
-    coefficient that entangles one is rejected outright.
+    ``objective`` is one of ``steer_A_to_B``, ``steer_A_to_BD`` or ``steer_BD_to_A``;
+    ``which`` selects the coefficient, ``"f_b"`` or ``"f_d"`` and read by the objective's
+    stage (``steer_A_to_B`` never reads ``f_d``), the other staying at its value in
+    ``params``.  The relays may only carry separable ancillas, so a coefficient that
+    entangles one is rejected outright.
 
     The steering objective is identically zero outside a finite coefficient
     window, so a coarse scan of ``_BRACKET`` first brackets the window.  Grid passes
@@ -193,8 +193,8 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
     if which not in ("f_b", "f_d"):
         raise ValueError(f"which must be 'f_b' or 'f_d', got {which!r}")
     stage, partition = _OBJECTIVE_STAGE[objective]
-    if stage == "final_two_user" and which == "f_d":  # David's weight
-        raise ValueError(f"{objective} does not depend on f_d; optimize f_b")
+    if which not in _stage_fields(stage):
+        raise ValueError(f"{objective} does not depend on {which}")
 
     def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Objective at each coefficient in ``xs``, ``-inf`` where an ancilla is entangled,

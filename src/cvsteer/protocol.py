@@ -10,10 +10,10 @@ channels.  Users then only apply local beam splitters:
   users, relays his spare port onwards;
 * David mixes that second ancilla with his mode on ``T3``.
 
-``NETLIST`` writes this chain down once, as loss and beam-splitter steps on
-mode slots with named stage cuts.  ``build_network_state`` interprets it on
-covariance matrices and ``sampler`` on shot arrays; ``_stage_fields`` reads off
-which parameters each stage depends on.  The ``analytic_cov_*``
+``NETLIST`` writes this chain down once, as loss and beam-splitter steps on mode slots
+with stage cuts, each relay cut naming its ancilla.  ``build_network_state`` interprets
+it forward on covariance matrices, ``sampler`` on shot arrays and ``_stage_fields`` on
+the sets of parameter fields each slot depends on.  The ``analytic_cov_*``
 functions assemble the same covariances from closed-form matrix elements
 and must agree with the pipeline to float precision wherever their
 parameter regimes apply.  The scans over these states, with their optimal
@@ -133,21 +133,22 @@ def server_output_state(params: ProtocolParams) -> GaussianState:
 
 Loss = namedtuple("Loss", "slot eta")
 Splitter = namedtuple("Splitter", "i j t complement", defaults=(False,))
-Cut = namedtuple("Cut", "stage labels users", defaults=("two",))
+Cut = namedtuple("Cut", "stage labels users relay", defaults=("two", None))
 
 #: The network, written once.  Server modes start in slots A0=0, B0=1, C0=2, D0=3; steps name
 #: the ``ProtocolParams`` field they read.  Splitters have the port map of ``core.beam_splitter``
 #: and with ``complement`` run at ``1 - t``; each interpreter still forms ``sqrt(t)`` from ``t``,
-#: since ``sqrt(1 - (1 - t))`` differs in the last bits.  A cut keeps its ``len(labels)`` slots.
+#: since ``sqrt(1 - (1 - t))`` differs in the last bits.  A cut keeps its ``len(labels)`` slots;
+#: its ``relay`` labels the ancilla in flight to the next user, which the protocol keeps separable.
 NETLIST = (
     Loss(0, "eta_sa"), Loss(2, "eta_sa"), Loss(1, "eta_sb"), Loss(3, "eta_sd"),
     Splitter(0, 2, "t1"),                    # -> A at 0, C1 at 2
     Loss(2, "eta_ab"),
-    Cut("pre_bob", ("A", "B0", "C1")),
+    Cut("pre_bob", ("A", "B0", "C1"), relay="C1"),
     Splitter(1, 2, "t2"),                    # -> B at 1, C2 at 2
     Cut("final_two_user", ("A", "B")),
     Loss(2, "eta_bd"),
-    Cut("pre_david", ("A", "B", "C2", "D0"), users="three"),
+    Cut("pre_david", ("A", "B", "C2", "D0"), users="three", relay="C2"),
     Splitter(3, 2, "t3", complement=True),   # -> C3 at 3, D at 2
     Cut("final_three_user", ("A", "B", "D"), users="three"),
 )
@@ -168,24 +169,18 @@ def _stage_steps(params: ProtocolParams, stage: str) -> tuple[tuple, Cut]:
 
 
 def _stage_fields(stage: str) -> frozenset[str]:
-    """The ``ProtocolParams`` fields the covariance at the cut of ``stage`` depends on.
-
-    The steps before the cut are walked backwards from the kept slots: a loss or splitter
-    touching a live slot adds its field, and a splitter makes both its slots live.  The
-    weights of the live server slots and the source's ``v_s``, ``v_a`` and ``v_dis`` follow.
-    """
+    """The ``ProtocolParams`` fields the covariance at the cut of ``stage`` depends on, by a
+    forward pass like the interpreters': each slot starts with ``v_s``, ``v_a``, ``v_dis`` and
+    its weight, a loss adds its field to its slot, a splitter gives both its slots their union
+    plus its field, and the result joins the kept slots' sets."""
     steps, cut = _STAGE_STEPS[stage]
-    live = set(range(len(cut.labels)))
-    fields = {"v_s", "v_a", "v_dis"}
-    for step in reversed(steps):
+    fields = [frozenset({"v_s", "v_a", "v_dis", weight}) for weight in _SLOT_WEIGHTS]
+    for step in steps:
         if isinstance(step, Loss):
-            name, slots = step.eta, {step.slot}
+            fields[step.slot] |= {step.eta}
         else:
-            name, slots = step.t, {step.i, step.j}
-        if live & slots:
-            fields.add(name)
-            live |= slots
-    return frozenset(fields | {_SLOT_WEIGHTS[slot] for slot in live})
+            fields[step.i] = fields[step.j] = fields[step.i] | fields[step.j] | {step.t}
+    return frozenset().union(*fields[:len(cut.labels)])
 
 
 def _network_cov(params: ProtocolParams, stage: str, **weights) -> np.ndarray:

@@ -590,6 +590,14 @@ class TestMainEntry:
             assert main(["certify", str(path)]) == EXIT_INPUT
             assert message in capsys.readouterr().err
 
+    def test_label_with_a_separator_exit_code(self, tmp_path, capsys):
+        # certified with exit 0 at keys such as "A,B|C|D,E" that --split cannot address
+        path = tmp_path / "separators.txt"
+        rows = "".join(" ".join(map(str, row)) + "\n" for row in np.eye(6, dtype=int))
+        path.write_text("# labels: A,B C|D E\n" + rows)
+        assert main(["certify", str(path)]) == EXIT_INPUT
+        assert "labels may not be empty or hold" in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_matrix_entry_exit_code(self, tmp_path, capsys, entry):
         path = tmp_path / "nonfinite.txt"

@@ -326,6 +326,13 @@ class TestGaussianStateValidation:
         with pytest.raises(ValueError):
             GaussianState(("a", "a"), np.eye(4))
 
+    @pytest.mark.parametrize("label", ["", "A,B", "C|D", "A->B", "A B", "A\tB"])
+    def test_label_with_a_separator_rejected(self, label):
+        # split and direction keys join labels with ',', '|' and '->', so such a label
+        # would make a key that names no split unambiguously
+        with pytest.raises(ValueError, match="labels may not be empty or hold"):
+            GaussianState(("a", label), np.eye(4))
+
     def test_label_count(self):
         with pytest.raises(ValueError):
             GaussianState(("a",), np.eye(4))

@@ -19,7 +19,8 @@ from cvsteer import (
     steerability,
 )
 from cvsteer.criteria import SEPARABILITY_TOL
-from cvsteer.protocol import V_A_DEFAULT, V_S_DEFAULT
+from cvsteer.optimize import _OBJECTIVE_STAGE, _ancilla_ppt
+from cvsteer.protocol import V_A_DEFAULT, V_S_DEFAULT, _stage_fields
 from conftest import three_user_params, two_user_params
 
 TABLE_ETAS = (1.0, 0.8, 0.6, 0.4, 0.2)
@@ -223,6 +224,41 @@ class TestNumericOptimizer:
             numeric_optimize_coefficient("steer_Z_to_Q", two_user_params(1.0), "f_b")
         with pytest.raises(ValueError):
             numeric_optimize_coefficient("steer_A_to_B", two_user_params(1.0), "f_q")
+
+
+#: Parameters each objective is optimized on in the rule tests below.
+OBJECTIVE_PARAMS = {"steer_A_to_B": two_user_params(0.7),
+                    "steer_A_to_BD": three_user_params(0.7),
+                    "steer_BD_to_A": qss_params(0.9)}
+
+
+@pytest.mark.parametrize("objective", OBJECTIVE_PARAMS)
+@pytest.mark.parametrize("which", ["f_a", "f_b", "f_c", "f_d"])
+def test_optimizer_takes_exactly_the_coefficients_its_stage_reads(objective, which):
+    params = OBJECTIVE_PARAMS[objective]
+    if which in {"f_b", "f_d"} & _stage_fields(_OBJECTIVE_STAGE[objective][0]):
+        assert numeric_optimize_coefficient(objective, params, which).g_star > 0
+    else:
+        with pytest.raises(ValueError, match=which):
+            numeric_optimize_coefficient(objective, params, which)
+
+
+@pytest.mark.parametrize("objective, which", [
+    ("steer_A_to_B", "f_b"), ("steer_A_to_BD", "f_b"), ("steer_A_to_BD", "f_d"),
+    ("steer_BD_to_A", "f_b"), ("steer_BD_to_A", "f_d")])
+def test_ancilla_ppt_matches_the_public_route(objective, which):
+    # each f_b grid reaches coefficients that entangle C1 (checked last); C2 counts only
+    # where C1 is separable
+    params, stage = OBJECTIVE_PARAMS[objective], _OBJECTIVE_STAGE[objective][0]
+    xs = np.linspace(0.0, 4.0, 9)
+    got = _ancilla_ppt(params, stage, which, xs)
+    for x, value in zip(xs, got):
+        p = params.replace(**{which: x})
+        want = ppt_min(build_network_state(p, "pre_bob"), ["C1"])
+        if stage == "final_three_user" and want >= 1 - SEPARABILITY_TOL:
+            want = min(want, ppt_min(build_network_state(p, "pre_david"), ["C2"]))
+        assert value == pytest.approx(want, rel=1e-12, abs=0), x
+    assert which == "f_d" or got.min() < 1 - SEPARABILITY_TOL
 
 
 #: (objective, parameters, eta, coefficient, f_ref, g_ref, constraint_active, at_boundary,

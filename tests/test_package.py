@@ -53,7 +53,6 @@ PUBLIC_OPTIONS = {
     "ProtocolParams": {"v_s", "v_a", "v_dis", "t1", "t2", "t3", "eta_sa", "eta_sb", "eta_sd",
                        "eta_ab", "eta_bd", "f_a", "f_b", "f_c", "f_d", "users"},
     "Scenario": {"reference", "key_rates"},
-    "SteeringReport": {"separability_tol"},
     "full_report": {"splits"},
     "qss_params": {"eta"},
     "scan": {"overrides"},
