@@ -12,10 +12,11 @@ channels.  Users then only apply local beam splitters:
 
 ``NETLIST`` writes this chain down once, as loss and beam-splitter steps on mode slots
 with stage cuts, each relay cut naming its ancilla.  ``build_network_state`` interprets
-it forward on covariance matrices, ``sampler`` on shot arrays and ``_stage_fields`` on
-the sets of parameter fields each slot depends on.  The ``analytic_cov_*``
-functions assemble the same covariances from closed-form matrix elements
-and must agree with the pipeline to float precision wherever their
+it forward on covariance matrices, ``sampler`` on shot arrays and ``_stage_reach`` on
+the sets of server slots and steps that reach each slot: ``_stage_fields`` reads off it
+the parameter fields a stage depends on, and ``sampler`` skips what does not reach the
+cut.  The ``analytic_cov_*`` functions assemble the same covariances from closed-form
+matrix elements and must agree with the pipeline to float precision wherever their
 parameter regimes apply.  The scans over these states, with their optimal
 coefficients, are in ``optimize``.
 """
@@ -168,19 +169,31 @@ def _stage_steps(params: ProtocolParams, stage: str) -> tuple[tuple, Cut]:
     return steps, cut
 
 
-def _stage_fields(stage: str) -> frozenset[str]:
-    """The ``ProtocolParams`` fields the covariance at the cut of ``stage`` depends on, by a
-    forward pass like the interpreters': each slot starts with ``v_s``, ``v_a``, ``v_dis`` and
-    its weight, a loss adds its field to its slot, a splitter gives both its slots their union
-    plus its field, and the result joins the kept slots' sets."""
+def _stage_reach(stage: str) -> tuple[tuple[int, ...], tuple]:
+    """The server slots, in order, and the steps before the cut of ``stage`` that reach its
+    kept slots, by a forward pass like the interpreters': each slot starts with its source's
+    token, a loss adds its own token to its slot, a splitter gives both its slots their union
+    plus its own, and the tokens the kept slots end with are the ones that reach the cut."""
     steps, cut = _STAGE_STEPS[stage]
-    fields = [frozenset({"v_s", "v_a", "v_dis", weight}) for weight in _SLOT_WEIGHTS]
-    for step in steps:
+    tokens = [frozenset({("source", slot)}) for slot in range(len(_SLOT_WEIGHTS))]
+    for k, step in enumerate(steps):
         if isinstance(step, Loss):
-            fields[step.slot] |= {step.eta}
+            tokens[step.slot] |= {k}
         else:
-            fields[step.i] = fields[step.j] = fields[step.i] | fields[step.j] | {step.t}
-    return frozenset().union(*fields[:len(cut.labels)])
+            tokens[step.i] = tokens[step.j] = tokens[step.i] | tokens[step.j] | {k}
+    live = frozenset().union(*tokens[:len(cut.labels)])
+    return (tuple(slot for slot in range(len(tokens)) if ("source", slot) in live),
+            tuple(step for k, step in enumerate(steps) if k in live))
+
+
+def _stage_fields(stage: str) -> frozenset[str]:
+    """The ``ProtocolParams`` fields the covariance at the cut of ``stage`` depends on: ``v_s``,
+    ``v_a``, ``v_dis`` and the weight of each server slot that reaches it, and the field of
+    each step that does (``_stage_reach``)."""
+    slots, steps = _stage_reach(stage)
+    return frozenset({"v_s", "v_a", "v_dis"}).union(
+        (_SLOT_WEIGHTS[slot] for slot in slots),
+        (step.eta if isinstance(step, Loss) else step.t for step in steps))
 
 
 def _network_cov(params: ProtocolParams, stage: str, **weights) -> np.ndarray:

@@ -5,26 +5,29 @@ ideal homodyne records can be emulated by drawing one Gaussian per input
 quadrature, per shared classical noise variable and per loss-injected
 vacuum, then propagating the samples through the steps of
 ``protocol.NETLIST``, the same network description the covariance pipeline
-interprets.  The channel arithmetic here is written on shot arrays and does
-not call ``core``, so the twin still checks the covariance algebra
-independently.  The sample covariance of the retained modes must converge
-to the analytic covariance at the usual 1/sqrt(n) rate;
-``compare_covariance`` quantifies the agreement element by element.
+interprets; only the server slots and steps that reach the stage's cut
+(``protocol._stage_reach``) are drawn and run.  The channel arithmetic here
+is written on shot arrays and does not call ``core``, so the twin still
+checks the covariance algebra independently.  The sample covariance of the
+retained modes must converge to the analytic covariance at the usual
+1/sqrt(n) rate; ``compare_covariance`` quantifies the agreement element by
+element.
 
-Shots come in ``_BLOCK``-row blocks, each from its own jumped Philox
-substream, so no block depends on when or where it is drawn.  The blocks are
-drawn on a pool of threads, one per CPU the process may use but no more than
-``_MAX_THREADS`` or the block count, and handed out in order with at most
-pool-size blocks in flight.  Each pool thread draws and propagates all its
-blocks in place in one buffer.  ``simulate_shots`` concatenates copies of the
-blocks into a ``ShotBatch``, which checks its records and is the one input of
-``estimate_covariance``.  That reduces each ``_BLOCK``-row slice, on the
-calling thread, to a count, a mean and a centred ``X^T X`` and merges them in
-order; ``cli``'s ``montecarlo`` has each pool thread reduce its block where it
-drew it (``_sampled_covariance``), so the memory a run holds is set by the
-pool size times one buffer, not by the shot count or the host.  Both give the
-same result bit for bit whatever the pool size.  Code on the pool threads
-calls only private functions.
+Shots come in ``_BLOCK``-row blocks, block ``k`` from an SFC64 generator
+seeded by the ``k``-th child of ``SeedSequence(seed)``, so no block depends on
+when or where it is drawn.  The blocks are drawn on a pool of threads, one per
+CPU the process may use but no more than ``_MAX_THREADS`` or the block count,
+and handed out in order with at most pool-size blocks in flight.  Each pool
+thread draws and propagates all its blocks in place in one buffer.
+``simulate_shots`` concatenates copies of the blocks into a ``ShotBatch``,
+which checks its records and is the one input of ``estimate_covariance``.
+That reduces each ``_BLOCK``-row slice, on the calling thread, to a count, a
+mean and a centred ``X^T X`` and merges them in order; ``cli``'s
+``montecarlo`` has each pool thread reduce its block where it drew it
+(``_sampled_covariance``), so the memory a run holds is set by the pool size
+times one buffer, not by the shot count or the host.  Both give the same
+result bit for bit whatever the pool size.  Code on the pool threads calls
+only private functions.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ __all__ = [
     "simulate_shots",
 ]
 
-#: Shots are generated in fixed-size blocks, each on its own jumped Philox
-#: substream, so the batch is reproducible independently of how the blocks
-#: would be scheduled.  Not a tuning knob: changing it changes the streams.
+#: Shots are generated in fixed-size blocks, each on its own SFC64 substream
+#: (a spawned ``SeedSequence`` child), so the batch is reproducible independently
+#: of how the blocks would be scheduled.  Not a tuning knob: changing it changes
+#: the streams.
 _BLOCK = 1 << 16
 
 #: Rows of ``_BLOCK`` floats in a pool thread's buffer: 8 quadratures, 2 scratch rows and
@@ -132,32 +136,34 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
                 future.cancel()
 
 
-def _propagate_block(params: ProtocolParams, steps: tuple, n_modes: int,
-                     rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
-    """Draw ``m = buf.size // _BUFFER_ROWS`` shots, run them through the netlist ``steps``
-    and keep ``n_modes``; the draw order (sources, ``x_dis``, ``p_dis``, a vacuum pair per
-    loss site even at eta = 1) is fixed.
+def _propagate_block(params: ProtocolParams, slots: tuple[int, ...], steps: tuple,
+                     n_modes: int, rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
+    """Draw ``m = buf.size // _BUFFER_ROWS`` shots of the server ``slots``, run them through
+    the netlist ``steps`` and keep ``n_modes``; the draw order (the slots' sources,
+    ``x_dis``, ``p_dis``, a vacuum pair per loss site in ``steps`` even at eta = 1) is fixed.
 
-    The quadratures are rows of ``buf``, drawn in place and updated in place with two
-    scratch rows; every product and sum is the one the out-of-place arithmetic would form,
-    in the same order, so the shots do not depend on this layout.  The kept rows are
-    stacked into the rest of ``buf``, and the ``(m, 2 n_modes)`` block returned is a view
-    of it.
+    ``slots`` and ``steps`` are the ones that reach the kept modes (``protocol._stage_reach``):
+    the rows of the other slots are neither drawn nor read, and may hold anything.  The
+    quadratures are rows of ``buf``, drawn in place and updated in place with two scratch
+    rows; every product and sum is the one the out-of-place arithmetic would form, in the
+    same order, so the shots do not depend on this layout.  The kept rows are stacked into
+    the rest of ``buf``, and the ``(m, 2 n_modes)`` block returned is a view of it.
     """
     rt = np.sqrt
     variances, weights = protocol._server_source(params)
     n_rows = len(variances) + 2
     m = buf.size // _BUFFER_ROWS
     *q, dis, term = buf[: n_rows * m].reshape(n_rows, m)  # x1, p1, ..., x4, p4 by mode slot
-    for row, var in zip(q, variances):
-        rng.standard_normal(out=row)
-        row *= rt(var)
+    live = [k for slot in slots for k in (2 * slot, 2 * slot + 1)]
+    for k in live:
+        rng.standard_normal(out=q[k])
+        q[k] *= rt(variances[k])
     for parity in (0, 1):  # x_dis onto the x rows, then p_dis onto the p rows
         rng.standard_normal(out=dis)
         dis *= rt(params.v_dis)
-        for row, w in zip(q[parity::2], weights[parity::2]):
-            if w:
-                row += np.multiply(dis, w, out=term)
+        for k in live[parity::2]:
+            if weights[k]:
+                q[k] += np.multiply(dis, weights[k], out=term)
 
     spare = [dis, term]
     for step in steps:
@@ -217,26 +223,29 @@ def _drawn_blocks(params: ProtocolParams, stage: str, n_shots: int, seed: int,
     draws all its blocks in one buffer, so ``block`` is a view that the thread's next block
     overwrites: ``reduce`` may overwrite it too, and must not return it.
 
-    The stage, the shot count and the seed (an integer Philox key) are checked on the call;
-    no block is drawn before the first ``next``.
+    The stage, the shot count and the seed (an integer in ``[0, 2**128)``, the entropy of
+    the ``SeedSequence`` whose ``k``-th spawned child seeds block ``k``) are checked on the
+    call; no block is drawn before the first ``next``.
     """
-    steps, cut = protocol._stage_steps(params, stage)
+    _, cut = protocol._stage_steps(params, stage)
+    slots, steps = protocol._stage_reach(stage)
     n_shots, seed = operator.index(n_shots), operator.index(seed)
     if n_shots < 2:
         raise ValueError("need at least 2 shots")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
-    base = np.random.Philox(key=seed)
 
     scratch = threading.local()
 
     def job(start: int):
         if not hasattr(scratch, "buf"):
             scratch.buf = np.empty(_BUFFER_ROWS * _BLOCK)
-        rng = np.random.Generator(base.jumped(start // _BLOCK))
+        # SeedSequence(seed).spawn(k + 1)[k], without spawning the k children before it
+        child = np.random.SeedSequence(seed, spawn_key=(start // _BLOCK,))
+        rng = np.random.Generator(np.random.SFC64(child))
         # always propagate a full block and truncate, so each block's stream
         # layout is fixed and prefixes agree across different shot counts
-        block = _propagate_block(params, steps, len(cut.labels), rng, scratch.buf)
+        block = _propagate_block(params, slots, steps, len(cut.labels), rng, scratch.buf)
         return reduce(block[: min(_BLOCK, n_shots - start)])
 
     return cut.labels, _ordered_map(job, range(0, n_shots, _BLOCK))

@@ -114,11 +114,10 @@ class TestGridAndConfig:
         assert "eta grid bounds must lie in [0, 1], got -0.1" in capsys.readouterr().err
 
     def test_unknown_override_key(self):
-        config = RunConfig()
         import argparse
 
         args = argparse.Namespace(scenario=None, eta_grid=None, set=["v_q=1"],
-                                  config=None, out=None, format=None, seed=None, shots=None)
+                                  config=None, seed=None, shots=None)
         from cvsteer.cli import build_run_config
 
         with pytest.raises(UsageError, match="unknown parameter"):
@@ -427,7 +426,7 @@ class TestMonteCarloCommand:
         path = tmp_path / "shots.csv"
         cmd_montecarlo(config, dump_shots=str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "c1c9d3f5cc4591d64edaa78600b436ffc4b13ada801585706b44d4f20747a071")
+            "7adbc6f8b665905d41eb68bcf7ae39e9697fa280882ee6933e47db10fbe5565f")
 
     def test_golden_report(self, tmp_path):
         # the certificate lines come from full_report on the analytic and estimated states
@@ -548,7 +547,7 @@ class TestMainEntry:
            "optimal f_b is undefined at eta = 0: ") for scenario in ("three_user", "appendix_e")),
         (["scan", "--eta-grid", "0.5:1:2", "--set", "t2=0"],
          "optimal f_b is undefined at eta = 0.5: t2 and eta_sb must be positive (--set f_b)"),
-        # a Philox key out of range is named as the seed, not as numpy's key
+        # a seed out of range is named as the seed, not as numpy's entropy
         (["montecarlo", "--seed", "-1", "--shots", "100"],
          "seed must lie in [0, 2**128), got -1"),
         (["scan", "--set", "v_s"], "override must look like key=value, got 'v_s'"),

@@ -85,18 +85,68 @@ class TestSimulateShots:
         reference = simulate_shots(two_user_params(1.0), "final_two_user", 100, seed=1)
         np.testing.assert_array_equal(batch.quads, reference.quads)
 
-    @pytest.mark.parametrize("stage, digest", [
-        ("pre_bob", "c605c132d1d216df53fcf75023b6c393a8788d2fbbab46bd959ab57dbc3a1f77"),
-        ("final_two_user", "0dc426308c688cf3f89a0e7a342167219ea1628ff3d1d2ccbc879081cc8d3f4c"),
-        ("pre_david", "70ab7ee0e079900b0b63ec6d00788031b1f4def51728e6b7327be9819c169188"),
-        ("final_three_user", "00b5e0238359e0e2c30cbebba13588802befe68b88f5fa9e5944e671a8604fcf"),
-    ])
+    @pytest.mark.parametrize("stage, digest", {
+        "pre_bob": "84c95dc4792481232425fe7776bdb368535279bb4aae41c49bc916accdc68c9f",
+        "final_two_user": "d135b65c3f63eef52d3ce19c20f8b1e77ed22e72841cf332b8cb9b4be1a799f8",
+        "pre_david": "62237b883830595f74deddb82956023341ab55b9ff961aadd5415c5915e69325",
+        "final_three_user": "f2f1a47e925b7c37641123f47a8c0d2935607b9c860629ff8be9c6b7e4e156a7",
+    }.items(), ids=STAGES)
     def test_seeded_stream_is_pinned(self, stage, digest):
-        # the draw order (sources, noise, one vacuum pair per loss site, block
-        # layout) is the reproducibility contract; 70001 is not a block multiple
+        # the draw order (the sources, noise and one vacuum pair per loss site that reach
+        # the cut, one SFC64 substream per block, block layout) is the reproducibility
+        # contract; 70001 is not a block multiple
         quads = simulate_shots(OFF_BALANCE, stage, 70001, seed=99).quads
         assert quads.shape[0] == 70001
         assert hashlib.sha256(np.ascontiguousarray(quads).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("stage, rows", [("pre_bob", 16), ("final_two_user", 16),
+                                             ("pre_david", 22), ("final_three_user", 22)])
+    def test_only_what_reaches_the_cut_is_drawn(self, monkeypatch, stage, rows):
+        # two rows per source slot, two noise rows and a vacuum pair per loss site that
+        # reach the cut: David's source and his eta_sd loss reach no mode before his stages
+        drawn, propagate = [], sampler._propagate_block
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *, out):
+                drawn.append(out.size)
+                return self.rng.standard_normal(out=out)
+
+        def counted(*args):
+            return propagate(*(Counting(a) if isinstance(a, np.random.Generator) else a
+                               for a in args))
+
+        monkeypatch.setattr(sampler, "_propagate_block", counted)
+        simulate_shots(OFF_BALANCE, stage, 100, seed=1)
+        assert drawn == [_BLOCK] * rows
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_rows_not_drawn_are_not_read(self, monkeypatch, stage):
+        # a step on a row that was never drawn would carry the buffer's old contents into
+        # the shots, or raise a RuntimeWarning computing on them
+        reference = simulate_shots(OFF_BALANCE, stage, 1000, seed=5).quads
+        propagate = sampler._propagate_block
+
+        def poisoned(*args):
+            for a in args:
+                if isinstance(a, np.ndarray):
+                    a.fill(np.nan)
+            return propagate(*args)
+
+        monkeypatch.setattr(sampler, "_propagate_block", poisoned)
+        quads = simulate_shots(OFF_BALANCE, stage, 1000, seed=5).quads
+        assert np.isfinite(quads).all()
+        np.testing.assert_array_equal(quads, reference)
+
+    def test_blocks_are_distinct_substreams(self):
+        # a block seeded like its neighbour would repeat it, which prefix stability misses
+        quads = simulate_shots(OFF_BALANCE, "pre_david", 2 * _BLOCK, seed=3).quads
+        first, second = quads[:_BLOCK], quads[_BLOCK:]
+        for column in range(quads.shape[1]):
+            corr = np.corrcoef(first[:, column], second[:, column])[0, 1]
+            assert abs(corr) < 5 / np.sqrt(_BLOCK), column
 
     def test_stage_validation(self):
         with pytest.raises(ValueError):
