@@ -307,11 +307,15 @@ def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     antisymmetric ``L^T Omega L``, so ``1j * L^T Omega L`` is Hermitian with
     spectrum ``+/- nu``.  The ``+/-`` pairing is asserted per matrix to ``1e-9``
     (scaled by its largest eigenvalue) and the ``n`` positive values are
-    returned.  Raises ``ArithmeticError`` when some matrix is not positive
-    definite (the Cholesky factorization fails).
+    returned.  For one mode no eigensolver runs: a 2 x 2 ``L`` has
+    ``L^T Omega L = det(L) Omega``, so ``nu = l00 * l11``, the value the Hermitian
+    route pairs as ``+/- nu``.  Raises ``ArithmeticError`` when some matrix is not
+    positive definite (the Cholesky factorization fails).
     """
     n = cov.shape[-1] // 2
     chol = _cholesky(cov)
+    if n == 1:
+        return chol[..., :1, 0] * chol[..., 1:, 1]
     ev = np.linalg.eigvalsh(1j * (chol.swapaxes(-2, -1) @ _omega(n) @ chol))
     hi, lo = ev[..., n:], -ev[..., n - 1 :: -1]
     if np.count_nonzero(np.abs(hi - lo) > 1e-9 * np.maximum(1.0, hi[..., -1:])):

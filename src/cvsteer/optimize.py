@@ -6,8 +6,10 @@ re-derives them by direct search over the coefficient bracket ``[0, 4]`` on the
 pipeline state, serving as an independent check.  The search always keeps every
 relayed ancilla that ``protocol.NETLIST`` marks separable, since that rule defines the
 protocol, and refuses a coefficient the objective's stage does not read.  Its coarse
-bracket and each pass of its grid refinement are evaluated as one stack of states per
-network stage through the batched kernels of ``protocol`` and ``criteria``.
+bracket and each pass of its grid refinement are one stack of trials, propagated in one
+forward pass over the network that hands back each relay cut on its way to the
+objective's, and certified there by the batched kernels of ``criteria``; a relay whose
+state does not read the searched coefficient is certified once per call.
 
 Deployment math: the guaranteed secret-key rate extractable from collective
 steering and the fiber length, at ``FIBER_LOSS_DB_PER_KM``, corresponding to a
@@ -25,14 +27,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import SYMMETRY_TOL, _checked_cov, _require_fractions, _require_variances
 from .criteria import SEPARABILITY_TOL, Partition, _ppt_cov, _steer_cov, ppt_min, steerability
-from .protocol import (STAGES, ProtocolParams, _network_cov, _stage_fields, _stage_steps,
-                       build_network_state, qss_params)
+from .protocol import (ProtocolParams, _network_cuts, _stage_fields, build_network_state,
+                       qss_params)
 
 __all__ = [
     "OptimizationResult",
@@ -151,24 +153,38 @@ _OBJECTIVE_STAGE = {
 }
 
 
-def _covariances(params: ProtocolParams, stage: str, which: str,
-                 values: np.ndarray) -> np.ndarray:
-    """The validated covariances at ``stage``, one per value of coefficient ``which``."""
-    return _checked_cov(_network_cov(params, stage, **{which: values}), SYMMETRY_TOL)
+def _trials(params: ProtocolParams, stage: str, partition: Partition,
+            which: str) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The function that takes coefficients ``xs`` of ``which`` to the objective, the
+    steerability across ``partition`` at the cut of ``stage``, at each of them (``-inf``
+    where a relay ancilla is entangled) and the smallest PPT value of the relay ancillas of
+    the cuts before it, all from one forward pass over the stack of trials.
 
+    A relay is evaluated only where the ones before it are separable, and the objective
+    only where all are.  A relay whose cut does not read ``which`` has the same value at
+    every trial, so it is certified once, on the first call, as a stack of one."""
+    fixed: dict[str, float] = {}  # relay stage -> PPT value, for relays not reading ``which``
 
-def _ancilla_ppt(params: ProtocolParams, stage: str, which: str, xs: np.ndarray) -> np.ndarray:
-    """Smallest PPT value of the relay ancillas of the cuts before ``stage`` at each value in
-    ``xs`` of ``which``; each is evaluated only where the ones before it are separable."""
-    ppt = np.full(xs.shape, math.inf)
-    for before in STAGES[:STAGES.index(stage)]:
-        cut = _stage_steps(params, before)[1]
-        if cut.relay:
+    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ppt = np.full(xs.shape, math.inf)
+        for cut, cov in _network_cuts(params, stage, **{which: xs}):
             ok = ppt >= _SEPARABLE
-            relay = _ppt_cov(_covariances(params, before, which, xs[ok]),
-                             (cut.labels.index(cut.relay),))
-            ppt[ok] = np.minimum(ppt[ok], relay)
-    return ppt
+            if cut.stage == stage:
+                ys = np.full(xs.shape, -math.inf)
+                ys[ok] = _steer_cov(_checked_cov(cov[ok], SYMMETRY_TOL), partition)
+                return ys, ppt
+            if not cut.relay:
+                continue
+            mode = (cut.labels.index(cut.relay),)
+            if which in _stage_fields(cut.stage):
+                value = _ppt_cov(_checked_cov(cov[ok], SYMMETRY_TOL), mode)
+            else:
+                if cut.stage not in fixed:
+                    fixed[cut.stage] = _ppt_cov(_checked_cov(cov[:1], SYMMETRY_TOL), mode)[0]
+                value = fixed[cut.stage]
+            ppt[ok] = np.minimum(ppt[ok], value)
+
+    return evaluate
 
 
 def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
@@ -179,7 +195,10 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
     ``which`` selects the coefficient, ``"f_b"`` or ``"f_d"`` and read by the objective's
     stage (``steer_A_to_B`` never reads ``f_d``), the other staying at its value in
     ``params``.  The relays may only carry separable ancillas, so a coefficient that
-    entangles one is rejected outright.
+    entangles one is rejected outright.  Each set of trial coefficients is one stack,
+    taken in one forward pass through every cut up to the objective's (``_trials``); a
+    relay whose cut does not read ``which`` is certified once for the whole search, and if
+    it is entangled no coefficient is feasible.
 
     The steering objective is identically zero outside a finite coefficient
     window, so a coarse scan of ``_BRACKET`` first brackets the window.  Grid passes
@@ -196,16 +215,7 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
     if which not in _stage_fields(stage):
         raise ValueError(f"{objective} does not depend on {which}")
 
-    def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Objective at each coefficient in ``xs``, ``-inf`` where an ancilla is entangled,
-        and the ancilla PPT value; each stage is one stack, and no final state is built
-        for an infeasible point."""
-        ppt = _ancilla_ppt(params, stage, which, xs)
-        ok = ppt >= _SEPARABLE
-        ys = np.full(xs.shape, -math.inf)
-        ys[ok] = _steer_cov(_covariances(params, stage, which, xs[ok]), partition)
-        return ys, ppt
-
+    evaluate = _trials(params, stage, partition, which)
     ys, ppt = evaluate(_BRACKET)
     best = int(np.argmax(ys))
     if not math.isfinite(ys[best]):

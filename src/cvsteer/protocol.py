@@ -11,14 +11,16 @@ channels.  Users then only apply local beam splitters:
 * David mixes that second ancilla with his mode on ``T3``.
 
 ``NETLIST`` writes this chain down once, as loss and beam-splitter steps on mode slots
-with stage cuts, each relay cut naming its ancilla.  ``build_network_state`` interprets
-it forward on covariance matrices, ``sampler`` on shot arrays and ``_stage_reach`` on
-the sets of server slots and steps that reach each slot: ``_stage_fields`` reads off it
-the parameter fields a stage depends on, and ``sampler`` skips what does not reach the
-cut.  The ``analytic_cov_*`` functions assemble the same covariances from closed-form
-matrix elements and must agree with the pipeline to float precision wherever their
-parameter regimes apply.  The scans over these states, with their optimal
-coefficients, are in ``optimize``.
+with stage cuts, each relay cut naming its ancilla.  ``_network_cuts`` interprets it
+forward on covariance matrices, handing back each cut it passes on its way to a stage, so
+one pass gives every cut before it too (the optimizer certifies its relays that way) and
+``build_network_state`` keeps the last.  ``sampler`` interprets it on shot arrays and
+``_stage_reach`` on the sets of server slots and steps that reach each slot:
+``_stage_fields`` reads off it the parameter fields a stage depends on, and ``sampler``
+skips what does not reach the cut.  The ``analytic_cov_*`` functions assemble the same
+covariances from closed-form matrix elements and must agree with the pipeline to float
+precision wherever their parameter regimes apply.  The scans over these states, with
+their optimal coefficients, are in ``optimize``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import dataclasses
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -186,29 +189,36 @@ def _stage_reach(stage: str) -> tuple[tuple[int, ...], tuple]:
             tuple(step for k, step in enumerate(steps) if k in live))
 
 
+@cache
 def _stage_fields(stage: str) -> frozenset[str]:
     """The ``ProtocolParams`` fields the covariance at the cut of ``stage`` depends on: ``v_s``,
     ``v_a``, ``v_dis`` and the weight of each server slot that reaches it, and the field of
-    each step that does (``_stage_reach``)."""
+    each step that does (``_stage_reach``).  Cached, since they are fixed by ``NETLIST``."""
     slots, steps = _stage_reach(stage)
     return frozenset({"v_s", "v_a", "v_dis"}).union(
         (_SLOT_WEIGHTS[slot] for slot in slots),
         (step.eta if isinstance(step, Loss) else step.t for step in steps))
 
 
-def _network_cov(params: ProtocolParams, stage: str, **weights) -> np.ndarray:
-    """Covariance at the cut of ``stage``, unvalidated; array ``f_*`` ``weights`` give a
-    stack ``(..., 2n, 2n)`` with one covariance per weight (``eta`` and ``t`` stay scalar)."""
-    steps, cut = _stage_steps(params, stage)
+def _network_cuts(params: ProtocolParams, stage: str,
+                  **weights) -> Iterator[tuple[Cut, np.ndarray]]:
+    """Each cut of ``NETLIST`` up to that of ``stage``, in order, with the covariance of its
+    kept slots there, unvalidated: one forward pass, which stops at the cut of ``stage``.
+    Array ``f_*`` ``weights`` give stacks ``(..., 2n, 2n)`` with one covariance per weight
+    (``eta`` and ``t`` stay scalar).  ``stage`` is checked on the first ``next``."""
+    last = _stage_steps(params, stage)[1]
     cov = _server_cov(params, **weights)
-    for step in steps:
+    for step in NETLIST:
         if isinstance(step, Loss):
             cov = core._loss_cov(cov, step.slot, getattr(params, step.eta))
-        else:
+        elif isinstance(step, Splitter):
             t = getattr(params, step.t)
             cov = core._bs_cov(cov, step.i, step.j, 1.0 - t if step.complement else t)
-    keep = 2 * len(cut.labels)
-    return cov[..., :keep, :keep]
+        else:
+            keep = 2 * len(step.labels)
+            yield step, cov[..., :keep, :keep]
+            if step is last:
+                return
 
 
 def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
@@ -222,12 +232,14 @@ def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
     takes ``sqrt(t3)`` from his mode and ``-sqrt(1-t3)`` from the relayed
     ancilla (the sign convention under which the closed forms hold).
 
-    The covariance is propagated as a plain array through ``core``'s channel
-    kernels, which take the ``ProtocolParams`` values as already checked, and
-    only the returned state is wrapped (and validated) as a ``GaussianState``.
+    The covariance is propagated as a plain array by ``_network_cuts`` through
+    ``core``'s channel kernels, which take the ``ProtocolParams`` values as already
+    checked, and only the state at the last cut is wrapped (and validated) as a
+    ``GaussianState``.
     """
-    cov = _network_cov(params, stage)
-    return GaussianState(_STAGE_STEPS[stage][1].labels, cov)
+    for cut, cov in _network_cuts(params, stage):
+        pass
+    return GaussianState(cut.labels, cov)
 
 
 def _require_regime(params: ProtocolParams, *, balanced: Sequence[str], equal_etas: bool) -> None:

@@ -18,8 +18,9 @@ from cvsteer import (
     qss_params,
     steerability,
 )
+from cvsteer import optimize
 from cvsteer.criteria import SEPARABILITY_TOL
-from cvsteer.optimize import _OBJECTIVE_STAGE, _ancilla_ppt
+from cvsteer.optimize import _OBJECTIVE_STAGE, _trials
 from cvsteer.protocol import V_A_DEFAULT, V_S_DEFAULT, _stage_fields
 from conftest import three_user_params, two_user_params
 
@@ -249,9 +250,9 @@ def test_optimizer_takes_exactly_the_coefficients_its_stage_reads(objective, whi
 def test_ancilla_ppt_matches_the_public_route(objective, which):
     # each f_b grid reaches coefficients that entangle C1 (checked last); C2 counts only
     # where C1 is separable
-    params, stage = OBJECTIVE_PARAMS[objective], _OBJECTIVE_STAGE[objective][0]
+    params, (stage, partition) = OBJECTIVE_PARAMS[objective], _OBJECTIVE_STAGE[objective]
     xs = np.linspace(0.0, 4.0, 9)
-    got = _ancilla_ppt(params, stage, which, xs)
+    _, got = _trials(params, stage, partition, which)(xs)
     for x, value in zip(xs, got):
         p = params.replace(**{which: x})
         want = ppt_min(build_network_state(p, "pre_bob"), ["C1"])
@@ -259,6 +260,29 @@ def test_ancilla_ppt_matches_the_public_route(objective, which):
             want = min(want, ppt_min(build_network_state(p, "pre_david"), ["C2"]))
         assert value == pytest.approx(want, rel=1e-12, abs=0), x
     assert which == "f_d" or got.min() < 1 - SEPARABILITY_TOL
+
+
+def test_relay_not_reading_the_coefficient_is_certified_once(monkeypatch):
+    # pre_bob (3 modes) does not read f_d: one stack of one for the whole search, while
+    # pre_david (4 modes) is certified on every trial stack where C1 is separable
+    stacks = []
+    ppt_cov = optimize._ppt_cov
+
+    def count(cov, modes):
+        stacks.append(cov.shape)
+        return ppt_cov(cov, modes)
+
+    monkeypatch.setattr(optimize, "_ppt_cov", count)
+    numeric_optimize_coefficient("steer_A_to_BD", three_user_params(0.7), "f_d")
+    assert [shape for shape in stacks if shape[-1] == 6] == [(1, 6, 6)]
+    assert [shape for shape in stacks if shape[-1] == 8] == [(81, 8, 8)] + [(9, 8, 8)] * 8
+
+
+def test_entangled_fixed_relay_rejects_every_trial():
+    # C1 does not read f_d, and at this noise variance it is entangled at every f_d
+    params = three_user_params(0.7).replace(v_dis=0.1)
+    with pytest.raises(ValueError, match=r"no feasible point in \[0, 4\]: separability violated"):
+        numeric_optimize_coefficient("steer_A_to_BD", params, "f_d")
 
 
 #: (objective, parameters, eta, coefficient, f_ref, g_ref, constraint_active, at_boundary,

@@ -28,7 +28,7 @@ from cvsteer import (
 from cvsteer.core import (SYMMETRY_TOL, _bs_cov, _checked_cov, _loss_cov, _noise_cov, _omega,
                           _symplectic_eigenvalues)
 from cvsteer.criteria import SEPARABILITY_TOL, _ppt_cov, _steer_cov
-from cvsteer.protocol import STAGES, _network_cov
+from cvsteer.protocol import STAGES, _network_cuts
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -100,6 +100,43 @@ def test_spectrum_matches_general_eigensolver(state):
     got = symplectic_eigenvalues(cov)
     np.testing.assert_allclose(got, reference_spectrum(cov), rtol=1e-10, atol=0)
     np.testing.assert_allclose(got, nus, rtol=1e-10, atol=0)
+
+
+def hermitian_route(cov: np.ndarray) -> float:
+    """The positive eigenvalue of ``1j * L^T Omega L`` for a one-mode ``cov = L L^T``."""
+    chol = np.linalg.cholesky(cov)
+    ev = np.linalg.eigvalsh(1j * (chol.T @ _omega(1) @ chol))
+    return (ev[1] - ev[0]) / 2.0
+
+
+@st.composite
+def one_mode_states(draw):
+    """(cov, nu): ``R diag(nu / s, nu * s) R^T`` with thermal factor ``nu`` in [1, 3], up to
+    20 dB of squeezing ``s`` and a rotation ``R`` that correlates x and p."""
+    nu, db = draw(st.floats(1.0, 3.0)), draw(st.floats(0.0, 20.0))
+    theta = draw(st.floats(0.0, np.pi))
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    cov = rot @ np.diag(nu * 10.0 ** (np.array([-db, db]) / 10.0)) @ rot.T
+    return (cov + cov.T) / 2.0, nu
+
+
+@SETTINGS
+@given(st.lists(one_mode_states(), min_size=1, max_size=4))
+def test_one_mode_spectrum_is_the_hermitian_route(states):
+    covs = np.stack([cov for cov, _ in states])
+    got = _symplectic_eigenvalues(covs)
+    assert got.shape == (len(states), 1)
+    for value, cov, (_, nu) in zip(got[:, 0], covs, states):
+        assert value == pytest.approx(hermitian_route(cov), rel=1e-14, abs=0)
+        assert value == pytest.approx(nu, rel=1e-10, abs=0)
+
+
+# positive variances with a negative determinant, and a stack with one singular matrix
+@pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]],
+                                 [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]]])
+def test_one_mode_spectrum_rejects_non_positive_definite(cov):
+    with pytest.raises(ArithmeticError, match="not positive definite"):
+        symplectic_eigenvalues(np.array(cov))
 
 
 @SETTINGS
@@ -285,11 +322,16 @@ def test_pipeline_matches_composed_core_ops(params, stage):
 @given(protocol_params, st.sampled_from(STAGES), st.sampled_from(("f_a", "f_b", "f_c", "f_d")),
        st.lists(coeff, min_size=1, max_size=4))
 def test_network_stack_equals_each_build(params, stage, which, values):
-    # one stack over a displacement weight is the per-point builds, bit for bit
-    stack = _checked_cov(_network_cov(params, stage, **{which: np.array(values)}), SYMMETRY_TOL)
-    for cov, value in zip(stack, values):
-        state = build_network_state(params.replace(**{which: value}), stage)
-        assert cov.tobytes() == state.cov.tobytes()
+    # one pass over a stack of a displacement weight yields every cut up to the stage's,
+    # each the per-point builds at that cut, bit for bit
+    cuts = list(_network_cuts(params, stage, **{which: np.array(values)}))
+    assert [cut.stage for cut, _ in cuts] == list(STAGES[:STAGES.index(stage) + 1])
+    for cut, covs in cuts:
+        stack = _checked_cov(covs, SYMMETRY_TOL)
+        for cov, value in zip(stack, values):
+            state = build_network_state(params.replace(**{which: value}), cut.stage)
+            assert state.labels == cut.labels
+            assert cov.tobytes() == state.cov.tobytes()
 
 
 @st.composite

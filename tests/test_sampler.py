@@ -75,8 +75,9 @@ class TestSimulateShots:
             simulate_shots(two_user_params(1.0), "final_two_user", 100, seed=seed)
 
     def test_seed_and_shot_count_must_be_integers(self):
-        # Philox truncated 1.5 to the key 1 and drew seed 1's stream; a float shot
-        # count passed the call and failed only at the first block
+        # the seed is the entropy of a SeedSequence and must be an integer, so 1.5 is
+        # refused rather than read as some other seed; a float shot count passed the call
+        # and failed only at the first block
         with pytest.raises(TypeError):
             simulate_shots(two_user_params(1.0), "final_two_user", 100, seed=1.5)
         with pytest.raises(TypeError):
