@@ -15,7 +15,9 @@ line's; a ``certify --split`` is checked as a ``Partition``.  All output is dete
 given the inputs (including RNG seeds).  The output path (``--out`` or a config file's
 ``out``) is opened before the command runs, so an unwritable one fails before any work.
 Exit codes: 0 success, 2 usage or configuration error, 3 input-data error,
-4 numerical failure (e.g. a covariance that is not positive definite).
+4 numerical failure (e.g. a covariance that is not positive definite).  ``main`` is the
+one place that maps an exception to its exit code, by kind: ``InputDataError`` -> 3,
+``ArithmeticError`` or ``numpy.linalg.LinAlgError`` -> 4, any other ``ValueError`` -> 2.
 """
 
 from __future__ import annotations
@@ -39,11 +41,8 @@ from .optimize import SCENARIO_TABLE, ScanResult
 from .protocol import STAGES, ProtocolParams, build_network_state
 
 __all__ = [
-    "CliError",
     "InputDataError",
-    "NumericalError",
     "RunConfig",
-    "UsageError",
     "cmd_certify",
     "cmd_montecarlo",
     "cmd_scan",
@@ -70,20 +69,9 @@ _PARAM_FIELDS = {f.name for f in dataclasses.fields(ProtocolParams)} - {"users"}
 _RUN_KEYS = ("scenario", "eta_grid", "format", "out", "seed", "shots")
 
 
-class CliError(Exception):
-    exit_code = EXIT_USAGE
-
-
-class UsageError(CliError):
-    exit_code = EXIT_USAGE
-
-
-class InputDataError(CliError):
-    exit_code = EXIT_INPUT
-
-
-class NumericalError(CliError):
-    exit_code = EXIT_NUMERIC
+class InputDataError(Exception):
+    """A matrix file or ``--split`` unfit to certify (exit 3); no ``ValueError`` handler
+    catches it."""
 
 
 @dataclass(frozen=True)
@@ -114,18 +102,18 @@ def parse_eta_grid(spec: str) -> tuple[float, float, int]:
     """Parse ``start:stop:steps`` into grid bounds."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise UsageError(f"eta grid must look like start:stop:steps, got {spec!r}")
+        raise ValueError(f"eta grid must look like start:stop:steps, got {spec!r}")
     try:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise UsageError(f"bad eta grid {spec!r}: {exc}") from None
+        raise ValueError(f"bad eta grid {spec!r}: {exc}") from None
     if steps < 1:
-        raise UsageError("eta grid needs at least one step")
+        raise ValueError("eta grid needs at least one step")
     if steps == 1 and start != stop:
-        raise UsageError(f"a one-step eta grid needs start = stop, got {spec!r}")
+        raise ValueError(f"a one-step eta grid needs start = stop, got {spec!r}")
     for v in (start, stop):
         if not 0.0 <= v <= 1.0:
-            raise UsageError(f"eta grid bounds must lie in [0, 1], got {v}")
+            raise ValueError(f"eta grid bounds must lie in [0, 1], got {v}")
     return start, stop, steps
 
 
@@ -135,17 +123,17 @@ def load_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in entries:
-            raise UsageError(f"{path}:{lineno}: config key {key!r} is given twice")
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is given twice")
         entries[key] = value.strip()
     return entries
 
@@ -157,7 +145,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     flags = []
     for key, value in load_config_file(args.config).items():
         if key not in run_keys and key not in _PARAM_FIELDS:
-            raise UsageError(f"unknown config key {key!r} for {args.command}; "
+            raise ValueError(f"unknown config key {key!r} for {args.command}; "
                              f"known: {sorted({*run_keys, *_PARAM_FIELDS})}")
         flags.append(f"--set={key}={value}" if key in _PARAM_FIELDS
                      else f"--{key.replace('_', '-')}={value}")
@@ -172,13 +160,13 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         key, eq, value = item.partition("=")
         key = key.strip()
         if not eq:
-            raise UsageError(f"override must look like key=value, got {item!r}")
+            raise ValueError(f"override must look like key=value, got {item!r}")
         if key not in _PARAM_FIELDS:
-            raise UsageError(f"unknown parameter {key!r}; settable: {sorted(_PARAM_FIELDS)}")
+            raise ValueError(f"unknown parameter {key!r}; settable: {sorted(_PARAM_FIELDS)}")
         try:
             overrides[key] = float(value)
         except ValueError:
-            raise UsageError(f"value for {key!r} is not a number: {value!r}") from None
+            raise ValueError(f"value for {key!r} is not a number: {value!r}") from None
     start, stop, steps = parse_eta_grid(args.eta_grid)
     settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
                 if hasattr(args, f.name)}
@@ -281,7 +269,7 @@ def cmd_certify(path: str, splits: Sequence[str] | None = None) -> SteeringRepor
     Without explicit splits, every one-mode-versus-rest bipartition is
     certified.  Raises ``InputDataError`` for a one-mode or unphysical file
     (smallest symplectic eigenvalue below ``MIN_SYMPLECTIC_EIGENVALUE``) or a bad split, and
-    ``NumericalError`` if the matrix is not positive definite or certification
+    ``ArithmeticError`` if the matrix is not positive definite or certification
     fails numerically, e.g. on an ill-conditioned steering block.
     """
     state = read_cov_matrix_file(path)
@@ -295,7 +283,7 @@ def cmd_certify(path: str, splits: Sequence[str] | None = None) -> SteeringRepor
                                  f"eigenvalue {nu_min:.4g} is below {MIN_SYMPLECTIC_EIGENVALUE:g}")
         return full_report(state, partitions)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        raise NumericalError(f"{path}: {exc}") from None
+        raise ArithmeticError(f"{path}: {exc}") from None
     except ValueError as exc:  # a split given twice
         raise InputDataError(f"{path}: {exc}") from None
 
@@ -327,17 +315,17 @@ def cmd_table_a1() -> str:
 
 
 def _open_out(path: str) -> TextIO:
-    """``path`` opened for writing; ``UsageError`` if it cannot be."""
+    """``path`` opened for writing; a ``ValueError`` (a usage error) if it cannot be."""
     try:
         return open(path, "w")
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
     """Run the shot sampler at the one-step grid's efficiency and report agreement."""
     if config.eta_steps > 1:
-        raise UsageError(f"montecarlo takes a one-step eta grid, got {config.eta_steps} steps")
+        raise ValueError(f"montecarlo takes a one-step eta grid, got {config.eta_steps} steps")
     eta = float(config.eta_start)
     scenario = SCENARIO_TABLE[config.scenario]
     optimize._check_overrides(scenario, config.overrides)
@@ -346,7 +334,7 @@ def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
     stage = max((spec[0] for spec in scenario.columns.values() if spec), key=STAGES.index)
     analytic = build_network_state(params, stage)
     if config.shots <= 2 * analytic.n_modes:  # fewer leave the sample covariance singular
-        raise UsageError(f"--shots must be at least {2 * analytic.n_modes + 1} for {stage}")
+        raise ValueError(f"--shots must be at least {2 * analytic.n_modes + 1} for {stage}")
     # the dump file opens before the first block is drawn
     with _open_out(dump_shots) if dump_shots else contextlib.nullcontext() as fh:
         labels, estimated = sampler._sampled_covariance(params, stage, config.shots,
@@ -451,10 +439,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 fh.write(cmd_table_a1())
             else:
                 fh.write(cmd_montecarlo(config, dump_shots=args.dump_shots))
-    except CliError as exc:
+    except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        return EXIT_INPUT
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

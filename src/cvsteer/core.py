@@ -221,14 +221,13 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     return GaussianState(a.labels + b.labels, cov)
 
 
-def _beam_splitter_matrix(n: int, i: int, j: int, t: float) -> np.ndarray:
-    """Symplectic matrix mixing modes i and j with power transmittance t.
+def _beam_splitter_matrix(n: int, i: int, j: int, c: float, r: float) -> np.ndarray:
+    """Symplectic matrix mixing modes i and j with amplitudes ``c = sqrt(t)`` and
+    ``r = sqrt(1-t)`` of power transmittance t.
 
-    Port map (identical on x and p): ``a_i -> sqrt(t) a_i + sqrt(1-t) a_j``
-    and ``a_j -> sqrt(1-t) a_i - sqrt(t) a_j``.
+    Port map (identical on x and p): ``a_i -> c a_i + r a_j`` and ``a_j -> r a_i - c a_j``.
     """
     s = np.eye(2 * n)
-    c, r = math.sqrt(t), math.sqrt(1.0 - t)  # correctly rounded, as np.sqrt
     for q in (0, 1):
         a, b = 2 * i + q, 2 * j + q
         s[a, a] = c
@@ -238,10 +237,10 @@ def _beam_splitter_matrix(n: int, i: int, j: int, t: float) -> np.ndarray:
     return s
 
 
-def _bs_cov(cov: np.ndarray, i: int, j: int, t: float) -> np.ndarray:
-    """Covariances ``(..., 2n, 2n)`` after mixing mode indices ``i`` and ``j`` on
-    transmittance ``t``."""
-    s = _beam_splitter_matrix(cov.shape[-1] // 2, i, j, t)
+def _bs_cov(cov: np.ndarray, i: int, j: int, c: float, r: float) -> np.ndarray:
+    """Covariances ``(..., 2n, 2n)`` after mixing mode indices ``i`` and ``j`` with the
+    amplitudes ``c`` and ``r`` of ``_beam_splitter_matrix``."""
+    s = _beam_splitter_matrix(cov.shape[-1] // 2, i, j, c, r)
     return s @ cov @ s.T
 
 
@@ -251,7 +250,7 @@ def beam_splitter(state: GaussianState, i: int | str, j: int | str, t: float) ->
     if a == b:
         raise ValueError("beam splitter needs two distinct modes")
     _require_fractions(t=t)
-    return GaussianState(state.labels, _bs_cov(state.cov, a, b, t))
+    return GaussianState(state.labels, _bs_cov(state.cov, a, b, math.sqrt(t), math.sqrt(1.0 - t)))
 
 
 def _loss_cov(cov: np.ndarray, i: int, eta: float) -> np.ndarray:

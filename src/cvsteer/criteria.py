@@ -176,12 +176,12 @@ def _steer_cov(cov: np.ndarray, partition: Partition) -> np.ndarray:
     rows_n, rows_m = cov.take(idx_n, axis=-2), cov.take(idx_m, axis=-2)
     n_blk, m_blk = rows_n.take(idx_n, axis=-1), rows_m.take(idx_m, axis=-1)
     gamma = rows_n.take(idx_m, axis=-1)
-    lam, u = np.linalg.eigh(n_blk)
-    mags = np.abs(lam)
-    lo = mags.min(axis=-1)
+    lam, u = np.linalg.eigh(n_blk)  # ascending: lam[..., 0] is the signed smallest
+    lo = lam[..., 0]
     # max / COND_LIMIT, not COND_LIMIT * lo, which overflows for blocks near 1e300
-    if ((lo == 0.0) | (mags.max(axis=-1) / COND_LIMIT > lo)).any():
-        raise ArithmeticError("steering party block is numerically singular")
+    if ((lo <= 0.0) | (lam[..., -1] / COND_LIMIT > lo)).any():
+        raise ArithmeticError("steering party block is not positive definite or is "
+                              "numerically singular")
     x = u.swapaxes(-2, -1) @ gamma
     schur = m_blk - x.swapaxes(-2, -1) @ (x / lam[..., :, None])
     nus = _symplectic_eigenvalues((schur + schur.swapaxes(-2, -1)) / 2.0)
@@ -199,9 +199,8 @@ def steerability(state: GaussianState, partition: Partition) -> float:
     by swapping the parties (``partition.swapped()``).
 
     One ``eigh`` of the steering block ``N = U diag(lam) U^T`` serves both
-    the conditioning guard (``max|lam| / min|lam|``, the 2-norm condition
-    number of a symmetric matrix, must not exceed ``COND_LIMIT``, else
-    ``ArithmeticError``) and the inverse:
+    the guard (every ``lam`` positive and ``max(lam) / min(lam)``, the 2-norm condition
+    number, at most ``COND_LIMIT``, else ``ArithmeticError``) and the inverse:
     ``gamma^T N^{-1} gamma = x^T diag(1/lam) x`` with ``x = U^T gamma``.
     """
     return float(_steer_cov(state.cov, partition))

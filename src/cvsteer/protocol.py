@@ -213,7 +213,8 @@ def _network_cuts(params: ProtocolParams, stage: str,
             cov = core._loss_cov(cov, step.slot, getattr(params, step.eta))
         elif isinstance(step, Splitter):
             t = getattr(params, step.t)
-            cov = core._bs_cov(cov, step.i, step.j, 1.0 - t if step.complement else t)
+            c, r = math.sqrt(t), math.sqrt(1.0 - t)  # correctly rounded, as the sampler's np.sqrt
+            cov = core._bs_cov(cov, step.i, step.j, *((r, c) if step.complement else (c, r)))
         else:
             keep = 2 * len(step.labels)
             yield step, cov[..., :keep, :keep]

@@ -42,6 +42,12 @@ def random_physical_cov(rng: np.random.Generator, n_modes: int, scale: float = 1
     return np.eye(2 * n_modes) + a @ a.T
 
 
+def unpaired_spectrum(matrix: np.ndarray) -> np.ndarray:
+    """A stand-in for ``np.linalg.eigvalsh``: the ascending spectrum 1, 2, ..., 2n for each
+    matrix of the stack, in which no value has a ``-`` partner."""
+    return np.broadcast_to(np.arange(1.0, matrix.shape[-1] + 1.0), matrix.shape[:-1])
+
+
 def two_user_params(eta: float = 1.0, **kw) -> ProtocolParams:
     p = ProtocolParams(users="two", eta_sb=eta, eta_ab=eta, **kw)
     # equal channel efficiencies cancel in the optimal coefficient

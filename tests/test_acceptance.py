@@ -251,7 +251,7 @@ def test_criterion_9_property_suite(rng):
     # beam-splitter matrices are symplectic across the whole transmittance range
     omega = _omega(2)
     for t in np.linspace(0.0, 1.0, 100):
-        s = _beam_splitter_matrix(2, 0, 1, float(t))
+        s = _beam_splitter_matrix(2, 0, 1, np.sqrt(t), np.sqrt(1.0 - t))
         assert np.abs(s @ omega @ s.T - omega).max() <= 1e-12
 
     # +/- pairing of the symplectic spectrum (asserted inside the solver)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,9 +17,7 @@ from cvsteer.cli import (
     EXIT_NUMERIC,
     EXIT_USAGE,
     InputDataError,
-    NumericalError,
     RunConfig,
-    UsageError,
     cmd_certify,
     cmd_montecarlo,
     cmd_scan,
@@ -32,7 +31,8 @@ from cvsteer.cli import (
     parse_split_spec,
     read_cov_matrix_file,
 )
-from conftest import THREE_MODE_PPT, FOUR_MODE_PPT, two_user_params, write_cov_matrix_file
+from conftest import (THREE_MODE_PPT, FOUR_MODE_PPT, two_user_params, unpaired_spectrum,
+                      write_cov_matrix_file)
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -52,8 +52,13 @@ class TestGridAndConfig:
 
     def test_eta_grid_errors(self):
         # a one-step grid runs at one efficiency: its stop used to be dropped unread
-        for bad in ("0.1:1.0", "a:b:c", "0.1:1.0:0", "0.1:1.5:3", "0.2:0.9:1"):
-            with pytest.raises(UsageError):
+        for bad, message in (
+                ("0.1:1.0", "eta grid must look like start:stop:steps, got '0.1:1.0'"),
+                ("a:b:c", "bad eta grid 'a:b:c': could not convert"),
+                ("0.1:1.0:0", "eta grid needs at least one step"),
+                ("0.1:1.5:3", r"eta grid bounds must lie in \[0, 1\], got 1.5"),
+                ("0.2:0.9:1", "a one-step eta grid needs start = stop, got '0.2:0.9:1'")):
+            with pytest.raises(ValueError, match=f"^{message}"):
                 parse_eta_grid(bad)
 
     def test_config_file_roundtrip(self, tmp_path):
@@ -120,7 +125,7 @@ class TestGridAndConfig:
                                   config=None, seed=None, shots=None)
         from cvsteer.cli import build_run_config
 
-        with pytest.raises(UsageError, match="unknown parameter"):
+        with pytest.raises(ValueError, match="^unknown parameter 'v_q'; settable: "):
             build_run_config(args)
 
     @pytest.mark.parametrize("command, entry", [
@@ -347,7 +352,8 @@ class TestCertify:
     def test_not_positive_definite(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 0 0 0\n0 -1 0 0\n0 0 1 0\n0 0 0 1\n")
-        with pytest.raises(NumericalError):
+        message = f"^{re.escape(str(path))}: matrix is not positive definite$"
+        with pytest.raises(ArithmeticError, match=message):
             cmd_certify(str(path))
 
     @pytest.mark.parametrize("golden, fixture, splits", [
@@ -633,6 +639,13 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "cmd_scan", fail)
         assert main(["scan", "--eta-grid", "1:1:1"]) == EXIT_NUMERIC
         assert "error:" in capsys.readouterr().err
+
+    def test_unpaired_symplectic_spectrum_exit_code(self, three_mode_file, monkeypatch,
+                                                    capsys):
+        monkeypatch.setattr(np.linalg, "eigvalsh", unpaired_spectrum)
+        assert main(["certify", three_mode_file]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            f"error: {three_mode_file}: symplectic eigenvalues failed +/- pairing check\n")
 
     @pytest.mark.parametrize("flag", [["--seed", "5"], ["--shots", "2"]])
     def test_scan_rejects_monte_carlo_flags(self, flag, capsys):

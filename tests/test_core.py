@@ -142,7 +142,7 @@ class TestBeamSplitter:
     def test_symplectic_condition(self, t):
         from cvsteer.core import _beam_splitter_matrix
 
-        s = _beam_splitter_matrix(2, 0, 1, t)
+        s = _beam_splitter_matrix(2, 0, 1, np.sqrt(t), np.sqrt(1.0 - t))
         omega = _omega(2)
         np.testing.assert_allclose(s @ omega @ s.T, omega, atol=1e-12)
 

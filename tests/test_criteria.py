@@ -27,6 +27,7 @@ from conftest import (
     random_physical_cov,
     three_user_params,
     two_user_params,
+    unpaired_spectrum,
 )
 
 
@@ -73,6 +74,12 @@ class TestSymplecticEigenvalues:
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError):
             symplectic_eigenvalues(np.eye(3))
+
+    def test_unpaired_spectrum_rejected(self, monkeypatch):
+        # the Hermitian route's spectrum is +/- nu; one without a - partner is refused
+        monkeypatch.setattr(np.linalg, "eigvalsh", unpaired_spectrum)
+        with pytest.raises(ArithmeticError, match=r"failed \+/- pairing check"):
+            symplectic_eigenvalues(np.eye(4))
 
 
 class TestPartialTranspose:
@@ -247,6 +254,14 @@ class TestSteerability:
         cov = np.diag([1e7, 1e-7, 1.0, 1.0])
         state = GaussianState(("a", "b"), cov)
         with pytest.raises(ArithmeticError, match="singular"):
+            steerability(state, Partition((0,), (1,)))
+
+    def test_indefinite_steering_block_rejected(self):
+        # eigenvalues -1.0066 (twice) and 0.5066 (twice): the guard took |lam| and
+        # certified G = 0.673, where ppt_min refuses the matrix through the Cholesky
+        cov = [[-1, 0, .1, 0], [0, -1, 0, -.1], [.1, 0, .5, 0], [0, -.1, 0, .5]]
+        state = GaussianState(("A", "B"), cov)
+        with pytest.raises(ArithmeticError, match="not positive definite"):
             steerability(state, Partition((0,), (1,)))
 
     def test_huge_steering_block_does_not_overflow_the_guard(self):

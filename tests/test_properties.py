@@ -274,17 +274,17 @@ def composed_network_state(params: ProtocolParams, stage: str) -> GaussianState:
     cov = _loss_cov(cov, 2, params.eta_sa)
     cov = _loss_cov(cov, 1, params.eta_sb)
     cov = _loss_cov(cov, 3, params.eta_sd)
-    cov = _bs_cov(cov, 0, 2, params.t1)
+    cov = _bs_cov(cov, 0, 2, np.sqrt(params.t1), np.sqrt(1.0 - params.t1))
     cov = _loss_cov(cov, 2, params.eta_ab)
     if stage == "pre_bob":
         return GaussianState(("A", "B0", "C1"), cov[:6, :6])
-    cov = _bs_cov(cov, 1, 2, params.t2)
+    cov = _bs_cov(cov, 1, 2, np.sqrt(params.t2), np.sqrt(1.0 - params.t2))
     if stage == "final_two_user":
         return GaussianState(("A", "B"), cov[:4, :4])
     cov = _loss_cov(cov, 2, params.eta_bd)
     if stage == "pre_david":
         return GaussianState(("A", "B", "C2", "D0"), cov)
-    cov = _bs_cov(cov, 3, 2, 1.0 - params.t3)
+    cov = _bs_cov(cov, 3, 2, np.sqrt(1.0 - params.t3), np.sqrt(params.t3))
     return GaussianState(("A", "B", "D"), cov[:6, :6])
 
 

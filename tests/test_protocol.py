@@ -24,7 +24,7 @@ from cvsteer import (
     server_output_state,
     steerability,
 )
-from cvsteer.protocol import STAGES, _stage_fields
+from cvsteer.protocol import STAGES, _network_cuts, _stage_fields
 from conftest import three_user_params, two_user_params
 
 
@@ -117,6 +117,19 @@ class TestBuildNetworkState:
             p = three_user_params(float(rng.uniform(0.1, 1.0)))
             cov = build_network_state(p, "final_three_user").cov
             assert np.abs(cov[0::2, 1::2]).max() == 0.0
+
+    def test_complement_splitter_takes_both_amplitudes_from_t(self):
+        # David's splitter runs at 1 - t3; sqrt(1 - (1 - t3)) is not sqrt(t3) at t3 = 0.3,
+        # and it used to move 6 of the 36 entries of the last cut by 2.2e-16
+        cuts = {cut.stage: cov
+                for cut, cov in _network_cuts(three_user_params(0.8, t3=0.3), "final_three_user")}
+        s = np.eye(8)
+        c, r = math.sqrt(0.7), math.sqrt(0.3)
+        for q in (0, 1):  # the port map of core.beam_splitter on slots 3 (C2) and 2 (D0)
+            a, b = 6 + q, 4 + q
+            s[a, a], s[a, b], s[b, a], s[b, b] = c, r, r, -c
+        want = s @ cuts["pre_david"] @ s.T
+        assert np.array_equal(cuts["final_three_user"], want[:6, :6])
 
 
 class TestStageFields:
