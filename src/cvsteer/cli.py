@@ -13,7 +13,8 @@ Subcommands
 A ``--config`` file's entries are parsed as the command's flags, ahead of the command
 line's; a ``certify --split`` is checked as a ``Partition``.  All output is deterministic
 given the inputs (including RNG seeds).  The output path (``--out`` or a config file's
-``out``) is opened before the command runs, so an unwritable one fails before any work.
+``out``) is opened before the command runs, so an unwritable one fails before any work;
+``montecarlo`` refuses an output path that names its ``--dump-shots`` file.
 Exit codes: 0 success, 2 usage or configuration error, 3 input-data error,
 4 numerical failure (e.g. a covariance that is not positive definite).  ``main`` is the
 one place that maps an exception to its exit code, by kind: ``InputDataError`` -> 3,
@@ -27,6 +28,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -322,6 +324,14 @@ def _open_out(path: str) -> TextIO:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: one existing file, or one resolved path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return Path(a).resolve() == Path(b).resolve()
+
+
 def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
     """Run the shot sampler at the one-step grid's efficiency and report agreement."""
     if config.eta_steps > 1:
@@ -427,6 +437,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             # the file's flags go ahead of the command line's, which therefore win
             args = _parser().parse_args([argv[0], *_config_flags(args), *argv[1:]])
         config = build_run_config(args) if args.command in ("scan", "montecarlo") else None
+        dump = getattr(args, "dump_shots", None)
+        if dump and args.out and _same_file(args.out, dump):  # the report would overwrite it
+            raise ValueError(f"--out and --dump-shots name the same file: {args.out}")
         # opened before the run: an unwritable path costs no work, a failed run leaves it empty
         with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
             if args.command == "scan":

@@ -12,7 +12,8 @@ All operations are pure: they return new states and never mutate inputs.
 This module owns covariance validity: ``GaussianState`` checks shape, finiteness,
 symmetry and label rules once, and the Cholesky behind the symplectic spectrum is the one
 positive-definiteness test (``ArithmeticError`` on failure).  It also owns the one mode
-rule, ``_quadratures``, which every mode index in the package goes through.
+rule, ``_quadratures``, which every mode index in the package goes through, and the one
+party rule, ``_party``, which resolves a sequence of labels or indices.
 
 The private kernels (the validity check, the loss, beam-splitter and noise channels and
 the symplectic spectrum) take a stack ``(..., 2n, 2n)`` of covariances and act on each
@@ -138,6 +139,8 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
+        if isinstance(self.labels, str):  # as in ``_party``
+            raise TypeError(f"labels must be a sequence of names, not the string {self.labels!r}")
         cov = _checked_cov(self.cov, SYMMETRY_TOL)
         if cov.ndim != 2:
             raise ValueError(f"covariance must be square 2n x 2n, got {cov.shape}")
@@ -168,6 +171,14 @@ class GaussianState:
         idx = operator.index(mode)
         _quadratures((idx,), self.n_modes)
         return idx
+
+
+def _party(state: GaussianState, modes: Iterable[int | str]) -> tuple[int, ...]:
+    """The index of each mode of a party, given by label or index, in order: the one party
+    rule.  TypeError for a bare string, which would read as one-character labels."""
+    if isinstance(modes, str):
+        raise TypeError(f"a party must be a sequence of modes, not the string {modes!r}")
+    return tuple(map(state.mode_index, modes))
 
 
 def vacuum(n: int, labels: Sequence[str] | None = None) -> GaussianState:
@@ -284,7 +295,7 @@ def _noise_cov(cov: np.ndarray, x_coeffs: Sequence, p_coeffs: Sequence,
 
 def select_modes(state: GaussianState, keep: Iterable[int | str]) -> GaussianState:
     """Partial trace: keep only the listed modes, in the requested order."""
-    modes = [state.mode_index(m) for m in keep]
+    modes = _party(state, keep)
     if not modes:
         raise ValueError("must keep at least one mode")
     idx = _quadratures(modes, state.n_modes)

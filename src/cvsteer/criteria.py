@@ -11,12 +11,13 @@ Two certificates are provided for an arbitrary bipartition ``N | M``:
   Gaussian measurements on ``N``.
 
 ``core`` validates each ``GaussianState`` once and owns the one mode rule (``IndexError``
-``mode m out of range for n modes``).  A split is a ``Partition``, a ``ppt_min`` party
-included.  The kernels ``_ppt_cov`` and ``_steer_cov`` take a stack ``(..., 2n, 2n)`` of
-covariances and certify each matrix alone; ``ppt_min`` and ``steerability`` are
-their batch of one.  ``full_report`` gathers the splits of one party shape into one
-stack, so a report makes three kernel calls per shape, not per split; without explicit
-splits it certifies every one-mode-versus-rest split, in mode order.
+``mode m out of range for n modes``) and the one party rule (``TypeError`` for a bare
+string).  A split is a ``Partition``, a ``ppt_min`` party included.  The kernels
+``_ppt_cov`` and ``_steer_cov`` take a stack ``(..., 2n, 2n)`` of covariances and certify
+each matrix alone; ``ppt_min`` and ``steerability`` are their batch of one.
+``full_report`` gathers the splits of one party shape into one stack, so a report makes
+three kernel calls per shape, not per split; without explicit splits it certifies every
+one-mode-versus-rest split, in mode order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import GaussianState, _checked_cov, _cholesky, _quadratures, _symplectic_eigenvalues
+from .core import (GaussianState, _checked_cov, _cholesky, _party, _quadratures,
+                   _symplectic_eigenvalues)
 
 __all__ = [
     "Partition",
@@ -78,10 +80,7 @@ class Partition:
     def from_labels(
         cls, state: GaussianState, steering: Iterable[str], steered: Iterable[str]
     ) -> "Partition":
-        return cls(
-            tuple(state.mode_index(m) for m in steering),
-            tuple(state.mode_index(m) for m in steered),
-        )
+        return cls(_party(state, steering), _party(state, steered))
 
     def swapped(self) -> "Partition":
         return Partition(self.steered, self.steering)
@@ -138,7 +137,7 @@ def ppt_min(state: GaussianState, party: Sequence[int | str]) -> float:
     the split is entangled (necessary and sufficient for 1-vs-m splits).  The split is
     checked as ``Partition(party, rest)``: both nonempty, no mode twice.
     """
-    modes = tuple(state.mode_index(m) for m in party)
+    modes = _party(state, party)
     Partition(modes, tuple(m for m in range(state.n_modes) if m not in modes))
     return float(_ppt_cov(state.cov, modes))
 

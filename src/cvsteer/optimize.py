@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import SYMMETRY_TOL, _checked_cov, _require_fractions, _require_variances
 from .criteria import SEPARABILITY_TOL, Partition, _ppt_cov, _steer_cov, ppt_min, steerability
-from .protocol import (ProtocolParams, _network_cuts, _stage_fields, build_network_state,
+from .protocol import (ProtocolParams, _STAGES, _network_cuts, _stage, build_network_state,
                        qss_params)
 
 __all__ = [
@@ -176,7 +176,7 @@ def _trials(params: ProtocolParams, stage: str, partition: Partition,
             if not cut.relay:
                 continue
             mode = (cut.labels.index(cut.relay),)
-            if which in _stage_fields(cut.stage):
+            if which in _STAGES[cut.stage].fields:
                 value = _ppt_cov(_checked_cov(cov[ok], SYMMETRY_TOL), mode)
             else:
                 if cut.stage not in fixed:
@@ -212,7 +212,7 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
     if which not in ("f_b", "f_d"):
         raise ValueError(f"which must be 'f_b' or 'f_d', got {which!r}")
     stage, partition = _OBJECTIVE_STAGE[objective]
-    if which not in _stage_fields(stage):
+    if which not in _stage(params, stage).fields:
         raise ValueError(f"{objective} does not depend on {which}")
 
     evaluate = _trials(params, stage, partition, which)
@@ -332,7 +332,7 @@ def scenario_params(scenario: Scenario, eta: float, overrides: dict[str, float])
 def _check_overrides(scenario: Scenario, overrides: dict[str, float]) -> None:
     """ValueError naming each override that no stage of ``scenario``'s own columns reads,
     since it would change nothing the run reports."""
-    read = frozenset().union(*(_stage_fields(spec[0]) for spec in scenario.columns.values()
+    read = frozenset().union(*(_STAGES[spec[0]].fields for spec in scenario.columns.values()
                                if spec))
     unread = sorted(set(overrides) - read)
     if unread:

@@ -14,10 +14,10 @@ channels.  Users then only apply local beam splitters:
 with stage cuts, each relay cut naming its ancilla.  ``_network_cuts`` interprets it
 forward on covariance matrices, handing back each cut it passes on its way to a stage, so
 one pass gives every cut before it too (the optimizer certifies its relays that way) and
-``build_network_state`` keeps the last.  ``sampler`` interprets it on shot arrays and
-``_stage_reach`` on the sets of server slots and steps that reach each slot:
-``_stage_fields`` reads off it the parameter fields a stage depends on, and ``sampler``
-skips what does not reach the cut.  The ``analytic_cov_*`` functions assemble the same
+``build_network_state`` keeps the last.  ``sampler`` interprets it on shot arrays.  At
+import ``_STAGES`` compiles it into one record per stage (its cut, the netlist through it,
+the slots and steps reaching the cut and the fields they read), which ``_stage`` looks up
+for a ``users`` setting.  The ``analytic_cov_*`` functions assemble the same
 covariances from closed-form matrix elements and must agree with the pipeline to float
 precision wherever their parameter regimes apply.  The scans over these states, with
 their optimal coefficients, are in ``optimize``.
@@ -29,7 +29,6 @@ import dataclasses
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -157,47 +156,45 @@ NETLIST = (
     Cut("final_three_user", ("A", "B", "D"), users="three"),
 )
 
-_STAGE_STEPS = {step.stage: (tuple(s for s in NETLIST[:k] if not isinstance(s, Cut)), step)
-                for k, step in enumerate(NETLIST) if isinstance(step, Cut)}
-STAGES = tuple(_STAGE_STEPS)
+_Stage = namedtuple("_Stage", "cut netlist slots steps fields")
 
 
-def _stage_steps(params: ProtocolParams, stage: str) -> tuple[tuple, Cut]:
-    """The loss and splitter steps before the cut of ``stage``, and that cut."""
-    if stage not in _STAGE_STEPS:
-        raise ValueError(f"unknown stage {stage!r}; expected one of {STAGES}")
-    steps, cut = _STAGE_STEPS[stage]
-    if cut.users == "three" and params.users != "three":
-        raise ValueError(f"stage {stage!r} requires users='three'")
-    return steps, cut
-
-
-def _stage_reach(stage: str) -> tuple[tuple[int, ...], tuple]:
-    """The server slots, in order, and the steps before the cut of ``stage`` that reach its
-    kept slots, by a forward pass like the interpreters': each slot starts with its source's
-    token, a loss adds its own token to its slot, a splitter gives both its slots their union
-    plus its own, and the tokens the kept slots end with are the ones that reach the cut."""
-    steps, cut = _STAGE_STEPS[stage]
+def _compile(k: int) -> _Stage:
+    """The ``_STAGES`` record of the cut ``NETLIST[k]``: the cut, the netlist through it,
+    and what reaches it by a forward pass like the interpreters', on token sets (a slot
+    starts with its source's token, a loss adds its own, a splitter gives both its slots
+    their union plus its own): the server slots and steps whose tokens the kept slots end
+    with, and the ``ProtocolParams`` fields those read, with ``v_s``, ``v_a`` and ``v_dis``."""
+    cut, netlist = NETLIST[k], NETLIST[: k + 1]
     tokens = [frozenset({("source", slot)}) for slot in range(len(_SLOT_WEIGHTS))]
-    for k, step in enumerate(steps):
+    for j, step in enumerate(netlist):
         if isinstance(step, Loss):
-            tokens[step.slot] |= {k}
-        else:
-            tokens[step.i] = tokens[step.j] = tokens[step.i] | tokens[step.j] | {k}
+            tokens[step.slot] |= {j}
+        elif isinstance(step, Splitter):
+            tokens[step.i] = tokens[step.j] = tokens[step.i] | tokens[step.j] | {j}
     live = frozenset().union(*tokens[:len(cut.labels)])
-    return (tuple(slot for slot in range(len(tokens)) if ("source", slot) in live),
-            tuple(step for k, step in enumerate(steps) if k in live))
-
-
-@cache
-def _stage_fields(stage: str) -> frozenset[str]:
-    """The ``ProtocolParams`` fields the covariance at the cut of ``stage`` depends on: ``v_s``,
-    ``v_a``, ``v_dis`` and the weight of each server slot that reaches it, and the field of
-    each step that does (``_stage_reach``).  Cached, since they are fixed by ``NETLIST``."""
-    slots, steps = _stage_reach(stage)
-    return frozenset({"v_s", "v_a", "v_dis"}).union(
+    slots = tuple(slot for slot in range(len(tokens)) if ("source", slot) in live)
+    steps = tuple(step for j, step in enumerate(netlist) if j in live)
+    fields = frozenset({"v_s", "v_a", "v_dis"}).union(
         (_SLOT_WEIGHTS[slot] for slot in slots),
         (step.eta if isinstance(step, Loss) else step.t for step in steps))
+    return _Stage(cut, netlist, slots, steps, fields)
+
+
+#: Every per-stage fact, compiled once from ``NETLIST``, by stage name in network order.
+_STAGES = {step.stage: _compile(k) for k, step in enumerate(NETLIST) if isinstance(step, Cut)}
+STAGES = tuple(_STAGES)
+
+
+def _stage(params: ProtocolParams, name: str) -> _Stage:
+    """The ``_STAGES`` record of ``name``; ValueError for an unknown stage, or for a
+    three-user stage when ``params`` has two users."""
+    if name not in _STAGES:
+        raise ValueError(f"unknown stage {name!r}; expected one of {STAGES}")
+    stage = _STAGES[name]
+    if stage.cut.users == "three" and params.users != "three":
+        raise ValueError(f"stage {name!r} requires users='three'")
+    return stage
 
 
 def _network_cuts(params: ProtocolParams, stage: str,
@@ -206,9 +203,9 @@ def _network_cuts(params: ProtocolParams, stage: str,
     kept slots there, unvalidated: one forward pass, which stops at the cut of ``stage``.
     Array ``f_*`` ``weights`` give stacks ``(..., 2n, 2n)`` with one covariance per weight
     (``eta`` and ``t`` stay scalar).  ``stage`` is checked on the first ``next``."""
-    last = _stage_steps(params, stage)[1]
+    netlist = _stage(params, stage).netlist
     cov = _server_cov(params, **weights)
-    for step in NETLIST:
+    for step in netlist:
         if isinstance(step, Loss):
             cov = core._loss_cov(cov, step.slot, getattr(params, step.eta))
         elif isinstance(step, Splitter):
@@ -218,8 +215,6 @@ def _network_cuts(params: ProtocolParams, stage: str,
         else:
             keep = 2 * len(step.labels)
             yield step, cov[..., :keep, :keep]
-            if step is last:
-                return
 
 
 def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
@@ -348,13 +343,18 @@ def separable_boundary_vsep(params: ProtocolParams) -> float:
     Below the returned value the ``C1 | A,B0`` split is entangled; above it
     the ancilla is certified separable.  For strong displacement weights the
     boundary becomes unattainable and ``inf`` is returned.  The closed form holds
-    for ``eta_ab > 0``: with no relay ``C1`` is vacuum, separable at any variance,
-    and the boundary is 0.
+    for ``t1 = 1/2`` and ``f_a = f_c = 1`` (``ValueError`` otherwise) at any ``eta_sa``,
+    which scales Alice's squeezing and her noise alike.  With no relay or no light from
+    the server (``eta_ab = 0`` or ``eta_sa = 0``) ``C1`` is vacuum, and with no quadrature
+    below vacuum (``v_s, v_a >= 1``) every input is classical: ``C1`` is separable at any
+    variance, and the boundary is 0.  A source squeezed in ``v_a < 1``, the quadratures the
+    noise misses, keeps Duan's sum for ``A | C1`` below its bound at every variance: ``inf``.
     """
-    if params.eta_ab == 0.0:
+    _require_regime(params.replace(eta_sa=1.0), balanced=("t1",), equal_etas=False)
+    if params.eta_ab == 0.0 or params.eta_sa == 0.0 or min(params.v_s, params.v_a) >= 1.0:
         return 0.0
     denom = 2.0 - params.eta_sb * params.f_b**2 * (1.0 - params.v_s)
-    if denom <= 0.0:
+    if params.v_a < 1.0 or denom <= 0.0:
         return math.inf
     return 2.0 * (1.0 - params.v_s) / denom
 

@@ -6,7 +6,7 @@ quadrature, per shared classical noise variable and per loss-injected
 vacuum, then propagating the samples through the steps of
 ``protocol.NETLIST``, the same network description the covariance pipeline
 interprets; only the server slots and steps that reach the stage's cut
-(``protocol._stage_reach``) are drawn and run.  The channel arithmetic here
+(``protocol._STAGES``) are drawn and run.  The channel arithmetic here
 is written on shot arrays and does not call ``core``, so the twin still
 checks the covariance algebra independently.  The sample covariance of the
 retained modes must converge to the analytic covariance at the usual
@@ -142,7 +142,7 @@ def _propagate_block(params: ProtocolParams, slots: tuple[int, ...], steps: tupl
     the netlist ``steps`` and keep ``n_modes``; the draw order (the slots' sources,
     ``x_dis``, ``p_dis``, a vacuum pair per loss site in ``steps`` even at eta = 1) is fixed.
 
-    ``slots`` and ``steps`` are the ones that reach the kept modes (``protocol._stage_reach``):
+    ``slots`` and ``steps`` are the ones that reach the kept modes (``protocol._STAGES``):
     the rows of the other slots are neither drawn nor read, and may hold anything.  The
     quadratures are rows of ``buf``, drawn in place and updated in place with two scratch
     rows; every product and sum is the one the out-of-place arithmetic would form, in the
@@ -227,8 +227,7 @@ def _drawn_blocks(params: ProtocolParams, stage: str, n_shots: int, seed: int,
     the ``SeedSequence`` whose ``k``-th spawned child seeds block ``k``) are checked on the
     call; no block is drawn before the first ``next``.
     """
-    _, cut = protocol._stage_steps(params, stage)
-    slots, steps = protocol._stage_reach(stage)
+    cut, _, slots, steps, _ = protocol._stage(params, stage)
     n_shots, seed = operator.index(n_shots), operator.index(seed)
     if n_shots < 2:
         raise ValueError("need at least 2 shots")

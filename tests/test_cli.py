@@ -450,6 +450,21 @@ class TestMonteCarloCommand:
         assert main(["montecarlo", "--shots", "100", "--dump-shots", str(path)]) == EXIT_USAGE
         assert f"cannot write {path}: No such file or directory" in capsys.readouterr().err
 
+    def test_dump_to_the_output_file_is_refused(self, tmp_path, monkeypatch, capsys):
+        # the dump truncated the open report file and the report then overwrote its head
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "mc.txt"
+        path.write_bytes(b"kept\n")
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text(f"out={path}\n")
+        for argv in (["--out", str(path), "--dump-shots", str(path)],
+                     ["--out", "mc.txt", "--dump-shots", str(path)],
+                     ["--config", str(cfg), "--dump-shots", "./mc.txt"]):
+            assert main(["montecarlo", "--shots", "2000", *argv]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert "--out and --dump-shots name the same file" in err, argv
+            assert path.read_bytes() == b"kept\n"
+
     def test_peak_memory_does_not_grow_with_shots(self):
         # one block is held at a time, so four times the shots is not four times the memory
         peaks = []

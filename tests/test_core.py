@@ -260,6 +260,13 @@ class TestSelectModes:
         with pytest.raises(IndexError):
             select_modes(vacuum(2), [5])
 
+    def test_bare_string_rejected(self):
+        # "AB" kept modes A and B of a state that has a mode "AB"
+        state = vacuum(3, ["A", "B", "AB"])
+        with pytest.raises(TypeError, match="not the string 'AB'"):
+            select_modes(state, "AB")
+        assert select_modes(state, ["AB"]).labels == ("AB",)
+
 
 class TestIsPhysical:
     def test_vacuum(self):
@@ -288,6 +295,11 @@ class TestIsPhysical:
 
 
 class TestGaussianStateValidation:
+    def test_string_labels_rejected(self):
+        # "AB" was read as the labels ("A", "B")
+        with pytest.raises(TypeError, match="not the string 'AB'"):
+            GaussianState("AB", np.eye(4))
+
     def test_asymmetric_rejected(self):
         bad = np.eye(2)
         bad[0, 1] = 1e-3

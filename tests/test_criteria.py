@@ -137,6 +137,13 @@ class TestPptMin:
         with pytest.raises(TypeError):
             ppt_min(state, [0.5])
 
+    def test_bare_string_party_rejected(self):
+        # "AB" read as ("A", "B") certified the split A,B|AB on a state with a mode "AB"
+        state = GaussianState(("A", "B", "AB"), THREE_MODE_REFERENCE)
+        with pytest.raises(TypeError, match="not the string 'AB'"):
+            ppt_min(state, "AB")
+        assert ppt_min(state, ["AB"]) == ppt_min(state, [2])
+
     def test_not_positive_definite_raises_arithmetic_error(self):
         state = GaussianState(("a", "b"), np.diag([1.0, -1.0, 1.0, 1.0]))
         with pytest.raises(ArithmeticError, match="positive definite"):
@@ -249,6 +256,12 @@ class TestSteerability:
         part = Partition((np.int64(0),), np.array([1, 2]))
         assert part == Partition((0,), (1, 2))
         assert all(type(m) is int for m in part.steering + part.steered)
+
+    def test_partition_from_labels_rejects_a_bare_string(self):
+        state = GaussianState(("A", "B", "AB"), THREE_MODE_REFERENCE)
+        with pytest.raises(TypeError, match="not the string 'AB'"):
+            Partition.from_labels(state, "AB", ["A"])
+        assert Partition.from_labels(state, ["AB"], ["A"]) == Partition((2,), (0,))
 
     def test_singular_steering_block_rejected(self):
         cov = np.diag([1e7, 1e-7, 1.0, 1.0])

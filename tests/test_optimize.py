@@ -21,7 +21,7 @@ from cvsteer import (
 from cvsteer import optimize
 from cvsteer.criteria import SEPARABILITY_TOL
 from cvsteer.optimize import _OBJECTIVE_STAGE, _trials
-from cvsteer.protocol import V_A_DEFAULT, V_S_DEFAULT, _stage_fields
+from cvsteer.protocol import V_A_DEFAULT, V_S_DEFAULT, _STAGES
 from conftest import three_user_params, two_user_params
 
 TABLE_ETAS = (1.0, 0.8, 0.6, 0.4, 0.2)
@@ -237,7 +237,7 @@ OBJECTIVE_PARAMS = {"steer_A_to_B": two_user_params(0.7),
 @pytest.mark.parametrize("which", ["f_a", "f_b", "f_c", "f_d"])
 def test_optimizer_takes_exactly_the_coefficients_its_stage_reads(objective, which):
     params = OBJECTIVE_PARAMS[objective]
-    if which in {"f_b", "f_d"} & _stage_fields(_OBJECTIVE_STAGE[objective][0]):
+    if which in {"f_b", "f_d"} & _STAGES[_OBJECTIVE_STAGE[objective][0]].fields:
         assert numeric_optimize_coefficient(objective, params, which).g_star > 0
     else:
         with pytest.raises(ValueError, match=which):

@@ -336,13 +336,17 @@ def test_network_stack_equals_each_build(params, stage, which, values):
 
 @st.composite
 def _boundary_params(draw):
-    """Physical sources with Alice's lossless balanced splitter (the defaults), where the
-    closed-form boundary holds.  No relay (``eta_ab = 0``) is drawn too: ``C1`` is then
-    vacuum, separable at any ``v_dis``, and the boundary is 0."""
-    v_s = draw(st.floats(1.0 / 32.0, 1.0))
-    return ProtocolParams(v_s=v_s, v_a=draw(st.floats(1.0 / v_s, 32.0)),
-                          f_b=draw(coeff), eta_sb=draw(unit),
-                          eta_ab=draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0))),
+    """Physical sources with Alice's balanced splitter and ``f_a = f_c = 1``, where the
+    closed-form boundary holds, at any efficiency and any ``t2``.  No relay or no light from
+    the server (``eta_ab = 0``, ``eta_sa = 0``) is drawn too: ``C1`` is then vacuum, separable
+    at any ``v_dis``, and the boundary is 0, as it is for ``1 <= v_s <= 2``, where every
+    input is classical.  A source squeezed in ``v_a < 1`` is never separable, a verdict the
+    PPT slack cannot make as ``v_a -> 1``; ``test_protocol.TestSeparableBoundary`` pins it."""
+    v_s = draw(st.floats(1.0 / 32.0, 2.0))
+    sometimes_dark = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    return ProtocolParams(v_s=v_s, v_a=draw(st.floats(max(1.0, 1.0 / v_s), 32.0)),
+                          f_b=draw(coeff), eta_sb=draw(unit), t2=draw(unit),
+                          eta_sa=draw(sometimes_dark), eta_ab=draw(sometimes_dark),
                           v_dis=draw(st.floats(0.0, 5.0)))
 
 

@@ -24,7 +24,8 @@ from cvsteer import (
     server_output_state,
     steerability,
 )
-from cvsteer.protocol import STAGES, _network_cuts, _stage_fields
+from cvsteer.criteria import SEPARABILITY_TOL
+from cvsteer.protocol import STAGES, _STAGES, _network_cuts
 from conftest import three_user_params, two_user_params
 
 
@@ -143,7 +144,7 @@ class TestStageFields:
                 continue
             moved = base.replace(**{field.name: 0.8 * getattr(base, field.name)})
             changed = not np.array_equal(build_network_state(moved, stage).cov, cov)
-            assert changed == (field.name in _stage_fields(stage)), field.name
+            assert changed == (field.name in _STAGES[stage].fields), field.name
 
 
 class TestAnalyticPreBob:
@@ -267,8 +268,11 @@ class TestSeparableBoundary:
                 assert separable_boundary_vsep(p) == pytest.approx(expected, rel=1e-12)
 
     def test_no_squeezing_no_boundary(self):
-        p = ProtocolParams(users="two", v_s=1.0, v_a=1.0)
-        assert separable_boundary_vsep(p) == 0.0
+        # no quadrature below vacuum: C1 is separable even with no displacement noise
+        for v_s in (1.0, 1.2):
+            p = ProtocolParams(users="two", v_s=v_s, v_a=1.0, v_dis=0.0)
+            assert separable_boundary_vsep(p) == 0.0
+            assert ppt_min(build_network_state(p, "pre_bob"), ["C1"]) >= 1.0 - SEPARABILITY_TOL
 
     def test_decreases_with_relay_loss(self):
         values = []
@@ -279,10 +283,29 @@ class TestSeparableBoundary:
         assert all(np.diff(values) < 0)
 
     def test_no_relay_no_boundary(self):
-        # with no relay C1 is vacuum: separable at any displacement variance
-        p = ProtocolParams(v_s=0.5, v_a=2.0, v_dis=0.0, eta_ab=0.0)
-        assert separable_boundary_vsep(p) == 0.0
-        assert ppt_min(build_network_state(p, "pre_bob"), ["C1"]) == pytest.approx(1.0, abs=1e-12)
+        # with no relay, or no light from the server, C1 is vacuum: separable at any
+        # displacement variance
+        for dark in ({"eta_ab": 0.0}, {"eta_sa": 0.0}):
+            p = ProtocolParams(v_s=0.5, v_a=2.0, v_dis=0.0, **dark)
+            assert separable_boundary_vsep(p) == 0.0
+            value = ppt_min(build_network_state(p, "pre_bob"), ["C1"])
+            assert value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("change, match", [({"t1": 0.3}, "t1 = 1/2"),
+                                               ({"f_a": 0.5, "f_b": 1.2}, "f_a = f_c = 1"),
+                                               ({"f_c": 0.7}, "f_a = f_c = 1")])
+    def test_refused_outside_its_regime(self, change, match):
+        # the closed form misplaces the crossing here: 0.665 against 0.583 at t1 = 0.3,
+        # and 0.778 against 2.73 at f_a = 0.5, where C1 is entangled at the default v_dis
+        with pytest.raises(ValueError, match=match):
+            separable_boundary_vsep(ProtocolParams(**change))
+
+    def test_squeezing_the_noise_misses_is_never_separable(self):
+        # v_a < 1 squeezes A0's x and C0's p, which carry no noise weight
+        p = ProtocolParams(v_s=1.2, v_a=0.9, eta_sa=0.3, eta_ab=0.2)
+        assert separable_boundary_vsep(p) == math.inf
+        for v_dis in (0.0, 1.5, 1e4):
+            assert ppt_min(build_network_state(p.replace(v_dis=v_dis), "pre_bob"), ["C1"]) < 1.0
 
     def test_unattainable_boundary(self):
         p = ProtocolParams(users="two", f_b=3.0, v_s=0.5)
