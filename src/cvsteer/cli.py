@@ -13,8 +13,9 @@ Subcommands
 A ``--config`` file's entries are parsed as the command's flags, ahead of the command
 line's; a ``certify --split`` is checked as a ``Partition``.  All output is deterministic
 given the inputs (including RNG seeds).  The output path (``--out`` or a config file's
-``out``) is opened before the command runs, so an unwritable one fails before any work;
-``montecarlo`` refuses an output path that names its ``--dump-shots`` file.
+``out``) is opened before the command runs, so an unwritable one fails before any work.
+Opening an output truncates it, so neither it nor ``--dump-shots`` may name another file
+of the command (the ``certify`` matrix, the ``--config`` file or the other output).
 Exit codes: 0 success, 2 usage or configuration error, 3 input-data error,
 4 numerical failure (e.g. a covariance that is not positive definite).  ``main`` is the
 one place that maps an exception to its exit code, by kind: ``InputDataError`` -> 3,
@@ -437,9 +438,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             # the file's flags go ahead of the command line's, which therefore win
             args = _parser().parse_args([argv[0], *_config_flags(args), *argv[1:]])
         config = build_run_config(args) if args.command in ("scan", "montecarlo") else None
-        dump = getattr(args, "dump_shots", None)
-        if dump and args.out and _same_file(args.out, dump):  # the report would overwrite it
-            raise ValueError(f"--out and --dump-shots name the same file: {args.out}")
+        # opening an output truncates it: it may name no other file of the command
+        outputs = {"--out": args.out, "--dump-shots": getattr(args, "dump_shots", None)}
+        paths = {**outputs, "the matrix file": getattr(args, "file", None),
+                 "--config": getattr(args, "config", None)}
+        for out_name, out in outputs.items():
+            for name, path in paths.items():
+                if out and path and name != out_name and _same_file(out, path):
+                    raise ValueError(f"{out_name} and {name} name the same file: {out}")
         # opened before the run: an unwritable path costs no work, a failed run leaves it empty
         with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
             if args.command == "scan":

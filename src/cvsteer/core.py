@@ -19,7 +19,10 @@ The private kernels (the validity check, the loss, beam-splitter and noise chann
 the symplectic spectrum) take a stack ``(..., 2n, 2n)`` of covariances and act on each
 matrix alone, so a grid of states is one call; a single ``2n x 2n`` matrix is the
 stack of one.  The channels trust their parameters: callers check them with the
-``_require_*`` rules here, one per kind of quantity.
+``_require_*`` rules here, one per kind of quantity.  The spectrum picks its route from
+the stack alone: one mode reads it off the Cholesky factor, a stack with no x-p
+correlation (every network state) takes the real x/p-sector route, and any other stack
+the Hermitian one, so a matrix gets the same value from every caller.
 """
 
 from __future__ import annotations
@@ -319,10 +322,24 @@ def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     (scaled by its largest eigenvalue) and the ``n`` positive values are
     returned.  For one mode no eigensolver runs: a 2 x 2 ``L`` has
     ``L^T Omega L = det(L) Omega``, so ``nu = l00 * l11``, the value the Hermitian
-    route pairs as ``+/- nu``.  Raises ``ArithmeticError`` when some matrix is not
-    positive definite (the Cholesky factorization fails).
+    route pairs as ``+/- nu``.
+
+    Sector route: when ``n >= 2`` and every x-p entry of the stack
+    (``cov[..., 0::2, 1::2]``) is exactly zero, each matrix is ``V_x (+) V_p``, as every
+    state of the network is, and ``nu^2`` are the eigenvalues of ``V_x V_p``.  With
+    ``V_x = L_x L_x^T`` and ``V_p = L_p L_p^T`` they are the squared singular values of
+    the real ``n x n`` product ``L_x^T L_p``, so ``nu`` are those singular values, with no
+    complex ``2n x 2n`` problem and no pairing to check.  The route is chosen by the input
+    alone, so every caller (``ppt_min``, ``steerability``, ``full_report``, the optimizer)
+    gets the same value for the same matrix.
+
+    Raises ``ArithmeticError`` when some matrix is not positive definite (the Cholesky
+    factorization, of ``cov`` or of both sectors at once, fails).
     """
     n = cov.shape[-1] // 2
+    if n > 1 and not np.count_nonzero(cov[..., 0::2, 1::2]):
+        chol = _cholesky(np.stack((cov[..., 0::2, 0::2], cov[..., 1::2, 1::2])))
+        return np.linalg.svd(chol[0].swapaxes(-2, -1) @ chol[1], compute_uv=False)[..., ::-1]
     chol = _cholesky(cov)
     if n == 1:
         return chol[..., :1, 0] * chol[..., 1:, 1]

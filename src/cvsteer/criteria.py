@@ -17,7 +17,10 @@ string).  A split is a ``Partition``, a ``ppt_min`` party included.  The kernels
 each matrix alone; ``ppt_min`` and ``steerability`` are their batch of one.
 ``full_report`` gathers the splits of one party shape into one stack, so a report makes
 three kernel calls per shape, not per split; without explicit splits it certifies every
-one-mode-versus-rest split, in mode order.
+one-mode-versus-rest split, in mode order.  Every spectrum comes from
+``core._symplectic_eigenvalues``, whose route (one mode, x/p sectors or Hermitian) is
+chosen by the matrices alone; the steering kernel keeps the Schur complement of an x/p
+stack exactly x/p, so a report's gathered stack and the scalar calls take one route.
 """
 
 from __future__ import annotations
@@ -109,7 +112,10 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     ``2n x 2n``, finite and symmetric to ``1e-8`` relative, and ``ArithmeticError``
     unless it is positive definite, as from ``ppt_min`` and ``steerability``.
     Computed by ``core``'s Williamson (Cholesky) route, which also takes a stack
-    ``(..., 2n, 2n)`` and returns ``(..., n)``.
+    ``(..., 2n, 2n)`` and returns ``(..., n)``: from the Cholesky factor for one mode, from
+    the singular values of ``L_x^T L_p`` when no entry correlates an x with a p
+    quadrature, and from the Hermitian ``1j * L^T Omega L`` otherwise.  The route depends
+    on ``cov`` alone, so this value is the one ``ppt_min`` and ``full_report`` see.
     """
     return _symplectic_eigenvalues(_checked_cov(cov, 1e-8))
 
@@ -183,7 +189,13 @@ def _steer_cov(cov: np.ndarray, partition: Partition) -> np.ndarray:
                               "numerically singular")
     x = u.swapaxes(-2, -1) @ gamma
     schur = m_blk - x.swapaxes(-2, -1) @ (x / lam[..., :, None])
-    nus = _symplectic_eigenvalues((schur + schur.swapaxes(-2, -1)) / 2.0)
+    schur = (schur + schur.swapaxes(-2, -1)) / 2.0
+    if len(partition.steered) > 1 and not np.count_nonzero(cov[..., 0::2, 1::2]):
+        # x/p sectors in, x/p sectors out: ``eigh`` may mix the sectors' eigenvectors and
+        # leave rounding in the x-p entries, which would route a matrix differently in a
+        # stack than alone; a one-mode complement has one route whatever its x-p entries
+        schur[..., 0::2, 1::2] = schur[..., 1::2, 0::2] = 0.0
+    nus = _symplectic_eigenvalues(schur)
     logs = np.log(np.where(nus < 1.0 - STEERING_EDGE, nus, 1.0))
     # 0.0 - sum, not -sum: a matrix with no contributing eigenvalue reads +0.0, not -0.0
     return 0.0 - logs.sum(axis=-1)

@@ -5,11 +5,13 @@ distributed steerability for each network layout; ``numeric_optimize_coefficient
 re-derives them by direct search over the coefficient bracket ``[0, 4]`` on the
 pipeline state, serving as an independent check.  The search always keeps every
 relayed ancilla that ``protocol.NETLIST`` marks separable, since that rule defines the
-protocol, and refuses a coefficient the objective's stage does not read.  Its coarse
-bracket and each pass of its grid refinement are one stack of trials, propagated in one
-forward pass over the network that hands back each relay cut on its way to the
-objective's, and certified there by the batched kernels of ``criteria``; a relay whose
-state does not read the searched coefficient is certified once per call.
+protocol, and refuses a coefficient the objective's stage does not read.  Each call
+propagates the network once, on three nodes of the searched coefficient, which fix every
+cut's covariance as a quadratic ``A + f (B + f C)`` in it; its coarse bracket and each
+pass of its grid refinement are then one stack of trials per relay cut and for the
+objective's cut, read off those polynomials and certified by the batched kernels of
+``criteria``, which take the real x/p-sector route on these uncorrelated states.  A relay
+whose state does not read the searched coefficient is certified once per call.
 
 Deployment math: the guaranteed secret-key rate extractable from collective
 steering and the fiber length, at ``FIBER_LOSS_DB_PER_KM``, corresponding to a
@@ -33,8 +35,8 @@ import numpy as np
 
 from .core import SYMMETRY_TOL, _checked_cov, _require_fractions, _require_variances
 from .criteria import SEPARABILITY_TOL, Partition, _ppt_cov, _steer_cov, ppt_min, steerability
-from .protocol import (ProtocolParams, _STAGES, _network_cuts, _stage, build_network_state,
-                       qss_params)
+from .protocol import (Cut, ProtocolParams, _STAGES, _network_cuts, _stage,
+                       build_network_state, qss_params)
 
 __all__ = [
     "OptimizationResult",
@@ -62,6 +64,11 @@ FIBER_LOSS_DB_PER_KM = 0.2
 #: steering window of every scenario, which is zero-flat outside a finite interval.
 _BRACKET = np.arange(81) * 4.0 / 80
 _BRACKET.flags.writeable = False
+
+#: The coefficients the network is propagated on, once per search: three nodes fix each
+#: cut's covariance, which is quadratic in the coefficient, and they span ``_BRACKET``.
+_NODES = np.array([0.0, 2.0, 4.0])
+_NODES.flags.writeable = False
 
 #: Evenly spaced points of each refinement pass over ``x* +/- h``; odd, so the incumbent
 #: ``x*`` is the middle one.  Each pass then shrinks ``h`` by ``(_REFINE_POINTS + 1) / 2``.
@@ -153,36 +160,56 @@ _OBJECTIVE_STAGE = {
 }
 
 
+def _cut_polynomials(params: ProtocolParams, stage: str,
+                     which: str) -> list[tuple[Cut, np.ndarray, np.ndarray, np.ndarray]]:
+    """Each cut up to that of ``stage``, with ``A, B, C`` such that its covariance at the
+    coefficient ``f`` of ``which`` is ``A + f (B + f C)``, from one pass over ``_NODES``.
+
+    Exact, not fitted: the server's shared noise is ``v_dis (u u^T + w w^T)`` with ``u`` and
+    ``w`` linear in ``f``, and each ``NETLIST`` step maps ``V -> S V S^T + const``, so every
+    cut's covariance is quadratic in ``f`` and the three nodes fix it.  The nodes span
+    ``_BRACKET``, so no trial extrapolates."""
+    out = []
+    for cut, (v0, v2, v4) in _network_cuts(params, stage, **{which: _NODES}):
+        curve = v4 - 2.0 * v2 + v0
+        out.append((cut, v0, (v2 - v0) / 2.0 - curve / 4.0, curve / 8.0))
+    return out
+
+
 def _trials(params: ProtocolParams, stage: str, partition: Partition,
             which: str) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The function that takes coefficients ``xs`` of ``which`` to the objective, the
     steerability across ``partition`` at the cut of ``stage``, at each of them (``-inf``
     where a relay ancilla is entangled) and the smallest PPT value of the relay ancillas of
-    the cuts before it, all from one forward pass over the stack of trials.
+    the cuts before it.
 
-    A relay is evaluated only where the ones before it are separable, and the objective
-    only where all are.  A relay whose cut does not read ``which`` has the same value at
-    every trial, so it is certified once, on the first call, as a stack of one."""
-    fixed: dict[str, float] = {}  # relay stage -> PPT value, for relays not reading ``which``
+    The network is propagated once, here (``_cut_polynomials``); each trial stack is then
+    the polynomial ``A + f (B + f C)`` of a cut at ``xs``, checked by ``_checked_cov`` like
+    any covariance.  A relay is evaluated only where the ones before it are separable, and
+    the objective only where all are.  A relay whose cut does not read ``which`` has the
+    same value at every trial, so it is certified once, here, as a stack of one."""
+    cuts = []  # (cut, PPT value of a relay not reading ``which`` or None, A, B, C)
+    for cut, a, b, c in _cut_polynomials(params, stage, which):
+        if cut.relay and which not in _STAGES[cut.stage].fields:
+            mode = (cut.labels.index(cut.relay),)
+            cuts.append((cut, _ppt_cov(_checked_cov(a[None], SYMMETRY_TOL), mode)[0], a, b, c))
+        elif cut.relay or cut.stage == stage:
+            cuts.append((cut, None, a, b, c))
 
     def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ppt = np.full(xs.shape, math.inf)
-        for cut, cov in _network_cuts(params, stage, **{which: xs}):
+        for cut, fixed, a, b, c in cuts:
             ok = ppt >= _SEPARABLE
+            if fixed is not None:
+                ppt[ok] = np.minimum(ppt[ok], fixed)
+                continue
+            f = xs[ok, None, None]
+            cov = _checked_cov(a + f * (b + f * c), SYMMETRY_TOL)
             if cut.stage == stage:
                 ys = np.full(xs.shape, -math.inf)
-                ys[ok] = _steer_cov(_checked_cov(cov[ok], SYMMETRY_TOL), partition)
+                ys[ok] = _steer_cov(cov, partition)
                 return ys, ppt
-            if not cut.relay:
-                continue
-            mode = (cut.labels.index(cut.relay),)
-            if which in _STAGES[cut.stage].fields:
-                value = _ppt_cov(_checked_cov(cov[ok], SYMMETRY_TOL), mode)
-            else:
-                if cut.stage not in fixed:
-                    fixed[cut.stage] = _ppt_cov(_checked_cov(cov[:1], SYMMETRY_TOL), mode)[0]
-                value = fixed[cut.stage]
-            ppt[ok] = np.minimum(ppt[ok], value)
+            ppt[ok] = np.minimum(ppt[ok], _ppt_cov(cov, (cut.labels.index(cut.relay),)))
 
     return evaluate
 
@@ -195,10 +222,11 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
     ``which`` selects the coefficient, ``"f_b"`` or ``"f_d"`` and read by the objective's
     stage (``steer_A_to_B`` never reads ``f_d``), the other staying at its value in
     ``params``.  The relays may only carry separable ancillas, so a coefficient that
-    entangles one is rejected outright.  Each set of trial coefficients is one stack,
-    taken in one forward pass through every cut up to the objective's (``_trials``); a
-    relay whose cut does not read ``which`` is certified once for the whole search, and if
-    it is entangled no coefficient is feasible.
+    entangles one is rejected outright.  The network is propagated once per call, on
+    ``_NODES``, and each set of trial coefficients is one stack per cut, read off the
+    exact quadratic in the coefficient that the nodes fix (``_trials``); a relay whose cut
+    does not read ``which`` is certified once for the whole search, and if it is
+    entangled no coefficient is feasible.
 
     The steering objective is identically zero outside a finite coefficient
     window, so a coarse scan of ``_BRACKET`` first brackets the window.  Grid passes

@@ -465,6 +465,31 @@ class TestMonteCarloCommand:
             assert "--out and --dump-shots name the same file" in err, argv
             assert path.read_bytes() == b"kept\n"
 
+    def test_output_naming_an_input_is_refused(self, three_mode_file, tmp_path, monkeypatch,
+                                               capsys):
+        # certify truncated its matrix to 0 bytes and exited 3; scan overwrote its config, and
+        # montecarlo's shot dump did too
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("eta_grid=1:1:1\n")
+        own = tmp_path / "own.cfg"
+        own.write_text(f"eta_grid=1:1:1\nout={own}\n")
+        for argv, path, pair in (
+                (["certify", three_mode_file, "--out", three_mode_file], three_mode_file,
+                 "--out and the matrix file"),
+                (["certify", three_mode_file, "--out", os.path.relpath(three_mode_file)],
+                 three_mode_file, "--out and the matrix file"),
+                (["scan", "--config", str(cfg), "--out", "scan.cfg"], cfg, "--out and --config"),
+                (["montecarlo", "--config", str(cfg), "--out", str(cfg)], cfg,
+                 "--out and --config"),
+                (["scan", "--config", str(own)], own, "--out and --config"),
+                (["montecarlo", "--config", str(cfg), "--dump-shots", "scan.cfg"], cfg,
+                 "--dump-shots and --config")):
+            before = Path(path).read_bytes()
+            assert main(argv) == EXIT_USAGE, argv
+            assert f"{pair} name the same file" in capsys.readouterr().err, argv
+            assert Path(path).read_bytes() == before, argv
+
     def test_peak_memory_does_not_grow_with_shots(self):
         # one block is held at a time, so four times the shots is not four times the memory
         peaks = []
@@ -655,12 +680,15 @@ class TestMainEntry:
         assert main(["scan", "--eta-grid", "1:1:1"]) == EXIT_NUMERIC
         assert "error:" in capsys.readouterr().err
 
-    def test_unpaired_symplectic_spectrum_exit_code(self, three_mode_file, monkeypatch,
-                                                    capsys):
+    def test_unpaired_symplectic_spectrum_exit_code(self, tmp_path, monkeypatch, capsys):
+        # an x-p entry keeps the matrix on the Hermitian route, whose pairing guard this is
+        cov = np.eye(6)
+        cov[0, 3] = cov[3, 0] = 0.5
+        path = write_cov_matrix_file(tmp_path / "xp.txt", ("A", "B", "C"), cov)
         monkeypatch.setattr(np.linalg, "eigvalsh", unpaired_spectrum)
-        assert main(["certify", three_mode_file]) == EXIT_NUMERIC
+        assert main(["certify", path]) == EXIT_NUMERIC
         assert capsys.readouterr().err == (
-            f"error: {three_mode_file}: symplectic eigenvalues failed +/- pairing check\n")
+            f"error: {path}: symplectic eigenvalues failed +/- pairing check\n")
 
     @pytest.mark.parametrize("flag", [["--seed", "5"], ["--shots", "2"]])
     def test_scan_rejects_monte_carlo_flags(self, flag, capsys):

@@ -76,10 +76,42 @@ class TestSymplecticEigenvalues:
             symplectic_eigenvalues(np.eye(3))
 
     def test_unpaired_spectrum_rejected(self, monkeypatch):
-        # the Hermitian route's spectrum is +/- nu; one without a - partner is refused
+        # the Hermitian route's spectrum is +/- nu; one without a - partner is refused.  An
+        # x-p entry keeps the matrix off the sector route, which runs no eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", unpaired_spectrum)
+        cov = np.eye(4)
+        cov[0, 3] = cov[3, 0] = 0.5
         with pytest.raises(ArithmeticError, match=r"failed \+/- pairing check"):
-            symplectic_eigenvalues(np.eye(4))
+            symplectic_eigenvalues(cov)
+
+    def test_network_states_take_the_sector_route(self, monkeypatch):
+        # no x-p entry: the spectrum, PPT values and steering run no Hermitian eigensolver
+        def unused(matrix):
+            raise AssertionError("x/p-block matrix reached the Hermitian route")
+
+        state = build_network_state(three_user_params(0.7), "final_three_user")
+        want = full_report(state)
+        monkeypatch.setattr(np.linalg, "eigvalsh", unused)
+        assert full_report(state) == want
+        assert symplectic_eigenvalues(state.cov).shape == (3,)
+
+    @pytest.mark.parametrize("indefinite", ["x", "p"])
+    def test_sector_not_positive_definite(self, monkeypatch, indefinite):
+        # mode 0 alone, modes 1 and 2 with one positive-definite sector and one not: the
+        # sector route's one Cholesky of both sectors refuses the spectrum, the PPT value
+        # and the steered party's Schur complement, as the Hermitian route did
+        def unused(matrix):
+            raise AssertionError("x/p-block matrix reached the Hermitian route")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unused)
+        good, bad = np.array([[2.0, 1.5], [1.5, 2.0]]), np.array([[2.0, 2.5], [2.5, 2.0]])
+        cov = np.eye(6)
+        cov[2::2, 2::2], cov[3::2, 3::2] = (bad, good) if indefinite == "x" else (good, bad)
+        state = GaussianState(("a", "b", "c"), cov)
+        for certify in (lambda: symplectic_eigenvalues(cov), lambda: ppt_min(state, ["a"]),
+                        lambda: steerability(state, Partition((0,), (1, 2)))):
+            with pytest.raises(ArithmeticError, match="matrix is not positive definite"):
+                certify()
 
 
 class TestPartialTranspose:

@@ -278,6 +278,21 @@ def test_relay_not_reading_the_coefficient_is_certified_once(monkeypatch):
     assert [shape for shape in stacks if shape[-1] == 8] == [(81, 8, 8)] + [(9, 8, 8)] * 8
 
 
+@pytest.mark.parametrize("objective", OBJECTIVE_PARAMS)
+def test_one_network_pass_per_search(monkeypatch, objective):
+    # the trials of the bracket and of every refinement pass are read off one pass
+    calls = []
+    network_cuts = optimize._network_cuts
+
+    def count(*args, **kwargs):
+        calls.append(kwargs)
+        return network_cuts(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_network_cuts", count)
+    numeric_optimize_coefficient(objective, OBJECTIVE_PARAMS[objective], "f_b")
+    assert len(calls) == 1
+
+
 def test_entangled_fixed_relay_rejects_every_trial():
     # C1 does not read f_d, and at this noise variance it is entangled at every f_d
     params = three_user_params(0.7).replace(v_dis=0.1)
@@ -294,31 +309,31 @@ def test_entangled_fixed_relay_rejects_every_trial():
 PINNED_OPTIMA = [
     ("steer_A_to_B", two_user_params, 1.0, "f_b",
      1.239175640332382, 0.06277479913993837, False, False,
-     1.2391753600000002, 0.06277479913997538),
+     1.2391753600000002, 0.06277479913997573),
     ("steer_A_to_B", two_user_params, 0.7, "f_b",
      1.239175640332382, 0.04352516159409473, False, False,
      1.2391753600000002, 0.043525161594120475),
     ("steer_A_to_B", two_user_params, 0.4, "f_b",
      1.239175640332382, 0.024639085187924688, False, False,
-     1.2391753600000002, 0.02463908518793891),
+     1.2391753600000002, 0.024639085187939024),
     ("steer_A_to_BD", three_user_params, 1.0, "f_d",
      1.7524584216290418, 0.0957045927508973, False, False,
-     1.75245872, 0.09570459275090584),
+     1.7524585599999998, 0.09570459275090572),
     ("steer_A_to_BD", three_user_params, 0.7, "f_d",
      1.4662118414912877, 0.05921784643313091, False, False,
      1.4662121599999995, 0.05921784643313691),
     ("steer_A_to_BD", three_user_params, 0.4, "f_d",
      1.1083521205602072, 0.02964059910865017, False, False,
-     1.10835216, 0.02964059910864994),
+     1.10835216, 0.029640599108649825),
     ("steer_A_to_BD", three_user_params, 0.7, "f_b",
      1.239175640332382, 0.05921784643312902, False, False,
-     1.2391753600000002, 0.05921784643313715),
+     1.2391753600000002, 0.05921784643313691),
     ("steer_BD_to_A", qss_params, 1.0, "f_d",
      1.718947403239698, 0.4384660002040186, True, False,
      1.7189476799999996, 0.438466190435661),
     ("steer_BD_to_A", qss_params, 0.9, "f_d",
      1.863109711024948, 0.28793436943211254, True, False,
-     1.86310992, 0.2879344518331027),
+     1.86310992, 0.2879344518331031),
     ("steer_BD_to_A", qss_params, 0.8, "f_d",
      2.028959069433207, 0.0944990126056686, True, False,
      2.0289593599999995, 0.09449906765691839),

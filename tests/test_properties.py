@@ -15,7 +15,10 @@ from cvsteer import (
     build_network_state,
     full_report,
     is_physical,
+    numeric_optimize_coefficient,
+    partial_transpose,
     ppt_min,
+    qss_params,
     select_modes,
     separable_boundary_vsep,
     server_output_state,
@@ -28,7 +31,9 @@ from cvsteer import (
 from cvsteer.core import (SYMMETRY_TOL, _bs_cov, _checked_cov, _loss_cov, _noise_cov, _omega,
                           _symplectic_eigenvalues)
 from cvsteer.criteria import SEPARABILITY_TOL, _ppt_cov, _steer_cov
+from cvsteer.optimize import _cut_polynomials
 from cvsteer.protocol import STAGES, _network_cuts
+from conftest import three_user_params, two_user_params
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -129,6 +134,80 @@ def test_one_mode_spectrum_is_the_hermitian_route(states):
     for value, cov, (_, nu) in zip(got[:, 0], covs, states):
         assert value == pytest.approx(hermitian_route(cov), rel=1e-14, abs=0)
         assert value == pytest.approx(nu, rel=1e-10, abs=0)
+
+
+@st.composite
+def xp_block_states(draw, min_modes=2, max_modes=4):
+    """(cov, nus): an x/p-block covariance ``V_x (+) V_p``, the shape of every network
+    state.  The symplectic ``S_x (+) S_p`` is ``O1 Z^-1 O2`` on x and ``O1 Z O2`` on p for
+    real orthogonal ``O1, O2`` (passive, sector-preserving) and up to 20 dB of squeezing
+    ``Z`` per source, over thermal factors ``nus`` in [1, 3]."""
+    n = draw(st.integers(min_modes, max_modes))
+    nus = np.array(draw(st.lists(st.floats(1.0, 3.0), min_size=n, max_size=n)))
+    dbs = np.array(draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    o1, o2 = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+    z = 10.0 ** (dbs / 20.0)
+    cov = np.zeros((2 * n, 2 * n))
+    for sector, s in ((slice(0, None, 2), o1 @ np.diag(1.0 / z) @ o2),
+                      (slice(1, None, 2), o1 @ np.diag(z) @ o2)):
+        cov[sector, sector] = s @ np.diag(nus) @ s.T
+    return (cov + cov.T) / 2.0, np.sort(nus)
+
+
+def hermitian_spectrum(cov: np.ndarray) -> np.ndarray:
+    """The ``n`` positive eigenvalues of ``1j * L^T Omega L`` for ``cov = L L^T``, ascending."""
+    n = cov.shape[-1] // 2
+    chol = np.linalg.cholesky(cov)
+    return np.linalg.eigvalsh(1j * (chol.T @ _omega(n) @ chol))[n:]
+
+
+@SETTINGS
+@given(xp_block_states())
+def test_sector_spectrum_is_the_hermitian_route(state):
+    # the sector route (singular values of L_x^T L_p) on every one-mode partial transpose
+    cov, nus = state
+    np.testing.assert_allclose(_symplectic_eigenvalues(cov), nus, rtol=1e-10, atol=0)
+    for mode in range(cov.shape[0] // 2):
+        flipped = partial_transpose(cov, [mode])
+        assert not flipped[0::2, 1::2].any()
+        np.testing.assert_allclose(_symplectic_eigenvalues(flipped),
+                                   hermitian_spectrum(flipped), rtol=1e-12, atol=0)
+
+
+@SETTINGS
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(xp_block_states(n, n),
+                                                     physical_states(n, n))),
+       st.data())
+def test_mixed_stack_gives_each_matrix_its_own_value(states, data):
+    # one x-p entry anywhere sends the whole stack down the Hermitian route; the x/p-block
+    # matrix alone takes the sector route, and both agree
+    covs = np.stack([states[0][0], states[1][0]])
+    n = covs.shape[-1] // 2
+    part = _random_partition(data, n)
+    spectra, ppt, steer = (_symplectic_eigenvalues(covs), _ppt_cov(covs, part.steering),
+                           _steer_cov(covs, part))
+    for k, cov in enumerate(covs):
+        np.testing.assert_allclose(spectra[k], _symplectic_eigenvalues(cov), rtol=1e-12, atol=0)
+        assert ppt[k] == pytest.approx(_ppt_cov(cov, part.steering), rel=1e-12, abs=0)
+        assert abs(steer[k] - _steer_cov(cov, part)) <= 1e-12 * max(1.0, steer[k])
+
+
+@SETTINGS
+@given(st.integers(4, 5).flatmap(lambda n: st.lists(xp_block_states(n, n), min_size=2,
+                                                    max_size=4)),
+       st.data())
+def test_stacked_kernels_equal_the_batch_of_one_on_sector_states(states, data):
+    # x/p in, x/p out: eigh of a two-mode steering block can mix the sectors at rounding
+    # level, yet every Schur complement of the stack takes the route it takes alone, so the
+    # stacked values are the scalar ones bit for bit
+    covs = np.stack([cov for cov, _ in states])
+    order = data.draw(st.permutations(range(covs.shape[-1] // 2)))
+    part = Partition(tuple(order[:2]), tuple(order[2:]))
+    ppt, steer = _ppt_cov(covs, part.steering), _steer_cov(covs, part)
+    for k, cov in enumerate(covs):
+        assert ppt[k].tobytes() == _ppt_cov(cov, part.steering).tobytes()
+        assert steer[k].tobytes() == _steer_cov(cov, part).tobytes()
 
 
 # positive variances with a negative determinant, and a stack with one singular matrix
@@ -332,6 +411,40 @@ def test_network_stack_equals_each_build(params, stage, which, values):
             state = build_network_state(params.replace(**{which: value}), cut.stage)
             assert state.labels == cut.labels
             assert cov.tobytes() == state.cov.tobytes()
+
+
+@SETTINGS
+@given(protocol_params, st.sampled_from(STAGES), st.sampled_from(("f_b", "f_d")),
+       st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4))
+def test_cut_polynomials_reproduce_the_network(params, stage, which, fs):
+    # the optimizer's trials are A + f (B + f C) from three nodes: every cut, either
+    # coefficient, anywhere in the bracket, is the network's own covariance up to rounding
+    polynomials = _cut_polynomials(params, stage, which)
+    cuts = list(_network_cuts(params, stage, **{which: np.array(fs)}))
+    assert [cut for cut, *_ in polynomials] == [cut for cut, _ in cuts]
+    for (_, a, b, c), (_, covs) in zip(polynomials, cuts):
+        for f, cov in zip(fs, covs):
+            assert np.abs(a + f * (b + f * c) - cov).max() <= 1e-13 * np.abs(cov).max()
+
+
+#: (objective, its parameters at a common efficiency, coefficient) of each search.
+SEARCHES = [("steer_A_to_B", two_user_params, "f_b"), ("steer_A_to_BD", three_user_params, "f_b"),
+            ("steer_A_to_BD", three_user_params, "f_d"), ("steer_BD_to_A", qss_params, "f_b"),
+            ("steer_BD_to_A", qss_params, "f_d")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SEARCHES), st.floats(0.3, 1.0))
+def test_optimum_is_feasible_through_the_public_route(search, eta):
+    # the search certifies polynomial trials; its optimum must hold on the built states
+    objective, make, which = search
+    params = make(eta)
+    at_star = params.replace(**{which: numeric_optimize_coefficient(objective, params,
+                                                                     which).f_star})
+    assert ppt_min(build_network_state(at_star, "pre_bob"), ["C1"]) >= 1.0 - SEPARABILITY_TOL
+    if params.users == "three":
+        assert ppt_min(build_network_state(at_star, "pre_david"),
+                       ["C2"]) >= 1.0 - SEPARABILITY_TOL
 
 
 @st.composite
