@@ -24,7 +24,9 @@ closed = [closed_form_steering_two_user(
     ProtocolParams(users="two", eta_sb=float(e), eta_ab=float(e)))
     for e in result.column("eta")]
 gap = np.abs(np.array(closed) - result.column("G_A_to_B")).max()
-print(f"closed-form curve agrees with the table to {gap:.1e}")
+tol = 1e-12  # the two routes differ by rounding alone; the digits of the gap are noise
+print(f"closed-form curve {'agrees with' if gap <= tol else 'departs from'} the table "
+      f"to within {tol:.0e}")
 
 config = RunConfig(scenario="three_user", eta_start=0.1, eta_stop=1.0, eta_steps=10)
 result = cmd_scan(config)

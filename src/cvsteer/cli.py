@@ -326,11 +326,12 @@ def _open_out(path: str) -> TextIO:
 
 
 def _same_file(a: str, b: str) -> bool:
-    """Whether paths ``a`` and ``b`` name one file: one existing file, or one resolved path."""
-    try:
+    """Whether paths ``a`` and ``b`` name one file: one existing file, or, when neither
+    exists yet, one resolved path.  A missing path is never an existing file."""
+    exists = os.path.exists(a), os.path.exists(b)
+    if all(exists):
         return os.path.samefile(a, b)
-    except OSError:  # one of them does not exist yet
-        return Path(a).resolve() == Path(b).resolve()
+    return not any(exists) and Path(a).resolve() == Path(b).resolve()
 
 
 def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:

@@ -10,19 +10,21 @@ Conventions used throughout the package:
 
 All operations are pure: they return new states and never mutate inputs.
 This module owns covariance validity: ``GaussianState`` checks shape, finiteness,
-symmetry and label rules once, and the Cholesky behind the symplectic spectrum is the one
-positive-definiteness test (``ArithmeticError`` on failure).  It also owns the one mode
-rule, ``_quadratures``, which every mode index in the package goes through, and the one
-party rule, ``_party``, which resolves a sequence of labels or indices.
+symmetry and label rules once, and ``_cholesky``, whose factor every symplectic spectrum
+is read from, is the one positive-definiteness test (``ArithmeticError`` on failure).  It
+also owns the one mode rule, ``_quadratures``, which every mode index in the package goes
+through, and the one party rule, ``_party``, which resolves a sequence of labels or
+indices.
 
 The private kernels (the validity check, the loss, beam-splitter and noise channels and
 the symplectic spectrum) take a stack ``(..., 2n, 2n)`` of covariances and act on each
 matrix alone, so a grid of states is one call; a single ``2n x 2n`` matrix is the
 stack of one.  The channels trust their parameters: callers check them with the
-``_require_*`` rules here, one per kind of quantity.  The spectrum picks its route from
-the stack alone: one mode reads it off the Cholesky factor, a stack with no x-p
-correlation (every network state) takes the real x/p-sector route, and any other stack
-the Hermitian one, so a matrix gets the same value from every caller.
+``_require_*`` rules here, one per kind of quantity.  The spectrum, ``_factor_spectrum``,
+reads a stack of Cholesky factors and picks its route from them alone: one mode reads it
+off the factor, a factor with no x-p entry (that of every network state) takes the real
+x/p-sector route, and any other the Hermitian one, so a matrix gets the same value from
+every caller.
 """
 
 from __future__ import annotations
@@ -311,43 +313,39 @@ class _NotPositiveDefinite(ArithmeticError):
     """The Cholesky factorization behind the symplectic spectrum failed."""
 
 
-def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Positive symplectic spectra of a stack ``(..., 2n, 2n)`` of symmetric
-    positive-definite matrices, each ascending, as ``(..., n)``.
+def _factor_spectrum(chol: np.ndarray) -> np.ndarray:
+    """Positive symplectic spectra, each ascending, as ``(..., n)``, of ``L L^T`` for each
+    lower Cholesky factor ``L`` of the stack ``chol`` ``(..., 2n, 2n)``.
 
-    Williamson route (Serafini, *Quantum Continuous Variables*, ch. 3): with
-    ``cov = L L^T``, the matrix ``Omega @ cov`` is similar to the real
-    antisymmetric ``L^T Omega L``, so ``1j * L^T Omega L`` is Hermitian with
-    spectrum ``+/- nu``.  The ``+/-`` pairing is asserted per matrix to ``1e-9``
-    (scaled by its largest eigenvalue) and the ``n`` positive values are
-    returned.  For one mode no eigensolver runs: a 2 x 2 ``L`` has
-    ``L^T Omega L = det(L) Omega``, so ``nu = l00 * l11``, the value the Hermitian
-    route pairs as ``+/- nu``.
+    Williamson route (Serafini, *Quantum Continuous Variables*, ch. 3): ``Omega L L^T``
+    is similar to the real antisymmetric ``L^T Omega L``, so ``1j * L^T Omega L`` is
+    Hermitian with spectrum ``+/- nu``.  The ``+/-`` pairing is asserted per matrix to
+    ``1e-9`` (scaled by its largest eigenvalue).  For one mode no eigensolver runs:
+    ``L^T Omega L = det(L) Omega``, so ``nu = l00 * l11``.
 
-    Sector route: when ``n >= 2`` and every x-p entry of the stack
-    (``cov[..., 0::2, 1::2]``) is exactly zero, each matrix is ``V_x (+) V_p``, as every
-    state of the network is, and ``nu^2`` are the eigenvalues of ``V_x V_p``.  With
-    ``V_x = L_x L_x^T`` and ``V_p = L_p L_p^T`` they are the squared singular values of
-    the real ``n x n`` product ``L_x^T L_p``, so ``nu`` are those singular values, with no
-    complex ``2n x 2n`` problem and no pairing to check.  The route is chosen by the input
-    alone, so every caller (``ppt_min``, ``steerability``, ``full_report``, the optimizer)
-    gets the same value for the same matrix.
-
-    Raises ``ArithmeticError`` when some matrix is not positive definite (the Cholesky
-    factorization, of ``cov`` or of both sectors at once, fails).
+    Sector route, for ``n >= 2`` and no x-p entry in the stack: each ``L`` is
+    ``L_x (+) L_p``, the factor of ``V_x (+) V_p`` (every network state), and ``nu`` are
+    the singular values of the real ``n x n`` ``L_x^T L_p``, with no pairing to check.
+    Each x-p entry of a factor of an x/p matrix is a sum of products with an exact zero
+    factor, so it is exactly zero and the route depends on the matrix alone.
     """
-    n = cov.shape[-1] // 2
-    if n > 1 and not np.count_nonzero(cov[..., 0::2, 1::2]):
-        chol = _cholesky(np.stack((cov[..., 0::2, 0::2], cov[..., 1::2, 1::2])))
-        return np.linalg.svd(chol[0].swapaxes(-2, -1) @ chol[1], compute_uv=False)[..., ::-1]
-    chol = _cholesky(cov)
+    n = chol.shape[-1] // 2
     if n == 1:
         return chol[..., :1, 0] * chol[..., 1:, 1]
+    if not (np.count_nonzero(chol[..., 0::2, 1::2]) or np.count_nonzero(chol[..., 1::2, 0::2])):
+        sectors = chol[..., 0::2, 0::2].swapaxes(-2, -1) @ chol[..., 1::2, 1::2]
+        return np.linalg.svd(sectors, compute_uv=False)[..., ::-1]
     ev = np.linalg.eigvalsh(1j * (chol.swapaxes(-2, -1) @ _omega(n) @ chol))
     hi, lo = ev[..., n:], -ev[..., n - 1 :: -1]
     if np.count_nonzero(np.abs(hi - lo) > 1e-9 * np.maximum(1.0, hi[..., -1:])):
         raise ArithmeticError("symplectic eigenvalues failed +/- pairing check")
     return (lo + hi) / 2.0
+
+
+def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
+    """``_factor_spectrum`` of a stack ``(..., 2n, 2n)`` of covariances; ``ArithmeticError``
+    when some matrix is not positive definite."""
+    return _factor_spectrum(_cholesky(cov))
 
 
 def is_physical(state: GaussianState) -> bool:

@@ -18,9 +18,11 @@ each matrix alone; ``ppt_min`` and ``steerability`` are their batch of one.
 ``full_report`` gathers the splits of one party shape into one stack, so a report makes
 three kernel calls per shape, not per split; without explicit splits it certifies every
 one-mode-versus-rest split, in mode order.  Every spectrum comes from
-``core._symplectic_eigenvalues``, whose route (one mode, x/p sectors or Hermitian) is
-chosen by the matrices alone; the steering kernel keeps the Schur complement of an x/p
-stack exactly x/p, so a report's gathered stack and the scalar calls take one route.
+``core._factor_spectrum`` of one Cholesky factor, whose route (one mode, x/p sectors or
+Hermitian) is chosen by the factor alone: the PPT kernel factors the partial transpose,
+and the steering kernel factors each split, steering party first, and reads the Schur
+complement's factor off the trailing block, which a factor of an x/p matrix keeps exactly
+x/p, so a report's gathered stack and the scalar calls take one route.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (GaussianState, _checked_cov, _cholesky, _party, _quadratures,
-                   _symplectic_eigenvalues)
+from .core import (GaussianState, _checked_cov, _cholesky, _factor_spectrum, _party,
+                   _quadratures, _symplectic_eigenvalues)
 
 __all__ = [
     "Partition",
@@ -176,26 +178,17 @@ def ppt_two_mode(cov: np.ndarray) -> float:
 def _steer_cov(cov: np.ndarray, partition: Partition) -> np.ndarray:
     """``steerability`` across ``partition`` of each covariance of a stack
     ``(..., 2n, 2n)``, as ``(...)``; ``ArithmeticError`` if any matrix fails the guard."""
-    n = cov.shape[-1] // 2
-    idx_n, idx_m = _quadratures(partition.steering, n), _quadratures(partition.steered, n)
-    rows_n, rows_m = cov.take(idx_n, axis=-2), cov.take(idx_m, axis=-2)
-    n_blk, m_blk = rows_n.take(idx_n, axis=-1), rows_m.take(idx_m, axis=-1)
-    gamma = rows_n.take(idx_m, axis=-1)
-    lam, u = np.linalg.eigh(n_blk)  # ascending: lam[..., 0] is the signed smallest
+    a = 2 * len(partition.steering)
+    idx = _quadratures(partition.steering + partition.steered, cov.shape[-1] // 2)
+    split = cov.take(idx, axis=-2).take(idx, axis=-1)  # steering party first
+    lam = np.linalg.eigvalsh(split[..., :a, :a])  # ascending: lam[..., 0] the signed smallest
     lo = lam[..., 0]
     # max / COND_LIMIT, not COND_LIMIT * lo, which overflows for blocks near 1e300
     if ((lo <= 0.0) | (lam[..., -1] / COND_LIMIT > lo)).any():
         raise ArithmeticError("steering party block is not positive definite or is "
                               "numerically singular")
-    x = u.swapaxes(-2, -1) @ gamma
-    schur = m_blk - x.swapaxes(-2, -1) @ (x / lam[..., :, None])
-    schur = (schur + schur.swapaxes(-2, -1)) / 2.0
-    if len(partition.steered) > 1 and not np.count_nonzero(cov[..., 0::2, 1::2]):
-        # x/p sectors in, x/p sectors out: ``eigh`` may mix the sectors' eigenvectors and
-        # leave rounding in the x-p entries, which would route a matrix differently in a
-        # stack than alone; a one-mode complement has one route whatever its x-p entries
-        schur[..., 0::2, 1::2] = schur[..., 1::2, 0::2] = 0.0
-    nus = _symplectic_eigenvalues(schur)
+    # the trailing block of the factor is the factor of the Schur complement
+    nus = _factor_spectrum(_cholesky(split)[..., a:, a:])
     logs = np.log(np.where(nus < 1.0 - STEERING_EDGE, nus, 1.0))
     # 0.0 - sum, not -sum: a matrix with no contributing eigenvalue reads +0.0, not -0.0
     return 0.0 - logs.sum(axis=-1)
@@ -204,15 +197,16 @@ def _steer_cov(cov: np.ndarray, partition: Partition) -> np.ndarray:
 def steerability(state: GaussianState, partition: Partition) -> float:
     """Gaussian steering monotone ``G`` from ``steering`` to ``steered``.
 
-    Computes the Schur complement ``M - gamma^T N^{-1} gamma`` of the
-    steering party's block and returns ``max(0, -sum(ln nu))`` over its
-    symplectic eigenvalues ``nu < 1``.  The opposite direction is obtained
-    by swapping the parties (``partition.swapped()``).
+    Returns ``max(0, -sum(ln nu))`` over the symplectic eigenvalues ``nu < 1`` of the
+    Schur complement ``M - gamma^T N^{-1} gamma`` of the steering party's block.  The
+    opposite direction is obtained by swapping the parties (``partition.swapped()``).
 
-    One ``eigh`` of the steering block ``N = U diag(lam) U^T`` serves both
-    the guard (every ``lam`` positive and ``max(lam) / min(lam)``, the 2-norm condition
-    number, at most ``COND_LIMIT``, else ``ArithmeticError``) and the inverse:
-    ``gamma^T N^{-1} gamma = x^T diag(1/lam) x`` with ``x = U^T gamma``.
+    The eigenvalues ``lam`` of the steering block ``N`` are the guard: every ``lam``
+    positive and ``max(lam) / min(lam)``, the 2-norm condition number, at most
+    ``COND_LIMIT``, else ``ArithmeticError``.  No inverse is formed: with the split
+    ``[[N, gamma], [gamma^T, M]] = L L^T``, the trailing block of ``L`` is the Cholesky
+    factor of the Schur complement, so one factorization, which raises
+    ``ArithmeticError`` unless the split is positive definite, gives its spectrum.
     """
     return float(_steer_cov(state.cov, partition))
 

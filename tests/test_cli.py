@@ -459,11 +459,13 @@ class TestMonteCarloCommand:
         cfg.write_text(f"out={path}\n")
         for argv in (["--out", str(path), "--dump-shots", str(path)],
                      ["--out", "mc.txt", "--dump-shots", str(path)],
-                     ["--config", str(cfg), "--dump-shots", "./mc.txt"]):
+                     ["--config", str(cfg), "--dump-shots", "./mc.txt"],
+                     ["--out", "n.txt", "--dump-shots", "./n.txt"]):  # neither exists yet
             assert main(["montecarlo", "--shots", "2000", *argv]) == EXIT_USAGE
             err = capsys.readouterr().err
             assert "--out and --dump-shots name the same file" in err, argv
             assert path.read_bytes() == b"kept\n"
+        assert not (tmp_path / "n.txt").exists()
 
     def test_output_naming_an_input_is_refused(self, three_mode_file, tmp_path, monkeypatch,
                                                capsys):

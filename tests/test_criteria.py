@@ -16,6 +16,7 @@ from cvsteer import (
     tensor,
     vacuum,
 )
+from cvsteer.cli import EXIT_NUMERIC, main
 from cvsteer.protocol import build_network_state
 from conftest import (
     FOUR_MODE_LABELS,
@@ -33,6 +34,17 @@ from conftest import (
 
 def _sym(m):
     return (m + m.T) / 2
+
+
+def _real_eigvalsh_only(eigvalsh):
+    """A stand-in for ``np.linalg.eigvalsh`` that refuses the Hermitian route's complex
+    input and passes a real matrix, such as the steering guard's block, to ``eigvalsh``."""
+    def real_only(matrix):
+        if np.iscomplexobj(matrix):
+            raise AssertionError("x/p-block matrix reached the Hermitian route")
+        return eigvalsh(matrix)
+
+    return real_only
 
 
 class TestSymplecticEigenvalues:
@@ -86,12 +98,9 @@ class TestSymplecticEigenvalues:
 
     def test_network_states_take_the_sector_route(self, monkeypatch):
         # no x-p entry: the spectrum, PPT values and steering run no Hermitian eigensolver
-        def unused(matrix):
-            raise AssertionError("x/p-block matrix reached the Hermitian route")
-
         state = build_network_state(three_user_params(0.7), "final_three_user")
         want = full_report(state)
-        monkeypatch.setattr(np.linalg, "eigvalsh", unused)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _real_eigvalsh_only(np.linalg.eigvalsh))
         assert full_report(state) == want
         assert symplectic_eigenvalues(state.cov).shape == (3,)
 
@@ -100,10 +109,7 @@ class TestSymplecticEigenvalues:
         # mode 0 alone, modes 1 and 2 with one positive-definite sector and one not: the
         # sector route's one Cholesky of both sectors refuses the spectrum, the PPT value
         # and the steered party's Schur complement, as the Hermitian route did
-        def unused(matrix):
-            raise AssertionError("x/p-block matrix reached the Hermitian route")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", unused)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _real_eigvalsh_only(np.linalg.eigvalsh))
         good, bad = np.array([[2.0, 1.5], [1.5, 2.0]]), np.array([[2.0, 2.5], [2.5, 2.0]])
         cov = np.eye(6)
         cov[2::2, 2::2], cov[3::2, 3::2] = (bad, good) if indefinite == "x" else (good, bad)
@@ -301,13 +307,22 @@ class TestSteerability:
         with pytest.raises(ArithmeticError, match="singular"):
             steerability(state, Partition((0,), (1,)))
 
-    def test_indefinite_steering_block_rejected(self):
-        # eigenvalues -1.0066 (twice) and 0.5066 (twice): the guard took |lam| and
-        # certified G = 0.673, where ppt_min refuses the matrix through the Cholesky
-        cov = [[-1, 0, .1, 0], [0, -1, 0, -.1], [.1, 0, .5, 0], [0, -.1, 0, .5]]
-        state = GaussianState(("A", "B"), cov)
-        with pytest.raises(ArithmeticError, match="not positive definite"):
-            steerability(state, Partition((0,), (1,)))
+    def test_indefinite_steering_block_rejected(self, tmp_path, capsys):
+        for cov in (
+                # eigenvalues -1.0066 (twice) and 0.5066 (twice): the guard took |lam| and
+                # certified G = 0.673, where ppt_min refuses the matrix through the Cholesky
+                [[-1, 0, .1, 0], [0, -1, 0, -.1], [.1, 0, .5, 0], [0, -.1, 0, .5]],
+                # both steering blocks positive definite, neither Schur complement: the
+                # factor of the whole split fails in either direction
+                [[2, 0, 1.9, 0], [0, 2, 0, -1.9], [1.9, 0, 1, 0], [0, -1.9, 0, 1]]):
+            state = GaussianState(("A", "B"), cov)
+            for part in (Partition((0,), (1,)), Partition((1,), (0,))):
+                with pytest.raises(ArithmeticError, match="not positive definite"):
+                    steerability(state, part)
+            path = tmp_path / "indefinite.txt"
+            path.write_text("".join(" ".join(map(str, row)) + "\n" for row in cov))
+            assert main(["certify", str(path)]) == EXIT_NUMERIC
+            assert "not positive definite" in capsys.readouterr().err
 
     def test_huge_steering_block_does_not_overflow_the_guard(self):
         # COND_LIMIT * 1e300 overflowed to inf with a RuntimeWarning; the blocks are well
@@ -413,26 +428,33 @@ class TestFullReport:
         # every one-vs-rest split has party sizes (1, n - 1): one stack, three kernel calls
         from cvsteer import criteria
 
-        spectra, steer = [], []
-        spectrum, steer_cov = criteria._symplectic_eigenvalues, criteria._steer_cov
+        spectra, factors, steer = [], [], []
+        spectrum, factor_spectrum = criteria._symplectic_eigenvalues, criteria._factor_spectrum
+        steer_cov = criteria._steer_cov
 
         def count_spectrum(cov):
             spectra.append(cov.shape)
             return spectrum(cov)
+
+        def count_factor_spectrum(chol):
+            factors.append(chol.shape)
+            return factor_spectrum(chol)
 
         def count_steer(cov, partition):
             steer.append((cov.shape, partition))
             return steer_cov(cov, partition)
 
         monkeypatch.setattr(criteria, "_symplectic_eigenvalues", count_spectrum)
+        monkeypatch.setattr(criteria, "_factor_spectrum", count_factor_spectrum)
         monkeypatch.setattr(criteria, "_steer_cov", count_steer)
         state = GaussianState(tuple(f"m{i}" for i in range(n)), random_physical_cov(rng, n))
         explicit = full_report(state, [Partition((i,), tuple(m for m in range(n) if m != i))
                                        for i in range(n)])
         local = Partition((0,), tuple(range(1, n)))
         assert steer == [((n, 2 * n, 2 * n), local), ((n, 2 * n, 2 * n), local.swapped())]
-        # the PPT stack, then the conditional state of each _steer_cov call
-        assert spectra == [(n, 2 * n, 2 * n), (n, 2 * n - 2, 2 * n - 2), (n, 2, 2)]
+        # the PPT stack, then the factor of the conditional state of each _steer_cov call
+        assert spectra == [(n, 2 * n, 2 * n)]
+        assert factors == [(n, 2 * n - 2, 2 * n - 2), (n, 2, 2)]
         # the default splits are the same one-vs-rest list, in mode order
         assert full_report(state) == explicit
         assert list(explicit.ppt_by_split)[0] == "m0|" + ",".join(f"m{i}" for i in range(1, n))

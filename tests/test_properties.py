@@ -219,11 +219,26 @@ def test_one_mode_spectrum_rejects_non_positive_definite(cov):
 
 
 @SETTINGS
-@given(physical_states(min_modes=2), st.data())
+@given(st.one_of(physical_states(min_modes=2), xp_block_states(2, 5)), st.data())
 def test_steerability_matches_solve_reference(state, data):
+    # general states take the Hermitian route, x/p-block ones the sector route of the factor
     cov, _ = state
+    _check_solve_reference(cov, _random_partition(data, cov.shape[0] // 2))
+
+
+# random partitions favour one-mode parties: these splits are certain to be drawn
+@pytest.mark.parametrize("sizes", [(2, 2), (1, 3), (2, 3), (3, 2)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sector_steerability_matches_solve_reference_on_wide_splits(sizes, data):
+    n = sum(sizes)
+    cov, _ = data.draw(xp_block_states(n, n))
+    order = data.draw(st.permutations(range(n)))
+    _check_solve_reference(cov, Partition(tuple(order[:sizes[0]]), tuple(order[sizes[0]:])))
+
+
+def _check_solve_reference(cov: np.ndarray, part: Partition) -> None:
     n = cov.shape[0] // 2
-    part = _random_partition(data, n)
     got = steerability(GaussianState(tuple(f"m{i}" for i in range(n)), cov), part)
     assert abs(got - reference_steerability(cov, part.steering, part.steered)) <= 1e-10
 
