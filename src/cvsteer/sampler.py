@@ -6,28 +6,30 @@ quadrature, per shared classical noise variable and per loss-injected
 vacuum, then propagating the samples through the steps of
 ``protocol.NETLIST``, the same network description the covariance pipeline
 interprets; only the server slots and steps that reach the stage's cut
-(``protocol._STAGES``) are drawn and run.  The channel arithmetic here
-is written on shot arrays and does not call ``core``, so the twin still
+(``protocol._STAGES``) are drawn and run, and a loss at eta = 1 exactly, the
+identity channel, is skipped with no vacuum drawn.  The channel arithmetic
+here is written on shot arrays and does not call ``core``, so the twin still
 checks the covariance algebra independently.  The sample covariance of the
 retained modes must converge to the analytic covariance at the usual
 1/sqrt(n) rate; ``compare_covariance`` quantifies the agreement element by
 element.
 
-Shots come in ``_BLOCK``-row blocks, block ``k`` from an SFC64 generator
+Shots come in ``_BLOCK``-shot blocks, block ``k`` from an SFC64 generator
 seeded by the ``k``-th child of ``SeedSequence(seed)``, so no block depends on
 when or where it is drawn.  The blocks are drawn on a pool of threads, one per
 CPU the process may use but no more than ``_MAX_THREADS`` or the block count,
 and handed out in order with at most pool-size blocks in flight.  Each pool
-thread draws and propagates all its blocks in place in one buffer.
-``simulate_shots`` concatenates copies of the blocks into a ``ShotBatch``,
+thread draws and propagates all its blocks in place in one buffer, as rows:
+one row per quadrature, one column per shot.  ``simulate_shots`` transposes
+copies of the blocks into the ``(n_shots, 2n)`` records of a ``ShotBatch``,
 which checks its records and is the one input of ``estimate_covariance``.
-That reduces each ``_BLOCK``-row slice, on the calling thread, to a count, a
-mean and a centred ``X^T X`` and merges them in order; ``cli``'s
-``montecarlo`` has each pool thread reduce its block where it drew it
-(``_sampled_covariance``), so the memory a run holds is set by the pool size
-times one buffer, not by the shot count or the host.  Both give the same
-result bit for bit whatever the pool size.  Code on the pool threads calls
-only private functions.
+That transposes each ``_BLOCK``-shot slice back to rows and reduces it, on the
+calling thread, to a count, a mean and a centred ``R R^T`` and merges them in
+order; ``cli``'s ``montecarlo`` has each pool thread reduce its rows where it
+drew them (``_sampled_covariance``), so the memory a run holds is set by the
+pool size times one buffer, not by the shot count or the host.  Both give the
+same result bit for bit whatever the pool size.  Code on the pool threads
+calls only private functions.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ __all__ = [
 _BLOCK = 1 << 16
 
 #: Rows of ``_BLOCK`` floats in a pool thread's buffer: 8 quadratures, 2 scratch rows and
-#: a block of up to 4 modes.  One size for every stage: an allocator with an adaptive mmap
-#: threshold (glibc's) left buffers sized per stage resident in its thread heaps.
+#: the kept rows of up to 4 modes.  One size for every stage: an allocator with an adaptive
+#: mmap threshold (glibc's) left buffers sized per stage resident in its thread heaps.
 _BUFFER_ROWS = 18
 
 #: The most pool threads a draw uses, whatever the host.  Each holds one 9.4 MB buffer, and
@@ -140,14 +142,17 @@ def _propagate_block(params: ProtocolParams, slots: tuple[int, ...], steps: tupl
                      n_modes: int, rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
     """Draw ``m = buf.size // _BUFFER_ROWS`` shots of the server ``slots``, run them through
     the netlist ``steps`` and keep ``n_modes``; the draw order (the slots' sources,
-    ``x_dis``, ``p_dis``, a vacuum pair per loss site in ``steps`` even at eta = 1) is fixed.
+    ``x_dis``, ``p_dis``, then a vacuum pair per loss site in ``steps`` with eta < 1) is
+    fixed.  A loss at eta = 1 exactly is the identity channel: it draws nothing and computes
+    nothing, so a stream moves where some eta becomes exactly 1 and nowhere else.
 
     ``slots`` and ``steps`` are the ones that reach the kept modes (``protocol._STAGES``):
     the rows of the other slots are neither drawn nor read, and may hold anything.  The
     quadratures are rows of ``buf``, drawn in place and updated in place with two scratch
     rows; every product and sum is the one the out-of-place arithmetic would form, in the
     same order, so the shots do not depend on this layout.  The kept rows are stacked into
-    the rest of ``buf``, and the ``(m, 2 n_modes)`` block returned is a view of it.
+    the rest of ``buf``, and the ``(2 n_modes, m)`` rows returned, one per quadrature and
+    one column per shot, are a view of it.
     """
     rt = np.sqrt
     variances, weights = protocol._server_source(params)
@@ -169,6 +174,8 @@ def _propagate_block(params: ProtocolParams, slots: tuple[int, ...], steps: tupl
     for step in steps:
         if isinstance(step, Loss):
             eta = getattr(params, step.eta)
+            if eta == 1.0:
+                continue
             vacuum = spare[0]
             for k in (2 * step.slot, 2 * step.slot + 1):
                 rng.standard_normal(out=vacuum)
@@ -187,22 +194,23 @@ def _propagate_block(params: ProtocolParams, slots: tuple[int, ...], steps: tupl
                 out_b -= q[b]  # r qa - c qb
                 spare = [q[a], q[b]]
                 q[a], q[b] = out_a, out_b
-    block = buf[n_rows * m : (n_rows + 2 * n_modes) * m].reshape(m, 2 * n_modes)
-    return np.stack(q[: 2 * n_modes], axis=1, out=block)
+    rows = buf[n_rows * m : (n_rows + 2 * n_modes) * m].reshape(2 * n_modes, m)
+    return np.stack(q[: 2 * n_modes], axis=0, out=rows)
 
 
-def _block_moments(block: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """A block's shot count, mean and centred ``X^T X``; ``block`` is centred in place."""
-    mean = block.mean(axis=0)
-    block -= mean
-    return block.shape[0], mean, block.T @ block
+def _block_moments(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """A block's shot count, mean and centred ``R R^T`` from its ``(2n, m)`` quadrature
+    rows; ``rows`` is centred in place."""
+    mean = rows.mean(axis=1)
+    rows -= mean[:, None]
+    return rows.shape[1], mean, rows @ rows.T
 
 
 def _merged(moments: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> np.ndarray:
     """Unbiased covariance of the blocks whose ``_block_moments`` come in order.
 
     Blocks are merged by the pairwise update of Chan, Golub and LeVeque (1979), which keeps
-    the digits that raw sums of ``X^T X`` lose when the mean is large against the spread.
+    the digits that raw sums of ``R R^T`` lose when the mean is large against the spread.
     """
     n, mean, m2 = 0, 0.0, 0.0
     for m, block_mean, scatter in moments:
@@ -218,10 +226,11 @@ def _merged(moments: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> np.ndarray
 
 def _drawn_blocks(params: ProtocolParams, stage: str, n_shots: int, seed: int,
                   reduce: Callable) -> tuple[tuple[str, ...], Iterator]:
-    """Labels of the ``stage`` modes and ``reduce(block)`` of each ``_BLOCK``-row block of
-    ``n_shots`` shots, in order, each drawn and reduced on a pool thread.  Each pool thread
-    draws all its blocks in one buffer, so ``block`` is a view that the thread's next block
-    overwrites: ``reduce`` may overwrite it too, and must not return it.
+    """Labels of the ``stage`` modes and ``reduce(rows)`` of each ``_BLOCK``-shot block of
+    ``n_shots`` shots, in order, each drawn and reduced on a pool thread.  ``rows`` holds the
+    block as ``_propagate_block`` leaves it, one row per quadrature and one column per shot.
+    Each pool thread draws all its blocks in one buffer, so ``rows`` is a view that the
+    thread's next block overwrites: ``reduce`` may overwrite it too, and must not return it.
 
     The stage, the shot count and the seed (an integer in ``[0, 2**128)``, the entropy of
     the ``SeedSequence`` whose ``k``-th spawned child seeds block ``k``) are checked on the
@@ -244,8 +253,8 @@ def _drawn_blocks(params: ProtocolParams, stage: str, n_shots: int, seed: int,
         rng = np.random.Generator(np.random.SFC64(child))
         # always propagate a full block and truncate, so each block's stream
         # layout is fixed and prefixes agree across different shot counts
-        block = _propagate_block(params, slots, steps, len(cut.labels), rng, scratch.buf)
-        return reduce(block[: min(_BLOCK, n_shots - start)])
+        rows = _propagate_block(params, slots, steps, len(cut.labels), rng, scratch.buf)
+        return reduce(rows[:, : min(_BLOCK, n_shots - start)])
 
     return cut.labels, _ordered_map(job, range(0, n_shots, _BLOCK))
 
@@ -257,9 +266,9 @@ def _sampled_covariance(params: ProtocolParams, stage: str, n_shots: int, seed: 
     the pool thread that drew it.  With ``dump``, the shots are also written there as CSV
     (a ``x_<label>,p_<label>,...`` header, then ``%.6g`` rows), block by block in order.
     """
-    def reduce(block: np.ndarray):
-        kept = None if dump is None else block.copy()
-        return _block_moments(block), kept
+    def reduce(rows: np.ndarray):
+        shots = None if dump is None else rows.T.copy()  # one line per shot
+        return _block_moments(rows), shots
 
     labels, drawn = _drawn_blocks(params, stage, n_shots, seed, reduce)
 
@@ -267,9 +276,9 @@ def _sampled_covariance(params: ProtocolParams, stage: str, n_shots: int, seed: 
         if dump is not None:
             dump.write(",".join(f"{q}_{l}" for l in labels for q in ("x", "p")) + "\n")
             row = ",".join(["%.6g"] * 2 * len(labels)) + "\n"
-        for block_moments, block in drawn:
+        for block_moments, shots in drawn:
             if dump is not None:  # the bytes of np.savetxt(fmt="%.6g"), in one % format
-                dump.write((row * len(block)) % tuple(block.ravel().tolist()))
+                dump.write((row * len(shots)) % tuple(shots.ravel().tolist()))
             yield block_moments
 
     return labels, _merged(moments())
@@ -278,7 +287,9 @@ def _sampled_covariance(params: ProtocolParams, stage: str, n_shots: int, seed: 
 def simulate_shots(params: ProtocolParams, stage: str, n_shots: int, seed: int) -> ShotBatch:
     """Sample ``n_shots`` joint quadrature outcomes of the ``stage`` modes."""
     labels, blocks = _drawn_blocks(params, stage, n_shots, seed, np.copy)
-    quads = np.concatenate(list(blocks), axis=0)
+    quads = np.empty((n_shots, 2 * len(labels)))  # C order, one row per shot
+    for start, rows in zip(range(0, n_shots, _BLOCK), blocks):
+        quads[start : start + rows.shape[1]] = rows.T
     quads.flags.writeable = False
     return ShotBatch(labels=labels, quads=quads, seed=int(seed))
 
@@ -286,13 +297,13 @@ def simulate_shots(params: ProtocolParams, stage: str, n_shots: int, seed: int) 
 def estimate_covariance(shots: ShotBatch) -> np.ndarray:
     """Unbiased sample covariance (divisor ``n - 1``) of a batch.
 
-    The batch is read in ``_BLOCK``-row slices, each reduced to its count, mean and centred
-    ``X^T X`` and merged in order by the pairwise update of Chan, Golub and LeVeque (1979):
-    the reduction ``montecarlo`` runs on the blocks where they are drawn, so both give the
-    same result.
+    The batch is read in ``_BLOCK``-shot slices, each transposed to quadrature rows and
+    reduced to its count, mean and centred ``R R^T``, and merged in order by the pairwise
+    update of Chan, Golub and LeVeque (1979): the reduction ``montecarlo`` runs on the
+    blocks where they are drawn, so both give the same result.
     """
     quads = shots.quads
-    return _merged(_block_moments(quads[k : k + _BLOCK].copy())
+    return _merged(_block_moments(quads[k : k + _BLOCK].T.copy())
                    for k in range(0, quads.shape[0], _BLOCK))
 
 

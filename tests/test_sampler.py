@@ -51,6 +51,10 @@ class TestSimulateShots:
         batch = simulate_shots(params, "pre_david", 100, seed=3)
         assert batch.labels == ("A", "B", "C2", "D0")
         assert batch.quads.shape == (100, 8)
+        # blocks are drawn as quadrature rows; the records are still read-only C-ordered
+        # rows of shots, not the F-ordered transpose of the blocks
+        assert batch.quads.flags.c_contiguous
+        assert not batch.quads.flags.writeable
 
     def test_strong_noise_anticorrelates_relay(self):
         params = two_user_params(1.0).replace(v_dis=100.0)
@@ -100,11 +104,19 @@ class TestSimulateShots:
         assert quads.shape[0] == 70001
         assert hashlib.sha256(np.ascontiguousarray(quads).tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("stage, rows", [("pre_bob", 16), ("final_two_user", 16),
-                                             ("pre_david", 22), ("final_three_user", 22)])
-    def test_only_what_reaches_the_cut_is_drawn(self, monkeypatch, stage, rows):
-        # two rows per source slot, two noise rows and a vacuum pair per loss site that
-        # reach the cut: David's source and his eta_sd loss reach no mode before his stages
+    @pytest.mark.parametrize("params, stage, rows", [
+        (OFF_BALANCE, "pre_bob", 16), (OFF_BALANCE, "final_two_user", 16),
+        (OFF_BALANCE, "pre_david", 22), (OFF_BALANCE, "final_three_user", 22),
+        # eta_sa = 1 at the defaults: Alice's two loss sites draw nothing
+        (two_user_params(0.8), "final_two_user", 12),
+        (three_user_params(0.8), "final_three_user", 18),
+        (two_user_params(1.0), "final_two_user", 8),  # the sources and the noise alone
+    ], ids=["pre_bob-16", "final_two_user-16", "pre_david-22", "final_three_user-22",
+            "two_user-eta_sa_1-12", "three_user-eta_sa_1-18", "lossless-8"])
+    def test_only_what_reaches_the_cut_is_drawn(self, monkeypatch, params, stage, rows):
+        # two rows per source slot, two noise rows and a vacuum pair per loss site with
+        # eta < 1 that reach the cut: David's source and his eta_sd loss reach no mode
+        # before his stages, and a loss at eta = 1 exactly is the identity
         drawn, propagate = [], sampler._propagate_block
 
         class Counting:
@@ -120,8 +132,23 @@ class TestSimulateShots:
                                for a in args))
 
         monkeypatch.setattr(sampler, "_propagate_block", counted)
-        simulate_shots(OFF_BALANCE, stage, 100, seed=1)
+        simulate_shots(params, stage, 100, seed=1)
         assert drawn == [_BLOCK] * rows
+
+    def test_stream_jumps_at_a_lossless_link_but_the_physics_does_not(self):
+        # eta_sa = 1 skips Alice's two loss sites, so every later vacuum draw moves; just
+        # below 1 they draw again.  Both estimates must agree with their analytic matrices
+        # and with each other
+        n_shots = 200_000
+        estimates = []
+        for eta_sa in (1.0, 1.0 - 1e-9):
+            params = three_user_params(0.8).replace(eta_sa=eta_sa)
+            _, est = sampler._sampled_covariance(params, "final_three_user", n_shots, seed=41)
+            analytic = build_network_state(params, "final_three_user").cov
+            assert compare_covariance(est, analytic, n_shots).flagged == ()
+            estimates.append(est)
+        assert not np.array_equal(estimates[0], estimates[1])
+        assert compare_covariance(estimates[0], estimates[1], n_shots).flagged == ()
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_rows_not_drawn_are_not_read(self, monkeypatch, stage):
@@ -191,7 +218,7 @@ class TestEstimateCovariance:
 
     def test_large_offset_keeps_digits(self):
         # per-block centring: a mean 1e6 above unit-scale spread costs no digits,
-        # where raw sums of X^T X would keep about four of them
+        # where raw sums of R R^T would keep about four of them
         quads = simulate_shots(two_user_params(0.9), "final_two_user", 2 * _BLOCK + 7, 3).quads
         est = estimate_covariance(ShotBatch(("A", "B"), quads + 1e6, seed=3))
         ref = np.cov(quads, rowvar=False, ddof=1)
@@ -231,6 +258,16 @@ class TestCompareCovariance:
         report = compare_covariance(cov, cov, 1000)
         assert report.max_abs_deviation == 0.0
         assert report.flagged == ()
+
+    def test_lossy_link_is_not_taken_for_a_lossless_one(self):
+        # the sampler skips a loss only at eta = 1 exactly: at eta_sa = 0.6 its shots must
+        # not match the covariance of a lossless link
+        params = two_user_params(0.8).replace(eta_sa=0.6)
+        _, est = sampler._sampled_covariance(params, "final_two_user", 200_000, seed=43)
+        lossless = build_network_state(params.replace(eta_sa=1.0), "final_two_user").cov
+        assert compare_covariance(est, lossless, 200_000).flagged != ()
+        lossy = build_network_state(params, "final_two_user").cov
+        assert compare_covariance(est, lossy, 200_000).flagged == ()
 
     def test_corrupted_element_flagged(self):
         params = two_user_params(1.0)
