@@ -37,9 +37,10 @@ for n_shots in (10_000, 100_000, 1_000_000):
     estimated = estimate_covariance(batch)
     analytic = build_network_state(params, "final_three_user")
     report = compare_covariance(estimated, analytic.cov, n_shots)
+    low, high = report.detection_floor  # the deviation a flag needs, element by element
     print(f"{n_shots:>9} shots: max |dev| = {report.max_abs_deviation:.5f}, "
           f"max z = {float(report.z_scores.max()):.2f}, "
-          f"flagged = {len(report.flagged)}")
+          f"flagged = {len(report.flagged)}, floor = {low:.5f} to {high:.5f}")
 
 # certify on the *estimated* matrix, as one would with measured data
 est_state = GaussianState(batch.labels, estimated)

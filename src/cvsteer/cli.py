@@ -365,6 +365,9 @@ def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
     ]
     pairs = " ".join(f"({i},{j})" for i, j in comparison.flagged) or "none"
     lines.append(f"flagged elements (> {comparison.z_threshold:g} SE): {pairs}")
+    low, high = comparison.detection_floor
+    lines.append(f"detection floor ({comparison.z_threshold:g} SE): {_fmt(low)} to {_fmt(high)}")
+    lines.append(f"expected false flags: {_fmt(comparison.expected_false_flags)}")
 
     # default (one-mode-versus-rest) reports: every split's PPT value, then the first two
     # steering directions, which are those of the first mode's split; zip stops there

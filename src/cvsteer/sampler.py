@@ -6,13 +6,17 @@ quadrature, per shared classical noise variable and per loss-injected
 vacuum, then propagating the samples through the steps of
 ``protocol.NETLIST``, the same network description the covariance pipeline
 interprets; only the server slots and steps that reach the stage's cut
-(``protocol._STAGES``) are drawn and run, and a loss at eta = 1 exactly, the
-identity channel, is skipped with no vacuum drawn.  The channel arithmetic
-here is written on shot arrays and does not call ``core``, so the twin still
-checks the covariance algebra independently.  The sample covariance of the
-retained modes must converge to the analytic covariance at the usual
-1/sqrt(n) rate; ``compare_covariance`` quantifies the agreement element by
-element.
+(``protocol._STAGES``) are drawn and run.  A loss at eta = 1 exactly, the
+identity channel, is skipped with no vacuum drawn, and a loss that reaches
+its slot before any splitter (a server link) is folded into that slot's
+source, whose variance becomes ``eta * v + (1 - eta)`` and whose noise
+weights scale by ``sqrt(eta)``, so only the relay losses after a splitter
+draw a vacuum.  The channel arithmetic here is written on shot arrays and
+does not call ``core``, so the twin still checks the covariance algebra
+independently.  The sample covariance of the retained modes must converge
+to the analytic covariance at the usual 1/sqrt(n) rate;
+``compare_covariance`` quantifies the agreement element by element and
+states its detection floor, the deviation each element needs to be flagged.
 
 Shots come in ``_BLOCK``-shot blocks, block ``k`` from an SFC64 generator
 seeded by the ``k``-th child of ``SeedSequence(seed)``, so no block depends on
@@ -34,6 +38,7 @@ calls only private functions.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import threading
@@ -138,13 +143,46 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
                 future.cancel()
 
 
-def _propagate_block(params: ProtocolParams, slots: tuple[int, ...], steps: tuple,
+def _folded_source(params: ProtocolParams,
+                   steps: tuple) -> tuple[tuple[float, ...], tuple[float, ...], tuple]:
+    """The variances and shared-noise weights of the server quadratures, ``(x1, p1, ...,
+    x4, p4)`` as in ``protocol._server_source``, with every loss in ``steps`` that reaches
+    its slot before a splitter does folded in, and the ``steps`` left to run.
+
+    Such a loss meets nothing but its slot's own source and noise terms, so
+    ``sqrt(eta) (sqrt(v) z + w d) + sqrt(1 - eta) z'`` has the law of
+    ``sqrt(eta * v + (1 - eta)) z + sqrt(eta) w d``: the slot draws one normal per
+    quadrature, at the folded variance, and the loss draws no vacuum.  A loss at eta = 1
+    exactly, the identity channel, is dropped wherever it is, so setting an eta to exactly 1
+    moves the stream only where its loss comes after its slot's first splitter.
+    """
+    variances, weights = map(list, protocol._server_source(params))
+    mixed, left = set(), []
+    for step in steps:
+        if isinstance(step, Loss):
+            eta = getattr(params, step.eta)
+            if eta == 1.0:
+                continue
+            if step.slot not in mixed:
+                for k in (2 * step.slot, 2 * step.slot + 1):
+                    variances[k] = eta * variances[k] + (1.0 - eta)
+                    weights[k] = math.sqrt(eta) * weights[k]
+                continue
+        else:
+            mixed.update((step.i, step.j))
+        left.append(step)
+    return tuple(map(float, variances)), tuple(map(float, weights)), tuple(left)
+
+
+def _propagate_block(params: ProtocolParams, slots: tuple[int, ...],
+                     variances: tuple[float, ...], weights: tuple[float, ...], steps: tuple,
                      n_modes: int, rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
     """Draw ``m = buf.size // _BUFFER_ROWS`` shots of the server ``slots``, run them through
-    the netlist ``steps`` and keep ``n_modes``; the draw order (the slots' sources,
-    ``x_dis``, ``p_dis``, then a vacuum pair per loss site in ``steps`` with eta < 1) is
-    fixed.  A loss at eta = 1 exactly is the identity channel: it draws nothing and computes
-    nothing, so a stream moves where some eta becomes exactly 1 and nowhere else.
+    the netlist ``steps`` and keep ``n_modes``.  ``variances``, ``weights`` and ``steps`` are
+    those of ``_folded_source``: the losses ahead of each slot's first splitter are already
+    in the sources, and every step left runs.  The draw order is fixed: the slots' sources at
+    their folded variances, ``x_dis``, ``p_dis``, then one vacuum pair per loss in ``steps``,
+    each a loss with eta < 1 after its slot's first splitter.
 
     ``slots`` and ``steps`` are the ones that reach the kept modes (``protocol._STAGES``):
     the rows of the other slots are neither drawn nor read, and may hold anything.  The
@@ -155,7 +193,6 @@ def _propagate_block(params: ProtocolParams, slots: tuple[int, ...], steps: tupl
     one column per shot, are a view of it.
     """
     rt = np.sqrt
-    variances, weights = protocol._server_source(params)
     n_rows = len(variances) + 2
     m = buf.size // _BUFFER_ROWS
     *q, dis, term = buf[: n_rows * m].reshape(n_rows, m)  # x1, p1, ..., x4, p4 by mode slot
@@ -174,8 +211,6 @@ def _propagate_block(params: ProtocolParams, slots: tuple[int, ...], steps: tupl
     for step in steps:
         if isinstance(step, Loss):
             eta = getattr(params, step.eta)
-            if eta == 1.0:
-                continue
             vacuum = spare[0]
             for k in (2 * step.slot, 2 * step.slot + 1):
                 rng.standard_normal(out=vacuum)
@@ -228,15 +263,18 @@ def _drawn_blocks(params: ProtocolParams, stage: str, n_shots: int, seed: int,
                   reduce: Callable) -> tuple[tuple[str, ...], Iterator]:
     """Labels of the ``stage`` modes and ``reduce(rows)`` of each ``_BLOCK``-shot block of
     ``n_shots`` shots, in order, each drawn and reduced on a pool thread.  ``rows`` holds the
-    block as ``_propagate_block`` leaves it, one row per quadrature and one column per shot.
-    Each pool thread draws all its blocks in one buffer, so ``rows`` is a view that the
-    thread's next block overwrites: ``reduce`` may overwrite it too, and must not return it.
+    block as ``_propagate_block`` leaves it, one row per quadrature and one column per shot:
+    the sources drawn at the variances ``_folded_source`` gives once for the call, the noise,
+    then one vacuum pair per loss with eta < 1 after its slot's first splitter.  Each pool
+    thread draws all its blocks in one buffer, so ``rows`` is a view that the thread's next
+    block overwrites: ``reduce`` may overwrite it too, and must not return it.
 
     The stage, the shot count and the seed (an integer in ``[0, 2**128)``, the entropy of
     the ``SeedSequence`` whose ``k``-th spawned child seeds block ``k``) are checked on the
     call; no block is drawn before the first ``next``.
     """
     cut, _, slots, steps, _ = protocol._stage(params, stage)
+    variances, weights, steps = _folded_source(params, steps)
     n_shots, seed = operator.index(n_shots), operator.index(seed)
     if n_shots < 2:
         raise ValueError("need at least 2 shots")
@@ -253,7 +291,8 @@ def _drawn_blocks(params: ProtocolParams, stage: str, n_shots: int, seed: int,
         rng = np.random.Generator(np.random.SFC64(child))
         # always propagate a full block and truncate, so each block's stream
         # layout is fixed and prefixes agree across different shot counts
-        rows = _propagate_block(params, slots, steps, len(cut.labels), rng, scratch.buf)
+        rows = _propagate_block(params, slots, variances, weights, steps, len(cut.labels), rng,
+                                scratch.buf)
         return reduce(rows[:, : min(_BLOCK, n_shots - start)])
 
     return cut.labels, _ordered_map(job, range(0, n_shots, _BLOCK))
@@ -312,15 +351,31 @@ class CovarianceComparison:
     """Element-wise agreement between an estimated and an analytic covariance.
 
     The standard error of each element is approximated from the analytic
-    matrix as ``sqrt((s_ii s_jj + s_ij^2) / n)``; ``flagged`` lists the
-    (upper-triangle) elements whose deviation exceeds ``z_threshold`` errors.
+    matrix as ``sqrt((s_ii s_jj + s_ij^2) / n)`` (``standard_errors``);
+    ``flagged`` lists the (upper-triangle) elements whose deviation exceeds
+    ``z_threshold`` errors.
     """
 
     max_abs_deviation: float
     z_scores: np.ndarray
+    standard_errors: np.ndarray
     flagged: tuple[tuple[int, int], ...]
     n_shots: int
     z_threshold: float
+
+    @property
+    def detection_floor(self) -> tuple[float, float]:
+        """The least and the greatest of ``z_threshold`` standard errors over the compared
+        (upper-triangle) elements: a deviation below an element's floor is not flagged."""
+        floor = self.z_threshold * self.standard_errors[np.triu_indices_from(self.standard_errors)]
+        return float(floor.min()), float(floor.max())
+
+    @property
+    def expected_false_flags(self) -> float:
+        """Flags that sampling noise alone raises on average: the compared elements times
+        the two-sided normal tail beyond ``z_threshold``, ``erfc(z_threshold / sqrt(2))``."""
+        n = self.standard_errors.shape[0]
+        return n * (n + 1) // 2 * math.erfc(self.z_threshold / math.sqrt(2.0))
 
 
 def compare_covariance(
@@ -348,6 +403,7 @@ def compare_covariance(
     return CovarianceComparison(
         max_abs_deviation=float(dev.max()),
         z_scores=z,
+        standard_errors=se,
         flagged=flagged,
         n_shots=int(n_shots),
         z_threshold=Z_THRESHOLD,

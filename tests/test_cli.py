@@ -441,6 +441,19 @@ class TestMonteCarloCommand:
                      "--shots", "20000", "--seed", "7", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "montecarlo_three_user.txt").read_bytes()
 
+    def test_report_states_its_detection_floor(self):
+        # read as the benchmark reads a report: "key: value" lines, one flag line
+        config = RunConfig(scenario="two_user", seed=3, shots=40_000,
+                           eta_start=0.7, eta_stop=0.7, eta_steps=1)
+        lines = cmd_montecarlo(config).splitlines()
+        report = dict(line.split(": ", 1) for line in lines
+                      if ": " in line and not line.startswith(" "))
+        assert [k for k in report if k.startswith("flagged elements")] == [
+            "flagged elements (> 5 SE)"]
+        low, high = map(float, report["detection floor (5 SE)"].split(" to "))
+        assert 0 < low < high
+        assert float(report["expected false flags"]) == pytest.approx(10 * 5.733e-7, rel=1e-3)
+
     def test_unwritable_dump_fails_before_sampling(self, tmp_path, monkeypatch, capsys):
         def drawn(*args):
             raise AssertionError("a block was drawn")

@@ -74,11 +74,12 @@ def _local_symplectic(rng: np.random.Generator, n: int, modes, max_db: float = 1
 
 
 def _random_partition(data, n: int) -> Partition:
-    # every pair of party sizes equally likely; nested integer draws favoured a one-mode
-    # steered party (a third of four-mode splits were 3|1)
+    # each pair of party sizes drawn from one list; nested integer draws favoured a one-mode
+    # steered party (a third of four-mode splits were 3|1).  Hypothesis leans to the head of
+    # the list, so the widest splits come first
     order = data.draw(st.permutations(range(n)))
-    n_steering, n_steered = data.draw(st.sampled_from(
-        [(a, b) for a in range(1, n) for b in range(1, n - a + 1)]))
+    n_steering, n_steered = data.draw(st.sampled_from(sorted(
+        ((a, b) for a in range(1, n) for b in range(1, n - a + 1)), key=lambda ab: -sum(ab))))
     return Partition(tuple(order[:n_steering]), tuple(order[n_steering : n_steering + n_steered]))
 
 
@@ -178,7 +179,7 @@ def test_sector_spectrum_is_the_hermitian_route(state):
 
 
 @SETTINGS
-@given(st.integers(2, 4).flatmap(lambda n: st.tuples(xp_block_states(n, n),
+@given(st.integers(3, 4).flatmap(lambda n: st.tuples(xp_block_states(n, n),
                                                      physical_states(n, n))),
        st.data())
 def test_mixed_stack_gives_each_matrix_its_own_value(states, data):
@@ -245,8 +246,9 @@ def _check_solve_reference(cov: np.ndarray, part: Partition) -> None:
     assert abs(got - reference_steerability(cov, part.steering, part.steered)) <= 1e-10
 
 
-#: Lists of one to four physical states with a common mode count.
-state_stacks = st.integers(2, 4).flatmap(
+#: Lists of one to four physical states with a common mode count of three or four: two modes
+#: allow only the 1|1 split, which ``test_two_mode_stacks_equal_the_batch_of_one`` covers.
+state_stacks = st.integers(3, 4).flatmap(
     lambda n: st.lists(physical_states(n, n), min_size=1, max_size=4))
 
 
@@ -268,7 +270,29 @@ def test_stacked_kernels_equal_the_batch_of_one(states, data):
 
 
 @SETTINGS
-@given(physical_states(min_modes=2, max_modes=5), st.data())
+@given(st.lists(physical_states(2, 2), min_size=1, max_size=4), xp_block_states(2, 2))
+def test_two_mode_stacks_equal_the_batch_of_one(states, sector):
+    # the two-mode stacks the tests around this one no longer draw, in both 1|1 directions:
+    # general stacks bit for bit, and one mixed with an x/p-block state to rounding
+    covs = np.stack([cov for cov, _ in states])
+    mixed = np.stack([sector[0], covs[0]])
+    spectra = _symplectic_eigenvalues(covs)
+    for part in (Partition((0,), (1,)), Partition((1,), (0,))):
+        ppt, steer = _ppt_cov(covs, part.steering), _steer_cov(covs, part)
+        for k, cov in enumerate(covs):
+            state = GaussianState(("m0", "m1"), cov)
+            assert spectra[k].tobytes() == _symplectic_eigenvalues(cov).tobytes()
+            assert ppt[k].tobytes() == np.float64(ppt_min(state, part.steering)).tobytes()
+            assert steer[k].tobytes() == np.float64(steerability(state, part)).tobytes()
+        for k, value in enumerate(_steer_cov(mixed, part)):
+            assert abs(value - _steer_cov(mixed[k], part)) <= 1e-12 * max(1.0, value)
+        np.testing.assert_allclose(_ppt_cov(mixed, part.steering),
+                                   [_ppt_cov(cov, part.steering) for cov in mixed],
+                                   rtol=1e-12, atol=0)
+
+
+@SETTINGS
+@given(physical_states(min_modes=3, max_modes=5), st.data())
 def test_full_report_equals_each_split(state, data):
     # mixed party sizes, partial unions and swaps: every value is the scalar certificate of
     # its gathered split, bit for bit, under the keys and in the order of the splits; a full

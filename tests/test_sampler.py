@@ -16,7 +16,8 @@ from cvsteer import (
     sampler,
     simulate_shots,
 )
-from cvsteer.protocol import STAGES
+from cvsteer import protocol
+from cvsteer.protocol import NETLIST, STAGES, Loss, Splitter
 from cvsteer.sampler import _BLOCK
 from conftest import three_user_params, two_user_params
 
@@ -24,6 +25,28 @@ from conftest import three_user_params, two_user_params
 #: every netlist step and every server weight matters.
 OFF_BALANCE = ProtocolParams(users="three", t1=0.37, t2=0.61, t3=0.1, eta_sa=0.9, eta_sb=0.8,
                              eta_sd=0.7, eta_ab=0.85, eta_bd=0.75, f_a=0.8, f_c=0.9)
+
+
+def _drawn_rows(params: ProtocolParams, stage: str) -> list[int]:
+    """The size of each normal draw of a 100-shot ``simulate_shots`` run, in order."""
+    drawn, propagate = [], sampler._propagate_block
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *, out):
+            drawn.append(out.size)
+            return self.rng.standard_normal(out=out)
+
+    def counted(*args):
+        return propagate(*(Counting(a) if isinstance(a, np.random.Generator) else a
+                           for a in args))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "_propagate_block", counted)
+        simulate_shots(params, stage, 100, seed=1)
+    return drawn
 
 
 class TestSimulateShots:
@@ -91,64 +114,68 @@ class TestSimulateShots:
         np.testing.assert_array_equal(batch.quads, reference.quads)
 
     @pytest.mark.parametrize("stage, digest", {
-        "pre_bob": "84c95dc4792481232425fe7776bdb368535279bb4aae41c49bc916accdc68c9f",
-        "final_two_user": "d135b65c3f63eef52d3ce19c20f8b1e77ed22e72841cf332b8cb9b4be1a799f8",
-        "pre_david": "62237b883830595f74deddb82956023341ab55b9ff961aadd5415c5915e69325",
-        "final_three_user": "f2f1a47e925b7c37641123f47a8c0d2935607b9c860629ff8be9c6b7e4e156a7",
+        "pre_bob": "d2abb299160c347ec27543b0dfc8abec6de00d1af2e143a64bd5238965b1c20f",
+        "final_two_user": "a358331e0fcbf13cc575947f04c58f9ad3c2c81eebe5a99c9618bfdc6e148de5",
+        "pre_david": "c76e103921498adfed027499433479823130929ee7a29e592b00ea81c9ec8550",
+        "final_three_user": "db4de0dce59b321913b7b8ac98bbfcd14e02f9c33ce138b29ca1988f426e79cc",
     }.items(), ids=STAGES)
     def test_seeded_stream_is_pinned(self, stage, digest):
-        # the draw order (the sources, noise and one vacuum pair per loss site that reach
-        # the cut, one SFC64 substream per block, block layout) is the reproducibility
-        # contract; 70001 is not a block multiple
+        # the draw order (the sources at their folded variances, the noise and one vacuum
+        # pair per loss after its slot's first splitter that reach the cut, one SFC64
+        # substream per block, block layout) is the reproducibility contract; 70001 is not a
+        # block multiple
         quads = simulate_shots(OFF_BALANCE, stage, 70001, seed=99).quads
         assert quads.shape[0] == 70001
         assert hashlib.sha256(np.ascontiguousarray(quads).tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("params, stage, rows", [
-        (OFF_BALANCE, "pre_bob", 16), (OFF_BALANCE, "final_two_user", 16),
-        (OFF_BALANCE, "pre_david", 22), (OFF_BALANCE, "final_three_user", 22),
-        # eta_sa = 1 at the defaults: Alice's two loss sites draw nothing
-        (two_user_params(0.8), "final_two_user", 12),
-        (three_user_params(0.8), "final_three_user", 18),
+        (OFF_BALANCE, "pre_bob", 10), (OFF_BALANCE, "final_two_user", 10),
+        (OFF_BALANCE, "pre_david", 14), (OFF_BALANCE, "final_three_user", 14),
+        # eta_sa = 1 at the defaults: Alice's two loss sites are the identity
+        (two_user_params(0.8), "final_two_user", 10),
+        (three_user_params(0.8), "final_three_user", 14),
         (two_user_params(1.0), "final_two_user", 8),  # the sources and the noise alone
-    ], ids=["pre_bob-16", "final_two_user-16", "pre_david-22", "final_three_user-22",
-            "two_user-eta_sa_1-12", "three_user-eta_sa_1-18", "lossless-8"])
-    def test_only_what_reaches_the_cut_is_drawn(self, monkeypatch, params, stage, rows):
-        # two rows per source slot, two noise rows and a vacuum pair per loss site with
-        # eta < 1 that reach the cut: David's source and his eta_sd loss reach no mode
+    ], ids=["pre_bob-10", "final_two_user-10", "pre_david-14", "final_three_user-14",
+            "two_user-eta_sa_1-10", "three_user-eta_sa_1-14", "lossless-8"])
+    def test_only_what_reaches_the_cut_is_drawn(self, params, stage, rows):
+        # two rows per source slot, two noise rows and a vacuum pair per loss with eta < 1
+        # after its slot's first splitter (eta_ab, eta_bd) that reach the cut: the server
+        # links fold into their sources, David's source and his eta_sd loss reach no mode
         # before his stages, and a loss at eta = 1 exactly is the identity
-        drawn, propagate = [], sampler._propagate_block
-
-        class Counting:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def standard_normal(self, *, out):
-                drawn.append(out.size)
-                return self.rng.standard_normal(out=out)
-
-        def counted(*args):
-            return propagate(*(Counting(a) if isinstance(a, np.random.Generator) else a
-                               for a in args))
-
-        monkeypatch.setattr(sampler, "_propagate_block", counted)
-        simulate_shots(params, stage, 100, seed=1)
-        assert drawn == [_BLOCK] * rows
+        assert _drawn_rows(params, stage) == [_BLOCK] * rows
 
     def test_stream_jumps_at_a_lossless_link_but_the_physics_does_not(self):
-        # eta_sa = 1 skips Alice's two loss sites, so every later vacuum draw moves; just
-        # below 1 they draw again.  Both estimates must agree with their analytic matrices
+        # eta_ab = 1 skips the relay's loss, so the eta_bd vacuum draws behind it move; just
+        # below 1 it draws again.  Both estimates must agree with their analytic matrices
         # and with each other
         n_shots = 200_000
         estimates = []
-        for eta_sa in (1.0, 1.0 - 1e-9):
-            params = three_user_params(0.8).replace(eta_sa=eta_sa)
+        for eta_ab in (1.0, 1.0 - 1e-9):
+            params = three_user_params(0.8).replace(eta_ab=eta_ab)
             _, est = sampler._sampled_covariance(params, "final_three_user", n_shots, seed=41)
             analytic = build_network_state(params, "final_three_user").cov
             assert compare_covariance(est, analytic, n_shots).flagged == ()
             estimates.append(est)
         assert not np.array_equal(estimates[0], estimates[1])
         assert compare_covariance(estimates[0], estimates[1], n_shots).flagged == ()
+
+    @pytest.mark.parametrize("link", ["eta_sa", "eta_sb"])
+    def test_server_link_at_one_draws_what_it_draws_below_one(self, link):
+        # a server link folds into its slot's sources, so at 1 - 1e-9 it draws no vacuum, as
+        # at 1: the same rows of the same normals, and shots within 1e-7 of each other.
+        # Each estimate still matches its own analytic matrix
+        n_shots = 200_000
+        rows, shots = [], []
+        for eta in (1.0, 1.0 - 1e-9):
+            params = three_user_params(0.8).replace(**{link: eta})
+            rows.append(_drawn_rows(params, "final_three_user"))
+            shots.append(simulate_shots(params, "final_three_user", 1000, seed=41).quads)
+            _, est = sampler._sampled_covariance(params, "final_three_user", n_shots, seed=41)
+            analytic = build_network_state(params, "final_three_user").cov
+            assert compare_covariance(est, analytic, n_shots).flagged == ()
+        assert rows[0] == rows[1] == [_BLOCK] * 14
+        assert not np.array_equal(shots[0], shots[1])
+        np.testing.assert_allclose(shots[1], shots[0], rtol=0, atol=1e-7)
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_rows_not_drawn_are_not_read(self, monkeypatch, stage):
@@ -349,6 +376,17 @@ class TestCompareCovariance:
         assert report.flagged == ((0, 3), (0, 5), (1, 4), (2, 2))
         assert all(type(k) is int for pair in report.flagged for k in pair)
 
+    def test_detection_floor_and_false_flags(self):
+        # the vacuum at 10^4 shots: SE is sqrt(2) / 100 on the diagonal and 1 / 100 off it
+        report = compare_covariance(np.eye(6), np.eye(6), 10_000)
+        low, high = report.detection_floor
+        assert low == pytest.approx(0.05, rel=1e-12)
+        assert high == pytest.approx(0.05 * np.sqrt(2.0), rel=1e-12)
+        # 21 compared elements, each flagged by noise with probability 5.7e-7
+        assert report.expected_false_flags == pytest.approx(1.204e-5, rel=1e-3)
+        assert compare_covariance(np.eye(2), np.eye(2), 10_000).expected_false_flags == (
+            pytest.approx(3 / 21 * report.expected_false_flags, rel=1e-12))
+
     def test_small_sample_does_not_crash(self):
         params = two_user_params(1.0)
         batch = simulate_shots(params, "final_two_user", 10, seed=31)
@@ -357,6 +395,94 @@ class TestCompareCovariance:
         report = compare_covariance(est, analytic, batch.n_shots)
         assert report.max_abs_deviation > 0
 
+
+#: Every link lossy enough that dropping one quadrature's vacuum anywhere moves some element
+#: by 15 standard errors or more at 200k shots; splitters off balance, f_a, f_c != 1.
+LOSSY = OFF_BALANCE.replace(eta_sa=0.6, eta_sb=0.5, eta_sd=0.4, eta_ab=0.55, eta_bd=0.45)
+
+
+def _reference_cuts(swap: int | None = None, drop: tuple[int, int] | None = None,
+                    flip: int | None = None, scale: float = 1.0):
+    """A double of ``protocol._network_cuts``: the netlist interpreted on covariances by
+    one plain 8 x 8 matrix per step, written apart from ``protocol`` and ``core``, with one
+    defect at most.  ``swap`` is the ``NETLIST`` index of a splitter whose amplitudes trade
+    places, ``drop`` a loss's index and the quadrature (0 for x, 1 for p) that gets no
+    vacuum, ``flip`` the server quadrature whose shared-noise weight changes sign, and
+    ``scale`` multiplies every covariance handed back."""
+    def cuts(params, stage, **weights):
+        assert not weights
+        variances, source = protocol._server_source(params)
+        source = [-w if k == flip else w for k, w in enumerate(source)]
+        u, w = np.zeros(8), np.zeros(8)
+        u[0::2], w[1::2] = source[0::2], source[1::2]
+        cov = np.diag(variances) + params.v_dis * (np.outer(u, u) + np.outer(w, w))
+        for j, step in enumerate(NETLIST):
+            s, vacuum = np.eye(8), np.zeros(8)
+            if isinstance(step, Loss):
+                eta = getattr(params, step.eta)
+                quads = [2 * step.slot, 2 * step.slot + 1]
+                s[quads, quads] = np.sqrt(eta)
+                vacuum[[k for q, k in enumerate(quads) if (j, q) != drop]] = 1.0 - eta
+            elif isinstance(step, Splitter):
+                t = getattr(params, step.t)
+                c, r = np.sqrt(t), np.sqrt(1.0 - t)
+                if step.complement != (j == swap):
+                    c, r = r, c
+                for a, b in ((2 * step.i, 2 * step.j), (2 * step.i + 1, 2 * step.j + 1)):
+                    s[a, a], s[a, b], s[b, a], s[b, b] = c, r, r, -c
+            else:
+                keep = 2 * len(step.labels)
+                yield step, scale * cov[:keep, :keep]
+                if step.stage == stage:
+                    return
+            cov = s @ cov @ s.T + np.diag(vacuum)
+    return cuts
+
+
+class TestDetection:
+    """The real sampler at 200k shots against a covariance interpreter with one defect,
+    patched in at the ``_network_cuts`` boundary, so whichever interpreter ``protocol``
+    uses: each defect of a netlist step is flagged, and a scale error below the detection
+    floor is not."""
+
+    N_SHOTS = 200_000
+    STAGE = "final_three_user"  # every source and every step reaches it
+
+    @pytest.fixture(scope="class")
+    def estimate(self):
+        return sampler._sampled_covariance(LOSSY, self.STAGE, self.N_SHOTS, seed=59)[1]
+
+    def flagged(self, monkeypatch, estimate, **defect):
+        monkeypatch.setattr(protocol, "_network_cuts", _reference_cuts(**defect))
+        analytic = build_network_state(LOSSY, self.STAGE).cov
+        return compare_covariance(estimate, analytic, self.N_SHOTS).flagged
+
+    def test_the_double_without_a_defect_agrees(self, monkeypatch, estimate):
+        # the double reads the netlist as protocol's interpreter does, to rounding
+        real = build_network_state(LOSSY, self.STAGE).cov
+        assert self.flagged(monkeypatch, estimate) == ()
+        np.testing.assert_allclose(build_network_state(LOSSY, self.STAGE).cov, real,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("step", [j for j, st in enumerate(NETLIST)
+                                      if isinstance(st, Splitter)])
+    def test_swapped_splitter_amplitudes_are_flagged(self, monkeypatch, estimate, step):
+        assert self.flagged(monkeypatch, estimate, swap=step) != ()
+
+    @pytest.mark.parametrize("step", [j for j, st in enumerate(NETLIST) if isinstance(st, Loss)])
+    @pytest.mark.parametrize("quadrature", [0, 1], ids=["x", "p"])
+    def test_dropped_loss_vacuum_is_flagged(self, monkeypatch, estimate, step, quadrature):
+        assert self.flagged(monkeypatch, estimate, drop=(step, quadrature)) != ()
+
+    @pytest.mark.parametrize("quadrature", [k for k, w in enumerate(
+        protocol._server_source(LOSSY)[1]) if w])
+    def test_flipped_weight_sign_is_flagged(self, monkeypatch, estimate, quadrature):
+        assert self.flagged(monkeypatch, estimate, flip=quadrature) != ()
+
+    def test_scale_error_below_the_floor_is_not_flagged(self, monkeypatch, estimate):
+        # 0.1% of every element is a third of a standard error at most: the z-test cannot
+        # see it, so "flagged: none" bounds an error, it does not rule one out
+        assert self.flagged(monkeypatch, estimate, scale=1.001) == ()
 
 def test_million_shot_three_user_run_within_five_sigma():
     params = three_user_params(1.0)
