@@ -2,7 +2,10 @@
 
 Both the scan tables the CLI produces and the closed-form steering curves;
 entanglement (PPT < 1) survives down to arbitrarily small efficiency, and
-the one-way steering degrades smoothly but never flips direction.
+the one-way steering degrades smoothly but never flips direction.  One-way is
+the regime of this default source (3 dB squeezing, 5.5 dB antisqueezing) with
+the optimal f_b and t2 >= 0.01: stronger squeezing with an unbalanced t2 can
+steer both ways.
 """
 
 import numpy as np

@@ -16,11 +16,12 @@ also owns the one mode rule, ``_quadratures``, which every mode index in the pac
 through, and the one party rule, ``_party``, which resolves a sequence of labels or
 indices.
 
-The private kernels (the validity check, the loss, beam-splitter and noise channels and
-the symplectic spectrum) take a stack ``(..., 2n, 2n)`` of covariances and act on each
-matrix alone, so a grid of states is one call; a single ``2n x 2n`` matrix is the
-stack of one.  The channels trust their parameters: callers check them with the
-``_require_*`` rules here, one per kind of quantity.  The spectrum, ``_factor_spectrum``,
+The private kernels (the validity check and the symplectic spectrum) take a stack
+``(..., 2n, 2n)`` of covariances and act on each matrix alone, so a grid of states is one
+call; a single ``2n x 2n`` matrix is the stack of one.  Parameters are checked with the
+``_require_*`` rules here, one per kind of quantity.  ``_beam_splitter_matrix`` holds the
+one port map of a splitter, which ``beam_splitter`` applies to a state and ``protocol``'s
+network to its transfer matrices.  The spectrum, ``_factor_spectrum``,
 reads a stack of Cholesky factors and picks its route from them alone: one mode reads it
 off the factor, a factor with no x-p entry (that of every network state) takes the real
 x/p-sector route, and any other the Hermitian one, so a matrix gets the same value from
@@ -253,49 +254,14 @@ def _beam_splitter_matrix(n: int, i: int, j: int, c: float, r: float) -> np.ndar
     return s
 
 
-def _bs_cov(cov: np.ndarray, i: int, j: int, c: float, r: float) -> np.ndarray:
-    """Covariances ``(..., 2n, 2n)`` after mixing mode indices ``i`` and ``j`` with the
-    amplitudes ``c`` and ``r`` of ``_beam_splitter_matrix``."""
-    s = _beam_splitter_matrix(cov.shape[-1] // 2, i, j, c, r)
-    return s @ cov @ s.T
-
-
 def beam_splitter(state: GaussianState, i: int | str, j: int | str, t: float) -> GaussianState:
     """Mix modes ``i`` and ``j`` on a beam splitter of power transmittance ``t``."""
     a, b = state.mode_index(i), state.mode_index(j)
     if a == b:
         raise ValueError("beam splitter needs two distinct modes")
     _require_fractions(t=t)
-    return GaussianState(state.labels, _bs_cov(state.cov, a, b, math.sqrt(t), math.sqrt(1.0 - t)))
-
-
-def _loss_cov(cov: np.ndarray, i: int, eta: float) -> np.ndarray:
-    """Covariances ``(..., 2n, 2n)`` after a pure-loss channel of efficiency ``eta`` on mode
-    index ``i``: its own block maps to ``eta * V + (1 - eta) * I``, cross blocks scale by
-    ``sqrt(eta)``."""
-    m = cov.shape[-1]
-    scale = np.ones(m)
-    scale[2 * i : 2 * i + 2] = math.sqrt(eta)
-    out = (cov * (scale[:, None] * scale)).reshape(*cov.shape[:-2], m * m)
-    out[..., 2 * i * (m + 1) : (2 * i + 2) * (m + 1) : m + 1] += 1.0 - eta  # the mode's variances
-    return out.reshape(cov.shape)
-
-
-def _noise_cov(cov: np.ndarray, x_coeffs: Sequence, p_coeffs: Sequence,
-               v_dis: float) -> np.ndarray:
-    """Covariances ``(..., 2n, 2n)`` plus shared classical noise: a variable ``x_dis`` adds
-    to x quadrature ``k`` with weight ``x_coeffs[k]``, an independent ``p_dis`` to p
-    quadrature ``k`` with ``p_coeffs[k]``, both of variance ``v_dis``.
-
-    A weight may be an array: the weights broadcast to a stack shape ``S`` and the result
-    is ``S + (2n, 2n)``, one covariance per weight vector."""
-    arrays = [c for c in (*x_coeffs, *p_coeffs) if isinstance(c, np.ndarray)]
-    uw = np.zeros((*np.broadcast(0.0, *arrays).shape, 2, cov.shape[-1]))  # scalars add no axis
-    for k, (x, p) in enumerate(zip(x_coeffs, p_coeffs)):
-        uw[..., 0, 2 * k] = x
-        uw[..., 1, 2 * k + 1] = p
-    # u u^T + w w^T; u and w have disjoint supports, so each entry is one exact product
-    return cov + v_dis * (uw.swapaxes(-2, -1) @ uw)
+    s = _beam_splitter_matrix(state.n_modes, a, b, math.sqrt(t), math.sqrt(1.0 - t))
+    return GaussianState(state.labels, s @ state.cov @ s.T)
 
 
 def select_modes(state: GaussianState, keep: Iterable[int | str]) -> GaussianState:

@@ -6,12 +6,13 @@ re-derives them by direct search over the coefficient bracket ``[0, 4]`` on the
 pipeline state, serving as an independent check.  The search always keeps every
 relayed ancilla that ``protocol.NETLIST`` marks separable, since that rule defines the
 protocol, and refuses a coefficient the objective's stage does not read.  Each call
-propagates the network once, on three nodes of the searched coefficient, which fix every
-cut's covariance as a quadratic ``A + f (B + f C)`` in it; its coarse bracket and each
-pass of its grid refinement are then one stack of trials per relay cut and for the
-objective's cut, read off those polynomials and certified by the batched kernels of
-``criteria``, which take the real x/p-sector route on these uncorrelated states.  A relay
-whose state does not read the searched coefficient is certified once per call.
+propagates the network's transfer matrices once, at the searched coefficient 0 and 1,
+which fix every cut's covariance as its exact quadratic ``A + f (B + f C)``; its coarse
+bracket and each pass of its grid refinement are then one stack of trials per relay cut
+and for the objective's cut, read off those polynomials and certified by the batched
+kernels of ``criteria``, which take the real x/p-sector route on these uncorrelated
+states.  A relay whose state does not read the searched coefficient is certified once
+per call.
 
 Deployment math: the guaranteed secret-key rate extractable from collective
 steering and the fiber length, at ``FIBER_LOSS_DB_PER_KM``, corresponding to a
@@ -35,7 +36,7 @@ import numpy as np
 
 from .core import SYMMETRY_TOL, _checked_cov, _require_fractions, _require_variances
 from .criteria import SEPARABILITY_TOL, Partition, _ppt_cov, _steer_cov, ppt_min, steerability
-from .protocol import (Cut, ProtocolParams, _STAGES, _network_cuts, _stage,
+from .protocol import (Cut, ProtocolParams, _STAGES, _network_transfers, _stage,
                        build_network_state, qss_params)
 
 __all__ = [
@@ -64,11 +65,6 @@ FIBER_LOSS_DB_PER_KM = 0.2
 #: steering window of every scenario, which is zero-flat outside a finite interval.
 _BRACKET = np.arange(81) * 4.0 / 80
 _BRACKET.flags.writeable = False
-
-#: The coefficients the network is propagated on, once per search: three nodes fix each
-#: cut's covariance, which is quadratic in the coefficient, and they span ``_BRACKET``.
-_NODES = np.array([0.0, 2.0, 4.0])
-_NODES.flags.writeable = False
 
 #: Evenly spaced points of each refinement pass over ``x* +/- h``; odd, so the incumbent
 #: ``x*`` is the middle one.  Each pass then shrinks ``h`` by ``(_REFINE_POINTS + 1) / 2``.
@@ -163,16 +159,17 @@ _OBJECTIVE_STAGE = {
 def _cut_polynomials(params: ProtocolParams, stage: str,
                      which: str) -> list[tuple[Cut, np.ndarray, np.ndarray, np.ndarray]]:
     """Each cut up to that of ``stage``, with ``A, B, C`` such that its covariance at the
-    coefficient ``f`` of ``which`` is ``A + f (B + f C)``, from one pass over ``_NODES``.
+    coefficient ``f`` of ``which`` is ``A + f (B + f C)``, from one pass at ``f = 0, 1``.
 
-    Exact, not fitted: the server's shared noise is ``v_dis (u u^T + w w^T)`` with ``u`` and
-    ``w`` linear in ``f``, and each ``NETLIST`` step maps ``V -> S V S^T + const``, so every
-    cut's covariance is quadratic in ``f`` and the three nodes fix it.  The nodes span
-    ``_BRACKET``, so no trial extrapolates."""
+    Exact, not fitted: a cut's transfer matrix is affine in ``f``, ``M0 + f M1``, so its
+    covariance ``M M^T`` has ``A = M0 M0^T``, ``B = M0 M1^T + M1 M0^T`` and ``C = M1 M1^T``.
+    ``FloatingPointError``, an ``ArithmeticError``, if a product overflows."""
     out = []
-    for cut, (v0, v2, v4) in _network_cuts(params, stage, **{which: _NODES}):
-        curve = v4 - 2.0 * v2 + v0
-        out.append((cut, v0, (v2 - v0) / 2.0 - curve / 4.0, curve / 8.0))
+    with np.errstate(over="raise", invalid="raise"):
+        for cut, (m0, m1) in _network_transfers(params, stage, **{which: np.array([0.0, 1.0])}):
+            m1 = m1 - m0
+            cross = m0 @ m1.T
+            out.append((cut, m0 @ m0.T, cross + cross.T, m1 @ m1.T))
     return out
 
 
@@ -222,9 +219,9 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
     ``which`` selects the coefficient, ``"f_b"`` or ``"f_d"`` and read by the objective's
     stage (``steer_A_to_B`` never reads ``f_d``), the other staying at its value in
     ``params``.  The relays may only carry separable ancillas, so a coefficient that
-    entangles one is rejected outright.  The network is propagated once per call, on
-    ``_NODES``, and each set of trial coefficients is one stack per cut, read off the
-    exact quadratic in the coefficient that the nodes fix (``_trials``); a relay whose cut
+    entangles one is rejected outright.  The network is propagated once per call, and
+    each set of trial coefficients is one stack per cut, read off the exact quadratic in
+    the coefficient (``_cut_polynomials``, ``_trials``); a relay whose cut
     does not read ``which`` is certified once for the whole search, and if it is
     entangled no coefficient is feasible.
 

@@ -11,16 +11,17 @@ channels.  Users then only apply local beam splitters:
 * David mixes that second ancilla with his mode on ``T3``.
 
 ``NETLIST`` writes this chain down once, as loss and beam-splitter steps on mode slots
-with stage cuts, each relay cut naming its ancilla.  ``_network_cuts`` interprets it
-forward on covariance matrices, handing back each cut it passes on its way to a stage, so
-one pass gives every cut before it too (the optimizer certifies its relays that way) and
-``build_network_state`` keeps the last.  ``sampler`` interprets it on shot arrays.  At
-import ``_STAGES`` compiles it into one record per stage (its cut, the netlist through it,
-the slots and steps reaching the cut and the fields they read), which ``_stage`` looks up
-for a ``users`` setting.  The ``analytic_cov_*`` functions assemble the same
-covariances from closed-form matrix elements and must agree with the pipeline to float
-precision wherever their parameter regimes apply.  The scans over these states, with
-their optimal coefficients, are in ``optimize``.
+with stage cuts, each relay cut naming its ancilla.  ``_network_transfers`` interprets it
+forward on transfer matrices ``M`` (the network is linear in independent unit normals: the
+sources, the shared noise and a vacuum pair per loss), handing back each cut it passes on
+its way to a stage, so one pass gives every cut before it too; ``_network_cuts`` turns each
+into its covariance ``M M^T`` and ``build_network_state`` keeps the last.  ``sampler``
+interprets it on shot arrays with its own arithmetic.  At import ``_STAGES`` compiles it
+into one record per stage (its cut, the netlist through it, the slots and steps reaching
+the cut and the fields they read), which ``_stage`` looks up for a ``users`` setting.  The
+``analytic_cov_*`` functions assemble the same covariances from closed-form matrix elements
+and must agree with the pipeline to float precision wherever their parameter regimes
+apply.  The scans over these states, with their optimal coefficients, are in ``optimize``.
 """
 
 from __future__ import annotations
@@ -117,11 +118,17 @@ def _server_source(p: ProtocolParams, **weights) -> tuple[tuple[float, ...], tup
     return variances, (0.0, f_a, f_b, -f_b, f_c, 0.0, f_d, -f_d)
 
 
-def _server_cov(params: ProtocolParams, **weights) -> np.ndarray:
-    """Covariance of ``server_output_state`` (modes ``A0, B0, C0, D0``); array ``f_*``
-    ``weights`` give one covariance per weight, as a stack ``(..., 8, 8)``."""
+def _server_transfer(params: ProtocolParams, columns: int = 10, **weights) -> np.ndarray:
+    """Transfer matrix ``M`` of ``server_output_state`` (covariance ``M M^T``): columns for
+    the eight source quadratures, ``x_dis`` and ``p_dis``, then ``columns - 10`` zero ones
+    for vacuum pairs; array ``f_*`` ``weights`` give a stack ``(..., 8, columns)``."""
     variances, source = _server_source(params, **weights)
-    return core._noise_cov(np.diag(variances), source[0::2], source[1::2], params.v_dis)
+    m = np.zeros((*np.broadcast(*source).shape, 8, columns))
+    v_dis = math.sqrt(params.v_dis)
+    for k, (variance, weight) in enumerate(zip(variances, source)):
+        m[..., k, k] = math.sqrt(variance)
+        m[..., k, 8 + k % 2] = v_dis * weight
+    return m
 
 
 def server_output_state(params: ProtocolParams) -> GaussianState:
@@ -131,7 +138,10 @@ def server_output_state(params: ProtocolParams) -> GaussianState:
     coherent mode, an x-squeezed mode for Alice, David's coherent mode, all
     correlated only through the shared classical noise.
     """
-    return GaussianState(("A0", "B0", "C0", "D0"), _server_cov(params))
+    with np.errstate(over="raise", invalid="raise"):
+        m = _server_transfer(params)
+        cov = m @ m.T
+    return GaussianState(("A0", "B0", "C0", "D0"), cov)
 
 
 Loss = namedtuple("Loss", "slot eta")
@@ -197,24 +207,41 @@ def _stage(params: ProtocolParams, name: str) -> _Stage:
     return stage
 
 
-def _network_cuts(params: ProtocolParams, stage: str,
-                  **weights) -> Iterator[tuple[Cut, np.ndarray]]:
-    """Each cut of ``NETLIST`` up to that of ``stage``, in order, with the covariance of its
-    kept slots there, unvalidated: one forward pass, which stops at the cut of ``stage``.
-    Array ``f_*`` ``weights`` give stacks ``(..., 2n, 2n)`` with one covariance per weight
-    (``eta`` and ``t`` stay scalar).  ``stage`` is checked on the first ``next``."""
+def _network_transfers(params: ProtocolParams, stage: str,
+                       **weights) -> Iterator[tuple[Cut, np.ndarray]]:
+    """Each cut of ``NETLIST`` up to that of ``stage``, in order, with the transfer matrix
+    ``M`` of its kept slots there, whose covariance is ``M M^T``: one forward pass, which
+    stops at the cut of ``stage``.  The columns of ``M`` are those of ``_server_transfer``,
+    then a vacuum pair per loss, which scales its slot's rows by ``sqrt(eta)``; a splitter
+    is ``S M``.  Array ``f_*`` ``weights`` give stacks ``(..., 2n, columns)``, one ``M`` per
+    weight (``eta`` and ``t`` stay scalar).  ``stage`` is checked on the first ``next``."""
     netlist = _stage(params, stage).netlist
-    cov = _server_cov(params, **weights)
+    vacuum = 10
+    m = _server_transfer(params, vacuum + 2 * sum(isinstance(step, Loss) for step in netlist),
+                         **weights)
     for step in netlist:
         if isinstance(step, Loss):
-            cov = core._loss_cov(cov, step.slot, getattr(params, step.eta))
+            eta, row = getattr(params, step.eta), 2 * step.slot
+            m[..., row : row + 2, :] *= math.sqrt(eta)
+            m[..., row, vacuum] = m[..., row + 1, vacuum + 1] = math.sqrt(1.0 - eta)
+            vacuum += 2
         elif isinstance(step, Splitter):
             t = getattr(params, step.t)
             c, r = math.sqrt(t), math.sqrt(1.0 - t)  # correctly rounded, as the sampler's np.sqrt
-            cov = core._bs_cov(cov, step.i, step.j, *((r, c) if step.complement else (c, r)))
+            m = core._beam_splitter_matrix(4, step.i, step.j,
+                                           *((r, c) if step.complement else (c, r))) @ m
         else:
-            keep = 2 * len(step.labels)
-            yield step, cov[..., :keep, :keep]
+            yield step, m[..., : 2 * len(step.labels), :].copy()  # losses write m in place
+
+
+def _network_cuts(params: ProtocolParams, stage: str,
+                  **weights) -> list[tuple[Cut, np.ndarray]]:
+    """Each cut of ``_network_transfers`` with the covariance ``M M^T`` of its kept slots,
+    unvalidated; array ``weights`` give stacks ``(..., 2n, 2n)``.  ``FloatingPointError``,
+    an ``ArithmeticError``, if the pass overflows."""
+    with np.errstate(over="raise", invalid="raise"):
+        return [(cut, m @ m.swapaxes(-2, -1))
+                for cut, m in _network_transfers(params, stage, **weights)]
 
 
 def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
@@ -228,10 +255,9 @@ def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
     takes ``sqrt(t3)`` from his mode and ``-sqrt(1-t3)`` from the relayed
     ancilla (the sign convention under which the closed forms hold).
 
-    The covariance is propagated as a plain array by ``_network_cuts`` through
-    ``core``'s channel kernels, which take the ``ProtocolParams`` values as already
-    checked, and only the state at the last cut is wrapped (and validated) as a
-    ``GaussianState``.
+    The network is propagated as plain transfer matrices by ``_network_transfers``, which
+    takes the ``ProtocolParams`` values as already checked, and only the covariance at the
+    last cut is wrapped (and validated) as a ``GaussianState``.
     """
     for cut, cov in _network_cuts(params, stage):
         pass

@@ -42,6 +42,14 @@ def random_physical_cov(rng: np.random.Generator, n_modes: int, scale: float = 1
     return np.eye(2 * n_modes) + a @ a.T
 
 
+def lossy(cov: np.ndarray, mode: int, eta: float) -> np.ndarray:
+    """``cov`` after a pure-loss channel of efficiency ``eta`` on ``mode``, written out:
+    ``X V X^T + Y`` with ``X = sqrt(eta)`` and ``Y = 1 - eta`` on the mode's quadratures."""
+    x, y = np.ones(len(cov)), np.zeros(len(cov))
+    x[2 * mode : 2 * mode + 2], y[2 * mode : 2 * mode + 2] = np.sqrt(eta), 1.0 - eta
+    return x[:, None] * cov * x + np.diag(y)
+
+
 def unpaired_spectrum(matrix: np.ndarray) -> np.ndarray:
     """A stand-in for ``np.linalg.eigvalsh``: the ascending spectrum 1, 2, ..., 2n for each
     matrix of the stack, in which no value has a ``-`` partner."""

@@ -45,6 +45,7 @@ from cvsteer.protocol import V_A_DEFAULT, V_S_DEFAULT
 from conftest import (
     FOUR_MODE_PPT,
     THREE_MODE_PPT,
+    lossy,
     random_physical_cov,
     three_user_params,
     two_user_params,
@@ -268,12 +269,11 @@ def test_criterion_9_property_suite(rng):
     # physicality survives every channel
     state = GaussianState(tuple("abcd"), random_physical_cov(rng, 4))
     from cvsteer import beam_splitter
-    from cvsteer.core import _loss_cov
 
     for _ in range(40):
         i, j = (int(v) for v in rng.choice(4, size=2, replace=False))
         state = beam_splitter(state, i, j, float(rng.uniform(0, 1)))
-        state = GaussianState(state.labels, _loss_cov(state.cov, i, float(rng.uniform(0, 1))))
+        state = GaussianState(state.labels, lossy(state.cov, i, float(rng.uniform(0, 1))))
         assert is_physical(state)
 
     # server outputs are fully separable before any beam splitter

@@ -678,6 +678,16 @@ class TestMainEntry:
                      "--eta-grid", "0.5:1:3"]) == EXIT_NUMERIC
         assert "singular" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--set", "f_b=1e160", "--eta-grid", "0.5:0.5:1"],
+        ["montecarlo", "--set", "v_dis=1e308", "--set", "f_b=10", "--shots", "100"],
+    ], ids=["scan", "montecarlo"])
+    def test_overflowing_network_exit_code(self, capsys, argv):
+        # numpy warned of an invalid value in matmul, then the non-finite covariance was
+        # refused as a usage error (exit 2)
+        assert main(argv) == EXIT_NUMERIC
+        assert "error: overflow encountered in matmul" in capsys.readouterr().err
+
     def test_ill_conditioned_certify_exit_code(self, tmp_path, capsys):
         # positive definite, but the steering block has condition number 1e14
         path = tmp_path / "illcond.txt"

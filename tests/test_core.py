@@ -7,16 +7,18 @@ from cvsteer import (
     GaussianState,
     ProtocolParams,
     beam_splitter,
+    build_network_state,
     db_to_variance,
     is_physical,
     select_modes,
+    server_output_state,
     squeezed_mode,
     symplectic_eigenvalues,
     tensor,
     vacuum,
 )
-from cvsteer.core import SYMMETRY_TOL, _checked_cov, _loss_cov, _noise_cov, _omega
-from conftest import THREE_MODE_REFERENCE, THREE_MODE_LABELS, random_physical_cov
+from cvsteer.core import SYMMETRY_TOL, _checked_cov, _omega
+from conftest import THREE_MODE_REFERENCE, THREE_MODE_LABELS, lossy, random_physical_cov
 
 
 class TestDbToVariance:
@@ -166,68 +168,70 @@ class TestBeamSplitter:
 
 
 class TestLossChannel:
-    def test_unit_efficiency_is_identity(self, rng):
-        cov = random_physical_cov(rng, 2)
-        np.testing.assert_array_equal(_loss_cov(cov, 0, 1.0), cov)
+    """Loss as the network applies it, read off the cuts (the channel has no kernel of its
+    own: ``protocol`` scales a slot's rows of the transfer matrix)."""
 
-    def test_zero_efficiency_gives_vacuum(self, rng):
-        out = _loss_cov(random_physical_cov(rng, 2), 0, 0.0)
-        np.testing.assert_allclose(out[:2, :2], np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(out[:2, 2:], 0, atol=1e-12)
+    def test_unit_efficiency_is_identity(self):
+        # every link lossless: pre_bob is the server state after Alice's splitter alone
+        p = ProtocolParams(t1=0.3, f_b=0.8)
+        mixed = select_modes(beam_splitter(server_output_state(p), "A0", "C0", p.t1),
+                             ["A0", "B0", "C0"])
+        np.testing.assert_allclose(build_network_state(p, "pre_bob").cov, mixed.cov,
+                                   rtol=0, atol=1e-13)
+
+    def test_zero_efficiency_gives_vacuum(self):
+        # no light from the server on Bob's link: B0 is vacuum, uncorrelated with A and C1
+        cov = build_network_state(ProtocolParams(eta_sb=0.0), "pre_bob").cov
+        np.testing.assert_array_equal(cov[2:4, 2:4], np.eye(2))
+        np.testing.assert_array_equal(cov[2:4, [0, 1, 4, 5]], 0.0)
 
     def test_half_loss_on_squeezed(self):
-        out = _loss_cov(squeezed_mode(0.5, 3.55, "p_squeezed").cov, 0, 0.5)
-        np.testing.assert_allclose(np.diag(out), [2.275, 0.75])
+        # t1 = 1 hands A0 to Alice unmixed; no shared noise, so A is the lossy source
+        p = ProtocolParams(v_s=0.5, v_a=3.55, v_dis=0.0, t1=1.0, eta_sa=0.5)
+        cov = build_network_state(p, "pre_bob").cov
+        np.testing.assert_allclose(np.diag(cov)[:2], [2.275, 0.75], rtol=1e-15)
 
     def test_bad_eta_rejected(self):
-        # the kernel reads efficiencies only from ProtocolParams, which checks them
+        # the network reads efficiencies only from ProtocolParams, which checks them
         with pytest.raises(ValueError):
             ProtocolParams(eta_sb=-0.1)
 
 
 class TestCorrelatedNoise:
-    def test_zero_variance_is_identity(self, rng):
-        cov = random_physical_cov(rng, 2)
-        np.testing.assert_array_equal(_noise_cov(cov, (1.0, -2.0), (0.5, 1.0), 0.0), cov)
+    """The shared classical noise as the server adds it."""
+
+    SOURCES = np.diag([3.55, 0.5, 1.0, 1.0, 0.5, 3.55, 1.0, 1.0])
+
+    def test_zero_variance_is_identity(self):
+        p = ProtocolParams(v_s=0.5, v_a=3.55, v_dis=0.0, f_b=-2.0, f_d=0.5)
+        np.testing.assert_allclose(server_output_state(p).cov, self.SOURCES, rtol=1e-15)
 
     def test_single_mode_additive(self):
-        out = _noise_cov(np.eye(2), (1.0,), (0.0,), 1.5)
-        np.testing.assert_allclose(out, np.diag([2.5, 1.0]))
-
-    def test_many_modes(self):
-        # more weights than numpy broadcasts in one call: u u^T + w w^T, x and p sectors apart
-        n = 40
-        out = _noise_cov(np.eye(2 * n), (0.5,) * n, (0.25,) * n, 2.0)
-        np.testing.assert_array_equal(out[0::2, 0::2], np.eye(n) + 0.5)
-        np.testing.assert_array_equal(out[1::2, 1::2], np.eye(n) + 0.125)
-        np.testing.assert_array_equal(out[0::2, 1::2], 0.0)
+        # B0 takes x_dis with weight f_b and p_dis with -f_b: vacuum plus v_dis on each
+        cov = server_output_state(ProtocolParams(v_dis=1.5, f_b=1.0)).cov
+        np.testing.assert_allclose(cov[2:4, 2:4], np.diag([2.5, 2.5]), rtol=1e-15)
 
     def test_negative_variance_rejected(self):
-        # the kernel reads the noise variance only from ProtocolParams, which checks it
+        # the network reads the noise variance only from ProtocolParams, which checks it
         with pytest.raises(ValueError):
             ProtocolParams(v_dis=-0.5)
 
     def test_diagonal_never_decreases(self, rng):
-        cov = random_physical_cov(rng, 3)
+        # classical noise only adds: v_dis (u u^T + w w^T) is positive semidefinite
         for _ in range(20):
-            out = _noise_cov(cov, tuple(rng.normal(size=3)), tuple(rng.normal(size=3)),
-                             rng.uniform(0, 3))
-            assert np.all(np.diag(out) >= np.diag(cov) - 1e-12)
+            f_a, f_b, f_c, f_d = rng.normal(size=4)
+            p = ProtocolParams(v_s=0.5, v_a=3.55, v_dis=rng.uniform(0, 3),
+                               f_a=f_a, f_b=f_b, f_c=f_c, f_d=f_d)
+            added = server_output_state(p).cov - self.SOURCES
+            assert np.linalg.eigvalsh(added).min() >= -1e-12
 
     def test_two_user_pipeline_variance(self):
         # four displaced modes then the full two-user chain at unit efficiency:
         # Alice's variance collects half of everything plus the shared noise
-        state = tensor(
-            tensor(squeezed_mode(0.5, 3.55, "p_squeezed", label="A"), vacuum(1, ["B"])),
-            squeezed_mode(0.5, 3.55, "x_squeezed", label="C"),
-        )
-        f_b = 1.239
-        state = GaussianState(state.labels, _noise_cov(state.cov, (0.0, f_b, 1.0),
-                                                       (1.0, -f_b, 0.0), 1.5))
-        state = beam_splitter(state, "A", "C", 0.5)
-        state = beam_splitter(state, "B", "C", 0.5)
-        assert state.cov[0, 0] == pytest.approx(2.775, abs=1e-12)
-        assert state.cov[1, 1] == pytest.approx(2.775, abs=1e-12)
+        p = ProtocolParams(v_s=0.5, v_a=3.55, v_dis=1.5, f_b=1.239)
+        cov = build_network_state(p, "final_two_user").cov
+        assert cov[0, 0] == pytest.approx(2.775, abs=1e-12)
+        assert cov[1, 1] == pytest.approx(2.775, abs=1e-12)
 
 
 class TestSelectModes:
@@ -290,7 +294,7 @@ class TestIsPhysical:
             t, eta = rng.uniform(0, 1), rng.uniform(0, 1)
             i, j = rng.choice(3, size=2, replace=False)
             state = beam_splitter(state, int(i), int(j), t)
-            state = GaussianState(state.labels, _loss_cov(state.cov, int(i), eta))
+            state = GaussianState(state.labels, lossy(state.cov, int(i), eta))
             assert is_physical(state)
 
 

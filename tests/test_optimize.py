@@ -282,13 +282,13 @@ def test_relay_not_reading_the_coefficient_is_certified_once(monkeypatch):
 def test_one_network_pass_per_search(monkeypatch, objective):
     # the trials of the bracket and of every refinement pass are read off one pass
     calls = []
-    network_cuts = optimize._network_cuts
+    network_transfers = optimize._network_transfers
 
     def count(*args, **kwargs):
         calls.append(kwargs)
-        return network_cuts(*args, **kwargs)
+        return network_transfers(*args, **kwargs)
 
-    monkeypatch.setattr(optimize, "_network_cuts", count)
+    monkeypatch.setattr(optimize, "_network_transfers", count)
     numeric_optimize_coefficient(objective, OBJECTIVE_PARAMS[objective], "f_b")
     assert len(calls) == 1
 
@@ -309,34 +309,34 @@ def test_entangled_fixed_relay_rejects_every_trial():
 PINNED_OPTIMA = [
     ("steer_A_to_B", two_user_params, 1.0, "f_b",
      1.239175640332382, 0.06277479913993837, False, False,
-     1.2391753600000002, 0.06277479913997573),
+     1.2391753600000002, 0.06277479913997562),
     ("steer_A_to_B", two_user_params, 0.7, "f_b",
      1.239175640332382, 0.04352516159409473, False, False,
-     1.2391753600000002, 0.043525161594120475),
+     1.2391753600000002, 0.04352516159412013),
     ("steer_A_to_B", two_user_params, 0.4, "f_b",
      1.239175640332382, 0.024639085187924688, False, False,
-     1.2391753600000002, 0.024639085187939024),
+     1.2391753600000002, 0.024639085187938798),
     ("steer_A_to_BD", three_user_params, 1.0, "f_d",
      1.7524584216290418, 0.0957045927508973, False, False,
-     1.7524585599999998, 0.09570459275090597),
+     1.7524585599999998, 0.09570459275090584),
     ("steer_A_to_BD", three_user_params, 0.7, "f_d",
      1.4662118414912877, 0.05921784643313091, False, False,
-     1.4662121599999995, 0.05921784643313691),
+     1.4662121599999995, 0.05921784643313668),
     ("steer_A_to_BD", three_user_params, 0.4, "f_d",
      1.1083521205602072, 0.02964059910865017, False, False,
-     1.10835216, 0.0296405991086496),
+     1.10835216, 0.029640599108649825),
     ("steer_A_to_BD", three_user_params, 0.7, "f_b",
      1.239175640332382, 0.05921784643312902, False, False,
-     1.2391753600000002, 0.05921784643313691),
+     1.2391753600000002, 0.05921784643313727),
     ("steer_BD_to_A", qss_params, 1.0, "f_d",
      1.718947403239698, 0.4384660002040186, True, False,
-     1.7189476799999996, 0.4384661904356624),
+     1.7189476799999996, 0.43846619043566165),
     ("steer_BD_to_A", qss_params, 0.9, "f_d",
      1.863109711024948, 0.28793436943211254, True, False,
-     1.86310992, 0.2879344518331015),
+     1.86310992, 0.28793445183310207),
     ("steer_BD_to_A", qss_params, 0.8, "f_d",
      2.028959069433207, 0.0944990126056686, True, False,
-     2.0289593599999995, 0.09449906765691936),
+     2.0289593599999995, 0.09449906765691984),
 ]
 
 

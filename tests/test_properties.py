@@ -16,6 +16,7 @@ from cvsteer import (
     full_report,
     is_physical,
     numeric_optimize_coefficient,
+    optimal_fb,
     partial_transpose,
     ppt_min,
     qss_params,
@@ -28,12 +29,12 @@ from cvsteer import (
     tensor,
     vacuum,
 )
-from cvsteer.core import (SYMMETRY_TOL, _bs_cov, _checked_cov, _loss_cov, _noise_cov, _omega,
+from cvsteer.core import (SYMMETRY_TOL, _beam_splitter_matrix, _checked_cov, _omega,
                           _symplectic_eigenvalues)
 from cvsteer.criteria import SEPARABILITY_TOL, _ppt_cov, _steer_cov
 from cvsteer.optimize import _cut_polynomials
 from cvsteer.protocol import STAGES, _network_cuts
-from conftest import three_user_params, two_user_params
+from conftest import lossy, three_user_params, two_user_params
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -335,7 +336,7 @@ def test_steerability_does_not_grow_under_loss_on_the_steered_party(state, data)
     n = cov.shape[0] // 2
     part = _random_partition(data, n)
     before = GaussianState(tuple(f"m{i}" for i in range(n)), cov)
-    after = GaussianState(before.labels, _loss_cov(
+    after = GaussianState(before.labels, lossy(
         before.cov, data.draw(st.sampled_from(part.steered)), data.draw(st.floats(0.0, 1.0))))
     g_before, g_after = steerability(before, part), steerability(after, part)
     assert g_after <= g_before * (1.0 + 1e-9) + 1e-12
@@ -374,37 +375,47 @@ def test_channels_preserve_physicality(state, data):
     before = GaussianState(tuple(f"m{i}" for i in range(n)), cov)
     i, j = data.draw(st.permutations(range(n)))[:2]
     weights = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
-    noise = (data.draw(weights), data.draw(weights), data.draw(st.floats(0.0, 5.0)))
+    u, w = np.zeros(2 * n), np.zeros(2 * n)
+    u[0::2], w[1::2] = data.draw(weights), data.draw(weights)  # x_dis on x, p_dis on p
+    noise = data.draw(st.floats(0.0, 5.0)) * (np.outer(u, u) + np.outer(w, w))
     for after in (GaussianState(before.labels,
-                                _loss_cov(before.cov, i, data.draw(st.floats(0.0, 1.0)))),
+                                lossy(before.cov, i, data.draw(st.floats(0.0, 1.0)))),
                   beam_splitter(before, i, j, data.draw(st.floats(0.0, 1.0))),
-                  GaussianState(before.labels, _noise_cov(before.cov, *noise))):
+                  GaussianState(before.labels, before.cov + noise)):
         assert is_physical(after)
 
 
 def composed_network_state(params: ProtocolParams, stage: str) -> GaussianState:
-    """The network state built step by step from the ``core`` states and channel kernels."""
+    """The network state built step by step on covariances, apart from ``protocol``: the
+    ``core`` sources plus the shared noise ``v_dis (u u^T + w w^T)``, then ``S V S^T`` per
+    splitter and ``lossy`` per loss."""
+
+    def mix(cov, i, j, c, r):
+        s = _beam_splitter_matrix(4, i, j, c, r)
+        return s @ cov @ s.T
+
     state = tensor(squeezed_mode(params.v_s, params.v_a, "p_squeezed", "A0"),
                    vacuum(1, ("B0",)))
     state = tensor(state, squeezed_mode(params.v_s, params.v_a, "x_squeezed", "C0"))
     cov = tensor(state, vacuum(1, ("D0",))).cov
-    cov = _noise_cov(cov, x_coeffs=(0.0, params.f_b, params.f_c, params.f_d),
-                     p_coeffs=(params.f_a, -params.f_b, 0.0, -params.f_d), v_dis=params.v_dis)
-    cov = _loss_cov(cov, 0, params.eta_sa)
-    cov = _loss_cov(cov, 2, params.eta_sa)
-    cov = _loss_cov(cov, 1, params.eta_sb)
-    cov = _loss_cov(cov, 3, params.eta_sd)
-    cov = _bs_cov(cov, 0, 2, np.sqrt(params.t1), np.sqrt(1.0 - params.t1))
-    cov = _loss_cov(cov, 2, params.eta_ab)
+    u = np.array([0.0, 0.0, params.f_b, 0.0, params.f_c, 0.0, params.f_d, 0.0])
+    w = np.array([0.0, params.f_a, 0.0, -params.f_b, 0.0, 0.0, 0.0, -params.f_d])
+    cov = cov + params.v_dis * (np.outer(u, u) + np.outer(w, w))
+    cov = lossy(cov, 0, params.eta_sa)
+    cov = lossy(cov, 2, params.eta_sa)
+    cov = lossy(cov, 1, params.eta_sb)
+    cov = lossy(cov, 3, params.eta_sd)
+    cov = mix(cov, 0, 2, np.sqrt(params.t1), np.sqrt(1.0 - params.t1))
+    cov = lossy(cov, 2, params.eta_ab)
     if stage == "pre_bob":
         return GaussianState(("A", "B0", "C1"), cov[:6, :6])
-    cov = _bs_cov(cov, 1, 2, np.sqrt(params.t2), np.sqrt(1.0 - params.t2))
+    cov = mix(cov, 1, 2, np.sqrt(params.t2), np.sqrt(1.0 - params.t2))
     if stage == "final_two_user":
         return GaussianState(("A", "B"), cov[:4, :4])
-    cov = _loss_cov(cov, 2, params.eta_bd)
+    cov = lossy(cov, 2, params.eta_bd)
     if stage == "pre_david":
         return GaussianState(("A", "B", "C2", "D0"), cov)
-    cov = _bs_cov(cov, 3, 2, np.sqrt(1.0 - params.t3), np.sqrt(params.t3))
+    cov = mix(cov, 3, 2, np.sqrt(1.0 - params.t3), np.sqrt(params.t3))
     return GaussianState(("A", "B", "D"), cov[:6, :6])
 
 
@@ -458,7 +469,7 @@ def test_network_stack_equals_each_build(params, stage, which, values):
 @given(protocol_params, st.sampled_from(STAGES), st.sampled_from(("f_b", "f_d")),
        st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4))
 def test_cut_polynomials_reproduce_the_network(params, stage, which, fs):
-    # the optimizer's trials are A + f (B + f C) from three nodes: every cut, either
+    # the optimizer's trials are A + f (B + f C) from M0 and M1: every cut, either
     # coefficient, anywhere in the bracket, is the network's own covariance up to rounding
     polynomials = _cut_polynomials(params, stage, which)
     cuts = list(_network_cuts(params, stage, **{which: np.array(fs)}))
@@ -466,6 +477,18 @@ def test_cut_polynomials_reproduce_the_network(params, stage, which, fs):
     for (_, a, b, c), (_, covs) in zip(polynomials, cuts):
         for f, cov in zip(fs, covs):
             assert np.abs(a + f * (b + f * c) - cov).max() <= 1e-13 * np.abs(cov).max()
+
+
+@SETTINGS
+@given(st.floats(0.01, 1.0), st.floats(0.01, 1.0), unit)
+def test_steering_is_one_way_at_the_default_source(t2, eta_sb, eta_ab):
+    # the one-way regime README names: the 3 dB / 5.5 dB source with the optimal f_b.  Below
+    # it, at t2 < 0.0067 with a lossless relay, Bob's output is nearly the ancilla and
+    # G(B->A) is 0.0043 at t2 = 0.001
+    p = ProtocolParams(t2=t2, eta_sb=eta_sb, eta_ab=eta_ab)
+    p = p.replace(f_b=optimal_fb(t2, eta_sb, eta_ab, p.v_a, p.v_s))
+    state = build_network_state(p, "final_two_user")
+    assert steerability(state, Partition((1,), (0,))) == 0.0
 
 
 #: (objective, its parameters at a common efficiency, coefficient) of each search.

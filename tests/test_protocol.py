@@ -25,7 +25,7 @@ from cvsteer import (
     steerability,
 )
 from cvsteer.criteria import SEPARABILITY_TOL
-from cvsteer.protocol import STAGES, _STAGES, _network_cuts
+from cvsteer.protocol import STAGES, _STAGES, _network_transfers
 from conftest import three_user_params, two_user_params
 
 
@@ -122,15 +122,15 @@ class TestBuildNetworkState:
     def test_complement_splitter_takes_both_amplitudes_from_t(self):
         # David's splitter runs at 1 - t3; sqrt(1 - (1 - t3)) is not sqrt(t3) at t3 = 0.3,
         # and it used to move 6 of the 36 entries of the last cut by 2.2e-16
-        cuts = {cut.stage: cov
-                for cut, cov in _network_cuts(three_user_params(0.8, t3=0.3), "final_three_user")}
+        transfers = {cut.stage: m for cut, m in
+                     _network_transfers(three_user_params(0.8, t3=0.3), "final_three_user")}
         s = np.eye(8)
         c, r = math.sqrt(0.7), math.sqrt(0.3)
         for q in (0, 1):  # the port map of core.beam_splitter on slots 3 (C2) and 2 (D0)
             a, b = 6 + q, 4 + q
             s[a, a], s[a, b], s[b, a], s[b, b] = c, r, r, -c
-        want = s @ cuts["pre_david"] @ s.T
-        assert np.array_equal(cuts["final_three_user"], want[:6, :6])
+        want = s @ transfers["pre_david"]
+        assert np.array_equal(transfers["final_three_user"], want[:6])
 
 
 class TestStageFields:
@@ -362,6 +362,16 @@ class TestClosedFormSteeringTwoUser:
         p = p.replace(f_b=optimal_fb(p.t2, p.eta_sb, p.eta_ab, p.v_a, p.v_s), **{field: value})
         with pytest.raises(ValueError, match="closed form requires"):
             closed_form_steering_two_user(p)
+
+    def test_two_way_outside_the_one_way_regime(self):
+        # strong pure squeezing and an unbalanced t2 steer both ways at the optimal f_b
+        v_s, v_a = db_to_variance(14.1, "squeezed"), db_to_variance(14.1, "antisqueezed")
+        p = ProtocolParams(v_s=v_s, v_a=v_a, t2=0.11, eta_sb=0.56, eta_ab=1.0)
+        p = p.replace(f_b=optimal_fb(p.t2, p.eta_sb, p.eta_ab, v_a, v_s))
+        assert p.f_b == pytest.approx(5.367, abs=1e-3)
+        state = build_network_state(p, "final_two_user")
+        assert steerability(state, Partition((0,), (1,))) == pytest.approx(1.720, abs=1e-3)
+        assert steerability(state, Partition((1,), (0,))) == pytest.approx(1.612, abs=1e-3)
 
     @pytest.mark.parametrize("eta, value", [
         (1.0, "0x1.012025d51b4dbp-4"), (0.8, "0x1.98c93171770d5p-5"),
