@@ -22,18 +22,19 @@ Shots come in ``_BLOCK``-shot blocks, block ``k`` from an SFC64 generator
 seeded by the ``k``-th child of ``SeedSequence(seed)``, so no block depends on
 when or where it is drawn.  The blocks are drawn on a pool of threads, one per
 CPU the process may use but no more than ``_MAX_THREADS`` or the block count,
-and handed out in order with at most pool-size blocks in flight.  Each pool
-thread draws and propagates all its blocks in place in one buffer, as rows:
-one row per quadrature, one column per shot.  ``simulate_shots`` transposes
-copies of the blocks into the ``(n_shots, 2n)`` records of a ``ShotBatch``,
-which checks its records and is the one input of ``estimate_covariance``.
+and handed out in order with at most two blocks per pool thread in flight.
+Each pool thread draws and propagates all its blocks in place in one 2.4 MB
+buffer, as rows: one row per quadrature, one column per shot.
+``simulate_shots`` transposes copies of the blocks into the ``(n_shots, 2n)``
+records of a ``ShotBatch``, which checks its records and is the one input of
+``estimate_covariance``.
 That transposes each ``_BLOCK``-shot slice back to rows and reduces it, on the
 calling thread, to a count, a mean and a centred ``R R^T`` and merges them in
 order; ``cli``'s ``montecarlo`` has each pool thread reduce its rows where it
 drew them (``_sampled_covariance``), so the memory a run holds is set by the
-pool size times one buffer, not by the shot count or the host.  Both give the
-same result bit for bit whatever the pool size.  Code on the pool threads
-calls only private functions.
+pool size times one buffer, plus the moments or copies in flight, not by the
+shot count or the host.  Both give the same result bit for bit whatever the
+pool size.  Code on the pool threads calls only private functions.
 """
 
 from __future__ import annotations
@@ -63,20 +64,23 @@ __all__ = [
 
 #: Shots are generated in fixed-size blocks, each on its own SFC64 substream
 #: (a spawned ``SeedSequence`` child), so the batch is reproducible independently
-#: of how the blocks would be scheduled.  Not a tuning knob: changing it changes
-#: the streams.
-_BLOCK = 1 << 16
+#: of how the blocks would be scheduled.  Sized so that a pool thread's buffer stays
+#: under numpy's 4 MiB huge-page advice threshold, above which whether the buffer lands
+#: on huge pages, and so the peak RSS, varies from run to run.  Not a tuning knob:
+#: changing it changes the streams.
+_BLOCK = 1 << 14
 
-#: Rows of ``_BLOCK`` floats in a pool thread's buffer: 8 quadratures, 2 scratch rows and
-#: the kept rows of up to 4 modes.  One size for every stage: an allocator with an adaptive
-#: mmap threshold (glibc's) left buffers sized per stage resident in its thread heaps.
+#: Rows of ``_BLOCK`` floats in a pool thread's buffer, 2.4 MB in all: 8 quadratures, 2
+#: scratch rows and the kept rows of up to 4 modes.  One size for every stage: an allocator
+#: with an adaptive mmap threshold (glibc's) left buffers sized per stage resident in its
+#: thread heaps.
 _BUFFER_ROWS = 18
 
-#: The most pool threads a draw uses, whatever the host.  Each holds one 9.4 MB buffer, and
+#: The most pool threads a draw uses, whatever the host.  Each holds one 2.4 MB buffer, and
 #: memory must not grow with the core count: nine 1M-shot ``montecarlo`` runs in one process
-#: peaked at 46, 54, 62, 70 and 103 MB of RSS with 1, 2, 3, 4 and 8 threads, against 58 MB
-#: for the one-block sampler before the pool, so a third thread would already lift the peak
-#: above it.  Not a tuning knob: like ``_BLOCK``, it bounds what a run may hold.
+#: peaked at 41, 43, 47 and 56 MB of RSS with 1, 2, 4 and 8 threads.  More threads would
+#: fit, but their speed-up is unmeasured on more than two CPUs.  Not a tuning knob: like
+#: ``_BLOCK``, it bounds what a run may hold.
 _MAX_THREADS = 2
 
 #: ``compare_covariance`` flags elements deviating by more than this many standard errors.
@@ -122,9 +126,10 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
     """``fn(item)`` for each item, in order, computed on a pool of threads.
 
     The pool has one thread per usable CPU, capped by ``_MAX_THREADS`` and ``len(items)``.
-    At most pool-size items are in flight: the next one is submitted as a result is handed
-    out.  A job's exception is raised here, unchanged, and the jobs not yet started are
-    cancelled.
+    At most two items per pool thread are in flight, so a thread starts its next item while
+    its last result waits to be handed out; the next one is submitted as a result is handed
+    out.  A result must therefore not be a view of memory its thread reuses.  A job's
+    exception is raised here, unchanged, and the jobs not yet started are cancelled.
     """
     # imported here: it loads ``logging``, which every command would pay for at startup
     from concurrent.futures import ThreadPoolExecutor
@@ -132,7 +137,7 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
     workers = max(1, min(_usable_cpus(), _MAX_THREADS, len(items)))
     items = iter(items)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(fn, item) for item in islice(items, workers))
+        pending = deque(pool.submit(fn, item) for item in islice(items, 2 * workers))
         try:
             while pending:
                 result = pending.popleft().result()

@@ -425,14 +425,14 @@ class TestMonteCarloCommand:
         assert len(lines) == 51
 
     def test_streamed_dump_is_pinned(self, tmp_path):
-        # two blocks, the second partial, written as they arrive; the digest is
+        # five blocks, the last one partial, written as they arrive; the digest is
         # that of the file written from the whole batch at once
         config = RunConfig(scenario="two_user", seed=99, shots=70001,
                            eta_start=1.0, eta_stop=1.0, eta_steps=1)
         path = tmp_path / "shots.csv"
         cmd_montecarlo(config, dump_shots=str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "7adbc6f8b665905d41eb68bcf7ae39e9697fa280882ee6933e47db10fbe5565f")
+            "1abaa641f245dd66ef41494431b03c877a4eb03bd41434a4bc37338ee90d8bb7")
 
     def test_golden_report(self, tmp_path):
         # the certificate lines come from full_report on the analytic and estimated states
@@ -506,7 +506,7 @@ class TestMonteCarloCommand:
             assert Path(path).read_bytes() == before, argv
 
     def test_peak_memory_does_not_grow_with_shots(self):
-        # one block is held at a time, so four times the shots is not four times the memory
+        # each pool thread reuses one buffer, so four times the shots is not four times the memory
         peaks = []
         for shots in (200_000, 800_000):
             config = RunConfig(scenario="three_user", seed=4, shots=shots,
@@ -521,7 +521,7 @@ class TestMonteCarloCommand:
 
     @pytest.mark.parametrize("k", [1, 64])
     def test_peak_memory_is_set_by_the_pool_not_the_shots(self, monkeypatch, k):
-        # the claim above on a pinned CPU set: the pool is capped below the four blocks of
+        # the claim above on a pinned CPU set: the pool is capped below the 13 blocks of
         # the smaller run, so it is as large in both, however many cores the host has
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
         self.test_peak_memory_does_not_grow_with_shots()

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import io
 import os
 import threading
 import tracemalloc
@@ -114,10 +115,10 @@ class TestSimulateShots:
         np.testing.assert_array_equal(batch.quads, reference.quads)
 
     @pytest.mark.parametrize("stage, digest", {
-        "pre_bob": "d2abb299160c347ec27543b0dfc8abec6de00d1af2e143a64bd5238965b1c20f",
-        "final_two_user": "a358331e0fcbf13cc575947f04c58f9ad3c2c81eebe5a99c9618bfdc6e148de5",
-        "pre_david": "c76e103921498adfed027499433479823130929ee7a29e592b00ea81c9ec8550",
-        "final_three_user": "db4de0dce59b321913b7b8ac98bbfcd14e02f9c33ce138b29ca1988f426e79cc",
+        "pre_bob": "57861a0a7162e63a0bd3394af2facb74740396fb9c5c780eaafdbb2a8b175bcb",
+        "final_two_user": "67d39bf5732a5df7c62914078298029e873c7412e737972364c8e799f9fd5ab2",
+        "pre_david": "4adc17506e32e1938bc9abcb42db97b6a266956e1854a20a07d42b81b936429d",
+        "final_three_user": "f533b7544d346e81923a9f1886f2cd6ae162e54416edf5bc6f53805570d65ecb",
     }.items(), ids=STAGES)
     def test_seeded_stream_is_pinned(self, stage, digest):
         # the draw order (the sources at their folded variances, the noise and one vacuum
@@ -547,6 +548,8 @@ class TestBlockPool:
 
     @pytest.mark.parametrize("k", [1, 2, 4, 64])
     def test_at_most_pool_size_blocks_in_flight(self, cpus, monkeypatch, k):
+        # two blocks per pool thread: a thread starts its next block while the one it
+        # handed over waits to be read
         cpus(k)
         pool = min(k, sampler._MAX_THREADS)
         started = []
@@ -564,10 +567,11 @@ class TestBlockPool:
         blocks = draw()
         assert started == []  # nothing is drawn before the first next
         next(blocks)
-        # the first pool-size blocks, then one more as the first result was handed out
-        assert len(started) <= pool + 1
+        # the first two blocks per pool thread, then one more as the first result was
+        # handed out
+        assert len(started) <= 2 * pool + 1
         blocks.close()
-        assert len(started) <= pool + 1  # closing cancels what had not started
+        assert len(started) <= 2 * pool + 1  # closing cancels what had not started
         for _ in draw():
             pass
         assert len(set(started[-10:])) <= pool  # however many CPUs the host has
@@ -590,6 +594,32 @@ class TestBlockPool:
             tracemalloc.stop()
         assert buffer <= peak <= min(k, sampler._MAX_THREADS) * buffer + buffer // 4
 
+    def test_buffer_is_below_numpys_huge_page_threshold(self):
+        # numpy advises transparent huge pages for arrays of 4 MiB and more; a pool
+        # thread's buffer at or above that lands on huge pages in some runs and not in
+        # others, which made montecarlo's peak RSS bimodal (CHANGES.md, lines 20
+        # and 27)
+        assert sampler._BUFFER_ROWS * sampler._BLOCK * 8 < 4 * 2**20
+
+    def test_no_result_aliases_its_threads_buffer(self, cpus, monkeypatch):
+        # a pool thread draws its next block in the buffer of the last one while that
+        # block's result waits to be read; run every job on the calling thread, in one
+        # buffer, before the first result is read, and nothing may change
+        cpus(2)
+        n_shots = 3 * _BLOCK + 11
+
+        def run():
+            dump = io.StringIO()
+            _, pooled = sampler._sampled_covariance(OFF_BALANCE, "final_three_user", n_shots,
+                                                    seed=5, dump=dump)
+            batch = simulate_shots(OFF_BALANCE, "final_three_user", n_shots, seed=5)
+            return batch.quads.tobytes(), pooled.tobytes(), dump.getvalue()
+
+        reference = run()
+        monkeypatch.setattr(sampler, "_ordered_map",
+                            lambda fn, items: iter([fn(item) for item in items]))
+        assert run() == reference
+
     def test_worker_exception_reaches_the_caller_unchanged(self, cpus, monkeypatch):
         cpus(2)
         error = RuntimeError("third block")
@@ -605,7 +635,9 @@ class TestBlockPool:
         with pytest.raises(RuntimeError) as raised:
             sampler._sampled_covariance(two_user_params(1.0), "final_two_user", 8 * _BLOCK, 3)
         assert raised.value is error
-        assert len(calls) <= 5  # the blocks queued behind the failure were not drawn
+        # four blocks go out at the start and one more per result handed out before the
+        # failing third, so at most six of the eight are drawn, and the rest never are
+        assert len(calls) <= 6
 
     def test_workers_call_no_public_function(self):
         # a wrapper around a public function (a tracer's, say) keeps one span stack for
