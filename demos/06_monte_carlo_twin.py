@@ -1,4 +1,4 @@
-"""Shot-level Monte Carlo twin: sampled homodyne records vs analytic matrices.
+"""Shot-level Monte Carlo twin: sampled joint quadrature records vs analytic matrices.
 
 Every element of the protocol is Gaussian and linear, so per-shot sampling
 through the same linear maps must reproduce the analytic covariance at the

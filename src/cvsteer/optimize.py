@@ -7,12 +7,12 @@ pipeline state, serving as an independent check.  The search always keeps every
 relayed ancilla that ``protocol.NETLIST`` marks separable, since that rule defines the
 protocol, and refuses a coefficient the objective's stage does not read.  Each call
 propagates the network's transfer matrices once, at the searched coefficient 0 and 1,
-which fix every cut's covariance as its exact quadratic ``A + f (B + f C)``; its coarse
-bracket and each pass of its grid refinement are then one stack of trials per relay cut
-and for the objective's cut, read off those polynomials and certified by the batched
+which fix each relay cut's and the objective cut's covariance as its exact quadratic
+``A + f (B + f C)``; its coarse bracket and each pass of its grid refinement are then one
+stack of trials per such cut, read off those polynomials and certified by the batched
 kernels of ``criteria``, which take the real x/p-sector route on these uncorrelated
 states.  A relay whose state does not read the searched coefficient is certified once
-per call.
+per call, and a bracket whose variances float64 cannot resolve is refused.
 
 Deployment math: the guaranteed secret-key rate extractable from collective
 steering and the fiber length, at ``FIBER_LOSS_DB_PER_KM``, corresponding to a
@@ -36,8 +36,8 @@ import numpy as np
 
 from .core import SYMMETRY_TOL, _checked_cov, _require_fractions, _require_variances
 from .criteria import SEPARABILITY_TOL, Partition, _ppt_cov, _steer_cov, ppt_min, steerability
-from .protocol import (Cut, ProtocolParams, _STAGES, _network_transfers, _stage,
-                       build_network_state, qss_params)
+from .protocol import (ProtocolParams, _STAGES, _network_transfers, _require_resolvable,
+                       _stage, build_network_state, qss_params)
 
 __all__ = [
     "OptimizationResult",
@@ -156,23 +156,6 @@ _OBJECTIVE_STAGE = {
 }
 
 
-def _cut_polynomials(params: ProtocolParams, stage: str,
-                     which: str) -> list[tuple[Cut, np.ndarray, np.ndarray, np.ndarray]]:
-    """Each cut up to that of ``stage``, with ``A, B, C`` such that its covariance at the
-    coefficient ``f`` of ``which`` is ``A + f (B + f C)``, from one pass at ``f = 0, 1``.
-
-    Exact, not fitted: a cut's transfer matrix is affine in ``f``, ``M0 + f M1``, so its
-    covariance ``M M^T`` has ``A = M0 M0^T``, ``B = M0 M1^T + M1 M0^T`` and ``C = M1 M1^T``.
-    ``FloatingPointError``, an ``ArithmeticError``, if a product overflows."""
-    out = []
-    with np.errstate(over="raise", invalid="raise"):
-        for cut, (m0, m1) in _network_transfers(params, stage, **{which: np.array([0.0, 1.0])}):
-            m1 = m1 - m0
-            cross = m0 @ m1.T
-            out.append((cut, m0 @ m0.T, cross + cross.T, m1 @ m1.T))
-    return out
-
-
 def _trials(params: ProtocolParams, stage: str, partition: Partition,
             which: str) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """The function that takes coefficients ``xs`` of ``which`` to the objective, the
@@ -180,18 +163,32 @@ def _trials(params: ProtocolParams, stage: str, partition: Partition,
     where a relay ancilla is entangled) and the smallest PPT value of the relay ancillas of
     the cuts before it.
 
-    The network is propagated once, here (``_cut_polynomials``); each trial stack is then
-    the polynomial ``A + f (B + f C)`` of a cut at ``xs``, checked by ``_checked_cov`` like
-    any covariance.  A relay is evaluated only where the ones before it are separable, and
-    the objective only where all are.  A relay whose cut does not read ``which`` has the
-    same value at every trial, so it is certified once, here, as a stack of one."""
+    The network is propagated once, here, at ``f = 0, 1``: a cut's transfer matrix is
+    ``M0 + f M1``, so its covariance is exactly ``A + f (B + f C)`` with ``A = M0 M0^T``,
+    ``B = M0 M1^T + M1 M0^T`` and ``C = M1 M1^T``, formed for the relay cuts and the cut of
+    ``stage`` only.  Each trial stack is that polynomial at ``xs``, checked by
+    ``_checked_cov`` like any covariance.  A relay is evaluated only where the ones before
+    it are separable, and the objective only where all are.  A relay whose cut does not
+    read ``which`` has the same value at every trial, so only its ``A`` is formed, and it is
+    certified once, here, as a stack of one.  ``ArithmeticError`` if a product overflows or
+    ``_require_resolvable`` refuses a polynomial at either end of ``_BRACKET``, where each
+    variance, convex in ``f``, is largest."""
+    end = _BRACKET[-1]
     cuts = []  # (cut, PPT value of a relay not reading ``which`` or None, A, B, C)
-    for cut, a, b, c in _cut_polynomials(params, stage, which):
-        if cut.relay and which not in _STAGES[cut.stage].fields:
-            mode = (cut.labels.index(cut.relay),)
-            cuts.append((cut, _ppt_cov(_checked_cov(a[None], SYMMETRY_TOL), mode)[0], a, b, c))
-        elif cut.relay or cut.stage == stage:
-            cuts.append((cut, None, a, b, c))
+    with np.errstate(over="raise", invalid="raise"):
+        for cut, (m0, m1) in _network_transfers(params, stage, **{which: np.array([0.0, 1.0])}):
+            if cut.relay and which not in _STAGES[cut.stage].fields:
+                a = m0 @ m0.T
+                _require_resolvable(a)
+                mode = (cut.labels.index(cut.relay),)
+                cuts.append((cut, _ppt_cov(_checked_cov(a[None], SYMMETRY_TOL), mode)[0],
+                             None, None, None))
+            elif cut.relay or cut.stage == stage:
+                m1 = m1 - m0
+                cross = m0 @ m1.T
+                a, b, c = m0 @ m0.T, cross + cross.T, m1 @ m1.T
+                _require_resolvable(a, a + end * (b + end * c))
+                cuts.append((cut, None, a, b, c))
 
     def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ppt = np.full(xs.shape, math.inf)
@@ -221,9 +218,8 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
     ``params``.  The relays may only carry separable ancillas, so a coefficient that
     entangles one is rejected outright.  The network is propagated once per call, and
     each set of trial coefficients is one stack per cut, read off the exact quadratic in
-    the coefficient (``_cut_polynomials``, ``_trials``); a relay whose cut
-    does not read ``which`` is certified once for the whole search, and if it is
-    entangled no coefficient is feasible.
+    the coefficient (``_trials``); a relay whose cut does not read ``which`` is certified
+    once for the whole search, and if it is entangled no coefficient is feasible.
 
     The steering objective is identically zero outside a finite coefficient
     window, so a coarse scan of ``_BRACKET`` first brackets the window.  Grid passes

@@ -13,9 +13,10 @@ channels.  Users then only apply local beam splitters:
 ``NETLIST`` writes this chain down once, as loss and beam-splitter steps on mode slots
 with stage cuts, each relay cut naming its ancilla.  ``_network_transfers`` interprets it
 forward on transfer matrices ``M`` (the network is linear in independent unit normals: the
-sources, the shared noise and a vacuum pair per loss), handing back each cut it passes on
-its way to a stage, so one pass gives every cut before it too; ``_network_cuts`` turns each
-into its covariance ``M M^T`` and ``build_network_state`` keeps the last.  ``sampler``
+sources, the shared noise and a vacuum pair per loss), handing back the ``M`` of each cut it
+passes on its way to a stage, so one pass gives every cut before it too; ``_network_state``
+forms one state's covariance ``M M^T``, for ``build_network_state``'s last cut and for
+``server_output_state``, and refuses one that float64 cannot resolve.  ``sampler``
 interprets it on shot arrays with its own arithmetic.  At import ``_STAGES`` compiles it
 into one record per stage (its cut, the netlist through it, the slots and steps reaching
 the cut and the fields they read), which ``_stage`` looks up for a ``users`` setting.  The
@@ -131,6 +132,33 @@ def _server_transfer(params: ProtocolParams, columns: int = 10, **weights) -> np
     return m
 
 
+#: The largest ``eps * variance`` a network covariance may carry.  The shared noise enters a
+#: covariance as entries of order ``v_dis f^2`` that cancel to O(1) in the steering and PPT
+#: values, so these carry an absolute error of about ``eps`` times the largest variance:
+#: 1e-9 keeps it below the six significant digits a scan prints.
+_RESOLUTION_LIMIT = 1e-9
+
+
+def _require_resolvable(*covs: np.ndarray) -> None:
+    """``ArithmeticError`` naming the value and the bound if ``eps`` times the largest
+    variance of the covariances ``covs`` exceeds ``_RESOLUTION_LIMIT``."""
+    value = np.finfo(float).eps * max(float(cov.diagonal().max()) for cov in covs)
+    if value > _RESOLUTION_LIMIT:
+        raise ArithmeticError(f"float64 cannot resolve this network: eps x largest variance "
+                              f"= {value:.3g} exceeds {_RESOLUTION_LIMIT:g} (lower v_dis or "
+                              f"the displacement weights)")
+
+
+def _network_state(labels: tuple[str, ...], m: np.ndarray) -> GaussianState:
+    """The state of the modes ``labels`` with transfer matrix ``m``, covariance ``M M^T``;
+    ``FloatingPointError``, an ``ArithmeticError``, if the product overflows, and
+    ``_require_resolvable``'s if float64 cannot resolve it."""
+    with np.errstate(over="raise", invalid="raise"):
+        cov = m @ m.T
+    _require_resolvable(cov)
+    return GaussianState(labels, cov)
+
+
 def server_output_state(params: ProtocolParams) -> GaussianState:
     """The four displaced modes as they leave the server (fully separable).
 
@@ -138,10 +166,7 @@ def server_output_state(params: ProtocolParams) -> GaussianState:
     coherent mode, an x-squeezed mode for Alice, David's coherent mode, all
     correlated only through the shared classical noise.
     """
-    with np.errstate(over="raise", invalid="raise"):
-        m = _server_transfer(params)
-        cov = m @ m.T
-    return GaussianState(("A0", "B0", "C0", "D0"), cov)
+    return _network_state(("A0", "B0", "C0", "D0"), _server_transfer(params))
 
 
 Loss = namedtuple("Loss", "slot eta")
@@ -234,16 +259,6 @@ def _network_transfers(params: ProtocolParams, stage: str,
             yield step, m[..., : 2 * len(step.labels), :].copy()  # losses write m in place
 
 
-def _network_cuts(params: ProtocolParams, stage: str,
-                  **weights) -> list[tuple[Cut, np.ndarray]]:
-    """Each cut of ``_network_transfers`` with the covariance ``M M^T`` of its kept slots,
-    unvalidated; array ``weights`` give stacks ``(..., 2n, 2n)``.  ``FloatingPointError``,
-    an ``ArithmeticError``, if the pass overflows."""
-    with np.errstate(over="raise", invalid="raise"):
-        return [(cut, m @ m.swapaxes(-2, -1))
-                for cut, m in _network_transfers(params, stage, **weights)]
-
-
 def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
     """Propagate the server outputs through ``NETLIST`` up to the cut of ``stage``.
 
@@ -257,11 +272,13 @@ def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
 
     The network is propagated as plain transfer matrices by ``_network_transfers``, which
     takes the ``ProtocolParams`` values as already checked, and only the covariance at the
-    last cut is wrapped (and validated) as a ``GaussianState``.
+    last cut is formed, by ``_network_state``.  ``ArithmeticError`` if the pass overflows or
+    float64 cannot resolve the state.
     """
-    for cut, cov in _network_cuts(params, stage):
-        pass
-    return GaussianState(cut.labels, cov)
+    with np.errstate(over="raise", invalid="raise"):
+        for cut, m in _network_transfers(params, stage):
+            pass
+        return _network_state(cut.labels, m)
 
 
 def _require_regime(params: ProtocolParams, *, balanced: Sequence[str], equal_etas: bool) -> None:

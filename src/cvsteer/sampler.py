@@ -1,9 +1,10 @@
 """Shot-level Monte Carlo twin of the network pipeline.
 
 Every quantity in the protocol is Gaussian and every operation linear, so
-ideal homodyne records can be emulated by drawing one Gaussian per input
-quadrature, per shared classical noise variable and per loss-injected
-vacuum, then propagating the samples through the steps of
+joint quadrature records (both quadratures of every kept mode on each shot)
+can be emulated by drawing one Gaussian per input quadrature, per shared
+classical noise variable and per loss-injected vacuum, then propagating the
+samples through the steps of
 ``protocol.NETLIST``, the same network description the covariance pipeline
 interprets; only the server slots and steps that reach the stage's cut
 (``protocol._STAGES``) are drawn and run.  A loss at eta = 1 exactly, the
@@ -89,7 +90,7 @@ Z_THRESHOLD = 5.0
 
 @dataclass(frozen=True)
 class ShotBatch:
-    """Homodyne-style measurement records for the retained modes.
+    """Joint quadrature records for the retained modes.
 
     ``quads`` has one row per shot and columns ``(x1, p1, ..., xn, pn)``
     matching ``labels``.  Deterministic given (seed, params, stage, n_shots).

@@ -235,7 +235,7 @@ class TestScan:
         assert payload["columns"][0] == "eta"
         assert payload["rows"][0]["eta"] == 1.0
 
-    @pytest.mark.parametrize("scenario", ["three_user", "qss"])
+    @pytest.mark.parametrize("scenario", ["three_user", "qss", "two_user", "appendix_e"])
     def test_large_noise_variance(self, scenario, capsys):
         # states built at a 1e6 scale carry float drift above 1e-10 absolute
         assert main(["scan", "--scenario", scenario, "--set", "v_dis=1e6",
@@ -673,10 +673,23 @@ class TestMainEntry:
         assert main(["certify", str(path)]) == EXIT_NUMERIC
 
     def test_singular_steering_block_in_scan_exit_code(self, capsys):
-        # a numerical failure, not a usage error
+        # a numerical failure, not a usage error; at this variance the states are refused
+        # before a steering block is read, which test_ill_conditioned_certify_exit_code
+        # still reaches
         assert main(["scan", "--scenario", "qss", "--set", "v_dis=1e15",
                      "--eta-grid", "0.5:1:3"]) == EXIT_NUMERIC
-        assert "singular" in capsys.readouterr().err
+        assert "error: float64 cannot resolve this network: eps x largest variance = " in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("v_dis, value", [("1e12", "0.000111"), ("1e16", "1.11")])
+    def test_unresolvable_noise_variance_exit_code(self, capsys, v_dis, value):
+        # float64 reads G_A_to_B 0.133531 and 0.693147 at 1e16, where the network's value
+        # is 0.0308949 and 0.0627748 at any variance: a wrong certificate must not exit 0
+        assert main(["scan", "--scenario", "three_user", "--set", f"v_dis={v_dis}",
+                     "--eta-grid", "0.5:1:2"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            f"error: float64 cannot resolve this network: eps x largest variance = {value} "
+            f"exceeds 1e-09 (lower v_dis or the displacement weights)\n")
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--set", "f_b=1e160", "--eta-grid", "0.5:0.5:1"],

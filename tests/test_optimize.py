@@ -20,8 +20,9 @@ from cvsteer import (
 )
 from cvsteer import optimize
 from cvsteer.criteria import SEPARABILITY_TOL
-from cvsteer.optimize import _OBJECTIVE_STAGE, _trials
-from cvsteer.protocol import V_A_DEFAULT, V_S_DEFAULT, _STAGES
+from cvsteer.optimize import _OBJECTIVE_STAGE, SCENARIO_TABLE, _trials, scan, scenario_params
+from cvsteer.protocol import (V_A_DEFAULT, V_S_DEFAULT, _RESOLUTION_LIMIT, _STAGES,
+                              closed_form_steering_three_user)
 from conftest import three_user_params, two_user_params
 
 TABLE_ETAS = (1.0, 0.8, 0.6, 0.4, 0.2)
@@ -298,6 +299,31 @@ def test_entangled_fixed_relay_rejects_every_trial():
     params = three_user_params(0.7).replace(v_dis=0.1)
     with pytest.raises(ValueError, match=r"no feasible point in \[0, 4\]: separability violated"):
         numeric_optimize_coefficient("steer_A_to_BD", params, "f_d")
+
+
+@pytest.mark.parametrize("objective, which", [
+    ("steer_A_to_B", "f_b"), ("steer_A_to_BD", "f_b"), ("steer_A_to_BD", "f_d"),
+    ("steer_BD_to_A", "f_b"), ("steer_BD_to_A", "f_d")])
+def test_unresolvable_noise_variance_is_refused(objective, which):
+    # the trials at v_dis = 1e12 carry variances of 1e12 and more, whose steering and PPT
+    # values float64 cannot resolve; with f_d searched, pre_bob's fixed relay is refused
+    params = OBJECTIVE_PARAMS[objective].replace(v_dis=1e12)
+    with pytest.raises(ArithmeticError, match="^float64 cannot resolve this network: "):
+        numeric_optimize_coefficient(objective, params, which)
+
+
+def test_scan_just_under_the_resolution_bound_matches_the_closed_forms():
+    # eps times the largest variance of the grid's states is just under the bound, and the
+    # three_user steering columns still match the closed forms to within it
+    scenario, overrides, etas = SCENARIO_TABLE["three_user"], {"v_dis": 9e6}, np.linspace(0.5, 1, 6)
+    result = scan(scenario, etas, overrides)
+    params = [scenario_params(scenario, eta, overrides) for eta in etas]
+    worst = max(build_network_state(p, "final_three_user").cov.diagonal().max() for p in params)
+    assert 0.99 < np.finfo(float).eps * worst / _RESOLUTION_LIMIT <= 1.0
+    for row, p in zip(result.rows, params):
+        got = [row[name] for name in ("G_A_to_BD", "G_A_to_B", "G_A_to_D")]
+        np.testing.assert_allclose(got, closed_form_steering_three_user(p), rtol=0,
+                                   atol=_RESOLUTION_LIMIT)
 
 
 #: (objective, parameters, eta, coefficient, f_ref, g_ref, constraint_active, at_boundary,

@@ -32,9 +32,9 @@ from cvsteer import (
 from cvsteer.core import (SYMMETRY_TOL, _beam_splitter_matrix, _checked_cov, _omega,
                           _symplectic_eigenvalues)
 from cvsteer.criteria import SEPARABILITY_TOL, _ppt_cov, _steer_cov
-from cvsteer.optimize import _cut_polynomials
-from cvsteer.protocol import STAGES, _network_cuts
-from conftest import lossy, three_user_params, two_user_params
+from cvsteer.optimize import _OBJECTIVE_STAGE, _SEPARABLE, _trials
+from cvsteer.protocol import _STAGES, STAGES, _network_transfers
+from conftest import lossy, sampler_transfer, three_user_params, two_user_params
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -450,33 +450,57 @@ def test_pipeline_matches_composed_core_ops(params, stage):
 
 
 @SETTINGS
+@given(protocol_params, st.sampled_from(STAGES))
+def test_sampler_transfer_on_drawn_layouts(params, stage):
+    # the sampler's own arithmetic on unit inputs is its transfer matrix P, and P P^T is
+    # the network's covariance to rounding, for any layout
+    transfer = sampler_transfer(params, stage)
+    want = build_network_state(params, stage).cov
+    assert np.abs(transfer @ transfer.T - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@SETTINGS
 @given(protocol_params, st.sampled_from(STAGES), st.sampled_from(("f_a", "f_b", "f_c", "f_d")),
        st.lists(coeff, min_size=1, max_size=4))
 def test_network_stack_equals_each_build(params, stage, which, values):
     # one pass over a stack of a displacement weight yields every cut up to the stage's,
-    # each the per-point builds at that cut, bit for bit
-    cuts = list(_network_cuts(params, stage, **{which: np.array(values)}))
-    assert [cut.stage for cut, _ in cuts] == list(STAGES[:STAGES.index(stage) + 1])
-    for cut, covs in cuts:
-        stack = _checked_cov(covs, SYMMETRY_TOL)
-        for cov, value in zip(stack, values):
-            state = build_network_state(params.replace(**{which: value}), cut.stage)
+    # each M the per-point pass's at that cut, bit for bit, and each build is its M M^T
+    stacks = list(_network_transfers(params, stage, **{which: np.array(values)}))
+    assert [cut.stage for cut, _ in stacks] == list(STAGES[:STAGES.index(stage) + 1])
+    for k, value in enumerate(values):
+        point = params.replace(**{which: value})
+        for (cut, stack), (point_cut, m) in zip(stacks, _network_transfers(point, stage),
+                                                strict=True):
+            assert point_cut == cut
+            assert stack[k].tobytes() == m.tobytes()
+            state = build_network_state(point, cut.stage)
             assert state.labels == cut.labels
-            assert cov.tobytes() == state.cov.tobytes()
+            assert state.cov.tobytes() == _checked_cov(m @ m.T, SYMMETRY_TOL).tobytes()
 
 
 @SETTINGS
-@given(protocol_params, st.sampled_from(STAGES), st.sampled_from(("f_b", "f_d")),
+@given(protocol_params, st.sampled_from(sorted(_OBJECTIVE_STAGE)), st.sampled_from(("f_b", "f_d")),
        st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4))
-def test_cut_polynomials_reproduce_the_network(params, stage, which, fs):
-    # the optimizer's trials are A + f (B + f C) from M0 and M1: every cut, either
-    # coefficient, anywhere in the bracket, is the network's own covariance up to rounding
-    polynomials = _cut_polynomials(params, stage, which)
-    cuts = list(_network_cuts(params, stage, **{which: np.array(fs)}))
-    assert [cut for cut, *_ in polynomials] == [cut for cut, _ in cuts]
-    for (_, a, b, c), (_, covs) in zip(polynomials, cuts):
-        for f, cov in zip(fs, covs):
-            assert np.abs(a + f * (b + f * c) - cov).max() <= 1e-13 * np.abs(cov).max()
+def test_trials_match_the_public_route(params, objective, which, xs):
+    # the optimizer's trials, read off A + f (B + f C), are the public route's values at
+    # each coefficient: the relays' PPT values in network order, as far as they are
+    # separable, and the objective where all are
+    stage, partition = _OBJECTIVE_STAGE[objective]
+    assume(which in _STAGES[stage].fields)
+    ys, ppts = _trials(params, stage, partition, which)(np.array(xs))
+    relays = [s.cut for s in list(_STAGES.values())[:STAGES.index(stage)] if s.cut.relay]
+    for x, y, ppt in zip(xs, ys, ppts):
+        point = params.replace(**{which: x})
+        want = np.inf
+        for cut in relays:
+            if want >= _SEPARABLE:
+                value = ppt_min(build_network_state(point, cut.stage), [cut.relay])
+                assume(abs(value - _SEPARABLE) > 1e-11)  # both routes on one side
+                want = min(want, value)
+        assert ppt == pytest.approx(want, rel=0, abs=1e-12)
+        want = (steerability(build_network_state(point, stage), partition)
+                if want >= _SEPARABLE else -np.inf)
+        assert y == pytest.approx(want, rel=0, abs=1e-12)
 
 
 @SETTINGS

@@ -14,13 +14,14 @@ from cvsteer import (
     build_network_state,
     compare_covariance,
     estimate_covariance,
+    qss_params,
     sampler,
     simulate_shots,
 )
 from cvsteer import protocol
 from cvsteer.protocol import NETLIST, STAGES, Loss, Splitter
 from cvsteer.sampler import _BLOCK
-from conftest import three_user_params, two_user_params
+from conftest import sampler_transfer, three_user_params, two_user_params
 
 #: Unbalanced splitters, lossy links everywhere and f_a, f_c != 1, so that
 #: every netlist step and every server weight matters.
@@ -233,7 +234,7 @@ class TestEstimateCovariance:
         (two_user_params(0.8), "final_two_user", 5),  # 2n + 1
         (OFF_BALANCE, "final_three_user", _BLOCK + 4321),  # a full block and a partial one
         (three_user_params(0.9).replace(v_dis=1e6), "pre_david", 3 * _BLOCK),
-    ])
+    ], ids=["2n_plus_1", "block_and_partial", "three_blocks"])  # the counts follow _BLOCK
     def test_merged_blocks_match_np_cov(self, params, stage, n_shots):
         batch = simulate_shots(params, stage, n_shots, seed=17)
         est = estimate_covariance(batch)
@@ -402,49 +403,44 @@ class TestCompareCovariance:
 LOSSY = OFF_BALANCE.replace(eta_sa=0.6, eta_sb=0.5, eta_sd=0.4, eta_ab=0.55, eta_bd=0.45)
 
 
-def _reference_cuts(swap: int | None = None, drop: tuple[int, int] | None = None,
-                    flip: int | None = None, scale: float = 1.0):
-    """A double of ``protocol._network_cuts``: the netlist interpreted on covariances by
-    one plain 8 x 8 matrix per step, written apart from ``protocol`` and ``core``, with one
-    defect at most.  ``swap`` is the ``NETLIST`` index of a splitter whose amplitudes trade
-    places, ``drop`` a loss's index and the quadrature (0 for x, 1 for p) that gets no
-    vacuum, ``flip`` the server quadrature whose shared-noise weight changes sign, and
-    ``scale`` multiplies every covariance handed back."""
-    def cuts(params, stage, **weights):
-        assert not weights
-        variances, source = protocol._server_source(params)
-        source = [-w if k == flip else w for k, w in enumerate(source)]
-        u, w = np.zeros(8), np.zeros(8)
-        u[0::2], w[1::2] = source[0::2], source[1::2]
-        cov = np.diag(variances) + params.v_dis * (np.outer(u, u) + np.outer(w, w))
-        for j, step in enumerate(NETLIST):
-            s, vacuum = np.eye(8), np.zeros(8)
-            if isinstance(step, Loss):
-                eta = getattr(params, step.eta)
-                quads = [2 * step.slot, 2 * step.slot + 1]
-                s[quads, quads] = np.sqrt(eta)
-                vacuum[[k for q, k in enumerate(quads) if (j, q) != drop]] = 1.0 - eta
-            elif isinstance(step, Splitter):
-                t = getattr(params, step.t)
-                c, r = np.sqrt(t), np.sqrt(1.0 - t)
-                if step.complement != (j == swap):
-                    c, r = r, c
-                for a, b in ((2 * step.i, 2 * step.j), (2 * step.i + 1, 2 * step.j + 1)):
-                    s[a, a], s[a, b], s[b, a], s[b, b] = c, r, r, -c
-            else:
-                keep = 2 * len(step.labels)
-                yield step, scale * cov[:keep, :keep]
-                if step.stage == stage:
-                    return
-            cov = s @ cov @ s.T + np.diag(vacuum)
-    return cuts
+def _reference_cov(params: ProtocolParams, stage: str, swap: int | None = None,
+                   drop: tuple[int, int] | None = None, flip: int | None = None,
+                   scale: float = 1.0) -> np.ndarray:
+    """The covariance at the cut of ``stage``, from the netlist interpreted on covariances
+    by one plain 8 x 8 matrix per step, written apart from ``protocol`` and ``core``, with
+    one defect at most.  ``swap`` is the ``NETLIST`` index of a splitter whose amplitudes
+    trade places, ``drop`` a loss's index and the quadrature (0 for x, 1 for p) that gets
+    no vacuum, ``flip`` the server quadrature whose shared-noise weight changes sign, and
+    ``scale`` multiplies the covariance handed back."""
+    variances, source = protocol._server_source(params)
+    source = [-w if k == flip else w for k, w in enumerate(source)]
+    u, w = np.zeros(8), np.zeros(8)
+    u[0::2], w[1::2] = source[0::2], source[1::2]
+    cov = np.diag(variances) + params.v_dis * (np.outer(u, u) + np.outer(w, w))
+    for j, step in enumerate(NETLIST):
+        s, vacuum = np.eye(8), np.zeros(8)
+        if isinstance(step, Loss):
+            eta = getattr(params, step.eta)
+            quads = [2 * step.slot, 2 * step.slot + 1]
+            s[quads, quads] = np.sqrt(eta)
+            vacuum[[k for q, k in enumerate(quads) if (j, q) != drop]] = 1.0 - eta
+        elif isinstance(step, Splitter):
+            t = getattr(params, step.t)
+            c, r = np.sqrt(t), np.sqrt(1.0 - t)
+            if step.complement != (j == swap):
+                c, r = r, c
+            for a, b in ((2 * step.i, 2 * step.j), (2 * step.i + 1, 2 * step.j + 1)):
+                s[a, a], s[a, b], s[b, a], s[b, b] = c, r, r, -c
+        elif step.stage == stage:
+            keep = 2 * len(step.labels)
+            return scale * cov[:keep, :keep]
+        cov = s @ cov @ s.T + np.diag(vacuum)
 
 
 class TestDetection:
-    """The real sampler at 200k shots against a covariance interpreter with one defect,
-    patched in at the ``_network_cuts`` boundary, so whichever interpreter ``protocol``
-    uses: each defect of a netlist step is flagged, and a scale error below the detection
-    floor is not."""
+    """The real sampler at 200k shots against a covariance interpreter with one defect: each
+    defect of a netlist step is flagged, and a scale error below the detection floor is
+    not."""
 
     N_SHOTS = 200_000
     STAGE = "final_three_user"  # every source and every step reaches it
@@ -453,37 +449,54 @@ class TestDetection:
     def estimate(self):
         return sampler._sampled_covariance(LOSSY, self.STAGE, self.N_SHOTS, seed=59)[1]
 
-    def flagged(self, monkeypatch, estimate, **defect):
-        monkeypatch.setattr(protocol, "_network_cuts", _reference_cuts(**defect))
-        analytic = build_network_state(LOSSY, self.STAGE).cov
+    def flagged(self, estimate, **defect):
+        analytic = _reference_cov(LOSSY, self.STAGE, **defect)
         return compare_covariance(estimate, analytic, self.N_SHOTS).flagged
 
-    def test_the_double_without_a_defect_agrees(self, monkeypatch, estimate):
+    def test_the_double_without_a_defect_agrees(self, estimate):
         # the double reads the netlist as protocol's interpreter does, to rounding
-        real = build_network_state(LOSSY, self.STAGE).cov
-        assert self.flagged(monkeypatch, estimate) == ()
-        np.testing.assert_allclose(build_network_state(LOSSY, self.STAGE).cov, real,
-                                   rtol=0, atol=1e-12)
+        assert self.flagged(estimate) == ()
+        np.testing.assert_allclose(_reference_cov(LOSSY, self.STAGE),
+                                   build_network_state(LOSSY, self.STAGE).cov, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("step", [j for j, st in enumerate(NETLIST)
                                       if isinstance(st, Splitter)])
-    def test_swapped_splitter_amplitudes_are_flagged(self, monkeypatch, estimate, step):
-        assert self.flagged(monkeypatch, estimate, swap=step) != ()
+    def test_swapped_splitter_amplitudes_are_flagged(self, estimate, step):
+        assert self.flagged(estimate, swap=step) != ()
 
     @pytest.mark.parametrize("step", [j for j, st in enumerate(NETLIST) if isinstance(st, Loss)])
     @pytest.mark.parametrize("quadrature", [0, 1], ids=["x", "p"])
-    def test_dropped_loss_vacuum_is_flagged(self, monkeypatch, estimate, step, quadrature):
-        assert self.flagged(monkeypatch, estimate, drop=(step, quadrature)) != ()
+    def test_dropped_loss_vacuum_is_flagged(self, estimate, step, quadrature):
+        assert self.flagged(estimate, drop=(step, quadrature)) != ()
 
     @pytest.mark.parametrize("quadrature", [k for k, w in enumerate(
         protocol._server_source(LOSSY)[1]) if w])
-    def test_flipped_weight_sign_is_flagged(self, monkeypatch, estimate, quadrature):
-        assert self.flagged(monkeypatch, estimate, flip=quadrature) != ()
+    def test_flipped_weight_sign_is_flagged(self, estimate, quadrature):
+        assert self.flagged(estimate, flip=quadrature) != ()
 
-    def test_scale_error_below_the_floor_is_not_flagged(self, monkeypatch, estimate):
+    def test_scale_error_below_the_floor_is_not_flagged(self, estimate):
         # 0.1% of every element is a third of a standard error at most: the z-test cannot
         # see it, so "flagged: none" bounds an error, it does not rule one out
-        assert self.flagged(monkeypatch, estimate, scale=1.001) == ()
+        assert self.flagged(estimate, scale=1.001) == ()
+
+
+#: Fixed layouts for the exact interpreter check, at every stage their users reach.
+LAYOUT_STAGES = {
+    f"{name}-{stage}": (params, stage)
+    for name, params in {"off_balance": OFF_BALANCE, "lossy": LOSSY,
+                         "two_user": two_user_params(0.8), "three_user": three_user_params(0.8),
+                         "lossless": three_user_params(1.0), "qss": qss_params(0.7)}.items()
+    for stage in STAGES if params.users == "three" or protocol._STAGES[stage].cut.users == "two"}
+
+
+@pytest.mark.parametrize("params, stage", LAYOUT_STAGES.values(), ids=LAYOUT_STAGES)
+def test_sampler_transfer_gives_the_network_covariance(params, stage):
+    # the sampler's own arithmetic on unit inputs is its transfer matrix P: P P^T is the
+    # network's covariance to rounding, with no sampling noise to hide a defect behind
+    transfer = sampler_transfer(params, stage)
+    want = build_network_state(params, stage).cov
+    assert np.abs(transfer @ transfer.T - want).max() <= 1e-13 * np.abs(want).max()
+
 
 def test_million_shot_three_user_run_within_five_sigma():
     params = three_user_params(1.0)
