@@ -2,8 +2,11 @@
 
 Every element of the protocol is Gaussian and linear, so per-shot sampling
 through the same linear maps must reproduce the analytic covariance at the
-1/sqrt(n) rate.  This also mirrors how the states would be verified on the
-bench: record quadratures, estimate the covariance, then certify.
+1/sqrt(n) rate.  The records are joint: each shot holds both quadratures of
+every mode, which no homodyne detector reads at once (it reads one quadrature
+per mode per shot), so this checks the covariance pipeline rather than
+mirroring a bench measurement.  The chain is the one measured data would go
+through all the same: estimate the covariance, then certify it.
 """
 
 import numpy as np

@@ -122,13 +122,18 @@ def _server_source(p: ProtocolParams, **weights) -> tuple[tuple[float, ...], tup
 def _server_transfer(params: ProtocolParams, columns: int = 10, **weights) -> np.ndarray:
     """Transfer matrix ``M`` of ``server_output_state`` (covariance ``M M^T``): columns for
     the eight source quadratures, ``x_dis`` and ``p_dis``, then ``columns - 10`` zero ones
-    for vacuum pairs; array ``f_*`` ``weights`` give a stack ``(..., 8, columns)``."""
+    for vacuum pairs; array ``f_*`` ``weights`` give a stack ``(..., 8, columns)``.
+    ``ArithmeticError`` naming the weight if a ``sqrt(v_dis)`` times it overflows."""
     variances, source = _server_source(params, **weights)
     m = np.zeros((*np.broadcast(*source).shape, 8, columns))
     v_dis = math.sqrt(params.v_dis)
     for k, (variance, weight) in enumerate(zip(variances, source)):
         m[..., k, k] = math.sqrt(variance)
         m[..., k, 8 + k % 2] = v_dis * weight
+    if not np.isfinite(m).all():
+        name = _SLOT_WEIGHTS[np.argwhere(~np.isfinite(m))[0][-2] // 2]
+        raise ArithmeticError(f"sqrt(v_dis) x {name} overflows float64 "
+                              f"(v_dis = {params.v_dis:g}); lower v_dis or {name}")
     return m
 
 

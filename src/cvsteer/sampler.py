@@ -1,30 +1,30 @@
 """Shot-level Monte Carlo twin of the network pipeline.
 
-Every quantity in the protocol is Gaussian and every operation linear, so
-joint quadrature records (both quadratures of every kept mode on each shot)
-can be emulated by drawing one Gaussian per input quadrature, per shared
-classical noise variable and per loss-injected vacuum, then propagating the
-samples through the steps of
-``protocol.NETLIST``, the same network description the covariance pipeline
-interprets; only the server slots and steps that reach the stage's cut
-(``protocol._STAGES``) are drawn and run.  A loss at eta = 1 exactly, the
-identity channel, is skipped with no vacuum drawn, and a loss that reaches
-its slot before any splitter (a server link) is folded into that slot's
-source, whose variance becomes ``eta * v + (1 - eta)`` and whose noise
-weights scale by ``sqrt(eta)``, so only the relay losses after a splitter
-draw a vacuum.  The channel arithmetic here is written on shot arrays and
-does not call ``core``, so the twin still checks the covariance algebra
-independently.  The sample covariance of the retained modes must converge
-to the analytic covariance at the usual 1/sqrt(n) rate;
-``compare_covariance`` quantifies the agreement element by element and
-states its detection floor, the deviation each element needs to be flagged.
+Every quantity in the protocol is Gaussian and every operation linear, so the
+law of the joint quadrature records (both quadratures of every kept mode on
+each shot) is fixed by one transfer matrix ``P``: the kept quadratures are
+``P z`` for independent unit normals ``z``, one per source quadrature, per
+shared classical noise variable and per loss-injected vacuum.  ``_transfer``
+finds ``P`` by running the steps of ``protocol.NETLIST`` that reach the
+stage's cut (``protocol._STAGES``), the network description the covariance
+pipeline interprets, once as row operations on unit inputs.  That arithmetic
+is the sampler's own and does not call ``core``, so the twin still checks the
+covariance algebra independently.  No network state has an x-p term, so
+``P P^T`` is an x sector and a p sector; ``_root`` factors each into a
+lower-triangular ``L`` in Python floats, and each shot is then ``L w`` for
+``2n`` standard normals ``w``, which has the law of ``P z`` whatever the
+losses.  No BLAS or LAPACK call decides a shot.  The sample covariance of the
+retained modes must converge to the analytic covariance at the usual
+1/sqrt(n) rate; ``compare_covariance`` quantifies the agreement element by
+element and states its detection floor, the deviation each element needs to
+be flagged.
 
 Shots come in ``_BLOCK``-shot blocks, block ``k`` from an SFC64 generator
 seeded by the ``k``-th child of ``SeedSequence(seed)``, so no block depends on
 when or where it is drawn.  The blocks are drawn on a pool of threads, one per
 CPU the process may use but no more than ``_MAX_THREADS`` or the block count,
 and handed out in order with at most two blocks per pool thread in flight.
-Each pool thread draws and propagates all its blocks in place in one 2.4 MB
+Each pool thread draws all its blocks and applies ``L`` in place in one 1.2 MB
 buffer, as rows: one row per quadrature, one column per shot.
 ``simulate_shots`` transposes copies of the blocks into the ``(n_shots, 2n)``
 records of a ``ShotBatch``, which checks its records and is the one input of
@@ -71,15 +71,14 @@ __all__ = [
 #: changing it changes the streams.
 _BLOCK = 1 << 14
 
-#: Rows of ``_BLOCK`` floats in a pool thread's buffer, 2.4 MB in all: 8 quadratures, 2
-#: scratch rows and the kept rows of up to 4 modes.  One size for every stage: an allocator
-#: with an adaptive mmap threshold (glibc's) left buffers sized per stage resident in its
-#: thread heaps.
-_BUFFER_ROWS = 18
+#: Rows of ``_BLOCK`` floats in a pool thread's buffer, 1.2 MB in all: the 2n quadratures of
+#: up to 4 modes and one scratch row.  One size for every stage: an allocator with an adaptive
+#: mmap threshold (glibc's) left buffers sized per stage resident in its thread heaps.
+_BUFFER_ROWS = 9
 
-#: The most pool threads a draw uses, whatever the host.  Each holds one 2.4 MB buffer, and
+#: The most pool threads a draw uses, whatever the host.  Each holds one 1.2 MB buffer, and
 #: memory must not grow with the core count: nine 1M-shot ``montecarlo`` runs in one process
-#: peaked at 41, 43, 47 and 56 MB of RSS with 1, 2, 4 and 8 threads.  More threads would
+#: peaked at 40, 41, 43 and 47 MB of RSS with 1, 2, 4 and 8 threads.  More threads would
 #: fit, but their speed-up is unmeasured on more than two CPUs.  Not a tuning knob: like
 #: ``_BLOCK``, it bounds what a run may hold.
 _MAX_THREADS = 2
@@ -149,94 +148,89 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
                 future.cancel()
 
 
-def _folded_source(params: ProtocolParams,
-                   steps: tuple) -> tuple[tuple[float, ...], tuple[float, ...], tuple]:
-    """The variances and shared-noise weights of the server quadratures, ``(x1, p1, ...,
-    x4, p4)`` as in ``protocol._server_source``, with every loss in ``steps`` that reaches
-    its slot before a splitter does folded in, and the ``steps`` left to run.
+def _transfer(params: ProtocolParams, stage: str) -> np.ndarray:
+    """The transfer matrix ``P`` of the ``stage`` modes, ``(2n, k)``: the quadratures at the
+    cut are ``P z`` for ``k`` independent unit normals ``z``, in this order: two per server
+    slot that reaches the cut, ``x_dis``, ``p_dis``, then a vacuum pair per loss that does.
 
-    Such a loss meets nothing but its slot's own source and noise terms, so
-    ``sqrt(eta) (sqrt(v) z + w d) + sqrt(1 - eta) z'`` has the law of
-    ``sqrt(eta * v + (1 - eta)) z + sqrt(eta) w d``: the slot draws one normal per
-    quadrature, at the folded variance, and the loss draws no vacuum.  A loss at eta = 1
-    exactly, the identity channel, is dropped wherever it is, so setting an eta to exactly 1
-    moves the stream only where its loss comes after its slot's first splitter.
-    """
-    variances, weights = map(list, protocol._server_source(params))
-    mixed, left = set(), []
-    for step in steps:
-        if isinstance(step, Loss):
-            eta = getattr(params, step.eta)
-            if eta == 1.0:
-                continue
-            if step.slot not in mixed:
-                for k in (2 * step.slot, 2 * step.slot + 1):
-                    variances[k] = eta * variances[k] + (1.0 - eta)
-                    weights[k] = math.sqrt(eta) * weights[k]
-                continue
-        else:
-            mixed.update((step.i, step.j))
-        left.append(step)
-    return tuple(map(float, variances)), tuple(map(float, weights)), tuple(left)
-
-
-def _propagate_block(params: ProtocolParams, slots: tuple[int, ...],
-                     variances: tuple[float, ...], weights: tuple[float, ...], steps: tuple,
-                     n_modes: int, rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
-    """Draw ``m = buf.size // _BUFFER_ROWS`` shots of the server ``slots``, run them through
-    the netlist ``steps`` and keep ``n_modes``.  ``variances``, ``weights`` and ``steps`` are
-    those of ``_folded_source``: the losses ahead of each slot's first splitter are already
-    in the sources, and every step left runs.  The draw order is fixed: the slots' sources at
-    their folded variances, ``x_dis``, ``p_dis``, then one vacuum pair per loss in ``steps``,
-    each a loss with eta < 1 after its slot's first splitter.
-
-    ``slots`` and ``steps`` are the ones that reach the kept modes (``protocol._STAGES``):
-    the rows of the other slots are neither drawn nor read, and may hold anything.  The
-    quadratures are rows of ``buf``, drawn in place and updated in place with two scratch
-    rows; every product and sum is the one the out-of-place arithmetic would form, in the
-    same order, so the shots do not depend on this layout.  The kept rows are stacked into
-    the rest of ``buf``, and the ``(2 n_modes, m)`` rows returned, one per quadrature and
-    one column per shot, are a view of it.
-    """
-    rt = np.sqrt
-    n_rows = len(variances) + 2
-    m = buf.size // _BUFFER_ROWS
-    *q, dis, term = buf[: n_rows * m].reshape(n_rows, m)  # x1, p1, ..., x4, p4 by mode slot
+    The netlist steps run once, as row operations on the ``k`` unit inputs, in the sampler's
+    own arithmetic (not ``core``'s or ``protocol``'s): a source row is ``sqrt(v)`` in its
+    own column and ``sqrt(v_dis)`` times its weight in its noise column, a loss scales its
+    slot's rows by ``sqrt(eta)`` and puts ``sqrt(1 - eta)`` in its own vacuum column, and a
+    splitter maps rows ``a, b`` to ``c a + r b, r a - c b``.  An x row reads only x inputs
+    and a p row only p inputs."""
+    cut, _, slots, steps, _ = protocol._stage(params, stage)
+    variances, weights = protocol._server_source(params)
     live = [k for slot in slots for k in (2 * slot, 2 * slot + 1)]
-    for k in live:
-        rng.standard_normal(out=q[k])
-        q[k] *= rt(variances[k])
-    for parity in (0, 1):  # x_dis onto the x rows, then p_dis onto the p rows
-        rng.standard_normal(out=dis)
-        dis *= rt(params.v_dis)
-        for k in live[parity::2]:
-            if weights[k]:
-                q[k] += np.multiply(dis, weights[k], out=term)
-
-    spare = [dis, term]
+    vacuum = len(live) + 2
+    q = np.zeros((len(variances), vacuum + 2 * sum(isinstance(s, Loss) for s in steps)))
+    for column, k in enumerate(live):
+        q[k, column] = math.sqrt(variances[k])
+        q[k, len(live) + k % 2] = math.sqrt(params.v_dis) * weights[k]
     for step in steps:
         if isinstance(step, Loss):
             eta = getattr(params, step.eta)
-            vacuum = spare[0]
             for k in (2 * step.slot, 2 * step.slot + 1):
-                rng.standard_normal(out=vacuum)
-                vacuum *= rt(1.0 - eta)
-                q[k] *= rt(eta)
-                q[k] += vacuum
+                q[k] *= math.sqrt(eta)
+                q[k, vacuum] = math.sqrt(1.0 - eta)
+                vacuum += 1
         else:
             t = getattr(params, step.t)
-            c, r = (rt(1.0 - t), rt(t)) if step.complement else (rt(t), rt(1.0 - t))
+            c, r = math.sqrt(t), math.sqrt(1.0 - t)
+            if step.complement:
+                c, r = r, c
             for a, b in ((2 * step.i, 2 * step.j), (2 * step.i + 1, 2 * step.j + 1)):
-                out_a, out_b = spare
-                np.multiply(q[a], c, out=out_a)
-                out_a += np.multiply(q[b], r, out=out_b)  # c qa + r qb
-                np.multiply(q[a], r, out=out_b)
-                q[b] *= c
-                out_b -= q[b]  # r qa - c qb
-                spare = [q[a], q[b]]
-                q[a], q[b] = out_a, out_b
-    rows = buf[n_rows * m : (n_rows + 2 * n_modes) * m].reshape(2 * n_modes, m)
-    return np.stack(q[: 2 * n_modes], axis=0, out=rows)
+                q[a], q[b] = q[a] * c + q[b] * r, q[a] * r - q[b] * c
+    return q[: 2 * len(cut.labels)]
+
+
+def _root(transfer: np.ndarray) -> tuple[list[list[float]], list[list[float]]]:
+    """The lower-triangular roots ``L_x`` and ``L_p``, rows of Python floats, of the x and p
+    sectors of ``P P^T`` for the transfer matrix ``P`` of ``_transfer``: the Cholesky
+    factors, each entry one ``math.fsum`` of the products it reads, so no BLAS or LAPACK
+    build decides a shot.  ``ArithmeticError`` if a variance overflows, so that no product
+    can, or at a pivot that is not positive."""
+    roots = []
+    for parity, sector in enumerate((transfer[0::2].tolist(), transfer[1::2].tolist())):
+        if not all(math.isfinite(math.fsum(x * x for x in a)) for a in sector):
+            raise ArithmeticError(f"a variance in the Monte Carlo twin's {'xp'[parity]} sector "
+                                  f"overflows float64")
+        root = []
+        for i, a in enumerate(sector):
+            row = []
+            for j, b in enumerate(sector[: i + 1]):
+                other = root[j] if j < i else row
+                s = math.fsum([*map(operator.mul, a, b), *(-u * v for u, v in zip(row, other))])
+                if j < i:
+                    row.append(s / root[j][j])
+                elif s > 0:
+                    row.append(math.sqrt(s))
+                else:
+                    raise ArithmeticError(f"the Monte Carlo twin's covariance has no Cholesky "
+                                          f"root: {'xp'[parity]} pivot {i} is {s:.3g}")
+            root.append(row)
+        roots.append(root)
+    return roots[0], roots[1]
+
+
+def _propagate_block(roots: tuple[list[list[float]], ...], rng: np.random.Generator,
+                     buf: np.ndarray) -> np.ndarray:
+    """``m = buf.size // _BUFFER_ROWS`` shots of the modes whose ``_root`` is ``roots``, as
+    ``(2n, m)`` rows of ``buf``, one per quadrature ``(x1, p1, ..., xn, pn)`` and one column
+    per shot.  The ``2n m`` standard normals ``w`` are drawn in one call, row after row, and
+    each sector's rows become ``L w`` in place, from the last row up, with one scratch row."""
+    n = len(roots[0])
+    m = buf.size // _BUFFER_ROWS
+    block = buf[: 2 * n * m]
+    rng.standard_normal(out=block)
+    *rows, scratch = buf[: (2 * n + 1) * m].reshape(2 * n + 1, m)
+    for parity, root in enumerate(roots):
+        w = rows[parity::2]
+        for i in reversed(range(n)):
+            w[i] *= root[i][i]
+            for j in range(i):
+                w[i] += np.multiply(w[j], root[i][j], out=scratch)
+    return block.reshape(2 * n, m)
 
 
 def _block_moments(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -269,24 +263,22 @@ def _drawn_blocks(params: ProtocolParams, stage: str, n_shots: int, seed: int,
                   reduce: Callable) -> tuple[tuple[str, ...], Iterator]:
     """Labels of the ``stage`` modes and ``reduce(rows)`` of each ``_BLOCK``-shot block of
     ``n_shots`` shots, in order, each drawn and reduced on a pool thread.  ``rows`` holds the
-    block as ``_propagate_block`` leaves it, one row per quadrature and one column per shot:
-    the sources drawn at the variances ``_folded_source`` gives once for the call, the noise,
-    then one vacuum pair per loss with eta < 1 after its slot's first splitter.  Each pool
-    thread draws all its blocks in one buffer, so ``rows`` is a view that the thread's next
-    block overwrites: ``reduce`` may overwrite it too, and must not return it.
+    block as ``_propagate_block`` leaves it, one row per quadrature and one column per shot,
+    through the ``_root`` of the stage's ``_transfer``, computed once for the call.  Each
+    pool thread draws all its blocks in one buffer, so ``rows`` is a view that the thread's
+    next block overwrites: ``reduce`` may overwrite it too, and must not return it.
 
     The stage, the shot count and the seed (an integer in ``[0, 2**128)``, the entropy of
     the ``SeedSequence`` whose ``k``-th spawned child seeds block ``k``) are checked on the
-    call; no block is drawn before the first ``next``.
+    call, and so is the root; no block is drawn before the first ``next``.
     """
-    cut, _, slots, steps, _ = protocol._stage(params, stage)
-    variances, weights, steps = _folded_source(params, steps)
+    labels = protocol._stage(params, stage).cut.labels
     n_shots, seed = operator.index(n_shots), operator.index(seed)
     if n_shots < 2:
         raise ValueError("need at least 2 shots")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
-
+    roots = _root(_transfer(params, stage))
     scratch = threading.local()
 
     def job(start: int):
@@ -295,13 +287,12 @@ def _drawn_blocks(params: ProtocolParams, stage: str, n_shots: int, seed: int,
         # SeedSequence(seed).spawn(k + 1)[k], without spawning the k children before it
         child = np.random.SeedSequence(seed, spawn_key=(start // _BLOCK,))
         rng = np.random.Generator(np.random.SFC64(child))
-        # always propagate a full block and truncate, so each block's stream
+        # always draw a full block and truncate, so each block's stream
         # layout is fixed and prefixes agree across different shot counts
-        rows = _propagate_block(params, slots, variances, weights, steps, len(cut.labels), rng,
-                                scratch.buf)
+        rows = _propagate_block(roots, rng, scratch.buf)
         return reduce(rows[:, : min(_BLOCK, n_shots - start)])
 
-    return cut.labels, _ordered_map(job, range(0, n_shots, _BLOCK))
+    return labels, _ordered_map(job, range(0, n_shots, _BLOCK))
 
 
 def _sampled_covariance(params: ProtocolParams, stage: str, n_shots: int, seed: int,

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvsteer import ProtocolParams, optimal_fb, optimal_fd, protocol, sampler
+from cvsteer import ProtocolParams, optimal_fb, optimal_fd
 
 # Published reference covariance matrices (homodyne reconstructions quoted to
 # three decimals).  The three-mode state holds (A, B0, C1) right before Bob's
@@ -68,31 +68,6 @@ def three_user_params(eta: float = 1.0, **kw) -> ProtocolParams:
         f_b=optimal_fb(p.t2, 1.0, 1.0, p.v_a, p.v_s),
         f_d=optimal_fd(eta, p.v_a, p.v_s),
     )
-
-
-def sampler_transfer(params: ProtocolParams, stage: str) -> np.ndarray:
-    """The transfer matrix ``P`` that ``sampler._propagate_block``'s own arithmetic applies
-    at the cut of ``stage``, so the twin's covariance is exactly ``P P^T``.
-
-    A stand-in generator hands out the rows of the ``k x k`` identity in draw order, so
-    input ``i`` of the draw order is 1 on shot ``i`` alone, and the ``k`` shots returned are
-    the columns of ``P``.  The inputs are two per server slot reaching the cut, the two
-    shared noises and a vacuum pair per loss ``sampler._folded_source`` leaves; the
-    stand-in fails if asked for more, and the call if not all of them are drawn."""
-    cut, _, slots, steps, _ = protocol._stage(params, stage)
-    variances, weights, steps = sampler._folded_source(params, steps)
-    k = 2 * len(slots) + 2 + 2 * sum(isinstance(step, protocol.Loss) for step in steps)
-    rows = list(np.eye(k))
-
-    class Basis:
-        def standard_normal(self, *, out):
-            out[:] = rows.pop(0)
-
-    transfer = sampler._propagate_block(params, slots, variances, weights, steps,
-                                        len(cut.labels), Basis(),
-                                        np.empty(sampler._BUFFER_ROWS * k))
-    assert not rows, f"{len(rows)} of {k} inputs not drawn"
-    return transfer
 
 
 @pytest.fixture

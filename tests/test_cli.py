@@ -432,7 +432,7 @@ class TestMonteCarloCommand:
         path = tmp_path / "shots.csv"
         cmd_montecarlo(config, dump_shots=str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "1abaa641f245dd66ef41494431b03c877a4eb03bd41434a4bc37338ee90d8bb7")
+            "c11b9deab164791636b92d46d5bb5253bac796e1144fcad5779b94443e88951c")
 
     def test_golden_report(self, tmp_path):
         # the certificate lines come from full_report on the analytic and estimated states
@@ -700,6 +700,17 @@ class TestMainEntry:
         # refused as a usage error (exit 2)
         assert main(argv) == EXIT_NUMERIC
         assert "error: overflow encountered in matmul" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, message", [
+        ("1.7e308", "sqrt(v_dis) x f_b overflows float64 (v_dis = 1.5); lower v_dis or f_b"),
+        ("1e160", "overflow encountered in matmul"),  # finite, but its square is not
+    ])
+    def test_overflowing_noise_weight_exit_code(self, capsys, value, message):
+        # sqrt(v_dis) * f_b overflowed to inf unnoticed, and the first splitter's S @ M then
+        # exited 4 with "invalid value encountered in matmul", naming neither
+        assert main(["scan", "--set", f"f_b={value}", "--eta-grid", "0.5:0.5:1"]) == (
+            EXIT_NUMERIC)
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_ill_conditioned_certify_exit_code(self, tmp_path, capsys):
         # positive definite, but the steering block has condition number 1e14

@@ -34,7 +34,8 @@ from cvsteer.core import (SYMMETRY_TOL, _beam_splitter_matrix, _checked_cov, _om
 from cvsteer.criteria import SEPARABILITY_TOL, _ppt_cov, _steer_cov
 from cvsteer.optimize import _OBJECTIVE_STAGE, _SEPARABLE, _trials
 from cvsteer.protocol import _STAGES, STAGES, _network_transfers
-from conftest import lossy, sampler_transfer, three_user_params, two_user_params
+from cvsteer.sampler import _transfer
+from conftest import lossy, three_user_params, two_user_params
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -454,7 +455,7 @@ def test_pipeline_matches_composed_core_ops(params, stage):
 def test_sampler_transfer_on_drawn_layouts(params, stage):
     # the sampler's own arithmetic on unit inputs is its transfer matrix P, and P P^T is
     # the network's covariance to rounding, for any layout
-    transfer = sampler_transfer(params, stage)
+    transfer = _transfer(params, stage)
     want = build_network_state(params, stage).cov
     assert np.abs(transfer @ transfer.T - want).max() <= 1e-13 * np.abs(want).max()
 

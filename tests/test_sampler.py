@@ -21,7 +21,7 @@ from cvsteer import (
 from cvsteer import protocol
 from cvsteer.protocol import NETLIST, STAGES, Loss, Splitter
 from cvsteer.sampler import _BLOCK
-from conftest import sampler_transfer, three_user_params, two_user_params
+from conftest import three_user_params, two_user_params
 
 #: Unbalanced splitters, lossy links everywhere and f_a, f_c != 1, so that
 #: every netlist step and every server weight matters.
@@ -29,7 +29,7 @@ OFF_BALANCE = ProtocolParams(users="three", t1=0.37, t2=0.61, t3=0.1, eta_sa=0.9
                              eta_sd=0.7, eta_ab=0.85, eta_bd=0.75, f_a=0.8, f_c=0.9)
 
 
-def _drawn_rows(params: ProtocolParams, stage: str) -> list[int]:
+def _drawn(params: ProtocolParams, stage: str) -> list[int]:
     """The size of each normal draw of a 100-shot ``simulate_shots`` run, in order."""
     drawn, propagate = [], sampler._propagate_block
 
@@ -116,66 +116,49 @@ class TestSimulateShots:
         np.testing.assert_array_equal(batch.quads, reference.quads)
 
     @pytest.mark.parametrize("stage, digest", {
-        "pre_bob": "57861a0a7162e63a0bd3394af2facb74740396fb9c5c780eaafdbb2a8b175bcb",
-        "final_two_user": "67d39bf5732a5df7c62914078298029e873c7412e737972364c8e799f9fd5ab2",
-        "pre_david": "4adc17506e32e1938bc9abcb42db97b6a266956e1854a20a07d42b81b936429d",
-        "final_three_user": "f533b7544d346e81923a9f1886f2cd6ae162e54416edf5bc6f53805570d65ecb",
+        "pre_bob": "a72e6a4c9908750fc6fbed88ee20e5361418b484bc2984e8c28f72c6f45f5345",
+        "final_two_user": "f3b82408c8889a54f41f7baaa75b4275ad1c474ffd263a651f1b21a2b7284ac0",
+        "pre_david": "fcf4315ede9fe09af7c858c90d5f7eadea1bd53b611e58391d9361d1a1cb7bb1",
+        "final_three_user": "ba9e15f442ddbb2ade7a051bfaf6dd975678ced0dfedabefdd99d32e2bb208c0",
     }.items(), ids=STAGES)
     def test_seeded_stream_is_pinned(self, stage, digest):
-        # the draw order (the sources at their folded variances, the noise and one vacuum
-        # pair per loss after its slot's first splitter that reach the cut, one SFC64
-        # substream per block, block layout) is the reproducibility contract; 70001 is not a
-        # block multiple
+        # the draw order (2n normals per shot, row after row, one SFC64 substream per block,
+        # block layout) and the root they run through are the reproducibility contract;
+        # 70001 is not a block multiple
         quads = simulate_shots(OFF_BALANCE, stage, 70001, seed=99).quads
         assert quads.shape[0] == 70001
         assert hashlib.sha256(np.ascontiguousarray(quads).tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("params, stage, rows", [
-        (OFF_BALANCE, "pre_bob", 10), (OFF_BALANCE, "final_two_user", 10),
-        (OFF_BALANCE, "pre_david", 14), (OFF_BALANCE, "final_three_user", 14),
-        # eta_sa = 1 at the defaults: Alice's two loss sites are the identity
-        (two_user_params(0.8), "final_two_user", 10),
-        (three_user_params(0.8), "final_three_user", 14),
-        (two_user_params(1.0), "final_two_user", 8),  # the sources and the noise alone
+    @pytest.mark.parametrize("params, stage", [
+        (OFF_BALANCE, "pre_bob"), (OFF_BALANCE, "final_two_user"),
+        (OFF_BALANCE, "pre_david"), (OFF_BALANCE, "final_three_user"),
+        (two_user_params(0.8), "final_two_user"), (three_user_params(0.8), "final_three_user"),
+        (two_user_params(1.0), "final_two_user"),
     ], ids=["pre_bob-10", "final_two_user-10", "pre_david-14", "final_three_user-14",
             "two_user-eta_sa_1-10", "three_user-eta_sa_1-14", "lossless-8"])
-    def test_only_what_reaches_the_cut_is_drawn(self, params, stage, rows):
-        # two rows per source slot, two noise rows and a vacuum pair per loss with eta < 1
-        # after its slot's first splitter (eta_ab, eta_bd) that reach the cut: the server
-        # links fold into their sources, David's source and his eta_sd loss reach no mode
-        # before his stages, and a loss at eta = 1 exactly is the identity
-        assert _drawn_rows(params, stage) == [_BLOCK] * rows
+    def test_only_what_reaches_the_cut_is_drawn(self, params, stage):
+        # one draw of 2n rows per block, one per kept quadrature, whatever the losses: the
+        # shots are L w through the root of the twin's own P P^T.  The ids are kept as they
+        # were named when a block drew one row per input it propagated, so the suite's ids
+        # stay fixed; their numbers are those row counts, not today's
+        n_rows = 2 * len(protocol._STAGES[stage].cut.labels)
+        assert _drawn(params, stage) == [n_rows * _BLOCK]
 
-    def test_stream_jumps_at_a_lossless_link_but_the_physics_does_not(self):
-        # eta_ab = 1 skips the relay's loss, so the eta_bd vacuum draws behind it move; just
-        # below 1 it draws again.  Both estimates must agree with their analytic matrices
-        # and with each other
+    @pytest.mark.parametrize("link", ["eta_sa", "eta_sb", "eta_sd", "eta_ab", "eta_bd"])
+    def test_a_link_at_one_draws_what_it_draws_below_one(self, link):
+        # a loss moves the root, not the draws: at 1 and at 1 - 1e-9 the same normals run
+        # through roots 1e-9 apart, so the shots agree within 1e-7.  Each estimate still
+        # matches its own analytic matrix
         n_shots = 200_000
-        estimates = []
-        for eta_ab in (1.0, 1.0 - 1e-9):
-            params = three_user_params(0.8).replace(eta_ab=eta_ab)
-            _, est = sampler._sampled_covariance(params, "final_three_user", n_shots, seed=41)
-            analytic = build_network_state(params, "final_three_user").cov
-            assert compare_covariance(est, analytic, n_shots).flagged == ()
-            estimates.append(est)
-        assert not np.array_equal(estimates[0], estimates[1])
-        assert compare_covariance(estimates[0], estimates[1], n_shots).flagged == ()
-
-    @pytest.mark.parametrize("link", ["eta_sa", "eta_sb"])
-    def test_server_link_at_one_draws_what_it_draws_below_one(self, link):
-        # a server link folds into its slot's sources, so at 1 - 1e-9 it draws no vacuum, as
-        # at 1: the same rows of the same normals, and shots within 1e-7 of each other.
-        # Each estimate still matches its own analytic matrix
-        n_shots = 200_000
-        rows, shots = [], []
+        drawn, shots = [], []
         for eta in (1.0, 1.0 - 1e-9):
             params = three_user_params(0.8).replace(**{link: eta})
-            rows.append(_drawn_rows(params, "final_three_user"))
+            drawn.append(_drawn(params, "final_three_user"))
             shots.append(simulate_shots(params, "final_three_user", 1000, seed=41).quads)
             _, est = sampler._sampled_covariance(params, "final_three_user", n_shots, seed=41)
             analytic = build_network_state(params, "final_three_user").cov
             assert compare_covariance(est, analytic, n_shots).flagged == ()
-        assert rows[0] == rows[1] == [_BLOCK] * 14
+        assert drawn[0] == drawn[1] == [6 * _BLOCK]
         assert not np.array_equal(shots[0], shots[1])
         np.testing.assert_allclose(shots[1], shots[0], rtol=0, atol=1e-7)
 
@@ -289,8 +272,7 @@ class TestCompareCovariance:
         assert report.flagged == ()
 
     def test_lossy_link_is_not_taken_for_a_lossless_one(self):
-        # the sampler skips a loss only at eta = 1 exactly: at eta_sa = 0.6 its shots must
-        # not match the covariance of a lossless link
+        # at eta_sa = 0.6 the shots must not match the covariance of a lossless link
         params = two_user_params(0.8).replace(eta_sa=0.6)
         _, est = sampler._sampled_covariance(params, "final_two_user", 200_000, seed=43)
         lossless = build_network_state(params.replace(eta_sa=1.0), "final_two_user").cov
@@ -493,9 +475,46 @@ LAYOUT_STAGES = {
 def test_sampler_transfer_gives_the_network_covariance(params, stage):
     # the sampler's own arithmetic on unit inputs is its transfer matrix P: P P^T is the
     # network's covariance to rounding, with no sampling noise to hide a defect behind
-    transfer = sampler_transfer(params, stage)
+    transfer = sampler._transfer(params, stage)
     want = build_network_state(params, stage).cov
     assert np.abs(transfer @ transfer.T - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("params, stage", LAYOUT_STAGES.values(), ids=LAYOUT_STAGES)
+def test_root_factors_each_sector(params, stage):
+    # the shots are L w, so L L^T must be the twin's own P P^T, sector by sector
+    transfer = sampler._transfer(params, stage)
+    for parity, root in enumerate(sampler._root(transfer)):
+        assert [len(row) for row in root] == list(range(1, len(root) + 1))  # lower triangular
+        assert all(row[-1] > 0 for row in root)
+        lower = np.array([row + [0.0] * (len(root) - len(row)) for row in root])
+        sector = transfer[parity::2] @ transfer[parity::2].T
+        assert np.abs(lower @ lower.T - sector).max() <= 1e-13 * np.abs(sector).max()
+
+
+@pytest.mark.parametrize("transfer, message", [
+    (np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 1.0]]), "x pivot 1 is 0"),
+    (np.array([[1.0, 0.0], [0.0, 0.0]]), "p pivot 0 is 0"),
+    (np.array([[1e200, 1.0], [0.0, 1.0]]), "x sector overflows"),
+], ids=["singular-x", "singular-p", "overflow"])
+def test_root_refuses_what_it_cannot_factor(transfer, message):
+    with pytest.raises(ArithmeticError, match=message):
+        sampler._root(transfer)
+
+
+def test_no_linear_algebra_library_decides_a_shot(monkeypatch):
+    # the root is Python floats and the shots elementwise numpy, so the records do not
+    # depend on which BLAS or LAPACK numpy was built with
+    n_shots = 3 * _BLOCK + 11
+    reference = simulate_shots(OFF_BALANCE, "final_three_user", n_shots, seed=8).quads
+
+    class Refused:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.linalg.{name} reached")
+
+    monkeypatch.setattr(np, "linalg", Refused())
+    quads = simulate_shots(OFF_BALANCE, "final_three_user", n_shots, seed=8).quads
+    assert quads.tobytes() == reference.tobytes()
 
 
 def test_million_shot_three_user_run_within_five_sigma():
