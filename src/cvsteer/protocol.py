@@ -17,9 +17,9 @@ sources, the shared noise and a vacuum pair per loss), handing back the ``M`` of
 passes on its way to a stage, so one pass gives every cut before it too; ``_network_state``
 forms one state's covariance ``M M^T``, for ``build_network_state``'s last cut and for
 ``server_output_state``, and refuses one that float64 cannot resolve.  ``sampler``
-interprets it on shot arrays with its own arithmetic.  At import ``_STAGES`` compiles it
-into one record per stage (its cut, the netlist through it, the slots and steps reaching
-the cut and the fields they read), which ``_stage`` looks up for a ``users`` setting.  The
+interprets it on unit inputs with its own arithmetic.  At import ``_STAGES`` compiles it
+into one record per stage (its cut, the netlist through it and the fields its covariance
+reads), which ``_stage`` looks up for a ``users`` setting.  The
 ``analytic_cov_*`` functions assemble the same covariances from closed-form matrix elements
 and must agree with the pipeline to float precision wherever their parameter regimes
 apply.  The scans over these states, with their optimal coefficients, are in ``optimize``.
@@ -196,29 +196,23 @@ NETLIST = (
     Cut("final_three_user", ("A", "B", "D"), users="three"),
 )
 
-_Stage = namedtuple("_Stage", "cut netlist slots steps fields")
+_Stage = namedtuple("_Stage", "cut netlist fields")
 
 
 def _compile(k: int) -> _Stage:
-    """The ``_STAGES`` record of the cut ``NETLIST[k]``: the cut, the netlist through it,
-    and what reaches it by a forward pass like the interpreters', on token sets (a slot
-    starts with its source's token, a loss adds its own, a splitter gives both its slots
-    their union plus its own): the server slots and steps whose tokens the kept slots end
-    with, and the ``ProtocolParams`` fields those read, with ``v_s``, ``v_a`` and ``v_dis``."""
+    """The ``_STAGES`` record of the cut ``NETLIST[k]``: the cut, the netlist through it and
+    the ``ProtocolParams`` fields its covariance reads, by a forward pass like the interpreters'
+    on field-name sets (a slot starts with ``v_s``, ``v_a``, ``v_dis`` and its weight, a loss
+    adds its ``eta``, a splitter gives both its slots their union plus its ``t``), the union
+    over the kept slots."""
     cut, netlist = NETLIST[k], NETLIST[: k + 1]
-    tokens = [frozenset({("source", slot)}) for slot in range(len(_SLOT_WEIGHTS))]
-    for j, step in enumerate(netlist):
+    fields = [frozenset({"v_s", "v_a", "v_dis", weight}) for weight in _SLOT_WEIGHTS]
+    for step in netlist:
         if isinstance(step, Loss):
-            tokens[step.slot] |= {j}
+            fields[step.slot] |= {step.eta}
         elif isinstance(step, Splitter):
-            tokens[step.i] = tokens[step.j] = tokens[step.i] | tokens[step.j] | {j}
-    live = frozenset().union(*tokens[:len(cut.labels)])
-    slots = tuple(slot for slot in range(len(tokens)) if ("source", slot) in live)
-    steps = tuple(step for j, step in enumerate(netlist) if j in live)
-    fields = frozenset({"v_s", "v_a", "v_dis"}).union(
-        (_SLOT_WEIGHTS[slot] for slot in slots),
-        (step.eta if isinstance(step, Loss) else step.t for step in steps))
-    return _Stage(cut, netlist, slots, steps, fields)
+            fields[step.i] = fields[step.j] = fields[step.i] | fields[step.j] | {step.t}
+    return _Stage(cut, netlist, frozenset().union(*fields[: len(cut.labels)]))
 
 
 #: Every per-stage fact, compiled once from ``NETLIST``, by stage name in network order.

@@ -5,9 +5,9 @@ law of the joint quadrature records (both quadratures of every kept mode on
 each shot) is fixed by one transfer matrix ``P``: the kept quadratures are
 ``P z`` for independent unit normals ``z``, one per source quadrature, per
 shared classical noise variable and per loss-injected vacuum.  ``_transfer``
-finds ``P`` by running the steps of ``protocol.NETLIST`` that reach the
-stage's cut (``protocol._STAGES``), the network description the covariance
-pipeline interprets, once as row operations on unit inputs.  That arithmetic
+finds ``P`` by running ``protocol.NETLIST`` through the stage's cut, the
+network description the covariance pipeline interprets, once as row
+operations on unit inputs, and keeping the cut's rows.  That arithmetic
 is the sampler's own and does not call ``core``, so the twin still checks the
 covariance algebra independently.  No network state has an x-p term, so
 ``P P^T`` is an x sector and a p sector; ``_root`` factors each into a
@@ -53,7 +53,7 @@ import numpy as np
 
 from . import protocol
 from .core import _checked_cov, _cholesky
-from .protocol import Loss, ProtocolParams
+from .protocol import Loss, ProtocolParams, Splitter
 
 __all__ = [
     "ShotBatch",
@@ -150,31 +150,35 @@ def _ordered_map(fn: Callable, items: Sequence) -> Iterator:
 
 def _transfer(params: ProtocolParams, stage: str) -> np.ndarray:
     """The transfer matrix ``P`` of the ``stage`` modes, ``(2n, k)``: the quadratures at the
-    cut are ``P z`` for ``k`` independent unit normals ``z``, in this order: two per server
-    slot that reaches the cut, ``x_dis``, ``p_dis``, then a vacuum pair per loss that does.
+    cut are ``P z`` for ``k`` independent unit normals ``z``, in the column layout of
+    ``protocol._network_transfers``: eight server quadratures, ``x_dis``, ``p_dis``, a vacuum
+    pair per loss.
 
-    The netlist steps run once, as row operations on the ``k`` unit inputs, in the sampler's
-    own arithmetic (not ``core``'s or ``protocol``'s): a source row is ``sqrt(v)`` in its
-    own column and ``sqrt(v_dis)`` times its weight in its noise column, a loss scales its
-    slot's rows by ``sqrt(eta)`` and puts ``sqrt(1 - eta)`` in its own vacuum column, and a
-    splitter maps rows ``a, b`` to ``c a + r b, r a - c b``.  An x row reads only x inputs
-    and a p row only p inputs."""
-    cut, _, slots, steps, _ = protocol._stage(params, stage)
+    The stage's whole netlist runs once, as row operations on the ``k`` unit inputs, in the
+    sampler's own arithmetic (not ``core``'s or ``protocol``'s): a source row is ``sqrt(v)``
+    in its own column and ``sqrt(v_dis)`` times its weight in its noise column, a loss scales
+    its slot's rows by ``sqrt(eta)`` and puts ``sqrt(1 - eta)`` in its own vacuum column, and
+    a splitter maps rows ``a, b`` to ``c a + r b, r a - c b``.  An x row reads only x inputs
+    and a p row only p inputs.  ``ArithmeticError``, as ``protocol`` raises, if a source row
+    is not finite."""
+    cut, netlist, _ = protocol._stage(params, stage)
     variances, weights = protocol._server_source(params)
-    live = [k for slot in slots for k in (2 * slot, 2 * slot + 1)]
-    vacuum = len(live) + 2
-    q = np.zeros((len(variances), vacuum + 2 * sum(isinstance(s, Loss) for s in steps)))
-    for column, k in enumerate(live):
-        q[k, column] = math.sqrt(variances[k])
-        q[k, len(live) + k % 2] = math.sqrt(params.v_dis) * weights[k]
-    for step in steps:
+    vacuum = len(variances) + 2
+    q = np.zeros((len(variances), vacuum + 2 * sum(isinstance(s, Loss) for s in netlist)))
+    for k, (variance, weight) in enumerate(zip(variances, weights)):
+        q[k, k] = math.sqrt(variance)
+        q[k, len(variances) + k % 2] = math.sqrt(params.v_dis) * weight
+    if not np.isfinite(q).all():
+        raise ArithmeticError("a source row of the Monte Carlo twin is not finite: "
+                              "sqrt(v_dis) x a displacement weight overflows float64")
+    for step in netlist:
         if isinstance(step, Loss):
             eta = getattr(params, step.eta)
             for k in (2 * step.slot, 2 * step.slot + 1):
                 q[k] *= math.sqrt(eta)
                 q[k, vacuum] = math.sqrt(1.0 - eta)
                 vacuum += 1
-        else:
+        elif isinstance(step, Splitter):
             t = getattr(params, step.t)
             c, r = math.sqrt(t), math.sqrt(1.0 - t)
             if step.complement:

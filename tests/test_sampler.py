@@ -4,6 +4,7 @@ import io
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -134,15 +135,27 @@ class TestSimulateShots:
         (OFF_BALANCE, "pre_david"), (OFF_BALANCE, "final_three_user"),
         (two_user_params(0.8), "final_two_user"), (three_user_params(0.8), "final_three_user"),
         (two_user_params(1.0), "final_two_user"),
-    ], ids=["pre_bob-10", "final_two_user-10", "pre_david-14", "final_three_user-14",
-            "two_user-eta_sa_1-10", "three_user-eta_sa_1-14", "lossless-8"])
-    def test_only_what_reaches_the_cut_is_drawn(self, params, stage):
+    ], ids=["off_balance-pre_bob", "off_balance-final_two_user", "off_balance-pre_david",
+            "off_balance-final_three_user", "two_user-final_two_user",
+            "three_user-final_three_user", "lossless-final_two_user"])
+    def test_each_block_is_one_draw_of_2n_normals_per_shot(self, params, stage):
         # one draw of 2n rows per block, one per kept quadrature, whatever the losses: the
-        # shots are L w through the root of the twin's own P P^T.  The ids are kept as they
-        # were named when a block drew one row per input it propagated, so the suite's ids
-        # stay fixed; their numbers are those row counts, not today's
+        # shots are L w through the root of the twin's own P P^T
         n_rows = 2 * len(protocol._STAGES[stage].cut.labels)
         assert _drawn(params, stage) == [n_rows * _BLOCK]
+
+    @pytest.mark.parametrize("eta_sd", [0.0, 0.5])
+    def test_the_twin_refuses_what_the_pipeline_refuses(self, eta_sd):
+        # pre_bob does not read David's slot, but its noise term sqrt(v_dis) f_d overflows:
+        # the twin refuses the network as the pipeline does, and at eta_sd = 0 without
+        # computing inf * 0, which warns
+        params = ProtocolParams(users="two", f_d=1.7e308, eta_sd=eta_sd, eta_sb=0.8, eta_ab=0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=r"sqrt\(v_dis\) x f_d overflows"):
+                build_network_state(params, "pre_bob")
+            with pytest.raises(ArithmeticError, match="source row of the Monte Carlo twin"):
+                simulate_shots(params, "pre_bob", 100, seed=0)
 
     @pytest.mark.parametrize("link", ["eta_sa", "eta_sb", "eta_sd", "eta_ab", "eta_bd"])
     def test_a_link_at_one_draws_what_it_draws_below_one(self, link):
