@@ -13,8 +13,9 @@ This module owns covariance validity: ``GaussianState`` checks shape, finiteness
 symmetry and label rules once, and ``_cholesky``, whose factor every symplectic spectrum
 is read from, is the one positive-definiteness test (``ArithmeticError`` on failure).  It
 also owns the one mode rule, ``_quadratures``, which every mode index in the package goes
-through, and the one party rule, ``_party``, which resolves a sequence of labels or
-indices.
+through, the one party rule, ``_party``, which resolves a sequence of labels or indices,
+and the one label rule, ``_labels``, which ``GaussianState`` and ``sampler.ShotBatch``
+apply.
 
 The private kernels (the validity check and the symplectic spectrum) take a stack
 ``(..., 2n, 2n)`` of covariances and act on each matrix alone, so a grid of states is one
@@ -126,6 +127,22 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
 _NOT_IN_LABELS = re.compile(r"[,|\s]|->")
 
 
+def _labels(labels: Iterable[str], n: int) -> tuple[str, ...]:
+    """``labels`` as a tuple of ``n`` mode names, the one label rule: ``TypeError`` for a
+    bare string, which would read as one-character labels, and ``ValueError`` for a wrong
+    count, a duplicate, an empty name or one holding ``,``, ``|``, ``->`` or whitespace."""
+    if isinstance(labels, str):  # as in ``_party``
+        raise TypeError(f"labels must be a sequence of names, not the string {labels!r}")
+    labels = tuple(str(l) for l in labels)
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} modes")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate mode labels: {labels}")
+    if not all(labels) or _NOT_IN_LABELS.search("\0".join(labels)):
+        raise ValueError(f"labels may not be empty or hold ',', '|', '->' or space: {labels}")
+    return labels
+
+
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"m{i + 1}" for i in range(n))
 
@@ -145,19 +162,10 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
-        if isinstance(self.labels, str):  # as in ``_party``
-            raise TypeError(f"labels must be a sequence of names, not the string {self.labels!r}")
         cov = _checked_cov(self.cov, SYMMETRY_TOL)
         if cov.ndim != 2:
             raise ValueError(f"covariance must be square 2n x 2n, got {cov.shape}")
-        n = cov.shape[0] // 2
-        labels = tuple(str(l) for l in self.labels)
-        if len(labels) != n:
-            raise ValueError(f"{len(labels)} labels for {n} modes")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate mode labels: {labels}")
-        if not all(labels) or _NOT_IN_LABELS.search("\0".join(labels)):
-            raise ValueError(f"labels may not be empty or hold ',', '|', '->' or space: {labels}")
+        labels = _labels(self.labels, cov.shape[0] // 2)
         cov.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "cov", cov)

@@ -216,15 +216,15 @@ def _party_label(state: GaussianState, modes: Sequence[int]) -> str:
 
 
 def full_report(state: GaussianState,
-                splits: Sequence[Partition] | None = None) -> SteeringReport:
+                splits: Iterable[Partition] | None = None) -> SteeringReport:
     """PPT value, both-direction steerability and verdict for every split.
 
-    ``splits`` defaults to ``Partition((i,), <the other modes>)`` for each mode ``i`` in order.
-    Modes outside a split's union are traced out before the PPT test.  Splits with the
-    same party sizes are certified as one stack: each split's modes, steering party
-    first, are gathered into one ``(k, 2(a+b), 2(a+b))`` array, so a report costs one
-    PPT spectrum and two ``_steer_cov`` calls per party shape, not three calls per
-    split.  Each PPT value is bit for bit ``ppt_min`` on ``select_modes`` of the split's
+    ``splits``, any iterable of them, defaults to ``Partition((i,), <the other modes>)`` for
+    each mode ``i`` in order.  Modes outside a split's union are traced out before the PPT
+    test.  Splits with the same party sizes are certified as one stack: each split's
+    modes, steering party first, are gathered into one ``(k, 2(a+b), 2(a+b))`` array, so a
+    report costs one PPT spectrum and two ``_steer_cov`` calls per party shape, not three
+    calls per split.  Each PPT value is bit for bit ``ppt_min`` on ``select_modes`` of the split's
     modes, steering party first (the PPT spectrum does not depend on mode order, so it
     equals ``ppt_min(state, steering)`` for a full union up to rounding), and each
     steering value is bit for bit ``steerability`` for that split.  A split given twice is a
@@ -232,7 +232,8 @@ def full_report(state: GaussianState,
     """
     if splits is None:
         modes = range(state.n_modes)
-        splits = [Partition((i,), tuple(m for m in modes if m != i)) for i in modes]
+        splits = (Partition((i,), tuple(m for m in modes if m != i)) for i in modes)
+    splits = tuple(splits)  # read three times below, so a one-shot iterator is read once
     groups: dict[tuple[int, int], list[int]] = {}
     quads = [_quadratures(part.steering + part.steered, state.n_modes) for part in splits]
     for i, part in enumerate(splits):

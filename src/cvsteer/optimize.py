@@ -7,12 +7,13 @@ pipeline state, serving as an independent check.  The search always keeps every
 relayed ancilla that ``protocol.NETLIST`` marks separable, since that rule defines the
 protocol, and refuses a coefficient the objective's stage does not read.  Each call
 propagates the network's transfer matrices once, at the searched coefficient 0 and 1,
-which fix each relay cut's and the objective cut's covariance as its exact quadratic
-``A + f (B + f C)``; its coarse bracket and each pass of its grid refinement are then one
-stack of trials per such cut, read off those polynomials and certified by the batched
-kernels of ``criteria``, which take the real x/p-sector route on these uncorrelated
-states.  A relay whose state does not read the searched coefficient is certified once
-per call, and a bracket whose variances float64 cannot resolve is refused.
+which fix each relay cut's and the objective cut's transfer matrix as its root
+``M0 + f dM``, affine in the coefficient; its coarse bracket and each pass of its grid
+refinement are then one stack of trials per such cut, whose covariances
+``protocol._covariance`` forms from those roots and refuses where float64 cannot resolve
+them, certified by the batched kernels of ``criteria``, which take the real x/p-sector
+route on these uncorrelated states.  A relay whose state does not read the searched
+coefficient is certified once per call.
 
 Deployment math: the guaranteed secret-key rate extractable from collective
 steering and the fiber length, at ``FIBER_LOSS_DB_PER_KM``, corresponding to a
@@ -34,10 +35,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SYMMETRY_TOL, _checked_cov, _require_fractions, _require_variances
+from .core import _require_fractions, _require_variances
 from .criteria import SEPARABILITY_TOL, Partition, _ppt_cov, _steer_cov, ppt_min, steerability
-from .protocol import (ProtocolParams, _STAGES, _network_transfers, _require_resolvable,
-                       _stage, build_network_state, qss_params)
+from .protocol import (ProtocolParams, _STAGES, _covariance, _network_transfers, _stage,
+                       build_network_state, qss_params)
 
 __all__ = [
     "OptimizationResult",
@@ -164,41 +165,28 @@ def _trials(params: ProtocolParams, stage: str, partition: Partition,
     the cuts before it.
 
     The network is propagated once, here, at ``f = 0, 1``: a cut's transfer matrix is
-    ``M0 + f M1``, so its covariance is exactly ``A + f (B + f C)`` with ``A = M0 M0^T``,
-    ``B = M0 M1^T + M1 M0^T`` and ``C = M1 M1^T``, formed for the relay cuts and the cut of
-    ``stage`` only.  Each trial stack is that polynomial at ``xs``, checked by
-    ``_checked_cov`` like any covariance.  A relay is evaluated only where the ones before
-    it are separable, and the objective only where all are.  A relay whose cut does not
-    read ``which`` has the same value at every trial, so only its ``A`` is formed, and it is
-    certified once, here, as a stack of one.  ``ArithmeticError`` if a product overflows or
-    ``_require_resolvable`` refuses a polynomial at either end of ``_BRACKET``, where each
-    variance, convex in ``f``, is largest."""
-    end = _BRACKET[-1]
-    cuts = []  # (cut, PPT value of a relay not reading ``which`` or None, A, B, C)
+    affine in the coefficient, ``M0 + f dM`` with ``dM = M1 - M0``, and these roots are
+    kept for the relay cuts and the cut of ``stage``.  Each trial stack is
+    ``_covariance(M0 + xs dM)``, which refuses a stack that overflows or that float64
+    cannot resolve.  A relay is evaluated only where the ones before it are separable, and
+    the objective only where all are.  A relay whose cut does not read ``which`` has the
+    same value at every trial, so it is certified once, here, as a stack of one, and its
+    PPT value is where every trial's starts."""
+    start = math.inf
+    cuts = []  # (cut, M0, dM) of each relay that reads ``which`` and of the objective's cut
     with np.errstate(over="raise", invalid="raise"):
         for cut, (m0, m1) in _network_transfers(params, stage, **{which: np.array([0.0, 1.0])}):
             if cut.relay and which not in _STAGES[cut.stage].fields:
-                a = m0 @ m0.T
-                _require_resolvable(a)
                 mode = (cut.labels.index(cut.relay),)
-                cuts.append((cut, _ppt_cov(_checked_cov(a[None], SYMMETRY_TOL), mode)[0],
-                             None, None, None))
+                start = min(start, _ppt_cov(_covariance(m0[None]), mode)[0])
             elif cut.relay or cut.stage == stage:
-                m1 = m1 - m0
-                cross = m0 @ m1.T
-                a, b, c = m0 @ m0.T, cross + cross.T, m1 @ m1.T
-                _require_resolvable(a, a + end * (b + end * c))
-                cuts.append((cut, None, a, b, c))
+                cuts.append((cut, m0, m1 - m0))
 
     def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ppt = np.full(xs.shape, math.inf)
-        for cut, fixed, a, b, c in cuts:
+        ppt = np.full(xs.shape, start)
+        for cut, m0, dm in cuts:
             ok = ppt >= _SEPARABLE
-            if fixed is not None:
-                ppt[ok] = np.minimum(ppt[ok], fixed)
-                continue
-            f = xs[ok, None, None]
-            cov = _checked_cov(a + f * (b + f * c), SYMMETRY_TOL)
+            cov = _covariance(m0 + xs[ok, None, None] * dm)
             if cut.stage == stage:
                 ys = np.full(xs.shape, -math.inf)
                 ys[ok] = _steer_cov(cov, partition)
@@ -217,9 +205,9 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
     stage (``steer_A_to_B`` never reads ``f_d``), the other staying at its value in
     ``params``.  The relays may only carry separable ancillas, so a coefficient that
     entangles one is rejected outright.  The network is propagated once per call, and
-    each set of trial coefficients is one stack per cut, read off the exact quadratic in
-    the coefficient (``_trials``); a relay whose cut does not read ``which`` is certified
-    once for the whole search, and if it is entangled no coefficient is feasible.
+    each set of trial coefficients is one stack per cut, formed from its transfer matrix,
+    affine in the coefficient (``_trials``); a relay whose cut does not read ``which`` is
+    certified once for the whole search, and if it is entangled no coefficient is feasible.
 
     The steering objective is identically zero outside a finite coefficient
     window, so a coarse scan of ``_BRACKET`` first brackets the window.  Grid passes

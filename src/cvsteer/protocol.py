@@ -14,15 +14,16 @@ channels.  Users then only apply local beam splitters:
 with stage cuts, each relay cut naming its ancilla.  ``_network_transfers`` interprets it
 forward on transfer matrices ``M`` (the network is linear in independent unit normals: the
 sources, the shared noise and a vacuum pair per loss), handing back the ``M`` of each cut it
-passes on its way to a stage, so one pass gives every cut before it too; ``_network_state``
-forms one state's covariance ``M M^T``, for ``build_network_state``'s last cut and for
-``server_output_state``, and refuses one that float64 cannot resolve.  ``sampler``
-interprets it on unit inputs with its own arithmetic.  At import ``_STAGES`` compiles it
-into one record per stage (its cut, the netlist through it and the fields its covariance
-reads), which ``_stage`` looks up for a ``users`` setting.  The
-``analytic_cov_*`` functions assemble the same covariances from closed-form matrix elements
-and must agree with the pipeline to float precision wherever their parameter regimes
-apply.  The scans over these states, with their optimal coefficients, are in ``optimize``.
+passes on its way to a stage, so one pass gives every cut before it too.  ``_covariance``
+forms every network covariance ``M M^T``, of one ``M`` or of a stack (``build_network_state``'s
+last cut, ``server_output_state`` and the optimizer's trials alike), and refuses one that
+float64 cannot resolve.  ``sampler`` interprets ``NETLIST`` on unit inputs with its own
+arithmetic.  At import ``_STAGES`` compiles it into one record per stage (its cut, the
+netlist through it and the fields its covariance reads), which ``_stage`` looks up for a
+``users`` setting.  The ``analytic_cov_*`` functions assemble the same covariances from
+closed-form matrix elements and must agree with the pipeline to float precision wherever
+their parameter regimes apply.  The scans over these states, with their optimal
+coefficients, are in ``optimize``.
 """
 
 from __future__ import annotations
@@ -144,24 +145,20 @@ def _server_transfer(params: ProtocolParams, columns: int = 10, **weights) -> np
 _RESOLUTION_LIMIT = 1e-9
 
 
-def _require_resolvable(*covs: np.ndarray) -> None:
-    """``ArithmeticError`` naming the value and the bound if ``eps`` times the largest
-    variance of the covariances ``covs`` exceeds ``_RESOLUTION_LIMIT``."""
-    value = np.finfo(float).eps * max(float(cov.diagonal().max()) for cov in covs)
+def _covariance(m: np.ndarray) -> np.ndarray:
+    """The covariance ``M M^T`` of a transfer matrix ``m``, or of each of a stack
+    ``(..., 2n, columns)``, the one place a network covariance is formed.
+    ``FloatingPointError``, an ``ArithmeticError``, if the product overflows, and
+    ``ArithmeticError`` naming the value and the bound if ``eps`` times the largest variance
+    in the stack exceeds ``_RESOLUTION_LIMIT``; an empty stack passes."""
+    with np.errstate(over="raise", invalid="raise"):
+        cov = m @ m.swapaxes(-2, -1)
+    value = np.finfo(float).eps * float(cov.diagonal(0, -2, -1).max(initial=0.0))
     if value > _RESOLUTION_LIMIT:
         raise ArithmeticError(f"float64 cannot resolve this network: eps x largest variance "
                               f"= {value:.3g} exceeds {_RESOLUTION_LIMIT:g} (lower v_dis or "
                               f"the displacement weights)")
-
-
-def _network_state(labels: tuple[str, ...], m: np.ndarray) -> GaussianState:
-    """The state of the modes ``labels`` with transfer matrix ``m``, covariance ``M M^T``;
-    ``FloatingPointError``, an ``ArithmeticError``, if the product overflows, and
-    ``_require_resolvable``'s if float64 cannot resolve it."""
-    with np.errstate(over="raise", invalid="raise"):
-        cov = m @ m.T
-    _require_resolvable(cov)
-    return GaussianState(labels, cov)
+    return cov
 
 
 def server_output_state(params: ProtocolParams) -> GaussianState:
@@ -171,7 +168,7 @@ def server_output_state(params: ProtocolParams) -> GaussianState:
     coherent mode, an x-squeezed mode for Alice, David's coherent mode, all
     correlated only through the shared classical noise.
     """
-    return _network_state(("A0", "B0", "C0", "D0"), _server_transfer(params))
+    return GaussianState(("A0", "B0", "C0", "D0"), _covariance(_server_transfer(params)))
 
 
 Loss = namedtuple("Loss", "slot eta")
@@ -271,13 +268,13 @@ def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
 
     The network is propagated as plain transfer matrices by ``_network_transfers``, which
     takes the ``ProtocolParams`` values as already checked, and only the covariance at the
-    last cut is formed, by ``_network_state``.  ``ArithmeticError`` if the pass overflows or
+    last cut is formed, by ``_covariance``.  ``ArithmeticError`` if the pass overflows or
     float64 cannot resolve the state.
     """
     with np.errstate(over="raise", invalid="raise"):
         for cut, m in _network_transfers(params, stage):
             pass
-        return _network_state(cut.labels, m)
+        return GaussianState(cut.labels, _covariance(m))
 
 
 def _require_regime(params: ProtocolParams, *, balanced: Sequence[str], equal_etas: bool) -> None:

@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import protocol
-from .core import _checked_cov, _cholesky
+from .core import _checked_cov, _cholesky, _labels
 from .protocol import Loss, ProtocolParams, Splitter
 
 __all__ = [
@@ -93,7 +93,8 @@ class ShotBatch:
 
     ``quads`` has one row per shot and columns ``(x1, p1, ..., xn, pn)``
     matching ``labels``.  Deterministic given (seed, params, stage, n_shots).
-    ``ValueError`` unless ``quads`` is 2-D, finite and ``2 * len(labels) >= 2`` wide.
+    ``ValueError`` unless ``quads`` is 2-D, finite and ``2 * len(labels) >= 2`` wide; the
+    labels follow ``GaussianState``'s rule (``core._labels``) and are stored as a tuple.
     """
 
     labels: tuple[str, ...]
@@ -105,8 +106,10 @@ class ShotBatch:
         if quads.ndim != 2 or quads.shape[1] != 2 * len(self.labels) or not self.labels:
             raise ValueError(f"quads must be shots x 2 columns per label, at least one label; "
                              f"got shape {quads.shape} for labels {tuple(self.labels)}")
+        labels = _labels(self.labels, quads.shape[1] // 2)
         if not np.isfinite(quads).all():
             raise ValueError("shot record has a non-finite entry")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "quads", quads)
 
     @property

@@ -397,6 +397,15 @@ class TestFullReport:
         assert set(report.ppt_by_split) == {"A|B"}
         assert set(report.steer_by_direction) == {"A->B", "B->A"}
 
+    def test_splits_from_a_one_shot_iterator(self):
+        # the splits were read once for their modes and again for their groups, so a
+        # generator gave an empty report
+        state = build_network_state(three_user_params(0.8), "final_three_user")
+        splits = [Partition((i,), tuple(m for m in range(3) if m != i)) for i in range(3)]
+        report = full_report(state, (split for split in splits))
+        assert report == full_report(state, splits) == full_report(state)
+        assert len(report.ppt_by_split) == 3
+
     def test_split_given_twice_is_rejected(self):
         # the second used to overwrite the first under the same key
         state = build_network_state(two_user_params(1.0), "final_two_user")

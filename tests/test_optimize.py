@@ -335,19 +335,19 @@ def test_scan_just_under_the_resolution_bound_matches_the_closed_forms():
 PINNED_OPTIMA = [
     ("steer_A_to_B", two_user_params, 1.0, "f_b",
      1.239175640332382, 0.06277479913993837, False, False,
-     1.2391753600000002, 0.06277479913997562),
+     1.2391753600000002, 0.06277479913997538),
     ("steer_A_to_B", two_user_params, 0.7, "f_b",
      1.239175640332382, 0.04352516159409473, False, False,
      1.2391753600000002, 0.04352516159412013),
     ("steer_A_to_B", two_user_params, 0.4, "f_b",
      1.239175640332382, 0.024639085187924688, False, False,
-     1.2391753600000002, 0.024639085187938798),
+     1.2391753600000002, 0.024639085187938684),
     ("steer_A_to_BD", three_user_params, 1.0, "f_d",
      1.7524584216290418, 0.0957045927508973, False, False,
-     1.7524585599999998, 0.09570459275090584),
+     1.7524585599999998, 0.0957045927509056),
     ("steer_A_to_BD", three_user_params, 0.7, "f_d",
      1.4662118414912877, 0.05921784643313091, False, False,
-     1.4662121599999995, 0.05921784643313668),
+     1.4662121599999995, 0.05921784643313691),
     ("steer_A_to_BD", three_user_params, 0.4, "f_d",
      1.1083521205602072, 0.02964059910865017, False, False,
      1.10835216, 0.029640599108649825),
@@ -356,10 +356,10 @@ PINNED_OPTIMA = [
      1.2391753600000002, 0.05921784643313727),
     ("steer_BD_to_A", qss_params, 1.0, "f_d",
      1.718947403239698, 0.4384660002040186, True, False,
-     1.7189476799999996, 0.43846619043566165),
+     1.7189476799999996, 0.438466190435661),
     ("steer_BD_to_A", qss_params, 0.9, "f_d",
      1.863109711024948, 0.28793436943211254, True, False,
-     1.86310992, 0.28793445183310207),
+     1.86310992, 0.2879344518331009),
     ("steer_BD_to_A", qss_params, 0.8, "f_d",
      2.028959069433207, 0.0944990126056686, True, False,
      2.0289593599999995, 0.09449906765691984),

@@ -483,7 +483,7 @@ def test_network_stack_equals_each_build(params, stage, which, values):
 @given(protocol_params, st.sampled_from(sorted(_OBJECTIVE_STAGE)), st.sampled_from(("f_b", "f_d")),
        st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4))
 def test_trials_match_the_public_route(params, objective, which, xs):
-    # the optimizer's trials, read off A + f (B + f C), are the public route's values at
+    # the optimizer's trials, read off the roots M0 + f dM, are the public route's values at
     # each coefficient: the relays' PPT values in network order, as far as they are
     # separable, and the objective where all are
     stage, partition = _OBJECTIVE_STAGE[objective]

@@ -25,7 +25,7 @@ from cvsteer import (
     steerability,
 )
 from cvsteer.criteria import SEPARABILITY_TOL
-from cvsteer.protocol import STAGES, _STAGES, _network_transfers
+from cvsteer.protocol import STAGES, _RESOLUTION_LIMIT, _STAGES, _covariance, _network_transfers
 from conftest import three_user_params, two_user_params
 
 
@@ -131,6 +131,33 @@ class TestBuildNetworkState:
             s[a, a], s[a, b], s[b, a], s[b, b] = c, r, r, -c
         want = s @ transfers["pre_david"]
         assert np.array_equal(transfers["final_three_user"], want[:6])
+
+
+class TestCovariance:
+    """``_covariance`` forms and guards every network covariance, of one ``M`` or a stack."""
+
+    def test_one_matrix_is_its_product(self):
+        (_, m), = _network_transfers(two_user_params(0.8), "pre_bob")
+        assert _covariance(m).tobytes() == (m @ m.T).tobytes()
+
+    def test_one_unresolvable_matrix_refuses_the_stack(self):
+        # eps x 1e8 = 2.2e-8 exceeds the bound; the stack's other matrices are fine
+        stack = np.stack([np.eye(4, 6), np.eye(4, 6), np.eye(4, 6)])
+        stack[1, 2, 2] = 1e4
+        with pytest.raises(ArithmeticError, match=r"^float64 cannot resolve this network: "
+                                                  r"eps x largest variance = 2.22e-08 exceeds "
+                                                  rf"{_RESOLUTION_LIMIT:g} "):
+            _covariance(stack)
+        stack[1, 2, 2] = 1e3  # eps x 1e6 = 2.2e-10 passes
+        assert _covariance(stack)[1, 2, 2] == 1e6
+
+    def test_empty_stack_passes(self):
+        # the trial stack where every trial is infeasible
+        assert _covariance(np.zeros((0, 4, 6))).shape == (0, 4, 4)
+
+    def test_overflow_is_an_arithmetic_error(self):
+        with pytest.raises(ArithmeticError):
+            _covariance(np.full((1, 2, 2), 1e200))
 
 
 class TestStageFields:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cvsteer import (
+    GaussianState,
     ProtocolParams,
     ShotBatch,
     build_network_state,
@@ -277,6 +278,30 @@ class TestShotBatch:
     def test_shape_must_match_labels(self, labels, shape):
         with pytest.raises(ValueError, match="2 columns per label"):
             ShotBatch(labels, np.ones(shape), seed=0)
+
+    def test_string_labels_rejected(self):
+        # "AB" was kept as the two labels "A" and "B", as GaussianState no longer does
+        with pytest.raises(TypeError, match="not the string 'AB'"):
+            ShotBatch("AB", np.ones((5, 4)), 0)
+
+    @pytest.mark.parametrize("labels, match", [
+        (("A", "A"), "duplicate mode labels"),
+        (("A", ""), "labels may not be empty or hold"),
+        (("A", "B C"), "labels may not be empty or hold"),
+        (("A", "B,C"), "labels may not be empty or hold"),
+        (("A", "B|C"), "labels may not be empty or hold"),
+        (("A", "B->C"), "labels may not be empty or hold"),
+    ], ids=["duplicate", "empty", "space", "comma", "bar", "arrow"])
+    def test_labels_follow_the_state_rule(self, labels, match):
+        # a batch's labels become a GaussianState's, so they obey its rule when they enter
+        with pytest.raises(ValueError, match=match):
+            ShotBatch(labels, np.ones((5, 4)), 0)
+        with pytest.raises(ValueError, match=match):
+            GaussianState(labels, np.eye(4))
+
+    def test_labels_are_stored_as_a_tuple(self):
+        batch = ShotBatch(["A", "B"], np.ones((5, 4)), 0)
+        assert batch.labels == ("A", "B")
 
 class TestCompareCovariance:
     def test_self_comparison_clean(self):
