@@ -10,13 +10,12 @@ Subcommands
 ``table-a1``    optimal displacement coefficients versus channel efficiency
 ``montecarlo``  shot-level validation of the analytic covariances
 
-A ``--config`` file's entries are parsed as the command's flags, ahead of the command
-line's; a ``certify --split`` is checked as a ``Partition``.  All output is deterministic
-given the inputs (including RNG seeds).  The output path (``--out`` or a config file's
-``out``) is opened before the command runs, so an unwritable one fails before any work.
-Opening an output truncates it, so neither it nor ``--dump-shots`` may name another file
-of the command (the ``certify`` matrix, the ``--config`` file or the other output).
-Exit codes: 0 success, 2 usage or configuration error, 3 input-data error,
+Run settings are the command's flags, parsed once; a ``certify --split`` is checked as a
+``Partition``.  All output is deterministic given the inputs (including RNG seeds).  The
+``--out`` path is opened before the command runs, so an unwritable one fails before any
+work.  Opening an output truncates it, so neither it nor ``--dump-shots`` may name another
+file of the command (the ``certify`` matrix or the other output).
+Exit codes: 0 success, 2 usage error (including a bad run setting), 3 input-data error,
 4 numerical failure (e.g. a covariance that is not positive definite).  ``main`` is the
 one place that maps an exception to its exit code, by kind: ``InputDataError`` -> 3,
 ``ArithmeticError`` or ``numpy.linalg.LinAlgError`` -> 4, any other ``ValueError`` -> 2.
@@ -68,10 +67,6 @@ MIN_SYMPLECTIC_EIGENVALUE = 0.95
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(ProtocolParams)} - {"users"}
 
-#: Config keys read as the ``--key`` flag of that dest, if the command has one.
-_RUN_KEYS = ("scenario", "eta_grid", "format", "out", "seed", "shots")
-
-
 class InputDataError(Exception):
     """A matrix file or ``--split`` unfit to certify (exit 3); no ``ValueError`` handler
     catches it."""
@@ -118,41 +113,6 @@ def parse_eta_grid(spec: str) -> tuple[float, float, int]:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"eta grid bounds must lie in [0, 1], got {v}")
     return start, stop, steps
-
-
-def load_config_file(path: str) -> dict[str, str]:
-    """Flat ``key=value`` configuration file; '#' starts a comment line."""
-    entries: dict[str, str] = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in entries:
-            raise ValueError(f"{path}:{lineno}: config key {key!r} is given twice")
-        entries[key] = value.strip()
-    return entries
-
-
-def _config_flags(args: argparse.Namespace) -> list[str]:
-    """``args.config``'s entries as ``--set=key=value`` or ``--key=value`` flags (the ``=``
-    form keeps a value such as ``-0.1:1:3`` from reading as an option)."""
-    run_keys = [key for key in _RUN_KEYS if hasattr(args, key)]
-    flags = []
-    for key, value in load_config_file(args.config).items():
-        if key not in run_keys and key not in _PARAM_FIELDS:
-            raise ValueError(f"unknown config key {key!r} for {args.command}; "
-                             f"known: {sorted({*run_keys, *_PARAM_FIELDS})}")
-        flags.append(f"--set={key}={value}" if key in _PARAM_FIELDS
-                     else f"--{key.replace('_', '-')}={value}")
-    return flags
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -393,7 +353,6 @@ def _add_run_flags(sub: argparse.ArgumentParser, *, grid_default: str) -> None:
                      help="efficiency grid start:stop:steps")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a protocol parameter (repeatable)")
-    sub.add_argument("--config", help="key=value configuration file (flags win)")
     sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
@@ -435,17 +394,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            # the file's flags go ahead of the command line's, which therefore win
-            args = _parser().parse_args([argv[0], *_config_flags(args), *argv[1:]])
         config = build_run_config(args) if args.command in ("scan", "montecarlo") else None
         # opening an output truncates it: it may name no other file of the command
         outputs = {"--out": args.out, "--dump-shots": getattr(args, "dump_shots", None)}
-        paths = {**outputs, "the matrix file": getattr(args, "file", None),
-                 "--config": getattr(args, "config", None)}
+        paths = {**outputs, "the matrix file": getattr(args, "file", None)}
         for out_name, out in outputs.items():
             for name, path in paths.items():
                 if out and path and name != out_name and _same_file(out, path):

@@ -54,7 +54,10 @@ SEPARABILITY_TOL = 1e-9
 #: contribute, which keeps ``-ln(1 - eps)`` float noise out of the monotone.
 STEERING_EDGE = 1e-12
 
-#: Condition-number guard on the steering party's block before inversion.
+#: Largest 2-norm condition number, ``max(lam) / min(lam)``, of the steering party's block
+#: ``N`` that ``steerability`` accepts.  No inverse of ``N`` is formed (the Schur complement
+#: is the trailing block of the split's Cholesky factor), but its rounding error grows with
+#: this condition number.
 COND_LIMIT = 1e12
 
 

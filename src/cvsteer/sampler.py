@@ -95,6 +95,7 @@ class ShotBatch:
     matching ``labels``.  Deterministic given (seed, params, stage, n_shots).
     ``ValueError`` unless ``quads`` is 2-D, finite and ``2 * len(labels) >= 2`` wide; the
     labels follow ``GaussianState``'s rule (``core._labels``) and are stored as a tuple.
+    ``TypeError`` unless ``seed`` is an integer.
     """
 
     labels: tuple[str, ...]
@@ -111,6 +112,7 @@ class ShotBatch:
             raise ValueError("shot record has a non-finite entry")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "quads", quads)
+        object.__setattr__(self, "seed", operator.index(self.seed))
 
     @property
     def n_shots(self) -> int:
@@ -334,7 +336,7 @@ def simulate_shots(params: ProtocolParams, stage: str, n_shots: int, seed: int) 
     for start, rows in zip(range(0, n_shots, _BLOCK), blocks):
         quads[start : start + rows.shape[1]] = rows.T
     quads.flags.writeable = False
-    return ShotBatch(labels=labels, quads=quads, seed=int(seed))
+    return ShotBatch(labels=labels, quads=quads, seed=seed)
 
 
 def estimate_covariance(shots: ShotBatch) -> np.ndarray:
@@ -389,7 +391,8 @@ def compare_covariance(
 
     Both matrices are checked as ``symplectic_eigenvalues`` checks its input and must share
     one 2-D shape, and the analytic one, whose diagonal scales the errors, must be positive
-    definite.  ``ValueError`` for fewer than 2 shots, which no flag list could judge.
+    definite.  ``ValueError`` for fewer than 2 shots, which no flag list could judge, and
+    ``TypeError`` for a shot count that is not an integer.
     """
     estimated, analytic = _checked_cov(estimated, 1e-8), _checked_cov(analytic, 1e-8)
     if estimated.ndim != 2 or estimated.shape != analytic.shape:
@@ -398,6 +401,7 @@ def compare_covariance(
     _cholesky(analytic)
     if not n_shots >= 2:
         raise ValueError(f"need at least 2 shots, got {n_shots}")
+    n_shots = operator.index(n_shots)  # 2.5 or inf would scale every standard error
     dev = np.abs(estimated - analytic)
     diag = np.diag(analytic)
     se = np.sqrt((np.outer(diag, diag) + analytic**2) / n_shots)
@@ -409,6 +413,6 @@ def compare_covariance(
         z_scores=z,
         standard_errors=se,
         flagged=flagged,
-        n_shots=int(n_shots),
+        n_shots=n_shots,
         z_threshold=Z_THRESHOLD,
     )

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +26,6 @@ from cvsteer.cli import (
     format_report_json,
     format_scan_csv,
     format_scan_json,
-    load_config_file,
     main,
     parse_eta_grid,
     parse_split_spec,
@@ -61,62 +61,19 @@ class TestGridAndConfig:
             with pytest.raises(ValueError, match=f"^{message}"):
                 parse_eta_grid(bad)
 
-    def test_config_file_roundtrip(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\nscenario=qss\neta_grid=0.5:1.0:6\nv_dis=2.0\nseed=7\n")
-        entries = load_config_file(str(cfg))
-        assert entries["scenario"] == "qss"
-        assert entries["v_dis"] == "2.0"
-
-    def test_flags_win_over_file(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("scenario=qss\neta_grid=0.5:1.0:6\nv_dis=2.0\nv_a=3.0\n")
-        configs, real = [], cli.build_run_config
-
-        def build(args):
-            configs.append(real(args))
-            return configs[-1]
-
-        monkeypatch.setattr(cli, "build_run_config", build)
-        assert main(["scan", "--config", str(cfg), "--scenario", "two_user",
-                     "--set", "v_dis=2.5", "--out", str(tmp_path / "scan.csv")]) == 0
-        (config,) = configs
-        assert config.scenario == "two_user"      # flag wins
-        assert config.eta_steps == 6              # file survives where no flag
-        assert config.overrides == {"v_dis": 2.5, "v_a": 3.0}  # --set beats the file's entry
-
-    def test_file_grid_beats_the_flag_default(self, tmp_path, capsys):
-        # montecarlo's --eta-grid default 1:1:1 used to override the file's grid
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("eta_grid=0.5:0.5:1\nshots=100\n")
-        assert main(["montecarlo", "--config", str(cfg)]) == 0
-        assert "eta: 0.5\n" in capsys.readouterr().out
-        assert main(["montecarlo", "--config", str(cfg), "--eta-grid", "0.7:0.7:1"]) == 0
-        assert "eta: 0.7\n" in capsys.readouterr().out
-
     @pytest.mark.parametrize("command, entry, flag", [
         ("scan", "scenario=marble", ["--scenario", "marble"]),
         ("montecarlo", "seed=abc", ["--seed", "abc"]),
         ("montecarlo", "shots=1e3", ["--shots", "1e3"]),
         ("scan", "format=xml", ["--format", "xml"])])
-    def test_bad_file_value_fails_as_the_flag_would(self, tmp_path, capsys, command, entry,
-                                                    flag):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(entry + "\n")
-        errors = []
-        for argv in ([command, "--config", str(cfg)], [command, *flag]):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == EXIT_USAGE
-            errors.append(capsys.readouterr().err.splitlines()[-1])
-        assert errors[0] == errors[1]
-        assert "invalid" in errors[0]
-
-    def test_file_value_is_not_read_as_an_option(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("eta_grid=-0.1:1:3\n")
-        assert main(["scan", "--config", str(cfg)]) == EXIT_USAGE
-        assert "eta grid bounds must lie in [0, 1], got -0.1" in capsys.readouterr().err
+    def test_bad_file_value_fails_as_the_flag_would(self, capsys, command, entry, flag):
+        # each case is the key=value entry and the flag that carries it; argparse names the value
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag])
+        assert exc.value.code == EXIT_USAGE
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert "invalid" in error
+        assert repr(entry.partition("=")[2]) in error
 
     def test_unknown_override_key(self):
         import argparse
@@ -127,16 +84,6 @@ class TestGridAndConfig:
 
         with pytest.raises(ValueError, match="^unknown parameter 'v_q'; settable: "):
             build_run_config(args)
-
-    @pytest.mark.parametrize("command, entry", [
-        ("scan", "seed=5"), ("scan", "shots=3"), ("montecarlo", "format=json")])
-    def test_config_key_without_a_flag_is_rejected(self, tmp_path, capsys, command, entry):
-        # the command has no flag for it, so the key used to be read and then ignored
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(entry + "\n")
-        key = entry.partition("=")[0]
-        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
-        assert f"unknown config key {key!r} for {command}" in capsys.readouterr().err
 
 
 class TestScan:
@@ -468,11 +415,8 @@ class TestMonteCarloCommand:
         monkeypatch.chdir(tmp_path)
         path = tmp_path / "mc.txt"
         path.write_bytes(b"kept\n")
-        cfg = tmp_path / "mc.cfg"
-        cfg.write_text(f"out={path}\n")
         for argv in (["--out", str(path), "--dump-shots", str(path)],
                      ["--out", "mc.txt", "--dump-shots", str(path)],
-                     ["--config", str(cfg), "--dump-shots", "./mc.txt"],
                      ["--out", "n.txt", "--dump-shots", "./n.txt"]):  # neither exists yet
             assert main(["montecarlo", "--shots", "2000", *argv]) == EXIT_USAGE
             err = capsys.readouterr().err
@@ -482,24 +426,13 @@ class TestMonteCarloCommand:
 
     def test_output_naming_an_input_is_refused(self, three_mode_file, tmp_path, monkeypatch,
                                                capsys):
-        # certify truncated its matrix to 0 bytes and exited 3; scan overwrote its config, and
-        # montecarlo's shot dump did too
+        # certify truncated its matrix to 0 bytes and exited 3
         monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "scan.cfg"
-        cfg.write_text("eta_grid=1:1:1\n")
-        own = tmp_path / "own.cfg"
-        own.write_text(f"eta_grid=1:1:1\nout={own}\n")
         for argv, path, pair in (
                 (["certify", three_mode_file, "--out", three_mode_file], three_mode_file,
                  "--out and the matrix file"),
                 (["certify", three_mode_file, "--out", os.path.relpath(three_mode_file)],
-                 three_mode_file, "--out and the matrix file"),
-                (["scan", "--config", str(cfg), "--out", "scan.cfg"], cfg, "--out and --config"),
-                (["montecarlo", "--config", str(cfg), "--out", str(cfg)], cfg,
-                 "--out and --config"),
-                (["scan", "--config", str(own)], own, "--out and --config"),
-                (["montecarlo", "--config", str(cfg), "--dump-shots", "scan.cfg"], cfg,
-                 "--dump-shots and --config")):
+                 three_mode_file, "--out and the matrix file")):
             before = Path(path).read_bytes()
             assert main(argv) == EXIT_USAGE, argv
             assert f"{pair} name the same file" in capsys.readouterr().err, argv
@@ -576,20 +509,6 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().out)["verdicts"] == {"M1|M2": "separable",
                                                                    "M2|M1": "separable"}
 
-    @pytest.mark.parametrize("text, message", [
-        ("scenario=qss\n# then\nscenario=three_user\n",
-         ":3: config key 'scenario' is given twice"),
-        ("eta_grid=0.9:0.9:1\nv_s 0.5\n", ":2: expected key=value, got 'v_s 0.5'"),
-    ], ids=["repeated-key", "missing-equals"])
-    def test_malformed_config_file_is_a_usage_error(self, tmp_path, capsys, text, message):
-        # a repeated key used to let its last value win, with exit 0
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        assert main(["scan", "--config", str(cfg), "--eta-grid", "0.9:0.9:1"]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"error: {cfg}{message}" in captured.err
-
     def test_usage_error_exit_code(self, capsys):
         assert main(["scan", "--eta-grid", "bogus"]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
@@ -613,8 +532,6 @@ class TestMainEntry:
          "seed must lie in [0, 2**128), got -1"),
         (["scan", "--set", "v_s"], "override must look like key=value, got 'v_s'"),
         (["scan", "--set", "v_s=abc"], "value for 'v_s' is not a number: 'abc'"),
-        (["scan", "--config", "/nonexistent/run.cfg"],
-         "cannot read config file /nonexistent/run.cfg"),
         # an override that no column reads used to leave the printed rows unchanged in silence:
         # David's weight and splitter in two_user, and in appendix_e a link only its
         # secret-sharing reference columns read, which overrides skip
@@ -799,6 +716,31 @@ class TestMainEntry:
             capture_output=True, text=True, env=_src_env(),
         )
         assert proc.returncode == EXIT_USAGE
+
+    def test_import_loads_no_thread_pool(self):
+        # sampler._ordered_map imports its pool late: concurrent.futures loads logging, which
+        # every command, certify and scan included, would otherwise pay for at startup
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, cvsteer.cli; "
+             "print(sorted({'logging', 'concurrent.futures'} & sys.modules.keys()))"],
+            capture_output=True, text=True, env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_readme_examples_parse(self):
+        # an example naming a retired flag or subcommand would otherwise stay in the README
+        readme = (SRC.parent / "README.md").read_text()
+        examples = [shlex.split(line, comments=True)[1:]
+                    for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+                    for line in block.splitlines() if line.startswith("cvsteer ")]
+        assert examples
+        parser = cli.build_parser()
+        for argv in examples:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: cvsteer {shlex.join(argv)}")
 
     def test_json_format_flag(self, capsys):
         assert main(["scan", "--scenario", "two_user", "--eta-grid", "1:1:1",

@@ -312,6 +312,19 @@ def test_unresolvable_noise_variance_is_refused(objective, which):
         numeric_optimize_coefficient(objective, params, which)
 
 
+@pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                   reason="the search is refused for its unresolvable far bracket end f_b = 4, "
+                          "though eps x largest variance is 1.2e-10 at the optimum; the "
+                          "square-root certificates of ROADMAP item 13 would lift the refusal")
+def test_resolvable_optimum_is_found_past_an_unresolvable_bracket_end():
+    # at the analytic optimum f_b = 1.23918 eps x largest variance is 5.6e-11 (final_two_user)
+    # and 1.2e-10 (pre_bob), under the bound; only the bracket's far end exceeds it
+    params = two_user_params(0.7).replace(v_dis=5e5)
+    result = numeric_optimize_coefficient("steer_A_to_B", params, "f_b")
+    assert result.f_star == pytest.approx(
+        optimal_fb(0.5, 0.7, 0.7, V_A_DEFAULT, V_S_DEFAULT), abs=1e-4)
+
+
 def test_scan_just_under_the_resolution_bound_matches_the_closed_forms():
     # eps times the largest variance of the grid's states is just under the bound, and the
     # three_user steering columns still match the closed forms to within it

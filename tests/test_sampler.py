@@ -390,6 +390,17 @@ class TestCompareCovariance:
         with pytest.raises(ValueError, match="need at least 2 shots"):
             compare_covariance(cov, cov, n_shots)
 
+    @pytest.mark.parametrize("make", [
+        lambda: compare_covariance(np.eye(4), np.eye(4), 2.5),
+        lambda: compare_covariance(np.eye(4), np.eye(4), float("inf")),
+        lambda: ShotBatch(("A",), np.zeros((3, 2)), seed="x"),
+    ], ids=["shots-2.5", "shots-inf", "seed-str"])
+    def test_shot_counts_and_seeds_are_integers(self, make):
+        # 2.5 stored n_shots=2 but scaled every standard error by 2.5, inf divided by inf,
+        # and a string seed was kept
+        with pytest.raises(TypeError):
+            make()
+
     def test_flags_in_row_major_order(self):
         analytic = np.eye(6)
         estimated = analytic.copy()
