@@ -532,6 +532,7 @@ class TestMainEntry:
          "seed must lie in [0, 2**128), got -1"),
         (["scan", "--set", "v_s"], "override must look like key=value, got 'v_s'"),
         (["scan", "--set", "v_s=abc"], "value for 'v_s' is not a number: 'abc'"),
+        (["scan", "--set", "bogus=1"], "unknown parameter 'bogus'; settable: ["),
         # an override that no column reads used to leave the printed rows unchanged in silence:
         # David's weight and splitter in two_user, and in appendix_e a link only its
         # secret-sharing reference columns read, which overrides skip
