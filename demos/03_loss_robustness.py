@@ -10,12 +10,11 @@ steer both ways.
 
 import numpy as np
 
-from cvsteer.cli import RunConfig, cmd_scan
-from cvsteer import closed_form_steering_two_user
+from cvsteer import SCENARIO_TABLE, closed_form_steering_two_user, scan
 from cvsteer.protocol import ProtocolParams
 
-config = RunConfig(scenario="two_user", eta_start=0.1, eta_stop=1.0, eta_steps=10)
-result = cmd_scan(config)
+etas = np.linspace(0.1, 1.0, 10)  # the grid of `cvsteer scan --eta-grid 0.1:1.0:10`
+result = scan(SCENARIO_TABLE["two_user"], etas)
 
 print("two users: entanglement and one-way steering vs channel efficiency")
 print(f"{'eta':>5} {'PPT_A':>8} {'G_A->B':>8} {'G_B->A':>8}")
@@ -31,8 +30,7 @@ tol = 1e-12  # the two routes differ by rounding alone; the digits of the gap ar
 print(f"closed-form curve {'agrees with' if gap <= tol else 'departs from'} the table "
       f"to within {tol:.0e}")
 
-config = RunConfig(scenario="three_user", eta_start=0.1, eta_stop=1.0, eta_steps=10)
-result = cmd_scan(config)
+result = scan(SCENARIO_TABLE["three_user"], etas)
 
 print("\nthree users: collective steering dominates the individual ones")
 print(f"{'eta':>5} {'PPT_A':>8} {'PPT_B':>8} {'PPT_D':>8} "

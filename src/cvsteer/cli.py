@@ -10,11 +10,12 @@ Subcommands
 ``table-a1``    optimal displacement coefficients versus channel efficiency
 ``montecarlo``  shot-level validation of the analytic covariances
 
-Run settings are the command's flags, parsed once; a ``certify --split`` is checked as a
-``Partition``.  All output is deterministic given the inputs (including RNG seeds).  The
-``--out`` path is opened before the command runs, so an unwritable one fails before any
-work.  Opening an output truncates it, so neither it nor ``--dump-shots`` may name another
-file of the command (the ``certify`` matrix or the other output).
+Run settings are the command's flags, parsed once by ``main``; ``scenario_params`` refuses
+a ``--set`` key no column reads, and a ``certify --split`` is checked as a ``Partition``.
+All output is deterministic given the inputs (including RNG seeds).  The ``--out`` path is
+opened before the command runs, so an unwritable one fails before any work.  Opening an
+output truncates it, so neither it nor ``--dump-shots`` may name another file of the
+command (the ``certify`` matrix or the other output).
 Exit codes: 0 success, 2 usage error (including a bad run setting), 3 input-data error,
 4 numerical failure (e.g. a covariance that is not positive definite).  ``main`` is the
 one place that maps an exception to its exit code, by kind: ``InputDataError`` -> 3,
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import os
@@ -40,7 +40,7 @@ from . import optimize, sampler
 from .core import GaussianState
 from .criteria import Partition, SteeringReport, full_report, symplectic_eigenvalues
 from .optimize import SCENARIO_TABLE, ScanResult
-from .protocol import STAGES, ProtocolParams, build_network_state
+from .protocol import STAGES, build_network_state
 
 __all__ = [
     "InputDataError",
@@ -65,7 +65,6 @@ INPUT_SYMMETRY_TOL = 2e-3
 #: published four-mode reconstruction, a measured matrix, reads 0.9735.
 MIN_SYMPLECTIC_EIGENVALUE = 0.95
 
-_PARAM_FIELDS = {f.name for f in dataclasses.fields(ProtocolParams)} - {"users"}
 
 class InputDataError(Exception):
     """A matrix file or ``--split`` unfit to certify (exit 3); no ``ValueError`` handler
@@ -74,15 +73,13 @@ class InputDataError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """What a scan or Monte Carlo run computes; ``main`` owns where and how it is written."""
+    """A scan's grid and overrides; ``main`` owns where and how its table is written."""
 
     scenario: str = "two_user"
     eta_start: float = 0.1
     eta_stop: float = 1.0
     eta_steps: int = 10
     overrides: dict[str, float] = field(default_factory=dict)
-    seed: int = 12345
-    shots: int = 1_000_000
 
     def etas(self) -> np.ndarray:
         return np.linspace(self.eta_start, self.eta_stop, self.eta_steps)
@@ -115,26 +112,19 @@ def parse_eta_grid(spec: str) -> tuple[float, float, int]:
     return start, stop, steps
 
 
-def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """The ``RunConfig`` of a parsed ``scan`` or ``montecarlo`` command line; argparse has
-    checked its scenario, seed and shots."""
+def _parse_overrides(items: Sequence[str]) -> dict[str, float]:
+    """Parse ``--set key=value`` items; ``optimize.scenario_params`` checks each key."""
     overrides: dict[str, float] = {}
-    for item in args.set or []:
+    for item in items:
         key, eq, value = item.partition("=")
         key = key.strip()
         if not eq:
             raise ValueError(f"override must look like key=value, got {item!r}")
-        if key not in _PARAM_FIELDS:
-            raise ValueError(f"unknown parameter {key!r}; settable: {sorted(_PARAM_FIELDS)}")
         try:
             overrides[key] = float(value)
         except ValueError:
             raise ValueError(f"value for {key!r} is not a number: {value!r}") from None
-    start, stop, steps = parse_eta_grid(args.eta_grid)
-    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
-                if hasattr(args, f.name)}
-    return RunConfig(eta_start=start, eta_stop=stop, eta_steps=steps, overrides=overrides,
-                     **settings)
+    return overrides
 
 
 def cmd_scan(config: RunConfig) -> ScanResult:
@@ -294,32 +284,28 @@ def _same_file(a: str, b: str) -> bool:
     return not any(exists) and Path(a).resolve() == Path(b).resolve()
 
 
-def cmd_montecarlo(config: RunConfig, dump_shots: str | None = None) -> str:
-    """Run the shot sampler at the one-step grid's efficiency and report agreement."""
-    if config.eta_steps > 1:
-        raise ValueError(f"montecarlo takes a one-step eta grid, got {config.eta_steps} steps")
-    eta = float(config.eta_start)
-    scenario = SCENARIO_TABLE[config.scenario]
-    optimize._check_overrides(scenario, config.overrides)
-    params = optimize.scenario_params(scenario, eta, config.overrides)
+def cmd_montecarlo(scenario: str, eta: float, overrides: dict[str, float], shots: int,
+                   seed: int, dump_shots: str | None = None) -> str:
+    """Run the shot sampler at efficiency ``eta`` and report agreement."""
+    table = SCENARIO_TABLE[scenario]
+    params = optimize.scenario_params(table, eta, overrides)
     # the furthest-propagated state the scenario's own columns read
-    stage = max((spec[0] for spec in scenario.columns.values() if spec), key=STAGES.index)
+    stage = max((spec[0] for spec in table.columns.values() if spec), key=STAGES.index)
     analytic = build_network_state(params, stage)
-    if config.shots <= 2 * analytic.n_modes:  # fewer leave the sample covariance singular
+    if shots <= 2 * analytic.n_modes:  # fewer leave the sample covariance singular
         raise ValueError(f"--shots must be at least {2 * analytic.n_modes + 1} for {stage}")
     # the dump file opens before the first block is drawn
     with _open_out(dump_shots) if dump_shots else contextlib.nullcontext() as fh:
-        labels, estimated = sampler._sampled_covariance(params, stage, config.shots,
-                                                        config.seed, fh)
-    comparison = sampler.compare_covariance(estimated, analytic.cov, config.shots)
+        labels, estimated = sampler._sampled_covariance(params, stage, shots, seed, fh)
+    comparison = sampler.compare_covariance(estimated, analytic.cov, shots)
 
     lines = [
         "monte carlo validation",
-        f"scenario: {config.scenario}",
+        f"scenario: {scenario}",
         f"stage: {stage}",
         f"eta: {_fmt(eta)}",
-        f"shots: {config.shots}",
-        f"seed: {config.seed}",
+        f"shots: {shots}",
+        f"seed: {seed}",
         f"max abs deviation: {_fmt(comparison.max_abs_deviation)}",
         f"max z-score: {_fmt(float(comparison.z_scores.max()))}",
     ]
@@ -380,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = subs.add_parser("montecarlo", help="validate covariances by sampling")
     _add_run_flags(mc, grid_default="1:1:1")
-    mc.add_argument("--seed", type=int, default=RunConfig.seed, help="random seed")
-    mc.add_argument("--shots", type=int, default=RunConfig.shots, help="Monte Carlo shot count")
+    mc.add_argument("--seed", type=int, default=12345, help="random seed")
+    mc.add_argument("--shots", type=int, default=1_000_000, help="Monte Carlo shot count")
     mc.add_argument("--dump-shots", metavar="PATH",
                     help="also write the raw shot records as CSV")
     return parser
@@ -396,7 +382,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = build_run_config(args) if args.command in ("scan", "montecarlo") else None
+        if args.command in ("scan", "montecarlo"):
+            overrides = _parse_overrides(args.set or [])
+            start, stop, steps = parse_eta_grid(args.eta_grid)
+            if args.command == "montecarlo" and steps > 1:
+                raise ValueError(f"montecarlo takes a one-step eta grid, got {steps} steps")
         # opening an output truncates it: it may name no other file of the command
         outputs = {"--out": args.out, "--dump-shots": getattr(args, "dump_shots", None)}
         paths = {**outputs, "the matrix file": getattr(args, "file", None)}
@@ -407,7 +397,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # opened before the run: an unwritable path costs no work, a failed run leaves it empty
         with _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
             if args.command == "scan":
-                result = cmd_scan(config)
+                result = cmd_scan(RunConfig(args.scenario, start, stop, steps, overrides))
                 fh.write(format_scan_csv(result) if args.format == "csv"
                          else format_scan_json(result))
             elif args.command == "certify":
@@ -415,7 +405,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             elif args.command == "table-a1":
                 fh.write(cmd_table_a1())
             else:
-                fh.write(cmd_montecarlo(config, dump_shots=args.dump_shots))
+                fh.write(cmd_montecarlo(args.scenario, start, overrides, args.shots, args.seed,
+                                        args.dump_shots))
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

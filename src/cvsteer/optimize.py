@@ -9,9 +9,9 @@ protocol, and refuses a coefficient the objective's stage does not read.  Each c
 propagates the network's transfer matrices once, at the searched coefficient 0 and 1,
 which fix each relay cut's and the objective cut's transfer matrix as its root
 ``M0 + f dM``, affine in the coefficient; its coarse bracket and each pass of its grid
-refinement are then one stack of trials per such cut, whose covariances
-``protocol._covariance`` forms from those roots and refuses where float64 cannot resolve
-them, certified by the batched kernels of ``criteria``, which take the real x/p-sector
+refinement, cut at the largest coefficient whose trials float64 resolves, are then one
+stack of trials per such cut, whose covariances ``protocol._covariance`` forms from those
+roots, certified by the batched kernels of ``criteria``, which take the real x/p-sector
 route on these uncorrelated states.  A relay whose state does not read the searched
 coefficient is certified once per call.
 
@@ -21,8 +21,8 @@ channel efficiency.
 
 Scans: ``SCENARIO_TABLE`` holds each scenario of the paper as data (parameters
 at a grid efficiency, with the optimal coefficients above, and the columns it
-reports); ``scan`` runs one over an efficiency grid, refusing an override that no
-column reads.  Secret sharing is the ``qss`` entry, and ``appendix_e``'s
+reports); ``scan`` runs one over an efficiency grid, and ``scenario_params`` refuses an
+override that no column reads.  Secret sharing is the ``qss`` entry, and ``appendix_e``'s
 ``G_BD_to_A_qss`` column is the same with the dealer's link on the grid too.
 """
 
@@ -37,8 +37,8 @@ import numpy as np
 
 from .core import _require_fractions, _require_variances
 from .criteria import SEPARABILITY_TOL, Partition, _ppt_cov, _steer_cov, ppt_min, steerability
-from .protocol import (ProtocolParams, _STAGES, _covariance, _network_transfers, _stage,
-                       build_network_state, qss_params)
+from .protocol import (ProtocolParams, _RESOLUTION_LIMIT, _STAGES, _covariance,
+                       _network_transfers, _stage, build_network_state, qss_params)
 
 __all__ = [
     "OptimizationResult",
@@ -171,16 +171,25 @@ def _trials(params: ProtocolParams, stage: str, partition: Partition,
     cannot resolve.  A relay is evaluated only where the ones before it are separable, and
     the objective only where all are.  A relay whose cut does not read ``which`` has the
     same value at every trial, so it is certified once, here, as a stack of one, and its
-    PPT value is where every trial's starts."""
+    PPT value is where every trial's starts.  ``evaluate.f_res``, the largest coefficient
+    float64 resolves, is the least positive root of ``eps |r0 + f d|^2 = _RESOLUTION_LIMIT``
+    over each kept cut's rows ``r0`` of ``M0`` and ``d`` of ``dM``."""
     start = math.inf
     cuts = []  # (cut, M0, dM) of each relay that reads ``which`` and of the objective's cut
+    bound, f_res = _RESOLUTION_LIMIT / np.finfo(float).eps, math.inf
     with np.errstate(over="raise", invalid="raise"):
         for cut, (m0, m1) in _network_transfers(params, stage, **{which: np.array([0.0, 1.0])}):
             if cut.relay and which not in _STAGES[cut.stage].fields:
                 mode = (cut.labels.index(cut.relay),)
                 start = min(start, _ppt_cov(_covariance(m0[None]), mode)[0])
             elif cut.relay or cut.stage == stage:
-                cuts.append((cut, m0, m1 - m0))
+                dm = m1 - m0
+                cuts.append((cut, m0, dm))
+                a, b, c = (dm * dm).sum(1), (m0 * dm).sum(1), (m0 * m0).sum(1) - bound
+                if c.max() > 0:  # unresolvable at f = 0 already: refused as every trial is
+                    _covariance(m0)
+                a, b, c = a[a > 0], b[a > 0], c[a > 0]  # rows that read ``which``
+                f_res = min(f_res, ((np.sqrt(b * b - a * c) - b) / a).min(initial=math.inf))
 
     def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ppt = np.full(xs.shape, start)
@@ -193,6 +202,7 @@ def _trials(params: ProtocolParams, stage: str, partition: Partition,
                 return ys, ppt
             ppt[ok] = np.minimum(ppt[ok], _ppt_cov(cov, (cut.labels.index(cut.relay),)))
 
+    evaluate.f_res = f_res
     return evaluate
 
 
@@ -214,7 +224,9 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
     then refine inside it: each evaluates ``_REFINE_POINTS`` evenly spaced coefficients
     over ``x* +/- h`` as one stack, moves ``x*`` only to a strictly better point and
     shrinks ``h``, until the window is ``_REFINE_TOL`` wide.  If no interior
-    maximum exists the best end of the bracket is reported with ``at_boundary`` set.
+    maximum exists the best end of the bracket is reported with ``at_boundary`` set, as is
+    one within ``_REFINE_TOL`` of ``f_res`` (``_trials``), the largest coefficient float64
+    resolves, where the bracket and every pass stop: the optimum may lie past it.
     """
     if objective not in _OBJECTIVE_STAGE:
         raise ValueError(f"unknown objective {objective!r}")
@@ -225,17 +237,19 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
         raise ValueError(f"{objective} does not depend on {which}")
 
     evaluate = _trials(params, stage, partition, which)
-    ys, ppt = evaluate(_BRACKET)
+    bracket = _BRACKET[_BRACKET <= evaluate.f_res]
+    ys, ppt = evaluate(bracket)
     best = int(np.argmax(ys))
     if not math.isfinite(ys[best]):
         raise ValueError("no feasible point in [0, 4]: separability violated everywhere")
 
-    x_star, g_star, ppt_star = _BRACKET[best], ys[best], ppt[best]
+    x_star, g_star, ppt_star = bracket[best], ys[best], ppt[best]
     interior = 0 < best < len(_BRACKET) - 1
     h = _BRACKET[1] if interior else 0.0  # the bracket's spacing; an end is not refined
     offsets = np.linspace(-1.0, 1.0, _REFINE_POINTS)
     while 2.0 * h > _REFINE_TOL:
         xs = x_star + h * offsets
+        xs = xs[xs <= evaluate.f_res]
         ys, ppt = evaluate(xs)
         k = int(np.argmax(ys))
         if ys[k] > g_star:  # so g* never falls and x* stays feasible
@@ -248,7 +262,7 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
         f_star=float(x_star),
         g_star=float(g_star),
         constraint_active=bool(active),
-        at_boundary=not interior,
+        at_boundary=bool(not interior or evaluate.f_res - x_star < _REFINE_TOL),
     )
 
 
@@ -322,7 +336,14 @@ SCENARIO_TABLE = {
 
 
 def scenario_params(scenario: Scenario, eta: float, overrides: dict[str, float]) -> ProtocolParams:
-    """Grid-point parameters with auto-optimal coefficients unless overridden."""
+    """Grid-point parameters with auto-optimal coefficients unless overridden; a
+    ``ValueError`` names each override that no column of ``scenario`` reads."""
+    if overrides:
+        read = frozenset().union(*(_STAGES[s[0]].fields for s in scenario.columns.values() if s))
+        unread = sorted(set(overrides) - read)
+        if unread:
+            raise ValueError(f"no column of this scenario reads {', '.join(unread)}; "
+                             f"it reads {', '.join(sorted(read))}")
     fields = {**vars(scenario.base), **dict.fromkeys(scenario.eta_fields, eta), **overrides}
     params = ProtocolParams(**fields)  # validates the overrides before they feed ``auto``
     auto = {}
@@ -336,17 +357,6 @@ def scenario_params(scenario: Scenario, eta: float, overrides: dict[str, float])
             raise ValueError(f"optimal {name} is undefined at eta = {eta:g}: {exc} "
                              f"({hint}--set {name})") from None
     return ProtocolParams(**{**fields, **auto}) if auto else params
-
-
-def _check_overrides(scenario: Scenario, overrides: dict[str, float]) -> None:
-    """ValueError naming each override that no stage of ``scenario``'s own columns reads,
-    since it would change nothing the run reports."""
-    read = frozenset().union(*(_STAGES[spec[0]].fields for spec in scenario.columns.values()
-                               if spec))
-    unread = sorted(set(overrides) - read)
-    if unread:
-        raise ValueError(f"no column of this scenario reads {', '.join(unread)}; "
-                         f"it reads {', '.join(sorted(read))}")
 
 
 def _scan_row(params: ProtocolParams, eta: float, columns: dict) -> dict[str, float]:
@@ -374,7 +384,6 @@ def scan(scenario: Scenario, etas: Sequence[float],
          overrides: dict[str, float] | None = None) -> ScanResult:
     """One row of ``scenario`` per grid efficiency; ``overrides`` pin parameter fields, and
     each must be one that a column of ``scenario`` reads (``ValueError`` otherwise)."""
-    _check_overrides(scenario, overrides or {})
     reference = scenario.reference
     rows = []
     for eta in map(float, etas):

@@ -75,16 +75,6 @@ class TestGridAndConfig:
         assert "invalid" in error
         assert repr(entry.partition("=")[2]) in error
 
-    def test_unknown_override_key(self):
-        import argparse
-
-        args = argparse.Namespace(scenario=None, eta_grid=None, set=["v_q=1"],
-                                  config=None, seed=None, shots=None)
-        from cvsteer.cli import build_run_config
-
-        with pytest.raises(ValueError, match="^unknown parameter 'v_q'; settable: "):
-            build_run_config(args)
-
 
 class TestScan:
     def test_two_user_columns_and_shape(self):
@@ -340,10 +330,8 @@ class TestTableA1:
 
 class TestMonteCarloCommand:
     def test_report_structure_and_determinism(self):
-        config = RunConfig(scenario="two_user", eta_start=1.0, eta_stop=1.0, eta_steps=1,
-                           seed=99, shots=20000)
-        a = cmd_montecarlo(config)
-        b = cmd_montecarlo(config)
+        a = cmd_montecarlo("two_user", 1.0, {}, 20000, 99)
+        b = cmd_montecarlo("two_user", 1.0, {}, 20000, 99)
         assert a == b
         assert "max abs deviation" in a
         assert "flagged elements (> 5 SE): none" in a
@@ -357,16 +345,12 @@ class TestMonteCarloCommand:
         assert main(argv + [str(2 * n_modes + 1)]) == 0
 
     def test_tiny_run_does_not_crash(self):
-        config = RunConfig(scenario="three_user", eta_start=0.8, eta_stop=0.8, eta_steps=1,
-                           seed=1, shots=10)
-        report = cmd_montecarlo(config)
+        report = cmd_montecarlo("three_user", 0.8, {}, 10, 1)
         assert "monte carlo validation" in report
 
     def test_dump_shots(self, tmp_path):
-        config = RunConfig(scenario="two_user", seed=5, shots=50,
-                           eta_start=1.0, eta_stop=1.0, eta_steps=1)
         path = tmp_path / "shots.csv"
-        cmd_montecarlo(config, dump_shots=str(path))
+        cmd_montecarlo("two_user", 1.0, {}, 50, 5, dump_shots=str(path))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x_A,p_A,x_B,p_B"
         assert len(lines) == 51
@@ -374,10 +358,8 @@ class TestMonteCarloCommand:
     def test_streamed_dump_is_pinned(self, tmp_path):
         # five blocks, the last one partial, written as they arrive; the digest is
         # that of the file written from the whole batch at once
-        config = RunConfig(scenario="two_user", seed=99, shots=70001,
-                           eta_start=1.0, eta_stop=1.0, eta_steps=1)
         path = tmp_path / "shots.csv"
-        cmd_montecarlo(config, dump_shots=str(path))
+        cmd_montecarlo("two_user", 1.0, {}, 70001, 99, dump_shots=str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "c11b9deab164791636b92d46d5bb5253bac796e1144fcad5779b94443e88951c")
 
@@ -390,9 +372,7 @@ class TestMonteCarloCommand:
 
     def test_report_states_its_detection_floor(self):
         # read as the benchmark reads a report: "key: value" lines, one flag line
-        config = RunConfig(scenario="two_user", seed=3, shots=40_000,
-                           eta_start=0.7, eta_stop=0.7, eta_steps=1)
-        lines = cmd_montecarlo(config).splitlines()
+        lines = cmd_montecarlo("two_user", 0.7, {}, 40_000, 3).splitlines()
         report = dict(line.split(": ", 1) for line in lines
                       if ": " in line and not line.startswith(" "))
         assert [k for k in report if k.startswith("flagged elements")] == [
@@ -442,11 +422,9 @@ class TestMonteCarloCommand:
         # each pool thread reuses one buffer, so four times the shots is not four times the memory
         peaks = []
         for shots in (200_000, 800_000):
-            config = RunConfig(scenario="three_user", seed=4, shots=shots,
-                               eta_start=0.9, eta_stop=0.9, eta_steps=1)
             tracemalloc.start()
             try:
-                cmd_montecarlo(config)
+                cmd_montecarlo("three_user", 0.9, {}, shots, 4)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -466,11 +444,10 @@ class TestMonteCarloCommand:
         for k in (1, 2, 4):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)),
                                 raising=False)
-            config = RunConfig(scenario="two_user", seed=2**100, shots=3 * sampler._BLOCK + 5,
-                               eta_start=0.7, eta_stop=0.7, eta_steps=1)
+            settings = ("two_user", 0.7, {}, 3 * sampler._BLOCK + 5, 2**100)
             dump = tmp_path / f"shots_{k}.csv"
-            report = cmd_montecarlo(config, dump_shots=str(dump))
-            outputs.append((report, dump.read_bytes(), cmd_montecarlo(config)))
+            report = cmd_montecarlo(*settings, dump_shots=str(dump))
+            outputs.append((report, dump.read_bytes(), cmd_montecarlo(*settings)))
         assert outputs[0][0] == outputs[0][2]
         assert outputs[0][1].count(b"\n") == 3 * sampler._BLOCK + 6
         assert outputs[1] == outputs[0]
@@ -532,7 +509,7 @@ class TestMainEntry:
          "seed must lie in [0, 2**128), got -1"),
         (["scan", "--set", "v_s"], "override must look like key=value, got 'v_s'"),
         (["scan", "--set", "v_s=abc"], "value for 'v_s' is not a number: 'abc'"),
-        (["scan", "--set", "bogus=1"], "unknown parameter 'bogus'; settable: ["),
+        (["scan", "--set", "bogus=1"], "error: no column of this scenario reads bogus;"),
         # an override that no column reads used to leave the printed rows unchanged in silence:
         # David's weight and splitter in two_user, and in appendix_e a link only its
         # secret-sharing reference columns read, which overrides skip
@@ -543,6 +520,10 @@ class TestMainEntry:
          "error: no column of this scenario reads t3;"),
         (["scan", "--scenario", "appendix_e", "--eta-grid", "0.5:0.5:1", "--set", "eta_bd=0.3"],
          "error: no column of this scenario reads eta_bd;"),
+        # one rule for a key, the scenario's: `users` is a field but no column reads it
+        (["scan", "--set", "users=3"], "error: no column of this scenario reads users;"),
+        (["montecarlo", "--shots", "100", "--set", "bogus=1"],
+         "error: no column of this scenario reads bogus;"),
     ])
     def test_rejected_run_settings_exit_code(self, capsys, argv, message):
         assert main(argv) == EXIT_USAGE

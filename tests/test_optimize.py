@@ -312,10 +312,6 @@ def test_unresolvable_noise_variance_is_refused(objective, which):
         numeric_optimize_coefficient(objective, params, which)
 
 
-@pytest.mark.xfail(strict=True, raises=ArithmeticError,
-                   reason="the search is refused for its unresolvable far bracket end f_b = 4, "
-                          "though eps x largest variance is 1.2e-10 at the optimum; the "
-                          "square-root certificates of ROADMAP item 13 would lift the refusal")
 def test_resolvable_optimum_is_found_past_an_unresolvable_bracket_end():
     # at the analytic optimum f_b = 1.23918 eps x largest variance is 5.6e-11 (final_two_user)
     # and 1.2e-10 (pre_bob), under the bound; only the bracket's far end exceeds it
@@ -323,6 +319,34 @@ def test_resolvable_optimum_is_found_past_an_unresolvable_bracket_end():
     result = numeric_optimize_coefficient("steer_A_to_B", params, "f_b")
     assert result.f_star == pytest.approx(
         optimal_fb(0.5, 0.7, 0.7, V_A_DEFAULT, V_S_DEFAULT), abs=1e-4)
+
+
+def test_optimum_next_to_the_resolvable_end_is_refined():
+    # float64 resolves f_b up to 1.268 (pre_bob): the coarse bracket's best is its cut end,
+    # 1.25, and refinement still finds the interior optimum below it
+    params = two_user_params(0.7).replace(v_dis=4e6)
+    result = numeric_optimize_coefficient("steer_A_to_B", params, "f_b")
+    assert not result.at_boundary
+    assert result.f_star == pytest.approx(
+        optimal_fb(0.5, 0.7, 0.7, V_A_DEFAULT, V_S_DEFAULT), abs=1e-4)
+
+
+def test_optimum_past_the_resolvable_end_is_reported_at_the_boundary():
+    # float64 resolves f_b only up to 1.1343 (pre_bob), below the optimum 1.2392: the best
+    # resolvable coefficient is that end, reported with at_boundary set, not as a maximum
+    params = two_user_params(0.7).replace(v_dis=5e6)
+    result = numeric_optimize_coefficient("steer_A_to_B", params, "f_b")
+    assert result.at_boundary
+    assert result.f_star == pytest.approx(1.134347, abs=1e-6)
+    build_network_state(params.replace(f_b=result.f_star), "pre_bob")
+    with pytest.raises(ArithmeticError, match="^float64 cannot resolve this network: "):
+        build_network_state(params.replace(f_b=result.f_star + 1e-5), "pre_bob")
+
+
+def test_scenario_params_refuses_an_override_no_column_reads():
+    # David's weight changes nothing a two_user row reports
+    with pytest.raises(ValueError, match="^no column of this scenario reads f_d; it reads "):
+        scenario_params(SCENARIO_TABLE["two_user"], 0.5, {"f_d": 3.0})
 
 
 def test_scan_just_under_the_resolution_bound_matches_the_closed_forms():

@@ -665,12 +665,11 @@ class TestBlockPool:
 
         cpus(k)
         buffer = sampler._BUFFER_ROWS * _BLOCK * 8
-        config = cli.RunConfig(scenario="three_user", eta_start=0.9, eta_stop=0.9,
-                               eta_steps=1, seed=4, shots=10 * _BLOCK)
-        cli.cmd_montecarlo(config)  # first calls fill caches outside the measurement
+        settings = ("three_user", 0.9, {}, 10 * _BLOCK, 4)
+        cli.cmd_montecarlo(*settings)  # first calls fill caches outside the measurement
         tracemalloc.start()
         try:
-            cli.cmd_montecarlo(config)
+            cli.cmd_montecarlo(*settings)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -739,9 +738,7 @@ class TestBlockPool:
 
         threading.setprofile(profile)
         try:
-            config = cli.RunConfig(scenario="three_user", eta_start=0.8, eta_stop=0.8,
-                                   eta_steps=1, seed=7, shots=3 * _BLOCK)
-            cli.cmd_montecarlo(config)
+            cli.cmd_montecarlo("three_user", 0.8, {}, 3 * _BLOCK, 7)
             estimate_covariance(simulate_shots(OFF_BALANCE, "pre_david", 2 * _BLOCK, seed=1))
         finally:
             threading.setprofile(None)
