@@ -297,14 +297,15 @@ _TWO_USER_COLUMNS = {
 }
 _LINKS = ("eta_sb", "eta_sd", "eta_ab", "eta_bd")
 
-#: The secret-sharing state: fixed coefficients, every user link at the grid efficiency.
+#: The secret-sharing state: fixed coefficients, every user link at the grid efficiency, and
+#: the PPT value of each relay ancilla against the rest of its cut, in network order.
 _QSS = Scenario(qss_params(), _LINKS, {}, {
     "eta": None, "f_b": None, "f_d": None,
     "G_BD_to_A": ("final_three_user", Partition((1, 2), (0,))),
     "G_B_to_A": ("final_three_user", Partition((1,), (0,))),
     "G_D_to_A": ("final_three_user", Partition((2,), (0,))),
-    "ppt_C1_vs_AB0": ("pre_bob", ("C1",)),
-    "ppt_C2_vs_ABD0": ("pre_david", ("C2",)),
+    **{f"ppt_{cut.relay}_vs_{''.join(label for label in cut.labels if label != cut.relay)}":
+       (cut.stage, (cut.relay,)) for cut, _, _ in _STAGES.values() if cut.relay},
 })
 
 SCENARIO_TABLE = {
@@ -335,15 +336,20 @@ SCENARIO_TABLE = {
 }
 
 
-def scenario_params(scenario: Scenario, eta: float, overrides: dict[str, float]) -> ProtocolParams:
-    """Grid-point parameters with auto-optimal coefficients unless overridden; a
-    ``ValueError`` names each override that no column of ``scenario`` reads."""
+def _refuse_unread(scenario: Scenario, overrides: dict[str, float]) -> None:
+    """``ValueError`` naming each override that no column of ``scenario`` reads."""
     if overrides:
         read = frozenset().union(*(_STAGES[s[0]].fields for s in scenario.columns.values() if s))
         unread = sorted(set(overrides) - read)
         if unread:
             raise ValueError(f"no column of this scenario reads {', '.join(unread)}; "
                              f"it reads {', '.join(sorted(read))}")
+
+
+def scenario_params(scenario: Scenario, eta: float, overrides: dict[str, float]) -> ProtocolParams:
+    """Grid-point parameters with auto-optimal coefficients unless overridden; a
+    ``ValueError`` names each override that no column of ``scenario`` reads."""
+    _refuse_unread(scenario, overrides)
     fields = {**vars(scenario.base), **dict.fromkeys(scenario.eta_fields, eta), **overrides}
     params = ProtocolParams(**fields)  # validates the overrides before they feed ``auto``
     auto = {}
@@ -385,6 +391,7 @@ def scan(scenario: Scenario, etas: Sequence[float],
     """One row of ``scenario`` per grid efficiency; ``overrides`` pin parameter fields, and
     each must be one that a column of ``scenario`` reads (``ValueError`` otherwise)."""
     reference = scenario.reference
+    _refuse_unread(scenario, overrides)
     rows = []
     for eta in map(float, etas):
         row = _scan_row(scenario_params(scenario, eta, overrides or {}), eta, scenario.columns)

@@ -10,20 +10,20 @@ channels.  Users then only apply local beam splitters:
   users, relays his spare port onwards;
 * David mixes that second ancilla with his mode on ``T3``.
 
-``NETLIST`` writes this chain down once, as loss and beam-splitter steps on mode slots
-with stage cuts, each relay cut naming its ancilla.  ``_network_transfers`` interprets it
-forward on transfer matrices ``M`` (the network is linear in independent unit normals: the
-sources, the shared noise and a vacuum pair per loss), handing back the ``M`` of each cut it
-passes on its way to a stage, so one pass gives every cut before it too.  ``_covariance``
-forms every network covariance ``M M^T``, of one ``M`` or of a stack (``build_network_state``'s
-last cut, ``server_output_state`` and the optimizer's trials alike), and refuses one that
-float64 cannot resolve.  ``sampler`` interprets ``NETLIST`` on unit inputs with its own
-arithmetic.  At import ``_STAGES`` compiles it into one record per stage (its cut, the
-netlist through it and the fields its covariance reads), which ``_stage`` looks up for a
-``users`` setting.  The ``analytic_cov_*`` functions assemble the same covariances from
-closed-form matrix elements and must agree with the pipeline to float precision wherever
-their parameter regimes apply.  The scans over these states, with their optimal
-coefficients, are in ``optimize``.
+``NETLIST`` writes this chain down once, from the server's output on, as loss and
+beam-splitter steps on mode slots with stage cuts, each relay cut naming its ancilla.
+``_network_transfers`` interprets it forward on transfer matrices ``M`` (the network is
+linear in independent unit normals: the sources, the shared noise and a vacuum pair per
+loss), handing back the ``M`` of each cut it passes on its way to a stage, so one pass gives
+every cut before it too.  ``_covariance`` forms every network covariance ``M M^T``, of one
+``M`` or of a stack (``build_network_state``'s last cut and the optimizer's trials alike),
+and refuses one that float64 cannot resolve.  ``sampler`` interprets ``NETLIST`` on unit
+inputs with its own arithmetic.  At import ``_STAGES`` compiles it into one record per stage
+(its cut, the netlist through it and the fields its covariance reads), which ``_stage``
+looks up for a ``users`` setting.  The ``analytic_cov_*`` functions assemble the same
+covariances from closed-form matrix elements and must agree with the pipeline to float
+precision wherever their parameter regimes apply.  The scans over these states, with their
+optimal coefficients, are in ``optimize``.
 """
 
 from __future__ import annotations
@@ -120,24 +120,6 @@ def _server_source(p: ProtocolParams, **weights) -> tuple[tuple[float, ...], tup
     return variances, (0.0, f_a, f_b, -f_b, f_c, 0.0, f_d, -f_d)
 
 
-def _server_transfer(params: ProtocolParams, columns: int = 10, **weights) -> np.ndarray:
-    """Transfer matrix ``M`` of ``server_output_state`` (covariance ``M M^T``): columns for
-    the eight source quadratures, ``x_dis`` and ``p_dis``, then ``columns - 10`` zero ones
-    for vacuum pairs; array ``f_*`` ``weights`` give a stack ``(..., 8, columns)``.
-    ``ArithmeticError`` naming the weight if a ``sqrt(v_dis)`` times it overflows."""
-    variances, source = _server_source(params, **weights)
-    m = np.zeros((*np.broadcast(*source).shape, 8, columns))
-    v_dis = math.sqrt(params.v_dis)
-    for k, (variance, weight) in enumerate(zip(variances, source)):
-        m[..., k, k] = math.sqrt(variance)
-        m[..., k, 8 + k % 2] = v_dis * weight
-    if not np.isfinite(m).all():
-        name = _SLOT_WEIGHTS[np.argwhere(~np.isfinite(m))[0][-2] // 2]
-        raise ArithmeticError(f"sqrt(v_dis) x {name} overflows float64 "
-                              f"(v_dis = {params.v_dis:g}); lower v_dis or {name}")
-    return m
-
-
 #: The largest ``eps * variance`` a network covariance may carry.  The shared noise enters a
 #: covariance as entries of order ``v_dis f^2`` that cancel to O(1) in the steering and PPT
 #: values, so these carry an absolute error of about ``eps`` times the largest variance:
@@ -162,25 +144,25 @@ def _covariance(m: np.ndarray) -> np.ndarray:
 
 
 def server_output_state(params: ProtocolParams) -> GaussianState:
-    """The four displaced modes as they leave the server (fully separable).
-
-    Modes in order ``A0, B0, C0, D0``: a p-squeezed mode for Alice, Bob's
-    coherent mode, an x-squeezed mode for Alice, David's coherent mode, all
-    correlated only through the shared classical noise.
-    """
-    return GaussianState(("A0", "B0", "C0", "D0"), _covariance(_server_transfer(params)))
+    """The four displaced modes as they leave the server (fully separable), the first cut
+    of ``NETLIST``: ``A0, B0, C0, D0``, a p-squeezed mode for Alice, Bob's coherent mode, an
+    x-squeezed mode for Alice and David's coherent mode, correlated only through the shared
+    classical noise."""
+    return build_network_state(params, "server")
 
 
 Loss = namedtuple("Loss", "slot eta")
 Splitter = namedtuple("Splitter", "i j t complement", defaults=(False,))
 Cut = namedtuple("Cut", "stage labels users relay", defaults=("two", None))
 
-#: The network, written once.  Server modes start in slots A0=0, B0=1, C0=2, D0=3; steps name
-#: the ``ProtocolParams`` field they read.  Splitters have the port map of ``core.beam_splitter``
-#: and with ``complement`` run at ``1 - t``; each interpreter still forms ``sqrt(t)`` from ``t``,
-#: since ``sqrt(1 - (1 - t))`` differs in the last bits.  A cut keeps its ``len(labels)`` slots;
-#: its ``relay`` labels the ancilla in flight to the next user, which the protocol keeps separable.
+#: The network, written once, from its first cut, the server's output in slots A0=0, B0=1, C0=2,
+#: D0=3; steps name the ``ProtocolParams`` field they read.  Splitters have the port map of
+#: ``core.beam_splitter`` and with ``complement`` run at ``1 - t``; each interpreter still forms
+#: ``sqrt(t)`` from ``t``, since ``sqrt(1 - (1 - t))`` differs in the last bits.  A cut keeps its
+#: ``len(labels)`` slots; its ``relay`` labels the ancilla in flight to the next user, which the
+#: protocol keeps separable.
 NETLIST = (
+    Cut("server", ("A0", "B0", "C0", "D0")),
     Loss(0, "eta_sa"), Loss(2, "eta_sa"), Loss(1, "eta_sb"), Loss(3, "eta_sd"),
     Splitter(0, 2, "t1"),                    # -> A at 0, C1 at 2
     Loss(2, "eta_ab"),
@@ -232,14 +214,24 @@ def _network_transfers(params: ProtocolParams, stage: str,
                        **weights) -> Iterator[tuple[Cut, np.ndarray]]:
     """Each cut of ``NETLIST`` up to that of ``stage``, in order, with the transfer matrix
     ``M`` of its kept slots there, whose covariance is ``M M^T``: one forward pass, which
-    stops at the cut of ``stage``.  The columns of ``M`` are those of ``_server_transfer``,
-    then a vacuum pair per loss, which scales its slot's rows by ``sqrt(eta)``; a splitter
-    is ``S M``.  Array ``f_*`` ``weights`` give stacks ``(..., 2n, columns)``, one ``M`` per
-    weight (``eta`` and ``t`` stay scalar).  ``stage`` is checked on the first ``next``."""
+    stops at the cut of ``stage``.  The columns of ``M`` are the eight source quadratures
+    ``(x1, p1, ..., x4, p4)`` of ``A0, B0, C0, D0``, ``x_dis`` and ``p_dis``, then a vacuum
+    pair per loss, which scales its slot's rows by ``sqrt(eta)``; a splitter is ``S M``.
+    Array ``f_*`` ``weights`` give stacks ``(..., 2n, columns)``, one ``M`` per weight
+    (``eta`` and ``t`` stay scalar).  ``stage`` is checked on the first ``next``, and
+    ``ArithmeticError`` names the weight if a ``sqrt(v_dis)`` times it overflows."""
     netlist = _stage(params, stage).netlist
-    vacuum = 10
-    m = _server_transfer(params, vacuum + 2 * sum(isinstance(step, Loss) for step in netlist),
-                         **weights)
+    variances, source = _server_source(params, **weights)
+    vacuum = len(variances) + 2
+    m = np.zeros((*np.broadcast(*source).shape, len(variances),
+                  vacuum + 2 * sum(isinstance(step, Loss) for step in netlist)))
+    for k, (variance, weight) in enumerate(zip(variances, source)):
+        m[..., k, k] = math.sqrt(variance)
+        m[..., k, len(variances) + k % 2] = math.sqrt(params.v_dis) * weight
+    if not np.isfinite(m).all():
+        name = _SLOT_WEIGHTS[np.argwhere(~np.isfinite(m))[0][-2] // 2]
+        raise ArithmeticError(f"sqrt(v_dis) x {name} overflows float64 "
+                              f"(v_dis = {params.v_dis:g}); lower v_dis or {name}")
     for step in netlist:
         if isinstance(step, Loss):
             eta, row = getattr(params, step.eta), 2 * step.slot
@@ -258,9 +250,9 @@ def _network_transfers(params: ProtocolParams, stage: str,
 def build_network_state(params: ProtocolParams, stage: str) -> GaussianState:
     """Propagate the server outputs through ``NETLIST`` up to the cut of ``stage``.
 
-    The stages, in order: ``pre_bob`` after Alice's beam splitter,
-    ``final_two_user`` after Bob's, ``pre_david`` with the second ancilla in
-    flight, ``final_three_user`` after David's; each cut names its modes.
+    The stages, in order: ``server`` as the modes leave the server, ``pre_bob`` after
+    Alice's beam splitter, ``final_two_user`` after Bob's, ``pre_david`` with the second
+    ancilla in flight, ``final_three_user`` after David's; each cut names its modes.
 
     Bob's output takes amplitude ``sqrt(t2)`` from his own mode; David's
     takes ``sqrt(t3)`` from his mode and ``-sqrt(1-t3)`` from the relayed

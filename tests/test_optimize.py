@@ -349,6 +349,13 @@ def test_scenario_params_refuses_an_override_no_column_reads():
         scenario_params(SCENARIO_TABLE["two_user"], 0.5, {"f_d": 3.0})
 
 
+def test_scan_refuses_an_unread_override_on_an_empty_grid():
+    # the refusal does not wait for a grid point to reach scenario_params
+    with pytest.raises(ValueError, match="^no column of this scenario reads bogus; it reads "):
+        scan(SCENARIO_TABLE["two_user"], [], {"bogus": 1.0})
+    assert scan(SCENARIO_TABLE["two_user"], [], None).rows == ()
+
+
 def test_scan_just_under_the_resolution_bound_matches_the_closed_forms():
     # eps times the largest variance of the grid's states is just under the bound, and the
     # three_user steering columns still match the closed forms to within it

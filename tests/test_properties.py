@@ -388,8 +388,8 @@ def test_channels_preserve_physicality(state, data):
 
 def composed_network_state(params: ProtocolParams, stage: str) -> GaussianState:
     """The network state built step by step on covariances, apart from ``protocol``: the
-    ``core`` sources plus the shared noise ``v_dis (u u^T + w w^T)``, then ``S V S^T`` per
-    splitter and ``lossy`` per loss."""
+    ``core`` sources plus the shared noise ``v_dis (u u^T + w w^T)``, which is the server's
+    output, then ``S V S^T`` per splitter and ``lossy`` per loss."""
 
     def mix(cov, i, j, c, r):
         s = _beam_splitter_matrix(4, i, j, c, r)
@@ -402,6 +402,8 @@ def composed_network_state(params: ProtocolParams, stage: str) -> GaussianState:
     u = np.array([0.0, 0.0, params.f_b, 0.0, params.f_c, 0.0, params.f_d, 0.0])
     w = np.array([0.0, params.f_a, 0.0, -params.f_b, 0.0, 0.0, 0.0, -params.f_d])
     cov = cov + params.v_dis * (np.outer(u, u) + np.outer(w, w))
+    if stage == "server":
+        return GaussianState(("A0", "B0", "C0", "D0"), cov)
     cov = lossy(cov, 0, params.eta_sa)
     cov = lossy(cov, 2, params.eta_sa)
     cov = lossy(cov, 1, params.eta_sb)
@@ -552,14 +554,50 @@ def _boundary_params(draw):
                           v_dis=draw(st.floats(0.0, 5.0)))
 
 
+def _c1_entangled_within(params: ProtocolParams, k: float) -> bool:
+    """Whether ``C1``'s PPT value at ``pre_bob`` lies within ``k`` below 1, decided from the
+    inputs, for a draw of ``_boundary_params`` below the boundary.
+
+    ``X`` is the x sector of ``(A, B0, C1)``, here in closed form; the p sector is ``D X D``
+    for ``D = diag(1, -1, 1)``, so the partially transposed spectrum is that of ``X D``: one
+    eigenvalue at or below -1, and below the boundary ``1 - m`` and one above 1.  Hence
+    ``det(X D - I) = m Q(m)`` with ``Q(m) = tr(X D) - 2 + m + det X / (1 - m)``, which grows
+    with ``m``, so ``m <= k`` exactly when ``det(X D - I) <= k Q(k)``.  ``det(X D - I)`` is
+    taken in its factored form, ``eta_ab eta_sa^2 (v_a - 1) (2 (1 - v_s) - d v_dis)`` with
+    ``d = 2 - eta_sb f_b^2 (1 - v_s)``, free of cancellation."""
+    p = params
+    half = p.eta_sa * ((p.v_a + p.v_s + p.v_dis) / 2.0 - 1.0)
+    ab = np.sqrt(2.0 * p.eta_sa * p.eta_sb) * p.f_b * p.v_dis / 2.0
+    ac = np.sqrt(p.eta_ab) * p.eta_sa * (p.v_a - p.v_s - p.v_dis) / 2.0
+    bc = -np.sqrt(p.eta_ab) * ab
+    x = np.array([[1.0 + half, ab, ac], [ab, 1.0 + p.eta_sb * p.f_b**2 * p.v_dis, bc],
+                  [ac, bc, 1.0 + p.eta_ab * half]])
+    gap = 2.0 * (1.0 - p.v_s) - (2.0 - p.eta_sb * p.f_b**2 * (1.0 - p.v_s)) * p.v_dis
+    q = x[0, 0] - x[1, 1] + x[2, 2] - 2.0 + k + np.linalg.det(x) / (1.0 - k)
+    return p.eta_ab * p.eta_sa**2 * (p.v_a - 1.0) * gap <= k * q
+
+
 @SETTINGS
 @given(_boundary_params())
 def test_ancilla_separable_exactly_above_the_boundary(params):
     vsep = separable_boundary_vsep(params)
-    assume(abs(params.v_dis - vsep) > 1e-6 * max(1.0, vsep))  # float-undecidable at the edge
+    # below the boundary C1's PPT value falls below 1 by a margin that shrinks with
+    # eta_sa eta_ab (vsep - v_dis) and other factors; where it is within the verdict's slack
+    # the verdict reads separable, so those draws are left to the pinned point below
+    assume(params.v_dis >= vsep or not _c1_entangled_within(params, 2 * SEPARABILITY_TOL))
     value = ppt_min(build_network_state(params, "pre_bob"), ["C1"])
     # a pure source leaves C1 at PPT 1 above the boundary, so the verdict takes the slack
     assert (value >= 1.0 - SEPARABILITY_TOL) == (params.v_dis >= vsep)
+
+
+def test_ancilla_just_below_the_boundary_takes_the_slack():
+    # vsep = 0.5000019, so C1 is entangled, but only by 9.2e-10: inside the verdict's slack
+    params = ProtocolParams(v_s=0.5, v_a=2.0, v_dis=0.5, t2=0.0, eta_sa=0.015625,
+                            eta_sb=6.103515625e-05, eta_ab=0.015625, f_b=0.5)
+    assert params.v_dis < separable_boundary_vsep(params)
+    assert _c1_entangled_within(params, 2 * SEPARABILITY_TOL)
+    value = ppt_min(build_network_state(params, "pre_bob"), ["C1"])
+    assert 1.0 - SEPARABILITY_TOL <= value < 1.0
 
 
 @SETTINGS

@@ -137,7 +137,8 @@ class TestCovariance:
     """``_covariance`` forms and guards every network covariance, of one ``M`` or a stack."""
 
     def test_one_matrix_is_its_product(self):
-        (_, m), = _network_transfers(two_user_params(0.8), "pre_bob")
+        *_, (cut, m) = _network_transfers(two_user_params(0.8), "pre_bob")
+        assert cut.stage == "pre_bob"
         assert _covariance(m).tobytes() == (m @ m.T).tobytes()
 
     def test_one_unresolvable_matrix_refuses_the_stack(self):
@@ -443,6 +444,15 @@ class TestServerOutputs:
 
     def test_labels(self):
         assert server_output_state(ProtocolParams()).labels == ("A0", "B0", "C0", "D0")
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_every_pass_starts_at_the_server(self, stage):
+        # the server's output is the network's first cut: every stage's pass hands it out
+        # first, and its M M^T is server_output_state, bit for bit
+        params = three_user_params(0.8)
+        cut, m = next(_network_transfers(params, stage))
+        assert cut.stage == STAGES[0] == "server"
+        assert _covariance(m).tobytes() == server_output_state(params).cov.tobytes()
 
 
 class TestQssScenario:

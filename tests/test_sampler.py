@@ -118,6 +118,7 @@ class TestSimulateShots:
         np.testing.assert_array_equal(batch.quads, reference.quads)
 
     @pytest.mark.parametrize("stage, digest", {
+        "server": "01f3add0dc17f978ed9f549a993b14f9b07aaafab8e4f7d43b502889fb23c8ef",
         "pre_bob": "a72e6a4c9908750fc6fbed88ee20e5361418b484bc2984e8c28f72c6f45f5345",
         "final_two_user": "f3b82408c8889a54f41f7baaa75b4275ad1c474ffd263a651f1b21a2b7284ac0",
         "pre_david": "fcf4315ede9fe09af7c858c90d5f7eadea1bd53b611e58391d9361d1a1cb7bb1",
@@ -434,13 +435,16 @@ class TestCompareCovariance:
 #: by 15 standard errors or more at 200k shots; splitters off balance, f_a, f_c != 1.
 LOSSY = OFF_BALANCE.replace(eta_sa=0.6, eta_sb=0.5, eta_sd=0.4, eta_ab=0.55, eta_bd=0.45)
 
+#: The netlist after its first cut, the server's output, which ``_reference_cov`` builds itself.
+AFTER_SERVER = NETLIST[1:]
+
 
 def _reference_cov(params: ProtocolParams, stage: str, swap: int | None = None,
                    drop: tuple[int, int] | None = None, flip: int | None = None,
                    scale: float = 1.0) -> np.ndarray:
     """The covariance at the cut of ``stage``, from the netlist interpreted on covariances
     by one plain 8 x 8 matrix per step, written apart from ``protocol`` and ``core``, with
-    one defect at most.  ``swap`` is the ``NETLIST`` index of a splitter whose amplitudes
+    one defect at most.  ``swap`` is the ``AFTER_SERVER`` index of a splitter whose amplitudes
     trade places, ``drop`` a loss's index and the quadrature (0 for x, 1 for p) that gets
     no vacuum, ``flip`` the server quadrature whose shared-noise weight changes sign, and
     ``scale`` multiplies the covariance handed back."""
@@ -449,7 +453,7 @@ def _reference_cov(params: ProtocolParams, stage: str, swap: int | None = None,
     u, w = np.zeros(8), np.zeros(8)
     u[0::2], w[1::2] = source[0::2], source[1::2]
     cov = np.diag(variances) + params.v_dis * (np.outer(u, u) + np.outer(w, w))
-    for j, step in enumerate(NETLIST):
+    for j, step in enumerate(AFTER_SERVER):
         s, vacuum = np.eye(8), np.zeros(8)
         if isinstance(step, Loss):
             eta = getattr(params, step.eta)
@@ -491,12 +495,13 @@ class TestDetection:
         np.testing.assert_allclose(_reference_cov(LOSSY, self.STAGE),
                                    build_network_state(LOSSY, self.STAGE).cov, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("step", [j for j, st in enumerate(NETLIST)
+    @pytest.mark.parametrize("step", [j for j, st in enumerate(AFTER_SERVER)
                                       if isinstance(st, Splitter)])
     def test_swapped_splitter_amplitudes_are_flagged(self, estimate, step):
         assert self.flagged(estimate, swap=step) != ()
 
-    @pytest.mark.parametrize("step", [j for j, st in enumerate(NETLIST) if isinstance(st, Loss)])
+    @pytest.mark.parametrize("step", [j for j, st in enumerate(AFTER_SERVER)
+                                      if isinstance(st, Loss)])
     @pytest.mark.parametrize("quadrature", [0, 1], ids=["x", "p"])
     def test_dropped_loss_vacuum_is_flagged(self, estimate, step, quadrature):
         assert self.flagged(estimate, drop=(step, quadrature)) != ()
