@@ -17,7 +17,6 @@ from cvsteer import (
     optimal_fd,
     ppt_min,
     separable_boundary_vsep,
-    server_output_state,
     steerability,
 )
 from cvsteer.protocol import ProtocolParams, V_A_DEFAULT, V_S_DEFAULT
@@ -43,7 +42,7 @@ print(f"displacement variance {params.v_dis} vs separable boundary "
       f"{separable_boundary_vsep(params):.3f}")
 
 # -- step 0: server outputs are fully separable -------------------------------
-server = server_output_state(params)
+server = build_network_state(params, "server")
 print("\nserver outputs", server.labels)
 for mode in server.labels:
     print(f"  PPT {mode}|rest = {ppt_min(server, [mode]):.4f}  (>= 1: separable)")

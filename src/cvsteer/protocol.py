@@ -17,13 +17,14 @@ linear in independent unit normals: the sources, the shared noise and a vacuum p
 loss), handing back the ``M`` of each cut it passes on its way to a stage, so one pass gives
 every cut before it too.  ``_covariance`` forms every network covariance ``M M^T``, of one
 ``M`` or of a stack (``build_network_state``'s last cut and the optimizer's trials alike),
-and refuses one that float64 cannot resolve.  ``sampler`` interprets ``NETLIST`` on unit
-inputs with its own arithmetic.  At import ``_STAGES`` compiles it into one record per stage
-(its cut, the netlist through it and the fields its covariance reads), which ``_stage``
-looks up for a ``users`` setting.  The ``analytic_cov_*`` functions assemble the same
-covariances from closed-form matrix elements and must agree with the pipeline to float
-precision wherever their parameter regimes apply.  The scans over these states, with their
-optimal coefficients, are in ``optimize``.
+and refuses one that float64 cannot resolve.  ``sampler``'s twin shares ``NETLIST``,
+``_stage`` and the server cut, the first yield of ``_network_transfers``, and runs the rest
+of the netlist on that cut with its own arithmetic.  At import ``_STAGES`` compiles
+``NETLIST`` into one record per stage (its cut, the netlist through it and the fields its
+covariance reads), which ``_stage`` looks up for a ``users`` setting.  The
+``analytic_cov_*`` functions assemble the same covariances from closed-form matrix elements
+and must agree with the pipeline to float precision wherever their parameter regimes apply.
+The scans over these states, with their optimal coefficients, are in ``optimize``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "closed_form_steering_two_user",
     "qss_params",
     "separable_boundary_vsep",
-    "server_output_state",
 ]
 
 #: Squeezing / antisqueezing variances of the source (-3 dB / +5.5 dB).
@@ -143,14 +143,6 @@ def _covariance(m: np.ndarray) -> np.ndarray:
     return cov
 
 
-def server_output_state(params: ProtocolParams) -> GaussianState:
-    """The four displaced modes as they leave the server (fully separable), the first cut
-    of ``NETLIST``: ``A0, B0, C0, D0``, a p-squeezed mode for Alice, Bob's coherent mode, an
-    x-squeezed mode for Alice and David's coherent mode, correlated only through the shared
-    classical noise."""
-    return build_network_state(params, "server")
-
-
 Loss = namedtuple("Loss", "slot eta")
 Splitter = namedtuple("Splitter", "i j t complement", defaults=(False,))
 Cut = namedtuple("Cut", "stage labels users relay", defaults=("two", None))
@@ -240,7 +232,7 @@ def _network_transfers(params: ProtocolParams, stage: str,
             vacuum += 2
         elif isinstance(step, Splitter):
             t = getattr(params, step.t)
-            c, r = math.sqrt(t), math.sqrt(1.0 - t)  # correctly rounded, as the sampler's np.sqrt
+            c, r = math.sqrt(t), math.sqrt(1.0 - t)  # correctly rounded, as the sampler's
             m = core._beam_splitter_matrix(4, step.i, step.j,
                                            *((r, c) if step.complement else (c, r))) @ m
         else:

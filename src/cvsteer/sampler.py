@@ -4,16 +4,16 @@ Every quantity in the protocol is Gaussian and every operation linear, so the
 law of the joint quadrature records (both quadratures of every kept mode on
 each shot) is fixed by one transfer matrix ``P``: the kept quadratures are
 ``P z`` for independent unit normals ``z``, one per source quadrature, per
-shared classical noise variable and per loss-injected vacuum.  ``_transfer``
-finds ``P`` by running ``protocol.NETLIST`` through the stage's cut, the
-network description the covariance pipeline interprets, once as row
-operations on unit inputs, and keeping the cut's rows.  That arithmetic
-is the sampler's own and does not call ``core``, so the twin still checks the
-covariance algebra independently.  No network state has an x-p term, so
-``P P^T`` is an x sector and a p sector; ``_root`` factors each into a
-lower-triangular ``L`` in Python floats, and each shot is then ``L w`` for
-``2n`` standard normals ``w``, which has the law of ``P z`` whatever the
-losses.  No BLAS or LAPACK call decides a shot.  The sample covariance of the
+shared classical noise variable and per loss-injected vacuum.  The twin shares
+``protocol.NETLIST``, ``_stage`` and the server cut with the pipeline: ``_transfer``
+takes ``P`` at the server cut, the first yield of ``protocol._network_transfers``,
+and runs the rest of the stage's netlist on it once as row operations on unit
+inputs.  That arithmetic is the sampler's own and calls neither ``core`` nor a
+later cut, so the twin checks the propagation independently.  No network state
+has an x-p term, so ``P P^T`` is an x sector and a p sector; ``_root`` factors
+each into a lower-triangular ``L`` in Python floats, and each shot is then
+``L w`` for ``2n`` standard normals ``w``, which has the law of ``P z`` whatever
+the losses.  No BLAS or LAPACK call decides a shot.  The sample covariance of the
 retained modes must converge to the analytic covariance at the usual
 1/sqrt(n) rate; ``compare_covariance`` quantifies the agreement element by
 element and states its detection floor, the deviation each element needs to
@@ -159,23 +159,15 @@ def _transfer(params: ProtocolParams, stage: str) -> np.ndarray:
     ``protocol._network_transfers``: eight server quadratures, ``x_dis``, ``p_dis``, a vacuum
     pair per loss.
 
-    The stage's whole netlist runs once, as row operations on the ``k`` unit inputs, in the
-    sampler's own arithmetic (not ``core``'s or ``protocol``'s): a source row is ``sqrt(v)``
-    in its own column and ``sqrt(v_dis)`` times its weight in its noise column, a loss scales
-    its slot's rows by ``sqrt(eta)`` and puts ``sqrt(1 - eta)`` in its own vacuum column, and
-    a splitter maps rows ``a, b`` to ``c a + r b, r a - c b``.  An x row reads only x inputs
-    and a p row only p inputs.  ``ArithmeticError``, as ``protocol`` raises, if a source row
-    is not finite."""
+    ``P`` starts as the server cut, the first yield of ``protocol._network_transfers``, and
+    the rest of the stage's netlist runs once on it as row operations, in the sampler's own
+    arithmetic (not ``core``'s or ``protocol``'s): a loss scales its slot's rows by
+    ``sqrt(eta)`` and puts ``sqrt(1 - eta)`` in its own vacuum column, and a splitter maps
+    rows ``a, b`` to ``c a + r b, r a - c b``.  An x row reads only x inputs and a p row only
+    p inputs.  ``ArithmeticError``, from ``protocol``, if a source row overflows."""
     cut, netlist, _ = protocol._stage(params, stage)
-    variances, weights = protocol._server_source(params)
-    vacuum = len(variances) + 2
-    q = np.zeros((len(variances), vacuum + 2 * sum(isinstance(s, Loss) for s in netlist)))
-    for k, (variance, weight) in enumerate(zip(variances, weights)):
-        q[k, k] = math.sqrt(variance)
-        q[k, len(variances) + k % 2] = math.sqrt(params.v_dis) * weight
-    if not np.isfinite(q).all():
-        raise ArithmeticError("a source row of the Monte Carlo twin is not finite: "
-                              "sqrt(v_dis) x a displacement weight overflows float64")
+    _, q = next(protocol._network_transfers(params, stage))
+    vacuum = len(q) + 2
     for step in netlist:
         if isinstance(step, Loss):
             eta = getattr(params, step.eta)

@@ -34,7 +34,6 @@ from cvsteer import (
     ppt_two_mode,
     qss_params,
     separable_boundary_vsep,
-    server_output_state,
     simulate_shots,
     steerability,
     symplectic_eigenvalues,
@@ -278,7 +277,7 @@ def test_criterion_9_property_suite(rng):
 
     # server outputs are fully separable before any beam splitter
     for eta in (1.0, 0.5):
-        outputs = server_output_state(three_user_params(eta))
+        outputs = build_network_state(three_user_params(eta), "server")
         for mode in range(4):
             assert ppt_min(outputs, [mode]) >= 1.0 - 1e-9
     print("\nACCEPTANCE 9 (property suite): PASS")

@@ -11,7 +11,6 @@ from cvsteer import (
     db_to_variance,
     is_physical,
     select_modes,
-    server_output_state,
     squeezed_mode,
     symplectic_eigenvalues,
     tensor,
@@ -174,7 +173,7 @@ class TestLossChannel:
     def test_unit_efficiency_is_identity(self):
         # every link lossless: pre_bob is the server state after Alice's splitter alone
         p = ProtocolParams(t1=0.3, f_b=0.8)
-        mixed = select_modes(beam_splitter(server_output_state(p), "A0", "C0", p.t1),
+        mixed = select_modes(beam_splitter(build_network_state(p, "server"), "A0", "C0", p.t1),
                              ["A0", "B0", "C0"])
         np.testing.assert_allclose(build_network_state(p, "pre_bob").cov, mixed.cov,
                                    rtol=0, atol=1e-13)
@@ -204,11 +203,11 @@ class TestCorrelatedNoise:
 
     def test_zero_variance_is_identity(self):
         p = ProtocolParams(v_s=0.5, v_a=3.55, v_dis=0.0, f_b=-2.0, f_d=0.5)
-        np.testing.assert_allclose(server_output_state(p).cov, self.SOURCES, rtol=1e-15)
+        np.testing.assert_allclose(build_network_state(p, "server").cov, self.SOURCES, rtol=1e-15)
 
     def test_single_mode_additive(self):
         # B0 takes x_dis with weight f_b and p_dis with -f_b: vacuum plus v_dis on each
-        cov = server_output_state(ProtocolParams(v_dis=1.5, f_b=1.0)).cov
+        cov = build_network_state(ProtocolParams(v_dis=1.5, f_b=1.0), "server").cov
         np.testing.assert_allclose(cov[2:4, 2:4], np.diag([2.5, 2.5]), rtol=1e-15)
 
     def test_negative_variance_rejected(self):
@@ -222,7 +221,7 @@ class TestCorrelatedNoise:
             f_a, f_b, f_c, f_d = rng.normal(size=4)
             p = ProtocolParams(v_s=0.5, v_a=3.55, v_dis=rng.uniform(0, 3),
                                f_a=f_a, f_b=f_b, f_c=f_c, f_d=f_d)
-            added = server_output_state(p).cov - self.SOURCES
+            added = build_network_state(p, "server").cov - self.SOURCES
             assert np.linalg.eigvalsh(added).min() >= -1e-12
 
     def test_two_user_pipeline_variance(self):

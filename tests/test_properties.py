@@ -22,7 +22,6 @@ from cvsteer import (
     qss_params,
     select_modes,
     separable_boundary_vsep,
-    server_output_state,
     squeezed_mode,
     steerability,
     symplectic_eigenvalues,
@@ -604,6 +603,6 @@ def test_ancilla_just_below_the_boundary_takes_the_slack():
 @given(protocol_params)
 def test_server_output_is_separable_on_every_split(params):
     # only separable states leave the server (Simon, PRL 84, 2726, 2000, for 1-vs-1)
-    state = server_output_state(params)
+    state = build_network_state(params, "server")
     for party in ([0], [1], [2], [3], [0, 1], [0, 2], [0, 3]):
         assert ppt_min(state, party) >= 1.0 - 1e-9

@@ -21,7 +21,6 @@ from cvsteer import (
     qss_params,
     scan,
     separable_boundary_vsep,
-    server_output_state,
     steerability,
 )
 from cvsteer.criteria import SEPARABILITY_TOL
@@ -438,21 +437,21 @@ class TestClosedFormSteeringThreeUser:
 class TestServerOutputs:
     def test_fully_separable_every_split(self):
         for eta in (1.0, 0.6):
-            state = server_output_state(three_user_params(eta))
+            state = build_network_state(three_user_params(eta), "server")
             for mode in range(4):
                 assert ppt_min(state, [mode]) >= 1.0 - 1e-9
 
     def test_labels(self):
-        assert server_output_state(ProtocolParams()).labels == ("A0", "B0", "C0", "D0")
+        assert build_network_state(ProtocolParams(), "server").labels == ("A0", "B0", "C0", "D0")
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_every_pass_starts_at_the_server(self, stage):
         # the server's output is the network's first cut: every stage's pass hands it out
-        # first, and its M M^T is server_output_state, bit for bit
+        # first, and its M M^T is the built server state, bit for bit
         params = three_user_params(0.8)
         cut, m = next(_network_transfers(params, stage))
         assert cut.stage == STAGES[0] == "server"
-        assert _covariance(m).tobytes() == server_output_state(params).cov.tobytes()
+        assert _covariance(m).tobytes() == build_network_state(params, "server").cov.tobytes()
 
 
 class TestQssScenario:

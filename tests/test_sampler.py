@@ -20,7 +20,7 @@ from cvsteer import (
     sampler,
     simulate_shots,
 )
-from cvsteer import protocol
+from cvsteer import core, protocol
 from cvsteer.protocol import NETLIST, STAGES, Loss, Splitter
 from cvsteer.sampler import _BLOCK
 from conftest import three_user_params, two_user_params
@@ -150,15 +150,16 @@ class TestSimulateShots:
     @pytest.mark.parametrize("eta_sd", [0.0, 0.5])
     def test_the_twin_refuses_what_the_pipeline_refuses(self, eta_sd):
         # pre_bob does not read David's slot, but its noise term sqrt(v_dis) f_d overflows:
-        # the twin refuses the network as the pipeline does, and at eta_sd = 0 without
-        # computing inf * 0, which warns
+        # the twin starts at the pipeline's server cut, so it refuses the network with the
+        # pipeline's message, and at eta_sd = 0 without computing inf * 0, which warns
         params = ProtocolParams(users="two", f_d=1.7e308, eta_sd=eta_sd, eta_sb=0.8, eta_ab=0.8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ArithmeticError, match=r"sqrt\(v_dis\) x f_d overflows"):
-                build_network_state(params, "pre_bob")
-            with pytest.raises(ArithmeticError, match="source row of the Monte Carlo twin"):
-                simulate_shots(params, "pre_bob", 100, seed=0)
+            for refused in (lambda: build_network_state(params, "pre_bob"),
+                            lambda: simulate_shots(params, "pre_bob", 100, seed=0),
+                            lambda: sampler._sampled_covariance(params, "pre_bob", 100, seed=0)):
+                with pytest.raises(ArithmeticError, match=r"sqrt\(v_dis\) x f_d overflows"):
+                    refused()
 
     @pytest.mark.parametrize("link", ["eta_sa", "eta_sb", "eta_sd", "eta_ab", "eta_bd"])
     def test_a_link_at_one_draws_what_it_draws_below_one(self, link):
@@ -438,6 +439,22 @@ LOSSY = OFF_BALANCE.replace(eta_sa=0.6, eta_sb=0.5, eta_sd=0.4, eta_ab=0.55, eta
 #: The netlist after its first cut, the server's output, which ``_reference_cov`` builds itself.
 AFTER_SERVER = NETLIST[1:]
 
+#: The server's quadratures ``(x1, p1, ..., x4, p4)`` of ``A0, B0, C0, D0``, written apart
+#: from ``protocol``: the field of each one's variance (``None`` for vacuum's 1) and of its
+#: weight on ``x_dis`` or ``p_dis`` (``None`` for none, a leading ``-`` negates it).
+SERVER_SOURCES = (
+    ("v_a", None), ("v_s", "f_a"),       # A0, p-squeezed, noise on p
+    (None, "f_b"), (None, "-f_b"),       # B0, coherent
+    ("v_s", "f_c"), ("v_a", None),       # C0, x-squeezed, noise on x
+    (None, "f_d"), (None, "-f_d"),       # D0, coherent
+)
+
+
+def _source_value(params: ProtocolParams, field: str | None, default: float) -> float:
+    if field is None:
+        return default
+    return -getattr(params, field[1:]) if field[0] == "-" else getattr(params, field)
+
 
 def _reference_cov(params: ProtocolParams, stage: str, swap: int | None = None,
                    drop: tuple[int, int] | None = None, flip: int | None = None,
@@ -448,8 +465,9 @@ def _reference_cov(params: ProtocolParams, stage: str, swap: int | None = None,
     trade places, ``drop`` a loss's index and the quadrature (0 for x, 1 for p) that gets
     no vacuum, ``flip`` the server quadrature whose shared-noise weight changes sign, and
     ``scale`` multiplies the covariance handed back."""
-    variances, source = protocol._server_source(params)
-    source = [-w if k == flip else w for k, w in enumerate(source)]
+    variances = [_source_value(params, field, 1.0) for field, _ in SERVER_SOURCES]
+    source = [(-1.0 if k == flip else 1.0) * _source_value(params, field, 0.0)
+              for k, (_, field) in enumerate(SERVER_SOURCES)]
     u, w = np.zeros(8), np.zeros(8)
     u[0::2], w[1::2] = source[0::2], source[1::2]
     cov = np.diag(variances) + params.v_dis * (np.outer(u, u) + np.outer(w, w))
@@ -506,8 +524,7 @@ class TestDetection:
     def test_dropped_loss_vacuum_is_flagged(self, estimate, step, quadrature):
         assert self.flagged(estimate, drop=(step, quadrature)) != ()
 
-    @pytest.mark.parametrize("quadrature", [k for k, w in enumerate(
-        protocol._server_source(LOSSY)[1]) if w])
+    @pytest.mark.parametrize("quadrature", [k for k, (_, w) in enumerate(SERVER_SOURCES) if w])
     def test_flipped_weight_sign_is_flagged(self, estimate, quadrature):
         assert self.flagged(estimate, flip=quadrature) != ()
 
@@ -532,6 +549,27 @@ def test_sampler_transfer_gives_the_network_covariance(params, stage):
     # network's covariance to rounding, with no sampling noise to hide a defect behind
     transfer = sampler._transfer(params, stage)
     want = build_network_state(params, stage).cov
+    assert np.abs(transfer @ transfer.T - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("params, stage", LAYOUT_STAGES.values(), ids=LAYOUT_STAGES)
+def test_the_twin_shares_only_the_server_cut(monkeypatch, params, stage):
+    # the twin takes the pipeline's server cut and propagates it itself: with every later
+    # cut of the pass and core's splitter refused, its P P^T is still the network's covariance
+    want = build_network_state(params, stage).cov
+    network_transfers = protocol._network_transfers
+
+    def server_cut_only(*args, **kwargs):
+        transfers = network_transfers(*args, **kwargs)
+        yield next(transfers)
+        raise AssertionError("the twin read a cut after the server's")
+
+    def refused(*args):
+        raise AssertionError("the twin called core._beam_splitter_matrix")
+
+    monkeypatch.setattr(protocol, "_network_transfers", server_cut_only)
+    monkeypatch.setattr(core, "_beam_splitter_matrix", refused)
+    transfer = sampler._transfer(params, stage)
     assert np.abs(transfer @ transfer.T - want).max() <= 1e-13 * np.abs(want).max()
 
 
