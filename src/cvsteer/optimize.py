@@ -37,8 +37,8 @@ import numpy as np
 
 from .core import _require_fractions, _require_variances
 from .criteria import SEPARABILITY_TOL, Partition, _ppt_cov, _steer_cov, ppt_min, steerability
-from .protocol import (ProtocolParams, _RESOLUTION_LIMIT, _STAGES, _covariance,
-                       _network_transfers, _stage, build_network_state, qss_params)
+from .protocol import (ProtocolParams, _STAGES, _covariance, _network_transfers,
+                       _resolvable_limit, _stage, build_network_state, qss_params)
 
 __all__ = [
     "OptimizationResult",
@@ -157,26 +157,22 @@ _OBJECTIVE_STAGE = {
 }
 
 
-def _trials(params: ProtocolParams, stage: str, partition: Partition,
-            which: str) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The function that takes coefficients ``xs`` of ``which`` to the objective, the
+def _trials(params: ProtocolParams, stage: str, partition: Partition, which: str
+            ) -> tuple[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], float]:
+    """``(evaluate, f_res)``: ``f_res`` is the least ``_resolvable_limit`` of the kept cuts,
+    and ``evaluate`` takes coefficients ``xs`` of ``which`` to the objective, the
     steerability across ``partition`` at the cut of ``stage``, at each of them (``-inf``
-    where a relay ancilla is entangled) and the smallest PPT value of the relay ancillas of
-    the cuts before it.
+    past ``f_res`` or where a relay ancilla is entangled), and the smallest PPT value of the
+    relay ancillas of the cuts before it.
 
     The network is propagated once, here, at ``f = 0, 1``: a cut's transfer matrix is
-    affine in the coefficient, ``M0 + f dM`` with ``dM = M1 - M0``, and these roots are
-    kept for the relay cuts and the cut of ``stage``.  Each trial stack is
-    ``_covariance(M0 + xs dM)``, which refuses a stack that overflows or that float64
-    cannot resolve.  A relay is evaluated only where the ones before it are separable, and
-    the objective only where all are.  A relay whose cut does not read ``which`` has the
-    same value at every trial, so it is certified once, here, as a stack of one, and its
-    PPT value is where every trial's starts.  ``evaluate.f_res``, the largest coefficient
-    float64 resolves, is the least positive root of ``eps |r0 + f d|^2 = _RESOLUTION_LIMIT``
-    over each kept cut's rows ``r0`` of ``M0`` and ``d`` of ``dM``."""
-    start = math.inf
+    affine in the coefficient, ``M0 + f dM`` with ``dM = M1 - M0``, kept for the relay cuts
+    and the cut of ``stage``.  A relay is evaluated only where the ones before it are
+    separable, and the objective only where all are; a relay whose cut does not read
+    ``which`` is the same at every trial, so it is certified once, here, and its PPT value
+    is where every trial's starts."""
+    start, f_res = math.inf, math.inf
     cuts = []  # (cut, M0, dM) of each relay that reads ``which`` and of the objective's cut
-    bound, f_res = _RESOLUTION_LIMIT / np.finfo(float).eps, math.inf
     with np.errstate(over="raise", invalid="raise"):
         for cut, (m0, m1) in _network_transfers(params, stage, **{which: np.array([0.0, 1.0])}):
             if cut.relay and which not in _STAGES[cut.stage].fields:
@@ -185,16 +181,12 @@ def _trials(params: ProtocolParams, stage: str, partition: Partition,
             elif cut.relay or cut.stage == stage:
                 dm = m1 - m0
                 cuts.append((cut, m0, dm))
-                a, b, c = (dm * dm).sum(1), (m0 * dm).sum(1), (m0 * m0).sum(1) - bound
-                if c.max() > 0:  # unresolvable at f = 0 already: refused as every trial is
-                    _covariance(m0)
-                a, b, c = a[a > 0], b[a > 0], c[a > 0]  # rows that read ``which``
-                f_res = min(f_res, ((np.sqrt(b * b - a * c) - b) / a).min(initial=math.inf))
+                f_res = min(f_res, _resolvable_limit(m0, dm))
 
     def evaluate(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ppt = np.full(xs.shape, start)
         for cut, m0, dm in cuts:
-            ok = ppt >= _SEPARABLE
+            ok = (ppt >= _SEPARABLE) & (xs <= f_res)
             cov = _covariance(m0 + xs[ok, None, None] * dm)
             if cut.stage == stage:
                 ys = np.full(xs.shape, -math.inf)
@@ -202,8 +194,7 @@ def _trials(params: ProtocolParams, stage: str, partition: Partition,
                 return ys, ppt
             ppt[ok] = np.minimum(ppt[ok], _ppt_cov(cov, (cut.labels.index(cut.relay),)))
 
-    evaluate.f_res = f_res
-    return evaluate
+    return evaluate, f_res
 
 
 def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
@@ -225,8 +216,8 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
     over ``x* +/- h`` as one stack, moves ``x*`` only to a strictly better point and
     shrinks ``h``, until the window is ``_REFINE_TOL`` wide.  If no interior
     maximum exists the best end of the bracket is reported with ``at_boundary`` set, as is
-    one within ``_REFINE_TOL`` of ``f_res`` (``_trials``), the largest coefficient float64
-    resolves, where the bracket and every pass stop: the optimum may lie past it.
+    one within ``_REFINE_TOL`` of ``f_res``, the largest coefficient float64 resolves, past
+    which ``_trials`` counts every trial infeasible: the optimum may lie past it.
     """
     if objective not in _OBJECTIVE_STAGE:
         raise ValueError(f"unknown objective {objective!r}")
@@ -236,20 +227,18 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
     if which not in _stage(params, stage).fields:
         raise ValueError(f"{objective} does not depend on {which}")
 
-    evaluate = _trials(params, stage, partition, which)
-    bracket = _BRACKET[_BRACKET <= evaluate.f_res]
-    ys, ppt = evaluate(bracket)
+    evaluate, f_res = _trials(params, stage, partition, which)
+    ys, ppt = evaluate(_BRACKET)
     best = int(np.argmax(ys))
     if not math.isfinite(ys[best]):
         raise ValueError("no feasible point in [0, 4]: separability violated everywhere")
 
-    x_star, g_star, ppt_star = bracket[best], ys[best], ppt[best]
+    x_star, g_star, ppt_star = _BRACKET[best], ys[best], ppt[best]
     interior = 0 < best < len(_BRACKET) - 1
     h = _BRACKET[1] if interior else 0.0  # the bracket's spacing; an end is not refined
     offsets = np.linspace(-1.0, 1.0, _REFINE_POINTS)
     while 2.0 * h > _REFINE_TOL:
         xs = x_star + h * offsets
-        xs = xs[xs <= evaluate.f_res]
         ys, ppt = evaluate(xs)
         k = int(np.argmax(ys))
         if ys[k] > g_star:  # so g* never falls and x* stays feasible
@@ -262,7 +251,7 @@ def numeric_optimize_coefficient(objective: str, params: ProtocolParams,
         f_star=float(x_star),
         g_star=float(g_star),
         constraint_active=bool(active),
-        at_boundary=bool(not interior or evaluate.f_res - x_star < _REFINE_TOL),
+        at_boundary=bool(not interior or f_res - x_star < _REFINE_TOL),
     )
 
 

@@ -143,6 +143,19 @@ def _covariance(m: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _resolvable_limit(m0: np.ndarray, dm: np.ndarray) -> float:
+    """The largest ``f >= 0`` at which ``_covariance(m0 + f dm)`` resolves: the least positive
+    root of ``eps |r0 + f d|^2 = _RESOLUTION_LIMIT`` over the rows ``r0`` of ``m0`` and ``d`` of
+    ``dm``, ``inf`` if no row reads ``f``; ``_covariance`` refuses an ``m0`` past the bound."""
+    with np.errstate(over="raise", invalid="raise"):
+        c = (m0 * m0).sum(1) - _RESOLUTION_LIMIT / np.finfo(float).eps
+        if c.max() > 0:
+            _covariance(m0)
+        a, b = (dm * dm).sum(1), (m0 * dm).sum(1)
+        a, b, c = a[a > 0], b[a > 0], c[a > 0]  # the rows that read ``f``
+        return ((np.sqrt(b * b - a * c) - b) / a).min(initial=math.inf)
+
+
 Loss = namedtuple("Loss", "slot eta")
 Splitter = namedtuple("Splitter", "i j t complement", defaults=(False,))
 Cut = namedtuple("Cut", "stage labels users relay", defaults=("two", None))

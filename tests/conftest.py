@@ -70,6 +70,35 @@ def three_user_params(eta: float = 1.0, **kw) -> ProtocolParams:
     )
 
 
+#: The server's quadratures ``(x1, p1, ..., x4, p4)`` of ``A0, B0, C0, D0``, written apart
+#: from ``protocol``: the field of each one's variance (``None`` for vacuum's 1) and of its
+#: weight on ``x_dis`` or ``p_dis`` (``None`` for none, a leading ``-`` negates it).
+SERVER_SOURCES = (
+    ("v_a", None), ("v_s", "f_a"),       # A0, p-squeezed, noise on p
+    (None, "f_b"), (None, "-f_b"),       # B0, coherent
+    ("v_s", "f_c"), ("v_a", None),       # C0, x-squeezed, noise on x
+    (None, "f_d"), (None, "-f_d"),       # D0, coherent
+)
+
+
+def _source_value(params: ProtocolParams, field: str | None, default: float) -> float:
+    if field is None:
+        return default
+    return -getattr(params, field[1:]) if field[0] == "-" else getattr(params, field)
+
+
+def server_cov(params: ProtocolParams, flip: int | None = None) -> np.ndarray:
+    """The server's output covariance from ``SERVER_SOURCES``, ``diag(variances) +
+    v_dis (u u^T + w w^T)`` with ``u`` the x weights and ``w`` the p weights; ``flip`` is a
+    quadrature whose weight changes sign."""
+    variances = [_source_value(params, field, 1.0) for field, _ in SERVER_SOURCES]
+    source = [(-1.0 if k == flip else 1.0) * _source_value(params, field, 0.0)
+              for k, (_, field) in enumerate(SERVER_SOURCES)]
+    u, w = np.zeros(8), np.zeros(8)
+    u[0::2], w[1::2] = source[0::2], source[1::2]
+    return np.diag(variances) + params.v_dis * (np.outer(u, u) + np.outer(w, w))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -699,6 +700,15 @@ class TestMainEntry:
         )
         assert proc.returncode == EXIT_USAGE
 
+    def test_module_entry_point(self):
+        # python -m cvsteer runs __main__, which exits with main's code and its output
+        run = [sys.executable, "-m", "cvsteer"]
+        proc = subprocess.run(run + ["table-a1"], capture_output=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == cli.cmd_table_a1().encode()
+        proc = subprocess.run(run + ["certify"], capture_output=True, env=_src_env())
+        assert proc.returncode == EXIT_USAGE
+
     def test_import_loads_no_thread_pool(self):
         # sampler._ordered_map imports its pool late: concurrent.futures loads logging, which
         # every command, certify and scan included, would otherwise pay for at startup
@@ -723,6 +733,24 @@ class TestMainEntry:
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README example does not parse: cvsteer {shlex.join(argv)}")
+
+    def test_readme_quickstart_runs_as_its_comments_say(self):
+        # each bare expression of the README's Python block, in order, against its comment
+        readme = (SRC.parent / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        namespace, values = {}, []
+        for node in ast.parse(block).body:
+            if isinstance(node, ast.Expr):
+                values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"),
+                                   namespace))
+            else:
+                exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+        ppt_a, g_a_to_bd, g_b_to_a, ppt_c1, key_rates = values
+        assert ppt_a < 1
+        assert g_a_to_bd > 0
+        assert g_b_to_a == 0
+        assert ppt_c1 >= 1
+        assert len(key_rates) == 3
 
     def test_json_format_flag(self, capsys):
         assert main(["scan", "--scenario", "two_user", "--eta-grid", "1:1:1",

@@ -253,7 +253,7 @@ def test_ancilla_ppt_matches_the_public_route(objective, which):
     # where C1 is separable
     params, (stage, partition) = OBJECTIVE_PARAMS[objective], _OBJECTIVE_STAGE[objective]
     xs = np.linspace(0.0, 4.0, 9)
-    _, got = _trials(params, stage, partition, which)(xs)
+    _, got = _trials(params, stage, partition, which)[0](xs)
     for x, value in zip(xs, got):
         p = params.replace(**{which: x})
         want = ppt_min(build_network_state(p, "pre_bob"), ["C1"])

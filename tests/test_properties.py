@@ -489,7 +489,7 @@ def test_trials_match_the_public_route(params, objective, which, xs):
     # separable, and the objective where all are
     stage, partition = _OBJECTIVE_STAGE[objective]
     assume(which in _STAGES[stage].fields)
-    ys, ppts = _trials(params, stage, partition, which)(np.array(xs))
+    ys, ppts = _trials(params, stage, partition, which)[0](np.array(xs))
     relays = [s.cut for s in list(_STAGES.values())[:STAGES.index(stage)] if s.cut.relay]
     for x, y, ppt in zip(xs, ys, ppts):
         point = params.replace(**{which: x})

@@ -24,8 +24,9 @@ from cvsteer import (
     steerability,
 )
 from cvsteer.criteria import SEPARABILITY_TOL
-from cvsteer.protocol import STAGES, _RESOLUTION_LIMIT, _STAGES, _covariance, _network_transfers
-from conftest import three_user_params, two_user_params
+from cvsteer.protocol import (STAGES, _RESOLUTION_LIMIT, _STAGES, _covariance, _network_transfers,
+                              _resolvable_limit)
+from conftest import server_cov, three_user_params, two_user_params
 
 
 class TestParams:
@@ -158,6 +159,37 @@ class TestCovariance:
     def test_overflow_is_an_arithmetic_error(self):
         with pytest.raises(ArithmeticError):
             _covariance(np.full((1, 2, 2), 1e200))
+
+
+class TestResolvableLimit:
+    """``_resolvable_limit``: how far along ``M0 + f dM`` ``_covariance`` still resolves."""
+
+    @pytest.fixture
+    def roots(self):
+        # the f_b roots of the pre_bob cut at a v_dis whose limit, about 1.1343, lies inside
+        # the optimizer's bracket
+        params = two_user_params(0.7).replace(v_dis=5e6)
+        *_, (cut, (m0, m1)) = _network_transfers(params, "pre_bob", f_b=np.array([0.0, 1.0]))
+        assert cut.stage == "pre_bob"
+        return m0, m1 - m0
+
+    def test_covariance_resolves_up_to_the_limit_and_no_further(self, roots):
+        m0, dm = roots
+        limit = _resolvable_limit(m0, dm)
+        assert limit == pytest.approx(1.1343, abs=1e-4)
+        _covariance(m0 + limit * (1 - 1e-12) * dm)
+        with pytest.raises(ArithmeticError, match="^float64 cannot resolve this network: "):
+            _covariance(m0 + limit * (1 + 1e-12) * dm)
+
+    def test_a_cut_that_does_not_read_the_coefficient_has_no_limit(self, roots):
+        m0, dm = roots
+        assert _resolvable_limit(m0, np.zeros_like(dm)) == math.inf
+
+    def test_a_root_past_the_bound_is_refused_as_covariance_refuses_it(self, roots):
+        m0, dm = roots
+        with pytest.raises(ArithmeticError, match="^float64 cannot resolve this network: "
+                                                  "eps x largest variance = "):
+            _resolvable_limit(m0 + 2.0 * dm, dm)
 
 
 class TestStageFields:
@@ -447,11 +479,11 @@ class TestServerOutputs:
     @pytest.mark.parametrize("stage", STAGES)
     def test_every_pass_starts_at_the_server(self, stage):
         # the server's output is the network's first cut: every stage's pass hands it out
-        # first, and its M M^T is the built server state, bit for bit
+        # first, and its M M^T is the server covariance built apart from protocol
         params = three_user_params(0.8)
         cut, m = next(_network_transfers(params, stage))
         assert cut.stage == STAGES[0] == "server"
-        assert _covariance(m).tobytes() == build_network_state(params, "server").cov.tobytes()
+        np.testing.assert_allclose(_covariance(m), server_cov(params), rtol=1e-12, atol=0)
 
 
 class TestQssScenario:

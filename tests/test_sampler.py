@@ -23,7 +23,7 @@ from cvsteer import (
 from cvsteer import core, protocol
 from cvsteer.protocol import NETLIST, STAGES, Loss, Splitter
 from cvsteer.sampler import _BLOCK
-from conftest import three_user_params, two_user_params
+from conftest import SERVER_SOURCES, server_cov, three_user_params, two_user_params
 
 #: Unbalanced splitters, lossy links everywhere and f_a, f_c != 1, so that
 #: every netlist step and every server weight matters.
@@ -439,22 +439,6 @@ LOSSY = OFF_BALANCE.replace(eta_sa=0.6, eta_sb=0.5, eta_sd=0.4, eta_ab=0.55, eta
 #: The netlist after its first cut, the server's output, which ``_reference_cov`` builds itself.
 AFTER_SERVER = NETLIST[1:]
 
-#: The server's quadratures ``(x1, p1, ..., x4, p4)`` of ``A0, B0, C0, D0``, written apart
-#: from ``protocol``: the field of each one's variance (``None`` for vacuum's 1) and of its
-#: weight on ``x_dis`` or ``p_dis`` (``None`` for none, a leading ``-`` negates it).
-SERVER_SOURCES = (
-    ("v_a", None), ("v_s", "f_a"),       # A0, p-squeezed, noise on p
-    (None, "f_b"), (None, "-f_b"),       # B0, coherent
-    ("v_s", "f_c"), ("v_a", None),       # C0, x-squeezed, noise on x
-    (None, "f_d"), (None, "-f_d"),       # D0, coherent
-)
-
-
-def _source_value(params: ProtocolParams, field: str | None, default: float) -> float:
-    if field is None:
-        return default
-    return -getattr(params, field[1:]) if field[0] == "-" else getattr(params, field)
-
 
 def _reference_cov(params: ProtocolParams, stage: str, swap: int | None = None,
                    drop: tuple[int, int] | None = None, flip: int | None = None,
@@ -465,12 +449,7 @@ def _reference_cov(params: ProtocolParams, stage: str, swap: int | None = None,
     trade places, ``drop`` a loss's index and the quadrature (0 for x, 1 for p) that gets
     no vacuum, ``flip`` the server quadrature whose shared-noise weight changes sign, and
     ``scale`` multiplies the covariance handed back."""
-    variances = [_source_value(params, field, 1.0) for field, _ in SERVER_SOURCES]
-    source = [(-1.0 if k == flip else 1.0) * _source_value(params, field, 0.0)
-              for k, (_, field) in enumerate(SERVER_SOURCES)]
-    u, w = np.zeros(8), np.zeros(8)
-    u[0::2], w[1::2] = source[0::2], source[1::2]
-    cov = np.diag(variances) + params.v_dis * (np.outer(u, u) + np.outer(w, w))
+    cov = server_cov(params, flip)
     for j, step in enumerate(AFTER_SERVER):
         s, vacuum = np.eye(8), np.zeros(8)
         if isinstance(step, Loss):
